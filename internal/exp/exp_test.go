@@ -8,6 +8,7 @@ import (
 	"uvllm/internal/dataset"
 	"uvllm/internal/faultgen"
 	"uvllm/internal/sim"
+	"uvllm/internal/uvm"
 )
 
 // testSession is the shared compiled-backend session all shape tests draw
@@ -279,6 +280,34 @@ func TestRunDeterministic(t *testing.T) {
 			a[i].UVLLM.Times.Total() != b[i].UVLLM.Times.Total() {
 			t.Errorf("instance %s not deterministic across runs", a[i].Fault.ID)
 		}
+	}
+}
+
+// TestTokenUsageDeterministic pins the scoreboard's fixed mismatch order
+// end to end: when one cycle mismatches on several outputs, the UVM log
+// the repair prompt quotes lists them in sorted name order, so repeated
+// runs on fresh caches spend identical tokens. The instance and oracle
+// seed are one where map-ordered mismatches made the count move by one.
+func TestTokenUsageDeterministic(t *testing.T) {
+	var inst *faultgen.Fault
+	for _, f := range faultgen.Benchmark() {
+		if f.ID == "adder_8bit/SynKeywordTypo-0" {
+			inst = f
+		}
+	}
+	if inst == nil {
+		t.Fatal("instance adder_8bit/SynKeywordTypo-0 not in the benchmark")
+	}
+	seen := map[int]int{}
+	for i := 0; i < 40; i++ {
+		recs := Run(Config{
+			Seed: 13, SkipBaselines: true, Instances: []*faultgen.Fault{inst}, Workers: 1,
+			Cache: sim.NewCache(), Memo: uvm.NewTraceMemo(),
+		})
+		seen[recs[0].UVLLM.Usage.InputTokens]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("UVLLM input tokens vary across identical runs: %v", seen)
 	}
 }
 

@@ -37,24 +37,22 @@ func ObserveLanes(f *Fault, seeds []int64, n int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ports []sim.PortInfo
-	for _, p := range prog.Design().Inputs() {
-		if p.Name != m.Clock {
-			ports = append(ports, p)
-		}
-	}
+	ports := b.Ports()
 	rstName, _ := sim.FindReset(prog.Design())
 	memo := uvm.SharedTraceMemo()
-	vectors := make([][]map[string]uint64, len(seeds))
-	expected := make([][]map[string]uint64, len(seeds))
+	stims := make([]*uvm.Stimulus, len(seeds))
+	golden := make([]*uvm.Trace, len(seeds))
+	cols := make([][]int, len(seeds))
 	for k, seed := range seeds {
 		seq := &uvm.RandomSequence{Ports: ports, N: n, ResetName: rstName, ResetEvery: 50}
-		vectors[k] = uvm.Materialize(seq, seed)
-		exp, err := memo.Expected(m.Name, rstName != "", vectors[k])
-		if err != nil {
+		stims[k] = uvm.Materialize(seq, seed, ports)
+		if n > 0 && stims[k].Row(0) == nil {
+			return nil, fmt.Errorf("faultgen: %s stimulus does not fit the batch row layout", m.Name)
+		}
+		if golden[k], err = memo.Expected(m.Name, rstName != "", stims[k]); err != nil {
 			return nil, err
 		}
-		expected[k] = exp
+		cols[k] = golden[k].Columns(prog.Design().Outputs())
 	}
 	if rstName != "" {
 		if err := b.ApplyReset(2); err != nil {
@@ -65,23 +63,25 @@ func ObserveLanes(f *Fault, seeds []int64, n int) ([]float64, error) {
 	for k := range scores {
 		scores[k] = &uvm.Scoreboard{MaxMismatches: 64}
 	}
-	ins := make([]map[string]uint64, len(seeds))
+	rows := make([][]uint64, len(seeds))
+	var out []uint64
 	for i := 0; i < n; i++ {
 		cycle := b.CycleCount()
-		for k := range ins {
-			ins[k] = nil
-			if b.Err(k) == nil && i < len(vectors[k]) {
-				ins[k] = vectors[k][i]
+		for k := range rows {
+			rows[k] = nil
+			if b.Err(k) == nil {
+				rows[k] = stims[k].Row(i)
 			}
 		}
-		if err := b.CycleMaps(ins); err != nil {
+		if err := b.Cycle(rows); err != nil {
 			return nil, err
 		}
-		for k := range ins {
-			if ins[k] == nil || b.Err(k) != nil {
+		for k := range rows {
+			if rows[k] == nil || b.Err(k) != nil {
 				continue // dead lane: rate frozen where the simulation died
 			}
-			scores[k].Compare(cycle, expected[k][i], b.Outputs(k))
+			out = b.OutputRow(k, out)
+			scores[k].CompareRow(cycle, golden[k], i, cols[k], out)
 		}
 	}
 	rates := make([]float64, len(seeds))

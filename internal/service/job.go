@@ -79,14 +79,23 @@ func (s JobSpec) Validate() error {
 	if s.Mode != "" && s.Mode != "pair" && s.Mode != "complete" {
 		return fmt.Errorf("mode must be %q or %q, got %q", "pair", "complete", s.Mode)
 	}
-	if s.Vectors < 0 {
-		return fmt.Errorf("vectors must be >= 0, got %d", s.Vectors)
+	if s.Vectors < 0 || s.Vectors > MaxJobVectors {
+		return fmt.Errorf("vectors must be in [0, %d], got %d", MaxJobVectors, s.Vectors)
 	}
-	if s.MaxIterations < 0 {
-		return fmt.Errorf("max_iterations must be >= 0, got %d", s.MaxIterations)
+	if s.MaxIterations < 0 || s.MaxIterations > MaxJobIterations {
+		return fmt.Errorf("max_iterations must be in [0, %d], got %d", MaxJobIterations, s.MaxIterations)
 	}
 	return s.Options.Validate()
 }
+
+// Upper bounds on a job's work knobs. Each UVM evaluation allocates its
+// stimulus up front as vectors × inputs words, so an unbounded vector
+// count lets one submit crash the whole server with an unrecoverable
+// out-of-memory error.
+const (
+	MaxJobVectors    = 100000 // 200× the pipeline default of 500
+	MaxJobIterations = 100    // 20× the pipeline default of 5
+)
 
 // Input is the resolved DUT of a validated spec: the source to verify,
 // the golden it is measured against, and the oracle-knowledge fields.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -41,6 +42,44 @@ func TestOptionsValidate(t *testing.T) {
 			}
 			if err == nil {
 				t.Fatal("invalid options accepted")
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q does not name the offending knob %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestJobSpecValidateBounds is the table test for the job work knobs:
+// values up to the named bounds pass, anything outside [0, bound] is
+// rejected with a message naming the knob.
+func TestJobSpecValidateBounds(t *testing.T) {
+	cases := []struct {
+		name    string
+		spec    JobSpec
+		wantErr string // "" = valid
+	}{
+		{"defaults", JobSpec{}, ""},
+		{"vectors at bound", JobSpec{Vectors: MaxJobVectors}, ""},
+		{"vectors above bound", JobSpec{Vectors: MaxJobVectors + 1}, "vectors"},
+		{"vectors max int", JobSpec{Vectors: math.MaxInt}, "vectors"},
+		{"negative vectors", JobSpec{Vectors: -1}, "vectors"},
+		{"iterations at bound", JobSpec{MaxIterations: MaxJobIterations}, ""},
+		{"iterations above bound", JobSpec{MaxIterations: MaxJobIterations + 1}, "max_iterations"},
+		{"negative iterations", JobSpec{MaxIterations: -1}, "max_iterations"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.spec.Module = "adder_8bit"
+			err := tc.spec.Validate()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("valid spec rejected: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("invalid spec accepted")
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not name the offending knob %q", err, tc.wantErr)

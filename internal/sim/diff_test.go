@@ -20,9 +20,12 @@ import (
 )
 
 // diffBackends simulates src on both backends with an identical random
-// stimulus stream and fails on the first observable divergence. It returns
-// whether the compiled simulator ran levelized (false also when the source
-// does not elaborate, in which case both backends must agree on the error).
+// stimulus stream and fails on the first observable divergence. On each
+// backend a second harness drives the same stream through the row
+// protocol (CycleRow/OutputRow) and must match the map protocol's run
+// byte for byte. It returns whether the compiled simulator ran levelized
+// (false also when the source does not elaborate, in which case both
+// backends must agree on the error).
 func diffBackends(t *testing.T, name, src, top, clock string, cycles int, seed int64) bool {
 	t.Helper()
 	sE, errE := sim.CompileAndNewBackend(src, top, sim.BackendEventDriven)
@@ -37,8 +40,10 @@ func diffBackends(t *testing.T, name, src, top, clock string, cycles int, seed i
 		return false
 	}
 
-	hE := sim.NewHarness(sE, clock)
-	hC := sim.NewHarness(sC, clock)
+	hE := coveredHarness(t, name, sE, clock)
+	hC := coveredHarness(t, name, sC, clock)
+	rE := coveredHarness(t, name, freshInstance(t, name, sE), clock)
+	rC := coveredHarness(t, name, freshInstance(t, name, sC), clock)
 	covE := uvm.NewCoverage(sE.Design())
 	covC := uvm.NewCoverage(sC.Design())
 
@@ -47,24 +52,48 @@ func diffBackends(t *testing.T, name, src, top, clock string, cycles int, seed i
 	if !errEqual(rstE, rstC) {
 		t.Fatalf("%s: reset diverged: event=%v compiled=%v", name, rstE, rstC)
 	}
+	if rst := rE.ApplyReset(2); !errEqual(rst, rstE) {
+		t.Fatalf("%s: row twin reset diverged: %v vs %v", name, rst, rstE)
+	}
+	if rst := rC.ApplyReset(2); !errEqual(rst, rstC) {
+		t.Fatalf("%s: row twin reset diverged: %v vs %v", name, rst, rstC)
+	}
 	if rstE != nil {
 		return sC.Levelized()
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	inputs := sE.Design().Inputs()
+	ports := hE.Ports()
+	row := make([]uint64, len(ports))
+	var outRow []uint64
 	for cyc := 0; cyc < cycles; cyc++ {
 		in := map[string]uint64{}
-		for _, p := range inputs {
-			if p.Name == clock {
-				continue
-			}
-			in[p.Name] = rng.Uint64() & maskW(p.Width)
+		for i, p := range ports {
+			row[i] = rng.Uint64() & maskW(p.Width)
+			in[p.Name] = row[i]
 		}
 		outE, cerrE := hE.Cycle(in)
 		outC, cerrC := hC.Cycle(in)
 		if !errEqual(cerrE, cerrC) {
 			t.Fatalf("%s: cycle %d diverged: event=%v compiled=%v", name, cyc, cerrE, cerrC)
+		}
+		for _, tw := range []struct {
+			h    *sim.Harness
+			err  error
+			outs map[string]uint64
+		}{{rE, cerrE, outE}, {rC, cerrC, outC}} {
+			if err := tw.h.CycleRow(row); !errEqual(err, tw.err) {
+				t.Fatalf("%s: cycle %d row protocol error %v, map protocol %v", name, cyc, err, tw.err)
+			}
+			if tw.err != nil {
+				continue
+			}
+			outRow = tw.h.OutputRow(outRow)
+			for i, p := range sE.Design().Outputs() {
+				if outRow[i] != tw.outs[p.Name] {
+					t.Fatalf("%s: cycle %d output %s: row=0x%x map=0x%x", name, cyc, p.Name, outRow[i], tw.outs[p.Name])
+				}
+			}
 		}
 		if cerrE != nil {
 			return sC.Levelized() // both died identically; trace prefix already compared
@@ -79,37 +108,70 @@ func diffBackends(t *testing.T, name, src, top, clock string, cycles int, seed i
 	}
 
 	// Full recorded waveform, its VCD rendering, coverage and the complete
-	// internal signal state must all agree byte for byte.
-	if hE.Wave.Cycles() != hC.Wave.Cycles() {
-		t.Fatalf("%s: waveform length: event=%d compiled=%d", name, hE.Wave.Cycles(), hC.Wave.Cycles())
-	}
-	for _, n := range hE.Wave.Names() {
-		for cyc := 0; cyc < hE.Wave.Cycles(); cyc++ {
-			if hE.Wave.At(n, cyc) != hC.Wave.At(n, cyc) {
-				t.Fatalf("%s: waveform %s@%d: event=0x%x compiled=0x%x",
-					name, n, cyc, hE.Wave.At(n, cyc), hC.Wave.At(n, cyc))
-			}
-		}
-	}
-	var vcdE, vcdC bytes.Buffer
-	if err := sim.WriteVCD(&vcdE, hE.Wave, sE.Design(), top); err != nil {
-		t.Fatalf("%s: vcd: %v", name, err)
-	}
-	if err := sim.WriteVCD(&vcdC, hC.Wave, sC.Design(), top); err != nil {
-		t.Fatalf("%s: vcd: %v", name, err)
-	}
-	if !bytes.Equal(vcdE.Bytes(), vcdC.Bytes()) {
-		t.Fatalf("%s: VCD output differs", name)
-	}
+	// internal signal state must all agree byte for byte: across backends,
+	// and between the row and map protocols on each backend.
+	sameRun(t, name+" event vs compiled", hE, hC, top)
+	sameRun(t, name+" event row vs map", rE, hE, top)
+	sameRun(t, name+" compiled row vs map", rC, hC, top)
 	if covE.Percent() != covC.Percent() || covE.Report() != covC.Report() {
 		t.Fatalf("%s: coverage diverged: event=%.4f compiled=%.4f", name, covE.Percent(), covC.Percent())
 	}
-	for _, n := range sE.Design().SignalNames() {
-		if sE.Get(n) != sC.Get(n) {
-			t.Fatalf("%s: internal signal %s: event=0x%x compiled=0x%x", name, n, sE.Get(n), sC.Get(n))
+	return sC.Levelized()
+}
+
+// coveredHarness wraps s in a harness with full structural coverage on.
+func coveredHarness(t *testing.T, name string, s *sim.Simulator, clock string) *sim.Harness {
+	t.Helper()
+	h := sim.NewHarness(s, clock)
+	if err := h.EnableCover(sim.CoverAll()); err != nil {
+		t.Fatalf("%s: cover: %v", name, err)
+	}
+	return h
+}
+
+// freshInstance allocates a second instance of s's program.
+func freshInstance(t *testing.T, name string, s *sim.Simulator) *sim.Simulator {
+	t.Helper()
+	inst, err := s.Program().NewInstance()
+	if err != nil {
+		t.Fatalf("%s: instance: %v", name, err)
+	}
+	return inst
+}
+
+// sameRun fails unless two harnesses recorded byte-identical waveforms,
+// VCD renderings and structural coverage, and ended in the same internal
+// state.
+func sameRun(t *testing.T, name string, a, b *sim.Harness, top string) {
+	t.Helper()
+	if a.Wave.Cycles() != b.Wave.Cycles() {
+		t.Fatalf("%s: waveform length: %d vs %d", name, a.Wave.Cycles(), b.Wave.Cycles())
+	}
+	for _, n := range a.Wave.Names() {
+		for cyc := 0; cyc < a.Wave.Cycles(); cyc++ {
+			if a.Wave.At(n, cyc) != b.Wave.At(n, cyc) {
+				t.Fatalf("%s: waveform %s@%d: 0x%x vs 0x%x", name, n, cyc, a.Wave.At(n, cyc), b.Wave.At(n, cyc))
+			}
 		}
 	}
-	return sC.Levelized()
+	var vcdA, vcdB bytes.Buffer
+	if err := sim.WriteVCD(&vcdA, a.Wave, a.Sim.Design(), top); err != nil {
+		t.Fatalf("%s: vcd: %v", name, err)
+	}
+	if err := sim.WriteVCD(&vcdB, b.Wave, b.Sim.Design(), top); err != nil {
+		t.Fatalf("%s: vcd: %v", name, err)
+	}
+	if !bytes.Equal(vcdA.Bytes(), vcdB.Bytes()) {
+		t.Fatalf("%s: VCD output differs", name)
+	}
+	if encA, encB := a.Coverage().Encode(), b.Coverage().Encode(); !bytes.Equal(encA, encB) {
+		t.Fatalf("%s: structural coverage differs:\n%s---\n%s", name, encA, encB)
+	}
+	for _, n := range a.Sim.Design().SignalNames() {
+		if a.Sim.Get(n) != b.Sim.Get(n) {
+			t.Fatalf("%s: internal signal %s: 0x%x vs 0x%x", name, n, a.Sim.Get(n), b.Sim.Get(n))
+		}
+	}
 }
 
 func errEqual(a, b error) bool {

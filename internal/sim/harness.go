@@ -88,13 +88,16 @@ type portRef struct {
 // let combinational logic settle, pulse the clock, sample outputs. It is
 // the glue between the Go UVM components and the RTL simulator. Port
 // arena indices are resolved at construction so per-cycle sampling does
-// no name lookups.
+// no name lookups. Stimulus enters either as a row aligned with Ports()
+// (CycleRow, the same layout as Batch) or as a map (Cycle); both run the
+// one cycle protocol after application.
 type Harness struct {
 	Sim   *Simulator
 	Clock string // clock input name; empty for purely combinational DUTs
 	Wave  *Waveform
 	cycle int
 
+	inPorts  []portRef       // non-clock inputs, declaration order — the row layout
 	outPorts []portRef       // top-level outputs
 	recIdx   []int           // arena index per recorded port, in Wave.Names() order (-1 = unknown)
 	recRow   []uint64        // scratch row reused every cycle
@@ -137,6 +140,9 @@ func NewHarness(s *Simulator, clock string) *Harness {
 	h := &Harness{Sim: s, Clock: clock, Wave: NewWaveform(names), inputSet: map[string]bool{}}
 	for _, p := range s.Design().Inputs() {
 		h.inputSet[p.Name] = true
+		if idx, ok := s.d.byName[p.Name]; ok && p.Name != clock {
+			h.inPorts = append(h.inPorts, portRef{name: p.Name, idx: idx})
+		}
 	}
 	for _, p := range s.Design().Outputs() {
 		if idx, ok := s.d.byName[p.Name]; ok {
@@ -154,9 +160,37 @@ func NewHarness(s *Simulator, clock string) *Harness {
 	return h
 }
 
+// Ports returns the row stimulus layout: the non-clock inputs in
+// declaration order, the same layout as Batch.Ports. CycleRow rows must
+// align with this slice.
+func (h *Harness) Ports() []PortInfo {
+	out := make([]PortInfo, 0, len(h.inPorts))
+	for _, pr := range h.inPorts {
+		out = append(out, PortInfo{Name: pr.name, Width: h.Sim.d.sigs[pr.idx].width})
+	}
+	return out
+}
+
+// CycleRow drives one cycle with every non-clock input taken from row,
+// aligned with Ports() — Cycle without the per-cycle map: no name
+// hashing, no output map. It applies the row in declaration order, which
+// is the order Cycle applies a map holding exactly those inputs, so the
+// two produce byte-identical traces, waveforms and coverage. Read the
+// outputs with OutputRow.
+func (h *Harness) CycleRow(row []uint64) error {
+	if len(row) != len(h.inPorts) {
+		return fmt.Errorf("sim: cycle row has %d values, want %d", len(row), len(h.inPorts))
+	}
+	for i, pr := range h.inPorts {
+		h.Sim.set(pr.idx, row[i])
+	}
+	return h.step()
+}
+
 // Cycle applies inputs, advances one clock cycle (or just settles for
 // combinational designs), records the waveform sample and returns the
-// top-level output values.
+// top-level output values. Inputs absent from the map keep their values;
+// keys naming internal signals are honored; the clock key is ignored.
 //
 // Inputs are applied in port declaration order, not map order: on designs
 // whose comb state is glitch-count sensitive (self-read @(*) blocks), the
@@ -164,6 +198,18 @@ func NewHarness(s *Simulator, clock string) *Harness {
 // iteration would make identical stimulus produce different traces from
 // run to run (found by the rtlgen differential fuzzer).
 func (h *Harness) Cycle(inputs map[string]uint64) (map[string]uint64, error) {
+	if err := h.applyMap(inputs); err != nil {
+		return nil, err
+	}
+	if err := h.step(); err != nil {
+		return nil, err
+	}
+	return h.Outputs(), nil
+}
+
+// applyMap applies map stimulus: declared inputs in declaration order,
+// then leftover keys in sorted order.
+func (h *Harness) applyMap(inputs map[string]uint64) error {
 	applied := 0
 	for _, p := range h.Sim.Design().Inputs() {
 		v, ok := inputs[p.Name]
@@ -172,7 +218,7 @@ func (h *Harness) Cycle(inputs map[string]uint64) (map[string]uint64, error) {
 		}
 		applied++
 		if err := h.Sim.Set(p.Name, v); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	expect := len(inputs)
@@ -186,12 +232,18 @@ func (h *Harness) Cycle(inputs map[string]uint64) (map[string]uint64, error) {
 		// order) or unknown signals (still an error).
 		for _, name := range sortedExtraKeys(inputs, h.inputSet, h.Clock) {
 			if err := h.Sim.Set(name, inputs[name]); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
+	return nil
+}
+
+// step runs the cycle protocol after stimulus application: settle,
+// exec-coverage sample, clock pulse, state-coverage sample, waveform row.
+func (h *Harness) step() error {
 	if err := h.Sim.Settle(); err != nil {
-		return nil, err
+		return err
 	}
 	if h.Sim.cov != nil {
 		// Pre-edge instant: inputs applied, combinational logic settled —
@@ -201,26 +253,22 @@ func (h *Harness) Cycle(inputs map[string]uint64) (map[string]uint64, error) {
 	}
 	if h.Clock != "" {
 		if err := h.Sim.Set(h.Clock, 1); err != nil {
-			return nil, err
+			return err
 		}
 		if err := h.Sim.Settle(); err != nil {
-			return nil, err
+			return err
 		}
 		if err := h.Sim.Set(h.Clock, 0); err != nil {
-			return nil, err
+			return err
 		}
 		if err := h.Sim.Settle(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if h.Sim.cov != nil {
 		// Post-cycle instant: NBAs committed, everything settled. Toggle
 		// and FSM occupancy coverage samples here.
 		h.Sim.coverSampleState()
-	}
-	outs := make(map[string]uint64, len(h.outPorts))
-	for _, p := range h.outPorts {
-		outs[p.name] = h.Sim.vals[p.idx]
 	}
 	for i, idx := range h.recIdx {
 		if idx >= 0 {
@@ -232,7 +280,7 @@ func (h *Harness) Cycle(inputs map[string]uint64) (map[string]uint64, error) {
 	h.Wave.recordRow(h.recRow)
 	h.cycle++
 	h.cycles.Inc()
-	return outs, nil
+	return nil
 }
 
 // CycleCount returns the number of cycles driven so far.
@@ -261,6 +309,17 @@ func (h *Harness) Outputs() map[string]uint64 {
 		outs[p.name] = h.Sim.vals[p.idx]
 	}
 	return outs
+}
+
+// OutputRow samples the outputs into buf (grown as needed) in output
+// declaration order — the allocation-free counterpart of Outputs, with
+// the same layout as Batch.OutputRow.
+func (h *Harness) OutputRow(buf []uint64) []uint64 {
+	buf = buf[:0]
+	for _, p := range h.outPorts {
+		buf = append(buf, h.Sim.vals[p.idx])
+	}
+	return buf
 }
 
 // FindClock guesses the clock input of a design by conventional names.

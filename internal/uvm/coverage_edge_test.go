@@ -20,11 +20,7 @@ func TestCoveragePercentNoSamples(t *testing.T) {
 	}
 
 	// A collector over an empty port list divides by a zero total.
-	empty := &Coverage{
-		bins:  map[string][4]bool{},
-		seen0: map[string]uint64{},
-		seen1: map[string]uint64{},
-	}
+	empty := newCoverage(nil, nil)
 	if got := empty.Percent(); got != 0 {
 		t.Fatalf("empty-universe Percent = %v, want 0", got)
 	}
@@ -34,13 +30,8 @@ func TestCoveragePercentNoSamples(t *testing.T) {
 // (the defensive case for pathological elaborations) contributes nothing
 // to the toggle denominator and does not panic the sampler.
 func TestCoverageZeroWidthPort(t *testing.T) {
-	c := &Coverage{
-		inputs:  []sim.PortInfo{{Name: "in", Width: 8}},
-		outputs: []sim.PortInfo{{Name: "z", Width: 0}, {Name: "y", Width: 1}},
-		bins:    map[string][4]bool{},
-		seen0:   map[string]uint64{},
-		seen1:   map[string]uint64{},
-	}
+	c := newCoverage([]sim.PortInfo{{Name: "in", Width: 8}},
+		[]sim.PortInfo{{Name: "z", Width: 0}, {Name: "y", Width: 1}})
 	c.Sample(map[string]uint64{"in": 0}, map[string]uint64{"z": 1, "y": 1})
 	c.Sample(map[string]uint64{"in": 255}, map[string]uint64{"z": 0, "y": 0})
 	// in: all four bins hit (0, max, low, high) = 4/4; y: both polarities
@@ -54,12 +45,7 @@ func TestCoverageZeroWidthPort(t *testing.T) {
 // signals: a 64-bit output toggled both ways is exactly 128 toggle
 // points, and the wrap-around mask (1<<64) must not zero it out.
 func TestCoverage64BitMask(t *testing.T) {
-	c := &Coverage{
-		outputs: []sim.PortInfo{{Name: "wide", Width: 64}},
-		bins:    map[string][4]bool{},
-		seen0:   map[string]uint64{},
-		seen1:   map[string]uint64{},
-	}
+	c := newCoverage(nil, []sim.PortInfo{{Name: "wide", Width: 64}})
 	c.Sample(nil, map[string]uint64{"wide": 0})
 	if got := c.Percent(); got != 50 {
 		t.Fatalf("all-zeros 64-bit sample = %v%%, want 50 (64 of 128 points)", got)
@@ -70,14 +56,9 @@ func TestCoverage64BitMask(t *testing.T) {
 	}
 
 	// 64-bit input bins: max detection must use the full-width mask.
-	c2 := &Coverage{
-		inputs: []sim.PortInfo{{Name: "din", Width: 64}},
-		bins:   map[string][4]bool{},
-		seen0:  map[string]uint64{},
-		seen1:  map[string]uint64{},
-	}
+	c2 := newCoverage([]sim.PortInfo{{Name: "din", Width: 64}}, nil)
 	c2.Sample(map[string]uint64{"din": ^uint64(0)}, nil)
-	b := c2.bins["din"]
+	b := c2.bins[0]
 	if !b[1] {
 		t.Fatal("all-ones 64-bit input did not hit the max bin")
 	}

@@ -1,6 +1,7 @@
 package uvm
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -20,18 +21,33 @@ func aluPorts(t *testing.T) []sim.PortInfo {
 }
 
 // TestMaterializeDeterministic pins that materializing a sequence yields
-// the identical stream a live run would draw.
+// the identical stream a live run would draw: the row fill takes the
+// same RNG draws, in the same order, as Next.
 func TestMaterializeDeterministic(t *testing.T) {
 	ports := aluPorts(t)
-	a := Materialize(&RandomSequence{Ports: ports, N: 50}, 11)
-	b := Materialize(&RandomSequence{Ports: ports, N: 50}, 11)
+	a := Materialize(&RandomSequence{Ports: ports, N: 50}, 11, ports)
+	b := Materialize(&RandomSequence{Ports: ports, N: 50}, 11, ports)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different streams")
 	}
-	c := Materialize(&RandomSequence{Ports: ports, N: 50}, 12)
+	c := Materialize(&RandomSequence{Ports: ports, N: 50}, 12, ports)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced the same stream")
 	}
+	seq := &RandomSequence{Ports: ports, N: 50}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < a.Len(); i++ {
+		want, _ := seq.Next(rng)
+		if a.Row(i) == nil || !reflect.DeepEqual(a.Vector(i), want) {
+			t.Fatalf("vector %d: rows %v, Next %v", i, a.Vector(i), want)
+		}
+	}
+}
+
+// counterStim lays counter_12bit vectors out over its non-clock inputs.
+func counterStim(vectors []map[string]uint64) *Stimulus {
+	ports := []sim.PortInfo{{Name: "rst_n", Width: 1}, {Name: "en", Width: 1}}
+	return Materialize(&DirectedSequence{Vectors: vectors}, 0, ports)
 }
 
 // TestTraceMemoMatchesModel checks a memoized trace is exactly what a
@@ -41,8 +57,9 @@ func TestTraceMemoMatchesModel(t *testing.T) {
 	vectors := []map[string]uint64{
 		{"rst_n": 1, "en": 1}, {"rst_n": 1, "en": 0}, {"rst_n": 1, "en": 1}, {"rst_n": 0, "en": 1}, {"rst_n": 1, "en": 1},
 	}
+	stim := counterStim(vectors)
 	tm := NewTraceMemo()
-	got, err := tm.Expected(m.Name, true, vectors)
+	got, err := tm.Expected(m.Name, true, stim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +70,15 @@ func TestTraceMemoMatchesModel(t *testing.T) {
 	model.Reset()
 	for i, in := range vectors {
 		want := model.Step(in)
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("cycle %d: memo %v != model %v", i, got[i], want)
+		row := map[string]uint64{}
+		for j, name := range got.Names() {
+			row[name] = got.Row(i)[j]
+		}
+		if !reflect.DeepEqual(row, want) {
+			t.Fatalf("cycle %d: memo %v != model %v", i, row, want)
 		}
 	}
-	if _, err := tm.Expected(m.Name, true, vectors); err != nil {
+	if _, err := tm.Expected(m.Name, true, stim); err != nil {
 		t.Fatal(err)
 	}
 	st := tm.Stats()
@@ -65,7 +86,7 @@ func TestTraceMemoMatchesModel(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
 	// A different reset phase is a different trace.
-	if _, err := tm.Expected(m.Name, false, vectors); err != nil {
+	if _, err := tm.Expected(m.Name, false, stim); err != nil {
 		t.Fatal(err)
 	}
 	if st := tm.Stats(); st.Misses != 2 {
@@ -74,8 +95,8 @@ func TestTraceMemoMatchesModel(t *testing.T) {
 }
 
 // TestTraceMemoMutationCannotPoison is the memo-poisoning regression
-// gate: a caller scribbling over the slice and maps Expected returned
-// must not corrupt what a later identical lookup sees. Batch lanes
+// gate: a caller scribbling over the trace Expected returned must not
+// corrupt what a later identical lookup sees. Batch lanes
 // share golden traces, so a leaked reference here would be a silent
 // cross-lane corruption vector.
 func TestTraceMemoMutationCannotPoison(t *testing.T) {
@@ -83,28 +104,26 @@ func TestTraceMemoMutationCannotPoison(t *testing.T) {
 	vectors := []map[string]uint64{
 		{"rst_n": 1, "en": 1}, {"rst_n": 1, "en": 1}, {"rst_n": 1, "en": 0},
 	}
+	stim := counterStim(vectors)
 	tm := NewTraceMemo()
-	first, err := tm.Expected(m.Name, true, vectors)
+	first, err := tm.Expected(m.Name, true, stim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine := make([]map[string]uint64, len(first))
-	for i, row := range first {
-		cp := map[string]uint64{}
-		for k, v := range row {
-			cp[k] = v
-		}
-		pristine[i] = cp
+	pristine := &Trace{
+		names: append([]string(nil), first.names...),
+		rows:  append([]uint64(nil), first.rows...),
+		n:     first.n,
 	}
-	// Hostile caller: rewrite every cell, add keys, nil out rows.
-	for _, row := range first {
-		for k := range row {
-			row[k] = ^uint64(0)
+	// Hostile caller: rewrite every cell and rename an output.
+	for i := 0; i < first.Len(); i++ {
+		row := first.Row(i)
+		for j := range row {
+			row[j] = ^uint64(0)
 		}
-		row["injected"] = 7
 	}
-	first[0] = nil
-	second, err := tm.Expected(m.Name, true, vectors)
+	first.Names()[0] = "injected"
+	second, err := tm.Expected(m.Name, true, stim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +134,8 @@ func TestTraceMemoMutationCannotPoison(t *testing.T) {
 		t.Fatalf("second fetch was not a memo hit: %+v", st)
 	}
 	// And the two fetches must not alias each other.
-	second[1]["en"] = 99
-	third, err := tm.Expected(m.Name, true, vectors)
+	second.Row(1)[0] = 99
+	third, err := tm.Expected(m.Name, true, stim)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,6 +66,52 @@ func (s *RandomSequence) Next(rng *rand.Rand) (map[string]uint64, bool) {
 // Len implements Sequence.
 func (s *RandomSequence) Len() int { return s.N }
 
+// fillRows materializes the remaining vectors straight into st's rows
+// when every vector's keys (Ports plus ResetName) are exactly the layout
+// col describes, drawing from rng exactly as Next does. It reports false,
+// drawing nothing, when the vectors do not fit.
+func (s *RandomSequence) fillRows(rng *rand.Rand, st *Stimulus, col map[string]int) bool {
+	pos := make([]int, len(s.Ports))
+	masks := make([]uint64, len(s.Ports))
+	keys := make(map[string]bool, len(col))
+	for j, p := range s.Ports {
+		c, ok := col[p.Name]
+		if !ok {
+			return false
+		}
+		pos[j], masks[j] = c, maskW(p.Width)
+		keys[p.Name] = true
+	}
+	rpos := -1
+	if s.ResetName != "" {
+		c, ok := col[s.ResetName]
+		if !ok {
+			return false
+		}
+		rpos = c
+		keys[s.ResetName] = true
+	}
+	if len(keys) != len(col) {
+		return false
+	}
+	for ; s.emitted < s.N; st.n++ {
+		s.emitted++
+		start := len(st.rows)
+		st.rows = append(st.rows, make([]uint64, len(col))...)
+		row := st.rows[start:]
+		for j, c := range pos {
+			row[c] = rng.Uint64() & masks[j]
+		}
+		if rpos >= 0 {
+			row[rpos] = 1
+			if s.ResetEvery > 0 && s.emitted%s.ResetEvery == 0 {
+				row[rpos] = 0
+			}
+		}
+	}
+	return true
+}
+
 // DirectedSequence plays back a fixed vector list — the style of finite
 // testbench the MEIC baseline uses (and the source of its overfitting).
 type DirectedSequence struct {
@@ -113,18 +159,24 @@ type Scoreboard struct {
 	MaxMismatches int
 }
 
-// Compare records one transaction's expected-vs-actual outputs and reports
-// whether the transaction passed.
-func (sb *Scoreboard) Compare(cycle int, expected, actual map[string]uint64) bool {
+// CompareRow records one transaction — golden row i against the DUT's
+// output row actual — and reports whether it passed. cols binds the two
+// layouts (Trace.Columns): the DUT value of golden.Names()[j] is
+// actual[cols[j]], or 0 when cols[j] is -1. Mismatches are recorded in
+// golden.Names() order, which is sorted.
+func (sb *Scoreboard) CompareRow(cycle int, golden *Trace, i int, cols []int, actual []uint64) bool {
 	sb.Total++
 	pass := true
-	for sig, ev := range expected {
-		av := actual[sig]
+	for j, ev := range golden.Row(i) {
+		var av uint64
+		if c := cols[j]; c >= 0 {
+			av = actual[c]
+		}
 		if av != ev {
 			pass = false
 			if sb.MaxMismatches == 0 || len(sb.Mismatches) < sb.MaxMismatches {
 				sb.Mismatches = append(sb.Mismatches, Mismatch{
-					Time: cycle, Signal: sig, Expected: ev, Actual: av,
+					Time: cycle, Signal: golden.names[j], Expected: ev, Actual: av,
 				})
 			}
 		}
@@ -253,14 +305,17 @@ func NewEnv(cfg Config) (*Env, error) {
 // Run drives the sequence to completion (or until the DUT dies), filling
 // the scoreboard, coverage and log. It returns the final pass rate.
 //
-// The stimulus is materialized up front (identical vectors to the lazy
-// walk: the sequence sees the same seeded RNG stream). When the
-// environment carries a golden-trace memo, the expected outputs for the
-// whole stream come from the memo — computed once per distinct (model,
-// stimulus) anywhere in the process — instead of stepping the reference
-// model again.
+// The stimulus is materialized up front as rows over the harness layout
+// (identical vectors to the lazy walk: the sequence sees the same seeded
+// RNG stream), and the expected outputs for the whole stream are one
+// golden trace: from the memo when the environment carries one —
+// computed once per distinct (model, stimulus) anywhere in the process —
+// else from stepping the environment's reference model. Each cycle then
+// drives a row, reads the output row and scores and covers by position;
+// a vector that does not fit the row layout takes Harness.Cycle for that
+// cycle.
 func (e *Env) Run(seq Sequence) float64 {
-	vectors := Materialize(seq, e.seed)
+	stim := Materialize(seq, e.seed, e.DUT.Ports())
 	resetName, _ := sim.FindReset(e.DUT.Sim.Design())
 
 	// Reset phase.
@@ -269,39 +324,40 @@ func (e *Env) Run(seq Sequence) float64 {
 			e.fatalf("reset phase: %v", err)
 			return 0
 		}
-		e.Ref.Reset()
+	}
+	golden, err := e.golden(stim, resetName != "")
+	if err != nil {
+		e.fatalf("%v", err)
+		return 0
 	}
 
-	// The shared (uncopied) trace is deliberate: Run only reads the rows
-	// it compares against, so the canonical memoized maps stay untouched.
-	var expected []map[string]uint64
-	if e.memo != nil {
-		if exp, err := e.memo.expectedShared(e.refName, resetName != "", vectors); err == nil {
-			expected = exp
-		}
-	}
-
-	for i, in := range vectors {
+	outputs := e.DUT.Sim.Design().Outputs()
+	cols := golden.Columns(outputs)
+	inCols := e.Cov.inputColumns(stim.Ports)
+	var out []uint64
+	for i := 0; i < stim.Len(); i++ {
 		cycle := e.DUT.CycleCount()
-		got, err := e.DUT.Cycle(in)
+		row := stim.Row(i)
+		if row != nil {
+			err = e.DUT.CycleRow(row)
+		} else {
+			_, err = e.DUT.Cycle(stim.mapAt(i))
+		}
 		if err != nil {
 			e.fatalf("cycle %d: %v", cycle, err)
 			return e.Score.PassRate()
 		}
-		var want map[string]uint64
-		if expected != nil {
-			want = expected[i]
+		out = e.DUT.OutputRow(out)
+		if row != nil {
+			e.Cov.sampleRow(inCols, row)
 		} else {
-			want = e.Ref.Step(in)
+			e.Cov.sampleInputs(stim.mapAt(i))
 		}
-		e.Cov.Sample(in, got)
+		e.Cov.sampleOutputs(out)
 		if e.Asserts != nil {
-			all := map[string]uint64{}
-			for k, v := range in {
-				all[k] = v
-			}
-			for k, v := range got {
-				all[k] = v
+			all := stim.Vector(i)
+			for k, p := range outputs {
+				all[p.Name] = out[k]
 			}
 			before := len(e.Asserts.Violations)
 			e.Asserts.Sample(all)
@@ -310,7 +366,7 @@ func (e *Env) Run(seq Sequence) float64 {
 					cycle, v.Assertion, v.Detail)
 			}
 		}
-		if !e.Score.Compare(cycle, want, got) {
+		if !e.Score.CompareRow(cycle, golden, i, cols, out) {
 			for _, mm := range e.mismatchesAt(cycle) {
 				e.logf("UVM_ERROR @ %d: uvm_test_top.env.scoreboard [SCBD] mismatch signal=%s expected=0x%x actual=0x%x",
 					mm.Time, mm.Signal, mm.Expected, mm.Actual)
@@ -324,6 +380,17 @@ func (e *Env) Run(seq Sequence) float64 {
 			e.DUT.CycleCount(), m.Percent(), m.Hit(), m.Len())
 	}
 	return e.Score.PassRate()
+}
+
+// golden returns the expected-output trace for stim: the memo's shared
+// trace when the environment has a memo — Run only reads it, so the
+// canonical memoized rows stay untouched — else a trace stepped from the
+// environment's own reference model.
+func (e *Env) golden(stim *Stimulus, reset bool) (*Trace, error) {
+	if e.memo != nil {
+		return e.memo.shared(e.refName, reset, stim)
+	}
+	return computeTrace(e.Ref, reset, stim)
 }
 
 func (e *Env) mismatchesAt(cycle int) []Mismatch {

@@ -1,6 +1,9 @@
 package uvm
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -76,6 +79,107 @@ func TestBuggyDUTDetected(t *testing.T) {
 	}
 	if !strings.Contains(env.Log(), "signal=count") {
 		t.Error("log missing mismatch signal")
+	}
+}
+
+// TestMismatchOrderSorted pins the scoreboard's fixed order: when two
+// outputs mismatch in one cycle they are recorded and logged in sorted
+// output-name order (cout before sum, against declaration order), so
+// the log is byte-identical from run to run.
+func TestMismatchOrderSorted(t *testing.T) {
+	buggy := strings.Replace(dataset.ByName("adder_8bit").Source,
+		"a + b + {7'd0, cin};", "~(a + b + {7'd0, cin});", 1)
+	var first string
+	for run := 0; run < 20; run++ {
+		env := newEnvFor(t, "adder_8bit", buggy)
+		env.Run(randomSeqFor(env, 30))
+		mm := env.Score.Mismatches
+		if len(mm) < 2 || mm[0].Time != mm[1].Time || mm[0].Signal != "cout" || mm[1].Signal != "sum" {
+			t.Fatalf("cycle 0 mismatches = %+v, want cout then sum", head(mm, 2))
+		}
+		if run == 0 {
+			first = env.Log()
+		} else if env.Log() != first {
+			t.Fatalf("run %d log differs from run 0:\n%s\n---\n%s", run, env.Log(), first)
+		}
+	}
+}
+
+// mapPathRun replays vectors the way a map-only environment does: each
+// cycle goes through Harness.Cycle with its map, the reference model
+// steps on the same map and coverage samples the maps; outputs are
+// compared in sorted name order. It is the reference Env.Run's per-cycle
+// map fallback must match.
+func mapPathRun(t *testing.T, env *Env, vectors []map[string]uint64) {
+	t.Helper()
+	if name, _ := sim.FindReset(env.DUT.Sim.Design()); name != "" {
+		if err := env.DUT.ApplyReset(2); err != nil {
+			t.Fatal(err)
+		}
+		env.Ref.Reset()
+	}
+	for _, in := range vectors {
+		cycle := env.DUT.CycleCount()
+		got, err := env.DUT.Cycle(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := env.Ref.Step(in)
+		env.Cov.Sample(in, got)
+		var names []string
+		for n := range want {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		env.Score.Total++
+		pass := true
+		for _, n := range names {
+			if got[n] != want[n] {
+				pass = false
+				env.Score.Mismatches = append(env.Score.Mismatches, Mismatch{Time: cycle, Signal: n, Expected: want[n], Actual: got[n]})
+			}
+		}
+		if pass {
+			env.Score.Passed++
+		}
+	}
+}
+
+// TestRunOffLayoutVectorsMatchMapPath drives streams whose vectors do not
+// fit the row layout — an input missing (it keeps its value), the clock
+// key (binned by port coverage), an internal signal (forced into the
+// DUT) — mixed with vectors that do, and requires Env.Run to reproduce
+// the map path's pass rate, mismatch log, coverage and waveform.
+func TestRunOffLayoutVectorsMatchMapPath(t *testing.T) {
+	full := func(en uint64) map[string]uint64 { return map[string]uint64{"rst_n": 1, "en": en} }
+	cases := map[string][]map[string]uint64{
+		"missing input":   {full(1), full(1), {"rst_n": 1}, {"rst_n": 1}, full(0), {"rst_n": 1}, full(1)},
+		"clock key":       {full(1), {"rst_n": 1, "en": 1, "clk": 1}, full(0), {"rst_n": 1, "en": 0, "clk": 0}, full(1)},
+		"internal signal": {full(1), full(1), {"rst_n": 1, "en": 1, "count": 4094}, full(1), full(1), full(0)},
+	}
+	for name, vectors := range cases {
+		t.Run(name, func(t *testing.T) {
+			env := newEnvFor(t, "counter_12bit", "")
+			rate := env.Run(&DirectedSequence{Vectors: vectors})
+			ref := newEnvFor(t, "counter_12bit", "")
+			mapPathRun(t, ref, vectors)
+			if rate != ref.Score.PassRate() || !reflect.DeepEqual(env.Score, ref.Score) {
+				t.Fatalf("scoreboard %+v, map path %+v", env.Score, ref.Score)
+			}
+			if env.Cov.Report() != ref.Cov.Report() || env.Cov.Percent() != ref.Cov.Percent() {
+				t.Fatalf("coverage:\n%s\nmap path:\n%s", env.Cov.Report(), ref.Cov.Report())
+			}
+			if !reflect.DeepEqual(env.Waveform(), ref.Waveform()) {
+				t.Fatal("waveform differs from the map path")
+			}
+			for _, mm := range ref.Score.Mismatches {
+				line := fmt.Sprintf("UVM_ERROR @ %d: uvm_test_top.env.scoreboard [SCBD] mismatch signal=%s expected=0x%x actual=0x%x",
+					mm.Time, mm.Signal, mm.Expected, mm.Actual)
+				if !strings.Contains(env.Log(), line) {
+					t.Errorf("log lacks %q", line)
+				}
+			}
+		})
 	}
 }
 
