@@ -27,6 +27,7 @@ func TestBuildSpec(t *testing.T) {
 		{"complete mode", []string{"-backend=event", "-formal-depth=40"}, "counter_12bit", "FuncLogic", 3, "complete", ""},
 		{"negative variant", nil, "counter_12bit", "", -1, "pair", "variant"},
 		{"negative formal depth", []string{"-formal-depth=-5"}, "counter_12bit", "", 0, "pair", "formal-depth"},
+		{"formal depth above bound", []string{"-formal-depth=1000000000"}, "counter_12bit", "", 0, "pair", "formal-depth"},
 		{"unknown mode", nil, "counter_12bit", "", 0, "partial", "mode"},
 		{"unknown backend", []string{"-backend=quantum"}, "counter_12bit", "", 0, "pair", "backend"},
 		{"unknown module", nil, "warp_core", "", 0, "pair", "-list"},

@@ -9,7 +9,8 @@ import "sort"
 // final-conflict (unsat core) extraction, on-the-fly variable and clause
 // addition, and learned-clause retention across calls. Standard library
 // only, like every engine in this repository; sized for the bit-blasted
-// miters of small RTL designs (thousands of variables).
+// miters of small RTL designs, whose induction-step solvers grow to tens
+// of thousands of variables (about 24K on fifo_sync, 42K on ram_sp).
 
 // SolveStats counts solver work for the BMC depth / conflict statistics
 // reported by cmd/experiments -v.
@@ -30,6 +31,18 @@ type SolveStats struct {
 // Learned clauses, variable activity and saved phases persist across
 // calls — the clause set only ever grows, so everything learned stays
 // valid and later calls over the same instance start warm.
+//
+// Storage follows MiniSat's layout: every clause lives in one int32
+// arena (a length word followed by its literals) and is referred to by
+// the offset of its first literal, reasons are such offsets, the
+// assignment is indexed by literal so a truth test is one load, and a
+// watch entry carries a binary clause's other literal so binary clauses
+// — two of the three Tseitin emits per AND gate — propagate without
+// touching the arena. The layout must not steer the search: watch lists
+// keep their visit order, and every clause analyze reads has its
+// literals in the order the two-watched-literal swaps leave them, binary
+// clauses included, because analyze's bump order breaks activity ties
+// (TestSearchPinned holds this).
 type Solver struct {
 	// MaxConflicts, when positive, bounds the search: each call gives up
 	// after that many conflicts of its own and reports false with
@@ -42,49 +55,64 @@ type Solver struct {
 	exhausted    bool
 
 	nVars   int
-	clauses []*satClause
-	watches [][]*satClause // per internal literal
+	arena   []int32   // clauses: a length word, then the literals
+	watches [][]watch // per internal literal
 
-	assign   []int8 // per var: 0 unassigned, 1 true, -1 false
-	level    []int
-	reason   []*satClause
-	trail    []int // internal literals in assignment order
-	trailLim []int // trail length at each decision level
+	vals     []int8  // per internal literal: 0 unassigned, 1 true, -1 false
+	level    []int32 // per var
+	reason   []int32 // per var: implying clause, noReason for decisions and root units
+	trail    []int32 // internal literals in assignment order
+	trailLim []int32 // trail length at each decision level
 	qhead    int
 
 	activity []float64
 	varInc   float64
-	heap     []int // binary max-heap of vars by activity
-	heapPos  []int // var -> heap index, -1 when absent
+	heap     []int32 // binary max-heap of vars by activity
+	heapPos  []int32 // var -> heap index, -1 when absent
 	phase    []bool
 
-	seen  []bool
-	unsat bool
-	stats SolveStats
+	seen   []bool
+	learnt []int32 // analyze's learned-clause buffer
+	added  []int32 // AddClause's literal buffer
+	unsat  bool
+	stats  SolveStats
 
-	model    []int8  // captured assignment of the last satisfiable call
+	model    []int8  // captured literal values of the last satisfiable call
 	assume   []int32 // the current call's assumptions, internal form
 	lastCore []int   // final-conflict core of the last assumption failure
 	callBase SolveStats
 }
 
+// watch is one watch-list entry: the watched clause, and for a binary
+// clause its other literal (noLit for a longer clause), which is all
+// propagation needs to decide a binary clause.
+type watch struct {
+	cref  int32
+	other int32
+}
+
+const (
+	noLit    int32 = -1
+	noReason int32 = 0 // no clause starts at offset 0: the arena opens with a length word
+)
+
 // NewSolver creates a solver over variables 1..numVars.
 func NewSolver(numVars int) *Solver {
 	s := &Solver{
 		nVars:    numVars,
-		watches:  make([][]*satClause, 2*numVars+2),
-		assign:   make([]int8, numVars+1),
-		level:    make([]int, numVars+1),
-		reason:   make([]*satClause, numVars+1),
+		watches:  make([][]watch, 2*numVars+2),
+		vals:     make([]int8, 2*numVars+2),
+		level:    make([]int32, numVars+1),
+		reason:   make([]int32, numVars+1),
 		activity: make([]float64, numVars+1),
 		varInc:   1.0,
-		heapPos:  make([]int, numVars+1),
+		heapPos:  make([]int32, numVars+1),
 		phase:    make([]bool, numVars+1),
 		seen:     make([]bool, numVars+1),
 	}
 	for v := 1; v <= numVars; v++ {
 		s.heapPos[v] = -1
-		s.heapPush(v)
+		s.heapPush(int32(v))
 	}
 	s.stats.Vars = numVars
 	return s
@@ -99,12 +127,8 @@ func NewSolverCNF(c *CNF) *Solver {
 	return s
 }
 
-type satClause struct {
-	lits    []int32 // internal encoding: var<<1 | sign (sign 1 = negated)
-	learned bool
-}
-
-// intLit converts a DIMACS-style literal to the internal encoding.
+// intLit converts a DIMACS-style literal to the internal encoding:
+// var<<1 | sign, sign 1 = negated.
 func intLit(l int) int32 {
 	if l < 0 {
 		return int32(-l)<<1 | 1
@@ -112,15 +136,15 @@ func intLit(l int) int32 {
 	return int32(l) << 1
 }
 
-func litVar(l int32) int   { return int(l >> 1) }
+func litVar(l int32) int32 { return l >> 1 }
 func litNeg(l int32) int32 { return l ^ 1 }
 
 // extLit converts an internal literal back to DIMACS form.
 func extLit(l int32) int {
 	if l&1 == 1 {
-		return -litVar(l)
+		return -int(litVar(l))
 	}
-	return litVar(l)
+	return int(litVar(l))
 }
 
 // NewVar allocates one fresh variable and returns it. The solver grows in
@@ -131,14 +155,14 @@ func (s *Solver) NewVar() int {
 	s.nVars++
 	v := s.nVars
 	s.watches = append(s.watches, nil, nil)
-	s.assign = append(s.assign, 0)
+	s.vals = append(s.vals, 0, 0)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noReason)
 	s.activity = append(s.activity, 0)
 	s.heapPos = append(s.heapPos, -1)
 	s.phase = append(s.phase, false)
 	s.seen = append(s.seen, false)
-	s.heapPush(v)
+	s.heapPush(int32(v))
 	s.stats.Vars = s.nVars
 	return v
 }
@@ -150,14 +174,9 @@ func (s *Solver) ensure(v int) {
 	}
 }
 
-// value returns 1/-1/0 for an internal literal under the current
-// assignment.
-func (s *Solver) value(l int32) int8 {
-	v := s.assign[litVar(l)]
-	if l&1 == 1 {
-		return -v
-	}
-	return v
+// clause returns the literals of the clause at offset cr.
+func (s *Solver) clause(cr int32) []int32 {
+	return s.arena[cr : cr+s.arena[cr-1]]
 }
 
 // AddClause adds one clause in DIMACS-style literals, growing the solver
@@ -174,7 +193,7 @@ func (s *Solver) AddClause(lits ...int) {
 	// Deduplicate and drop tautologies with a linear scan: clauses are
 	// short (Tseitin emits 2-3 literals) and this path loads every
 	// clause of every solve, so a per-clause map would be pure overhead.
-	var ls []int32
+	ls := s.added[:0]
 	for _, l := range lits {
 		v := l
 		if v < 0 {
@@ -183,7 +202,7 @@ func (s *Solver) AddClause(lits ...int) {
 		s.ensure(v)
 		il := intLit(l)
 		// Root-level simplification (all current assignments are level 0).
-		switch s.value(il) {
+		switch s.vals[il] {
 		case 1:
 			return // satisfied at the root: nothing to add
 		case -1:
@@ -203,77 +222,90 @@ func (s *Solver) AddClause(lits ...int) {
 			ls = append(ls, il)
 		}
 	}
+	s.added = ls
 	s.stats.Clauses++
 	switch len(ls) {
 	case 0:
 		s.unsat = true
 	case 1:
-		if !s.enqueue(ls[0], nil) {
-			s.unsat = true
-		}
+		s.assign(ls[0], noReason) // unassigned: the loop above dropped assigned literals
 	default:
-		c := &satClause{lits: ls}
-		s.clauses = append(s.clauses, c)
-		s.watch(c)
+		s.attach(ls)
 	}
 }
 
-func (s *Solver) watch(c *satClause) {
-	s.watches[c.lits[0]] = append(s.watches[c.lits[0]], c)
-	s.watches[c.lits[1]] = append(s.watches[c.lits[1]], c)
+// attach stores a clause of two or more literals in the arena, watches
+// its first two literals and returns its offset.
+func (s *Solver) attach(lits []int32) int32 {
+	s.arena = append(s.arena, int32(len(lits)))
+	cr := int32(len(s.arena))
+	s.arena = append(s.arena, lits...)
+	a, b := noLit, noLit
+	if len(lits) == 2 {
+		a, b = lits[1], lits[0]
+	}
+	s.watches[lits[0]] = append(s.watches[lits[0]], watch{cr, a})
+	s.watches[lits[1]] = append(s.watches[lits[1]], watch{cr, b})
+	return cr
 }
 
-// enqueue assigns a literal true (with an optional reason clause),
-// returning false on conflict with the existing assignment.
-func (s *Solver) enqueue(l int32, from *satClause) bool {
-	switch s.value(l) {
-	case 1:
-		return true
-	case -1:
-		return false
-	}
+// assign makes an unassigned literal true at the current decision level.
+func (s *Solver) assign(l, from int32) {
 	v := litVar(l)
-	if l&1 == 1 {
-		s.assign[v] = -1
-		s.phase[v] = false
-	} else {
-		s.assign[v] = 1
-		s.phase[v] = true
-	}
-	s.level[v] = s.decisionLevel()
+	s.vals[l] = 1
+	s.vals[l^1] = -1
+	s.phase[v] = l&1 == 0
+	s.level[v] = int32(len(s.trailLim))
 	s.reason[v] = from
-	s.trail = append(s.trail, int(l))
-	return true
+	s.trail = append(s.trail, l)
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-// propagate runs unit propagation to fixpoint, returning a conflicting
-// clause or nil.
-func (s *Solver) propagate() *satClause {
+// propagate runs unit propagation to fixpoint, returning the offset of a
+// conflicting clause or noReason.
+func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
-		l := int32(s.trail[s.qhead])
+		l := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
 		neg := litNeg(l) // watch lists to service: clauses watching ~l
 		ws := s.watches[neg]
-		kept := ws[:0]
+		kept := 0
 		for i := 0; i < len(ws); i++ {
-			c := ws[i]
-			// Ensure the false literal is at position 1.
-			if c.lits[0] == neg {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			w := ws[i]
+			if w.other != noLit {
+				// Binary clause: decided by the other literal alone.
+				ws[kept] = w
+				kept++
+				switch s.vals[w.other] {
+				case 0:
+					s.assign(w.other, w.cref)
+				case -1:
+					// Store the literals in the order the longer-clause
+					// path's swap leaves a conflict, other first: analyze
+					// bumps in this order, and bump order breaks heap ties.
+					s.arena[w.cref], s.arena[w.cref+1] = w.other, neg
+					return s.conflictAt(neg, ws, kept, i)
+				}
+				continue
 			}
-			if s.value(c.lits[0]) == 1 {
-				kept = append(kept, c)
+			c := s.clause(w.cref)
+			// Ensure the false literal is at position 1.
+			if c[0] == neg {
+				c[0], c[1] = c[1], c[0]
+			}
+			if s.vals[c[0]] == 1 {
+				ws[kept] = w
+				kept++
 				continue
 			}
 			// Look for a replacement watch.
 			found := false
-			for j := 2; j < len(c.lits); j++ {
-				if s.value(c.lits[j]) != -1 {
-					c.lits[1], c.lits[j] = c.lits[j], c.lits[1]
-					s.watches[c.lits[1]] = append(s.watches[c.lits[1]], c)
+			for j := 2; j < len(c); j++ {
+				if s.vals[c[j]] != -1 {
+					c[1], c[j] = c[j], c[1]
+					s.watches[c[1]] = append(s.watches[c[1]], w)
 					found = true
 					break
 				}
@@ -282,40 +314,41 @@ func (s *Solver) propagate() *satClause {
 				continue
 			}
 			// Unit or conflicting.
-			kept = append(kept, c)
-			if !s.enqueue(c.lits[0], c) {
-				copy(ws[len(kept):], ws[i+1:])
-				s.watches[neg] = ws[:len(kept)+len(ws)-i-1]
-				return c
+			ws[kept] = w
+			kept++
+			if s.vals[c[0]] == -1 {
+				return s.conflictAt(neg, ws, kept, i)
 			}
+			s.assign(c[0], w.cref)
 		}
-		s.watches[neg] = kept
+		s.watches[neg] = ws[:kept]
 	}
-	return nil
+	return noReason
+}
+
+// conflictAt closes the watch list of neg after a conflict on entry i:
+// the entries not yet visited slide down behind the kept ones, and the
+// conflicting clause's offset is returned.
+func (s *Solver) conflictAt(neg int32, ws []watch, kept, i int) int32 {
+	cr := ws[kept-1].cref
+	n := copy(ws[kept:], ws[i+1:])
+	s.watches[neg] = ws[:kept+n]
+	return cr
 }
 
 // analyze performs first-UIP conflict analysis, returning the learned
-// clause (asserting literal first) and the backjump level.
-func (s *Solver) analyze(confl *satClause) ([]int32, int) {
-	learned := []int32{0} // slot 0 reserved for the asserting literal
+// clause (asserting literal first) and the backjump level. The clause
+// aliases a buffer the next call reuses.
+func (s *Solver) analyze(confl int32) ([]int32, int) {
+	learned := append(s.learnt[:0], 0) // slot 0 reserved for the asserting literal
 	counter := 0
-	var p int32 = -1
+	p := noLit
 	idx := len(s.trail) - 1
-
-	bump := func(v int) {
-		s.activity[v] += s.varInc
-		if s.activity[v] > 1e100 {
-			for i := 1; i <= s.nVars; i++ {
-				s.activity[i] *= 1e-100
-			}
-			s.varInc *= 1e-100
-		}
-		s.heapFix(v)
-	}
+	top := int32(s.decisionLevel())
 
 	for {
-		for _, q := range confl.lits {
-			if p >= 0 && q == p {
+		for _, q := range s.clause(confl) {
+			if q == p {
 				continue
 			}
 			v := litVar(q)
@@ -323,8 +356,8 @@ func (s *Solver) analyze(confl *satClause) ([]int32, int) {
 				continue
 			}
 			s.seen[v] = true
-			bump(v)
-			if s.level[v] == s.decisionLevel() {
+			s.bump(v)
+			if s.level[v] == top {
 				counter++
 			} else {
 				learned = append(learned, q)
@@ -332,7 +365,7 @@ func (s *Solver) analyze(confl *satClause) ([]int32, int) {
 		}
 		// Walk the trail back to the next seen literal.
 		for {
-			p = int32(s.trail[idx])
+			p = s.trail[idx]
 			idx--
 			if s.seen[litVar(p)] {
 				break
@@ -349,9 +382,9 @@ func (s *Solver) analyze(confl *satClause) ([]int32, int) {
 	}
 
 	// Backjump level: the highest level among the non-asserting literals.
-	back := 0
-	for i := 1; i < len(learned); i++ {
-		if lv := s.level[litVar(learned[i])]; lv > back {
+	var back int32
+	for _, q := range learned[1:] {
+		if lv := s.level[litVar(q)]; lv > back {
 			back = lv
 		}
 	}
@@ -362,11 +395,27 @@ func (s *Solver) analyze(confl *satClause) ([]int32, int) {
 			break
 		}
 	}
-	for i := 1; i < len(learned); i++ {
-		s.seen[litVar(learned[i])] = false
+	for _, q := range learned[1:] {
+		s.seen[litVar(q)] = false
 	}
 	s.varInc /= 0.95
-	return learned, back
+	s.learnt = learned
+	return learned, int(back)
+}
+
+// bump raises v's activity by the current increment, rescaling every
+// activity when it grows too large, and restores heap order.
+func (s *Solver) bump(v int32) {
+	s.activity[v] += s.varInc
+	if s.activity[v] > 1e100 {
+		for i := 1; i <= s.nVars; i++ {
+			s.activity[i] *= 1e-100
+		}
+		s.varInc *= 1e-100
+	}
+	if i := s.heapPos[v]; i >= 0 {
+		s.heapUp(int(i))
+	}
 }
 
 // cancelUntil undoes assignments above the given decision level.
@@ -374,12 +423,11 @@ func (s *Solver) cancelUntil(lvl int) {
 	if s.decisionLevel() <= lvl {
 		return
 	}
-	lim := s.trailLim[lvl]
+	lim := int(s.trailLim[lvl])
 	for i := len(s.trail) - 1; i >= lim; i-- {
-		v := litVar(int32(s.trail[i]))
-		s.assign[v] = 0
-		s.reason[v] = nil
-		if s.heapPos[v] < 0 {
+		l := s.trail[i]
+		s.vals[l], s.vals[l^1] = 0, 0
+		if v := litVar(l); s.heapPos[v] < 0 {
 			s.heapPush(v)
 		}
 	}
@@ -388,18 +436,21 @@ func (s *Solver) cancelUntil(lvl int) {
 	s.qhead = lim
 }
 
+// newLevel opens a decision level.
+func (s *Solver) newLevel() { s.trailLim = append(s.trailLim, int32(len(s.trail))) }
+
 // pickBranch pops the highest-activity unassigned variable.
 func (s *Solver) pickBranch() int32 {
 	for len(s.heap) > 0 {
 		v := s.heapPop()
-		if s.assign[v] == 0 {
+		if s.vals[v<<1] == 0 {
 			if s.phase[v] {
-				return int32(v) << 1
+				return v << 1
 			}
-			return int32(v)<<1 | 1
+			return v<<1 | 1
 		}
 	}
-	return -1
+	return noLit
 }
 
 // luby returns the i-th element (1-based) of the Luby restart sequence.
@@ -455,7 +506,7 @@ func (s *Solver) SolveAssuming(assumptions ...int) bool {
 		s.assume = append(s.assume, intLit(a))
 	}
 	s.cancelUntil(0)
-	if confl := s.propagate(); confl != nil {
+	if s.propagate() != noReason {
 		s.unsat = true
 		return false
 	}
@@ -463,8 +514,7 @@ func (s *Solver) SolveAssuming(assumptions ...int) bool {
 	budget := 64 * luby(restart)
 	conflictsHere := 0
 	for {
-		confl := s.propagate()
-		if confl != nil {
+		if confl := s.propagate(); confl != noReason {
 			s.stats.Conflicts++
 			conflictsHere++
 			if s.MaxConflicts > 0 && s.stats.Conflicts-s.callBase.Conflicts >= s.MaxConflicts {
@@ -478,15 +528,12 @@ func (s *Solver) SolveAssuming(assumptions ...int) bool {
 			}
 			learned, back := s.analyze(confl)
 			s.cancelUntil(back)
-			if len(learned) == 1 {
-				s.enqueue(learned[0], nil)
-			} else {
-				c := &satClause{lits: learned, learned: true}
-				s.clauses = append(s.clauses, c)
+			from := noReason
+			if len(learned) > 1 {
+				from = s.attach(learned)
 				s.stats.Learned++
-				s.watch(c)
-				s.enqueue(learned[0], c)
 			}
+			s.assign(learned[0], from)
 			continue
 		}
 		if conflictsHere >= budget {
@@ -501,11 +548,11 @@ func (s *Solver) SolveAssuming(assumptions ...int) bool {
 		if s.decisionLevel() < len(s.assume) {
 			// Take the next assumption as a decision.
 			a := s.assume[s.decisionLevel()]
-			switch s.value(a) {
+			switch s.vals[a] {
 			case 1:
 				// Already implied: push an empty level to keep the
 				// level-per-assumption correspondence.
-				s.trailLim = append(s.trailLim, len(s.trail))
+				s.newLevel()
 				continue
 			case -1:
 				// The assumptions conflict with what is implied so far:
@@ -514,21 +561,21 @@ func (s *Solver) SolveAssuming(assumptions ...int) bool {
 				s.cancelUntil(0)
 				return false
 			}
-			s.trailLim = append(s.trailLim, len(s.trail))
-			s.enqueue(a, nil)
+			s.newLevel()
+			s.assign(a, noReason)
 			continue
 		}
 		l := s.pickBranch()
 		if l < 0 {
 			// All variables assigned, no conflict: capture the model and
 			// backtrack the assumptions away.
-			s.model = append(s.model[:0], s.assign...)
+			s.model = append(s.model[:0], s.vals...)
 			s.cancelUntil(0)
 			return true
 		}
 		s.stats.Decisions++
-		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(l, nil)
+		s.newLevel()
+		s.assign(l, noReason)
 	}
 }
 
@@ -543,19 +590,19 @@ func (s *Solver) analyzeFinal(p int32) []int {
 		return core // ~p is a root-level fact: p alone is inconsistent
 	}
 	s.seen[litVar(p)] = true
-	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
-		l := int32(s.trail[i])
+	for i := len(s.trail) - 1; i >= int(s.trailLim[0]); i-- {
+		l := s.trail[i]
 		v := litVar(l)
 		if !s.seen[v] {
 			continue
 		}
-		if s.reason[v] == nil {
+		if s.reason[v] == noReason {
 			// A decision — at this point every decision is an assumption.
 			if s.level[v] > 0 {
 				core = append(core, extLit(l))
 			}
 		} else {
-			for _, q := range s.reason[v].lits {
+			for _, q := range s.clause(s.reason[v]) {
 				if qv := litVar(q); qv != v && s.level[qv] > 0 {
 					s.seen[qv] = true
 				}
@@ -623,10 +670,10 @@ func (s *Solver) MinimizeCore() []int {
 // the most recent satisfiable call. Variables the solver never saw (or
 // that were allocated after that call) read false.
 func (s *Solver) Value(v int) bool {
-	if v <= 0 || v >= len(s.model) {
+	if v <= 0 || 2*v >= len(s.model) {
 		return false
 	}
-	return s.model[v] == 1
+	return s.model[2*v] == 1
 }
 
 // Stats returns the lifetime work counters of the solver, accumulated
@@ -656,20 +703,19 @@ func (s *Solver) CallStats() SolveStats {
 func (s *Solver) Exhausted() bool { return s.exhausted }
 
 // --- activity heap -----------------------------------------------------
+//
+// The heap moves a hole instead of swapping: the element ends where the
+// swapping formulation would put it, ties included, with half the stores.
 
-func (s *Solver) heapLess(a, b int) bool { return s.activity[a] > s.activity[b] }
-
-func (s *Solver) heapPush(v int) {
+func (s *Solver) heapPush(v int32) {
 	s.heap = append(s.heap, v)
-	s.heapPos[v] = len(s.heap) - 1
 	s.heapUp(len(s.heap) - 1)
 }
 
-func (s *Solver) heapPop() int {
+func (s *Solver) heapPop() int32 {
 	v := s.heap[0]
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
-	s.heapPos[s.heap[0]] = 0
 	s.heap = s.heap[:last]
 	s.heapPos[v] = -1
 	if last > 0 {
@@ -678,44 +724,48 @@ func (s *Solver) heapPop() int {
 	return v
 }
 
+// heapUp sifts the element at i toward the root past every parent of
+// strictly lower activity.
 func (s *Solver) heapUp(i int) {
+	v := s.heap[i]
+	act := s.activity[v]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.heapLess(s.heap[i], s.heap[parent]) {
+		pv := s.heap[parent]
+		if !(act > s.activity[pv]) {
 			break
 		}
-		s.heapSwap(i, parent)
+		s.heap[i] = pv
+		s.heapPos[pv] = int32(i)
 		i = parent
 	}
+	s.heap[i] = v
+	s.heapPos[v] = int32(i)
 }
 
+// heapDown sifts the element at i toward the leaves, below its more
+// active child (the left one on a tie) while that child is strictly more
+// active than it.
 func (s *Solver) heapDown(i int) {
+	v := s.heap[i]
+	act := s.activity[v]
+	n := len(s.heap)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(s.heap) && s.heapLess(s.heap[l], s.heap[smallest]) {
-			smallest = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < len(s.heap) && s.heapLess(s.heap[r], s.heap[smallest]) {
-			smallest = r
+		cv := s.heap[c]
+		if r := c + 1; r < n && s.activity[s.heap[r]] > s.activity[cv] {
+			c, cv = r, s.heap[r]
 		}
-		if smallest == i {
-			return
+		if !(s.activity[cv] > act) {
+			break
 		}
-		s.heapSwap(i, smallest)
-		i = smallest
+		s.heap[i] = cv
+		s.heapPos[cv] = int32(i)
+		i = c
 	}
-}
-
-func (s *Solver) heapSwap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.heapPos[s.heap[i]] = i
-	s.heapPos[s.heap[j]] = j
-}
-
-// heapFix restores heap order after an activity bump of v.
-func (s *Solver) heapFix(v int) {
-	if i := s.heapPos[v]; i >= 0 {
-		s.heapUp(i)
-	}
+	s.heap[i] = v
+	s.heapPos[v] = int32(i)
 }

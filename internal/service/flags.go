@@ -1,6 +1,9 @@
 package service
 
-import "flag"
+import (
+	"flag"
+	"fmt"
+)
 
 // FlagMask selects which of the shared knobs a command binds. Each
 // command registers only the flags it historically had; the names, help
@@ -51,7 +54,7 @@ func Bind(fs *flag.FlagSet, mask FlagMask) *Flags {
 	if mask&FlagFormal != 0 {
 		fs.BoolVar(&f.formalOn, "formal", false, "after verification, bounded-prove the final source equivalent to the golden (refutation fails the run)")
 		fs.BoolVar(&f.induction, "induction", false, "prove by k-induction instead of plain BMC, upgrading closed proofs to unbounded (implies -formal)")
-		fs.IntVar(&f.formalDepth, "formal-depth", 0, "formal unrolling depth in cycles (0 = default)")
+		fs.IntVar(&f.formalDepth, "formal-depth", 0, fmt.Sprintf("formal unrolling depth in cycles (0 = default, at most %d)", MaxFormalDepth))
 	}
 	if mask&FlagLanes != 0 {
 		fs.IntVar(&f.lanes, "lanes", 0, "batched simulation lanes where supported (0 or 1 = sequential)")

@@ -47,7 +47,7 @@ type Options struct {
 	// Implies Formal.
 	Induction bool `json:"induction,omitempty"`
 	// FormalDepth is the proof unrolling depth in cycles (0 = the formal
-	// engine's default).
+	// engine's default, at most MaxFormalDepth).
 	FormalDepth int `json:"formal_depth,omitempty"`
 	// Lanes selects batched lane simulation where a consumer supports it
 	// (coverage-directed candidate scoring, sweep oracles); 0 or 1 keeps
@@ -64,6 +64,12 @@ type Options struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
+// MaxFormalDepth bounds the proof unrolling depth. A proof runs with no
+// conflict budget and unrolls one more frame of both designs per depth,
+// so an unbounded depth lets one submit hold a worker, and grow the
+// unrolled graph frame by frame, until a client cancels the job.
+const MaxFormalDepth = 256 // 32× formal.DefaultBMCDepth
+
 // Validate is the single validation path for the shared knobs: both CLIs
 // and the server route every submission through it, so a value rejected
 // on the command line is rejected identically over HTTP.
@@ -71,8 +77,8 @@ func (o Options) Validate() error {
 	if _, err := sim.ParseBackend(o.Backend); err != nil {
 		return err
 	}
-	if o.FormalDepth < 0 {
-		return fmt.Errorf("formal-depth must be >= 0, got %d", o.FormalDepth)
+	if o.FormalDepth < 0 || o.FormalDepth > MaxFormalDepth {
+		return fmt.Errorf("formal-depth must be in [0, %d], got %d", MaxFormalDepth, o.FormalDepth)
 	}
 	if o.Lanes < 0 {
 		return fmt.Errorf("lanes must be >= 0, got %d", o.Lanes)

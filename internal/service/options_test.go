@@ -28,6 +28,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"everything on", Options{Backend: "event", Cover: true, Formal: true, FormalDepth: 40, Lanes: 8, Workers: 4}, ""},
 		{"unknown backend", Options{Backend: "verilator"}, "backend"},
 		{"negative formal depth", Options{FormalDepth: -1}, "formal-depth"},
+		{"formal depth at bound", Options{Formal: true, FormalDepth: MaxFormalDepth}, ""},
+		{"formal depth above bound", Options{FormalDepth: MaxFormalDepth + 1}, "formal-depth"},
+		{"formal depth max int", Options{FormalDepth: math.MaxInt}, "formal-depth"},
 		{"negative lanes", Options{Lanes: -3}, "lanes"},
 		{"negative workers", Options{Workers: -1}, "workers"},
 	}

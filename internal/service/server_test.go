@@ -113,9 +113,9 @@ func TestServerSubmitStatusResult(t *testing.T) {
 	}
 }
 
-// TestServerRejections covers the 4xx surface: bad JSON, a spec the
-// shared validation path rejects, an oversized body, and unknown job
-// IDs.
+// TestServerRejections covers the 4xx surface: bad JSON, specs the
+// shared validation path rejects (an unknown backend, a proof depth above
+// MaxFormalDepth), an oversized body, and unknown job IDs.
 func TestServerRejections(t *testing.T) {
 	_, ts := testServer(t, RunnerConfig{Workers: 1, QueueLimit: 2}, newStubExec(4, false))
 
@@ -131,6 +131,12 @@ func TestServerRejections(t *testing.T) {
 	resp, _ = postJob(t, ts, JobSpec{Module: "adder_8bit", Options: Options{Backend: "spice"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid options: HTTP %d, want 400", resp.StatusCode)
+	}
+
+	deep := JobSpec{Module: "adder_8bit", Options: Options{Formal: true, FormalDepth: 1000000000}}
+	resp, _ = postJob(t, ts, deep)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("formal depth above MaxFormalDepth: HTTP %d, want 400", resp.StatusCode)
 	}
 
 	huge := JobSpec{Module: "adder_8bit", Source: strings.Repeat("x", maxRequestBody+1)}
