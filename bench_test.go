@@ -486,6 +486,30 @@ func BenchmarkBitSimTranspose(b *testing.B) {
 	}
 }
 
+// BenchmarkCoverageDirected runs the coverage-directed stimulus loop
+// over the module mix with both lane scorers, configured as the
+// lane_screen workload runs them: uvm.CoverageDirected at 500 cycles
+// with Lanes: 8 (sim.Batch candidates), and again with BitLanes: true
+// added (psim screening, scalar replay). It is the guarded benchmark
+// that collects structural coverage, so it sees the cover.Map sampling,
+// Gain and Merge paths.
+func BenchmarkCoverageDirected(b *testing.B) {
+	progs := benchBatchPrograms(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pm := range progs {
+			for _, bit := range []bool{false, true} {
+				if _, _, err := uvm.CoverageDirected(pm.p, uvm.StimConfig{
+					Clock: pm.m.Clock, Cycles: 500, Seed: 1, Lanes: batchBenchLanes, BitLanes: bit,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkPipelineVerify measures one end-to-end core.Verify on a
 // representative functional fault the way the evaluation harness runs it:
 // every simulation routed through one shared compile cache and

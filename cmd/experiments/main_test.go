@@ -22,6 +22,8 @@ func TestSharedFlagValidation(t *testing.T) {
 		{"explicit workers and lanes", []string{"-workers=4", "-lanes=8", "-backend=event"}, ""},
 		{"negative workers", []string{"-workers=-2"}, "workers"},
 		{"negative lanes", []string{"-lanes=-1"}, "lanes"},
+		{"workers above bound", []string{"-workers=1000000000"}, "workers"},
+		{"lanes above bound", []string{"-lanes=1025"}, "lanes"},
 		{"unknown backend", []string{"-backend=verilator"}, "backend"},
 	}
 	for _, tc := range cases {

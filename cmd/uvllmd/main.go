@@ -112,7 +112,16 @@ func main() {
 		handler = mux
 		log.Printf("uvllmd: pprof enabled at %s/debug/pprof/", *addr)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	// A client that trickles its headers (slowloris) or parks an idle
+	// keep-alive connection is cut off. ReadTimeout and WriteTimeout stay
+	// unset: GET /v1/jobs/{id}/events is a long-lived SSE response, and a
+	// read deadline that expires mid-stream cancels the request context.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)

@@ -61,8 +61,9 @@ func ClassifyBitParallel(f *Fault, lanes, cycles int, seed int64) (BitVerdict, e
 // designs see the same stimulus: formal.ResetCycles cycles with the
 // conventional reset asserted and every other input zero, then `cycles`
 // cycles of per-lane random vectors (lane k draws from seed+k) with the
-// reset held deasserted. Supported=false with a nil error means the pair
-// is outside the bit-parallel subset.
+// reset held deasserted. The run stops early once every lane has
+// diverged, since no later cycle can change the verdict. Supported=false
+// with a nil error means the pair is outside the bit-parallel subset.
 func ClassifyBitParallelSource(golden, mutant, top, clock string, lanes, cycles int, seed int64) (BitVerdict, error) {
 	if lanes < 1 || lanes > 64 {
 		lanes = 64
@@ -191,6 +192,12 @@ func ClassifyBitParallelSource(golden, mutant, top, clock string, lanes, cycles 
 				}
 			}
 			caught |= diff
+		}
+		if caught == active {
+			// Every lane has diverged: the first hit fixed Detected, Lane,
+			// Cycle and Signal, DetectedLanes cannot grow, and the lane
+			// rngs die with this call, so no later cycle can change v.
+			break
 		}
 	}
 	for k := 0; k < lanes; k++ {

@@ -1,6 +1,8 @@
 package faultgen
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"uvllm/internal/dataset"
@@ -112,4 +114,59 @@ func TestClassifyBitParallelAgreesWithBounded(t *testing.T) {
 	if cex == nil || cex.Cycle > v.Cycle {
 		t.Fatalf("bounded counterexample at cycle %v, bit-parallel witnessed cycle %d", cex, v.Cycle)
 	}
+}
+
+// TestClassifyBitParallelPinned pins every functional benchmark fault's
+// screen verdict, error included, to digests recorded before the screen
+// learned to stop once every lane has diverged: the stop may save
+// cycles but never change a verdict. The second run's 7 lanes cover an
+// active mask below a full word.
+func TestClassifyBitParallelPinned(t *testing.T) {
+	for _, tc := range []struct {
+		lanes, cycles int
+		seed          int64
+		want          string
+	}{
+		{64, 500, 1, "8355c1a96b663a9a39a3d0c1"},
+		{7, 500, 3, "4c431835ccf6ff29fd2d9977"},
+	} {
+		h := sha256.New()
+		n := 0
+		for _, f := range Benchmark() {
+			if f.Class.IsSyntax() {
+				continue
+			}
+			v, err := ClassifyBitParallel(f, tc.lanes, tc.cycles, tc.seed)
+			fmt.Fprintf(h, "%s|%+v|%v\n", f.ID, v, err)
+			n++
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:12]); got != tc.want {
+			t.Errorf("lanes=%d cycles=%d seed=%d: %d verdicts digest %s, want %s",
+				tc.lanes, tc.cycles, tc.seed, n, got, tc.want)
+		}
+	}
+}
+
+// TestClassifyBitParallelSettledIsFinal: once all 64 lanes have
+// diverged the verdict is final, so a budget 20x longer returns the
+// same BitVerdict.
+func TestClassifyBitParallelSettledIsFinal(t *testing.T) {
+	for _, f := range Benchmark() {
+		if f.Class.IsSyntax() {
+			continue
+		}
+		short, err := ClassifyBitParallel(f, 64, 200, 1)
+		if err != nil || short.DetectedLanes != 64 {
+			continue
+		}
+		long, err := ClassifyBitParallel(f, 64, 4000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if long != short {
+			t.Fatalf("%s: settled verdict moved with the budget:\n200 cycles:  %+v\n4000 cycles: %+v", f.ID, short, long)
+		}
+		return
+	}
+	t.Fatal("no functional benchmark fault diverges on all 64 lanes within 200 cycles")
 }

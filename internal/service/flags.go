@@ -57,10 +57,10 @@ func Bind(fs *flag.FlagSet, mask FlagMask) *Flags {
 		fs.IntVar(&f.formalDepth, "formal-depth", 0, fmt.Sprintf("formal unrolling depth in cycles (0 = default, at most %d)", MaxFormalDepth))
 	}
 	if mask&FlagLanes != 0 {
-		fs.IntVar(&f.lanes, "lanes", 0, "batched simulation lanes where supported (0 or 1 = sequential)")
+		fs.IntVar(&f.lanes, "lanes", 0, fmt.Sprintf("batched simulation lanes where supported (0 or 1 = sequential, at most %d)", MaxLanes))
 	}
 	if mask&FlagWorkers != 0 {
-		fs.IntVar(&f.workers, "workers", 0, "worker pool size (0 = NumCPU; results are identical for any value)")
+		fs.IntVar(&f.workers, "workers", 0, fmt.Sprintf("worker pool size (0 = NumCPU, at most %d; results are identical for any value)", MaxWorkers))
 	}
 	return f
 }

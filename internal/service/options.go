@@ -51,10 +51,11 @@ type Options struct {
 	FormalDepth int `json:"formal_depth,omitempty"`
 	// Lanes selects batched lane simulation where a consumer supports it
 	// (coverage-directed candidate scoring, sweep oracles); 0 or 1 keeps
-	// the sequential path.
+	// the sequential path, and at most MaxLanes are allowed.
 	Lanes int `json:"lanes,omitempty"`
 	// Workers sizes the worker pool of whatever runs the job set — the
-	// evaluation harness or the server's runner (0 = NumCPU).
+	// evaluation harness or the server's runner (0 = NumCPU, at most
+	// MaxWorkers).
 	Workers int `json:"workers,omitempty"`
 	// Trace streams hierarchical trace spans for the job: the runner
 	// traces every pipeline phase (preprocess, iterations, uvm
@@ -70,6 +71,15 @@ type Options struct {
 // unrolled graph frame by frame, until a client cancels the job.
 const MaxFormalDepth = 256 // 32× formal.DefaultBMCDepth
 
+// MaxLanes bounds the batched lane count: a sim.Batch allocates one
+// signal arena per lane up front, so an unbounded value exhausts memory
+// before any work starts.
+const MaxLanes = 1024 // sixteen 64-lane words
+
+// MaxWorkers bounds the worker pool: the evaluation harness and the
+// server's runner start one goroutine per worker up front.
+const MaxWorkers = 256
+
 // Validate is the single validation path for the shared knobs: both CLIs
 // and the server route every submission through it, so a value rejected
 // on the command line is rejected identically over HTTP.
@@ -80,11 +90,11 @@ func (o Options) Validate() error {
 	if o.FormalDepth < 0 || o.FormalDepth > MaxFormalDepth {
 		return fmt.Errorf("formal-depth must be in [0, %d], got %d", MaxFormalDepth, o.FormalDepth)
 	}
-	if o.Lanes < 0 {
-		return fmt.Errorf("lanes must be >= 0, got %d", o.Lanes)
+	if o.Lanes < 0 || o.Lanes > MaxLanes {
+		return fmt.Errorf("lanes must be in [0, %d], got %d", MaxLanes, o.Lanes)
 	}
-	if o.Workers < 0 {
-		return fmt.Errorf("workers must be >= 0, got %d", o.Workers)
+	if o.Workers < 0 || o.Workers > MaxWorkers {
+		return fmt.Errorf("workers must be in [0, %d], got %d", MaxWorkers, o.Workers)
 	}
 	return nil
 }

@@ -32,7 +32,13 @@ func TestOptionsValidate(t *testing.T) {
 		{"formal depth above bound", Options{FormalDepth: MaxFormalDepth + 1}, "formal-depth"},
 		{"formal depth max int", Options{FormalDepth: math.MaxInt}, "formal-depth"},
 		{"negative lanes", Options{Lanes: -3}, "lanes"},
+		{"lanes at bound", Options{Lanes: MaxLanes}, ""},
+		{"lanes above bound", Options{Lanes: MaxLanes + 1}, "lanes"},
+		{"lanes max int", Options{Lanes: math.MaxInt}, "lanes"},
 		{"negative workers", Options{Workers: -1}, "workers"},
+		{"workers at bound", Options{Workers: MaxWorkers}, ""},
+		{"workers above bound", Options{Workers: MaxWorkers + 1}, "workers"},
+		{"workers max int", Options{Workers: math.MaxInt}, "workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

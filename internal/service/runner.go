@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -88,6 +89,9 @@ const (
 	EventFormal = "formal"
 	// EventSpan carries one finished trace span (trace-enabled jobs).
 	EventSpan = "span"
+	// EventPanic carries a contained panic's value and stack; the job
+	// then ends failed with an internal error.
+	EventPanic = "panic"
 	// EventTerminal closes the stream with the final status.
 	EventTerminal = "terminal"
 )
@@ -309,6 +313,7 @@ type Runner struct {
 	stageRun      *obs.Histogram // run stage latencies
 	jobsTotal     *obs.Counter
 	jobsCancelled *obs.Counter
+	jobsPanicked  *obs.Counter
 }
 
 // stageBuckets bounds the stage/endpoint latency histograms: 1 ms to
@@ -348,6 +353,7 @@ func NewRunner(cfg RunnerConfig) *Runner {
 		stageRun:      reg.Histogram("stage_seconds", "job stage latency in seconds", stageBuckets, obs.L("stage", "run")),
 		jobsTotal:     reg.Counter("jobs_total", "jobs accepted by the runner"),
 		jobsCancelled: reg.Counter("jobs_cancelled_total", "jobs cancelled by the client"),
+		jobsPanicked:  reg.Counter("jobs_panicked_total", "jobs whose execution panicked (contained: the job fails, the worker keeps serving)"),
 	}
 	r.registerGauges(reg)
 	r.cond = sync.NewCond(&r.mu)
@@ -585,7 +591,7 @@ func (r *Runner) run(j *Job) {
 		root = tracer.Start("job")
 		ctx = obs.ContextWith(ctx, root)
 	}
-	res := r.exec(ctx, j.Spec, r.svc, j.append)
+	res := r.execute(ctx, j, root)
 	root.End()
 	ran := r.now().Sub(start)
 	r.stageRun.Observe(ran.Seconds())
@@ -613,6 +619,27 @@ func (r *Runner) run(j *Job) {
 	if j.finish(status, &res, msg, r.now()) {
 		r.countTerminal(status)
 	}
+}
+
+// execute runs the job's pipeline and contains a panic in it. User
+// source reaches lint, compile, sim, blast and SAT, and a panic in any of
+// them fails this job with an internal error instead of unwinding the
+// worker and killing the server with every in-flight job. The stack goes
+// onto the job's root span (when traced) and into its event history.
+func (r *Runner) execute(ctx context.Context, j *Job, root *obs.Span) (res Result) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		r.jobsPanicked.Inc()
+		stack := string(debug.Stack())
+		root.SetArg("panic", fmt.Sprint(p))
+		root.SetArg("stack", stack)
+		j.append(Event{Kind: EventPanic, Message: fmt.Sprintf("panic: %v\n%s", p, stack)})
+		res = Result{Error: fmt.Sprintf("internal error: %v", p)}
+	}()
+	return r.exec(ctx, j.Spec, r.svc, j.append)
 }
 
 // Drain stops intake, terminates every still-queued job with the drained

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -463,6 +464,75 @@ func TestRunnerTraceSpans(t *testing.T) {
 	for _, ev := range evs {
 		if ev.Kind == EventSpan {
 			t.Fatal("untraced job streamed a span event")
+		}
+	}
+}
+
+// TestRunnerContainsPanic: a job whose execution panics ends failed with
+// an internal error, its stack in the event history and on the root
+// span, the panic counter reads 1, and the worker goes on to finish the
+// next job with nothing left running.
+func TestRunnerContainsPanic(t *testing.T) {
+	stub := newStubExec(4, false)
+	r := NewRunner(RunnerConfig{Workers: 1, QueueLimit: 4})
+	r.exec = func(ctx context.Context, spec JobSpec, svc Services, emit func(Event)) Result {
+		if spec.Tenant == "boom" {
+			var m map[string]int
+			m["x"]++ // nil-map write: a runtime panic deep in a job
+		}
+		return stub.exec(ctx, spec, svc, emit)
+	}
+	defer r.Drain(context.Background())
+
+	spec := testSpec("boom")
+	spec.Options.Trace = true
+	bad, err := r.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	good, err := r.Submit(testSpec("a"))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitStatus(t, bad, StatusFailed)
+	waitStatus(t, good, StatusDone)
+
+	evs, _, _ := bad.EventsSince(0)
+	var sawPanic, sawStackOnSpan bool
+	var terminal string
+	for _, ev := range evs {
+		switch ev.Kind {
+		case EventPanic:
+			sawPanic = strings.Contains(ev.Message, "assignment to entry in nil map") &&
+				strings.Contains(ev.Message, "TestRunnerContainsPanic")
+		case EventSpan:
+			sawStackOnSpan = ev.Span != nil && ev.Span.Name == "job" &&
+				strings.Contains(ev.Span.Args["stack"], "TestRunnerContainsPanic")
+		case EventTerminal:
+			terminal = ev.Message
+		}
+	}
+	if !sawPanic {
+		t.Fatalf("no panic event with the value and stack in %+v", evs)
+	}
+	if !sawStackOnSpan {
+		t.Fatal("the root job span does not carry the panic stack")
+	}
+	if !strings.HasPrefix(terminal, "internal error: ") {
+		t.Fatalf("terminal message %q, want an internal error", terminal)
+	}
+	if got := r.jobsPanicked.Value(); got != 1 {
+		t.Fatalf("jobs_panicked_total = %d, want 1", got)
+	}
+	deadline := time.After(5 * time.Second)
+	for {
+		if _, _, running := r.Snapshot(); running == 0 {
+			break
+		}
+		select {
+		case <-deadline:
+			t.Fatal("a job is still counted as running after both finished")
+		case <-time.After(time.Millisecond):
 		}
 	}
 }

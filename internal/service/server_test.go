@@ -139,6 +139,13 @@ func TestServerRejections(t *testing.T) {
 		t.Fatalf("formal depth above MaxFormalDepth: HTTP %d, want 400", resp.StatusCode)
 	}
 
+	for _, o := range []Options{{Lanes: MaxLanes + 1}, {Workers: 1000000000}} {
+		resp, _ = postJob(t, ts, JobSpec{Module: "adder_8bit", Options: o})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("options %+v above MaxLanes/MaxWorkers: HTTP %d, want 400", o, resp.StatusCode)
+		}
+	}
+
 	huge := JobSpec{Module: "adder_8bit", Source: strings.Repeat("x", maxRequestBody+1)}
 	resp, _ = postJob(t, ts, huge)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {

@@ -17,10 +17,16 @@ package sim
 // non-covering instance is one nil check per harness cycle, and nothing
 // is added to the signal-store or settle hot paths. The coverage plan —
 // point enumeration and compiled condition probes — is built lazily,
-// once per Program, and shared by every covering instance.
+// once per Program, and shared by every covering instance. The plan
+// gives every point a slot; each option set gets one cover.Universe of
+// the points it collects, built once under the plan's lock, so every
+// covering instance of a program counts over the same universe and
+// sampling is one slice increment.
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"uvllm/internal/cover"
@@ -79,22 +85,22 @@ const (
 )
 
 // coverNode is one statement of the coverage plan. Points are
-// precomputed so sampling never formats names.
+// precomputed as plan slots so sampling never formats or hashes names.
 type coverNode struct {
-	stmt cover.Point
+	stmt int32
 	kind coverNodeKind
 
 	// coverIf
 	cond    coverProbe
-	thenPt  cover.Point
-	elsePt  cover.Point
+	thenPt  int32
+	elsePt  int32
 	thenSub []*coverNode
 	elseSub []*coverNode
 
 	// coverCase
 	sel    coverProbe
 	arms   []coverArm
-	defPt  cover.Point
+	defPt  int32
 	defSub []*coverNode
 
 	// coverFor
@@ -104,7 +110,7 @@ type coverNode struct {
 // coverArm is one explicit (non-default) case item.
 type coverArm struct {
 	vals []coverProbe
-	pt   cover.Point
+	pt   int32
 	sub  []*coverNode
 }
 
@@ -116,22 +122,33 @@ type coverTogglePlan struct {
 	sig   int
 	name  string
 	width int
-	pts0  []cover.Point
-	pts1  []cover.Point
+	pts0  []int32
+	pts1  []int32
 }
 
 type coverFSMPlan struct {
 	sig      int
 	name     string
-	statePts map[uint64]cover.Point
-	transPts map[[2]uint64]cover.Point
+	statePts map[uint64]int32
+	transPts map[[2]uint64]int32
 }
 
-// coverPlan is the immutable, per-Program coverage structure.
+// coverPlan is the per-Program coverage structure. Everything but the
+// view cache is immutable once built.
 type coverPlan struct {
+	points  []cover.Point // by plan slot
 	procs   []coverProcPlan
 	toggles []coverTogglePlan
 	fsms    []coverFSMPlan
+
+	mu    sync.Mutex
+	views map[string]*coverView // by coverKey
+}
+
+// slot gives p the next plan slot.
+func (plan *coverPlan) slot(p cover.Point) int32 {
+	plan.points = append(plan.points, p)
+	return int32(len(plan.points) - 1)
 }
 
 // coverPlan returns the program's coverage plan, building it on first
@@ -166,7 +183,7 @@ func buildCoverPlan(p *Program) *coverPlan {
 		if pr.body == nil || pr.kind == procInit {
 			continue
 		}
-		b := &coverNodeBuilder{comp: comp, compiled: compiled, prefix: fmt.Sprintf("p%d", pr.idx)}
+		b := &coverNodeBuilder{plan: plan, comp: comp, compiled: compiled, prefix: fmt.Sprintf("p%d", pr.idx)}
 		nodes := b.build(pr, pr.body)
 		if len(nodes) > 0 {
 			plan.procs = append(plan.procs, coverProcPlan{nodes: nodes})
@@ -181,8 +198,8 @@ func buildCoverPlan(p *Program) *coverPlan {
 		tg := coverTogglePlan{sig: i, name: si.name, width: si.width}
 		for b := 0; b < si.width; b++ {
 			bit := fmt.Sprintf("%s[%d]", si.name, b)
-			tg.pts0 = append(tg.pts0, cover.Point{Kind: cover.KindToggle0, Name: bit})
-			tg.pts1 = append(tg.pts1, cover.Point{Kind: cover.KindToggle1, Name: bit})
+			tg.pts0 = append(tg.pts0, plan.slot(cover.Point{Kind: cover.KindToggle0, Name: bit}))
+			tg.pts1 = append(tg.pts1, plan.slot(cover.Point{Kind: cover.KindToggle1, Name: bit}))
 		}
 		plan.toggles = append(plan.toggles, tg)
 	}
@@ -190,12 +207,13 @@ func buildCoverPlan(p *Program) *coverPlan {
 	// FSM plan: a sequentially written register that some case statement
 	// dispatches on with all-constant arms is inferred to be a state
 	// register; its declared states are the arm constants.
-	plan.fsms = inferFSMs(d, comp)
+	plan.fsms = inferFSMs(d, comp, plan)
 	return plan
 }
 
 // coverNodeBuilder numbers statements within one process.
 type coverNodeBuilder struct {
+	plan     *coverPlan
 	comp     *compiler
 	compiled bool
 	prefix   string
@@ -229,11 +247,11 @@ func (b *coverNodeBuilder) build(pr *process, st verilog.Stmt) []*coverNode {
 		b.n++
 		id := fmt.Sprintf("%s.s%d", b.prefix, b.n)
 		n := &coverNode{
-			stmt:    cover.Point{Kind: cover.KindStmt, Name: id},
+			stmt:    b.plan.slot(cover.Point{Kind: cover.KindStmt, Name: id}),
 			kind:    coverIf,
 			cond:    b.probe(v.Cond, pr.sc),
-			thenPt:  cover.Point{Kind: cover.KindBranch, Name: id + ".then"},
-			elsePt:  cover.Point{Kind: cover.KindBranch, Name: id + ".else"},
+			thenPt:  b.plan.slot(cover.Point{Kind: cover.KindBranch, Name: id + ".then"}),
+			elsePt:  b.plan.slot(cover.Point{Kind: cover.KindBranch, Name: id + ".else"}),
 			thenSub: b.build(pr, v.Then),
 		}
 		if v.Else != nil {
@@ -244,10 +262,10 @@ func (b *coverNodeBuilder) build(pr *process, st verilog.Stmt) []*coverNode {
 		b.n++
 		id := fmt.Sprintf("%s.s%d", b.prefix, b.n)
 		n := &coverNode{
-			stmt:  cover.Point{Kind: cover.KindStmt, Name: id},
+			stmt:  b.plan.slot(cover.Point{Kind: cover.KindStmt, Name: id}),
 			kind:  coverCase,
 			sel:   b.probe(v.Expr, pr.sc),
-			defPt: cover.Point{Kind: cover.KindBranch, Name: id + ".default"},
+			defPt: b.plan.slot(cover.Point{Kind: cover.KindBranch, Name: id + ".default"}),
 		}
 		armIdx := 0
 		for i := range v.Items {
@@ -257,7 +275,7 @@ func (b *coverNodeBuilder) build(pr *process, st verilog.Stmt) []*coverNode {
 				continue
 			}
 			arm := coverArm{
-				pt:  cover.Point{Kind: cover.KindBranch, Name: fmt.Sprintf("%s.a%d", id, armIdx)},
+				pt:  b.plan.slot(cover.Point{Kind: cover.KindBranch, Name: fmt.Sprintf("%s.a%d", id, armIdx)}),
 				sub: b.build(pr, it.Body),
 			}
 			for _, ex := range it.Exprs {
@@ -275,14 +293,14 @@ func (b *coverNodeBuilder) build(pr *process, st verilog.Stmt) []*coverNode {
 		// state), so per-iteration branch decisions inside loops are
 		// approximated by the settled post-loop state.
 		return []*coverNode{{
-			stmt: cover.Point{Kind: cover.KindStmt, Name: id},
+			stmt: b.plan.slot(cover.Point{Kind: cover.KindStmt, Name: id}),
 			kind: coverFor,
 			body: b.build(pr, v.Body),
 		}}
 	default:
 		b.n++
 		return []*coverNode{{
-			stmt: cover.Point{Kind: cover.KindStmt, Name: fmt.Sprintf("%s.s%d", b.prefix, b.n)},
+			stmt: b.plan.slot(cover.Point{Kind: cover.KindStmt, Name: fmt.Sprintf("%s.s%d", b.prefix, b.n)}),
 			kind: coverPlain,
 		}}
 	}
@@ -293,7 +311,7 @@ func (b *coverNodeBuilder) build(pr *process, st verilog.Stmt) []*coverNode {
 // arms are all constant. The declared state set is the union of arm
 // constants over every such case (capped at maxFSMStates); the
 // transition universe is the full states×states cross product.
-func inferFSMs(d *Design, comp *compiler) []coverFSMPlan {
+func inferFSMs(d *Design, comp *compiler, plan *coverPlan) []coverFSMPlan {
 	seqWritten := map[int]bool{}
 	for _, pr := range d.procs {
 		if pr.kind == procSeq {
@@ -355,15 +373,20 @@ func inferFSMs(d *Design, comp *compiler) []coverFSMPlan {
 		f := coverFSMPlan{
 			sig:      idx,
 			name:     name,
-			statePts: map[uint64]cover.Point{},
-			transPts: map[[2]uint64]cover.Point{},
+			statePts: map[uint64]int32{},
+			transPts: map[[2]uint64]int32{},
 		}
+		vals := make([]uint64, 0, len(states[idx]))
 		for v := range states[idx] {
-			f.statePts[v] = cover.Point{Kind: cover.KindState, Name: fmt.Sprintf("%s=%d", name, v)}
+			vals = append(vals, v)
 		}
-		for a := range states[idx] {
-			for b := range states[idx] {
-				f.transPts[[2]uint64{a, b}] = cover.Point{Kind: cover.KindTrans, Name: fmt.Sprintf("%s:%d->%d", name, a, b)}
+		slices.Sort(vals)
+		for _, v := range vals {
+			f.statePts[v] = plan.slot(cover.Point{Kind: cover.KindState, Name: fmt.Sprintf("%s=%d", name, v)})
+		}
+		for _, a := range vals {
+			for _, b := range vals {
+				f.transPts[[2]uint64{a, b}] = plan.slot(cover.Point{Kind: cover.KindTrans, Name: fmt.Sprintf("%s:%d->%d", name, a, b)})
 			}
 		}
 		plans = append(plans, f)
@@ -378,9 +401,8 @@ func inferFSMs(d *Design, comp *compiler) []coverFSMPlan {
 type instCover struct {
 	opts    CoverOptions
 	plan    *coverPlan
+	view    *coverView
 	m       *cover.Map
-	toggles []coverTogglePlan // plan entries minus exclusions
-	fsms    []coverFSMPlan
 	fsmPrev []uint64
 	fsmSeen []bool
 }
@@ -389,6 +411,9 @@ type instCover struct {
 // zero CoverOptions), replacing any coverage collected so far. The full
 // point universe of the enabled models is registered immediately, so
 // Coverage().Percent() has its denominator before the first sample.
+// Every instance of one Program enabled with an equal option set counts
+// over one shared universe, so Merge and Gain between their maps are
+// slot loops.
 // The accumulated coverage map is not part of Snapshot/Restore — it is
 // observational, and rewinding an instance does not un-observe its
 // history — but the FSM sampler's transition history is captured and
@@ -403,76 +428,14 @@ func (s *Instance) EnableCover(opts CoverOptions) error {
 		return fmt.Errorf("sim: cover: instance has no program")
 	}
 	plan := s.program.coverPlan()
-	excluded := map[string]bool{}
-	for _, n := range opts.ExcludeSignals {
-		excluded[n] = true
-	}
-	ic := &instCover{opts: opts, plan: plan, m: cover.New()}
-	if opts.Statements || opts.Branches {
-		for _, pp := range plan.procs {
-			registerNodes(ic.m, opts, pp.nodes)
-		}
-	}
-	if opts.Toggles {
-		for _, tg := range plan.toggles {
-			if excluded[tg.name] {
-				continue
-			}
-			ic.toggles = append(ic.toggles, tg)
-			for b := 0; b < tg.width; b++ {
-				ic.m.Register(tg.pts0[b])
-				ic.m.Register(tg.pts1[b])
-			}
-		}
-	}
+	v := plan.view(opts)
+	ic := &instCover{opts: opts, plan: plan, view: v, m: v.u.NewMap()}
 	if opts.FSM {
-		for _, f := range plan.fsms {
-			if excluded[f.name] {
-				continue
-			}
-			ic.fsms = append(ic.fsms, f)
-			for _, pt := range f.statePts {
-				ic.m.Register(pt)
-			}
-			for _, pt := range f.transPts {
-				ic.m.Register(pt)
-			}
-		}
-		ic.fsmPrev = make([]uint64, len(ic.fsms))
-		ic.fsmSeen = make([]bool, len(ic.fsms))
+		ic.fsmPrev = make([]uint64, len(v.fsms))
+		ic.fsmSeen = make([]bool, len(v.fsms))
 	}
 	s.cov = ic
 	return nil
-}
-
-func registerNodes(m *cover.Map, opts CoverOptions, nodes []*coverNode) {
-	for _, n := range nodes {
-		if opts.Statements {
-			m.Register(n.stmt)
-		}
-		switch n.kind {
-		case coverIf:
-			if opts.Branches {
-				m.Register(n.thenPt)
-				m.Register(n.elsePt)
-			}
-			registerNodes(m, opts, n.thenSub)
-			registerNodes(m, opts, n.elseSub)
-		case coverCase:
-			if opts.Branches {
-				for i := range n.arms {
-					m.Register(n.arms[i].pt)
-				}
-				m.Register(n.defPt)
-			}
-			for i := range n.arms {
-				registerNodes(m, opts, n.arms[i].sub)
-			}
-			registerNodes(m, opts, n.defSub)
-		case coverFor:
-			registerNodes(m, opts, n.body)
-		}
-	}
 }
 
 // CoverEnabled reports whether the instance is collecting coverage.
@@ -486,6 +449,14 @@ func (s *Instance) Coverage() *cover.Map {
 		return nil
 	}
 	return s.cov.m
+}
+
+// hit records one sample of the point at plan slot ps, if the instance's
+// option set collects it.
+func (ic *instCover) hit(ps int32) {
+	if s := ic.view.slots[ps]; s >= 0 {
+		ic.m.IncSlot(int(s))
+	}
 }
 
 // coverSampleExec records statement and branch coverage against the
@@ -502,9 +473,7 @@ func (s *Instance) coverSampleExec() {
 
 func (ic *instCover) walk(s *Instance, nodes []*coverNode) {
 	for _, n := range nodes {
-		if ic.opts.Statements {
-			ic.m.Add(n.stmt, 1)
-		}
+		ic.hit(n.stmt)
 		switch n.kind {
 		case coverIf:
 			v, ok := n.cond(s)
@@ -512,14 +481,10 @@ func (ic *instCover) walk(s *Instance, nodes []*coverNode) {
 				continue
 			}
 			if v != 0 {
-				if ic.opts.Branches {
-					ic.m.Add(n.thenPt, 1)
-				}
+				ic.hit(n.thenPt)
 				ic.walk(s, n.thenSub)
 			} else {
-				if ic.opts.Branches {
-					ic.m.Add(n.elsePt, 1)
-				}
+				ic.hit(n.elsePt)
 				ic.walk(s, n.elseSub)
 			}
 		case coverCase:
@@ -537,17 +502,13 @@ func (ic *instCover) walk(s *Instance, nodes []*coverNode) {
 					}
 				}
 				if matched {
-					if ic.opts.Branches {
-						ic.m.Add(n.arms[i].pt, 1)
-					}
+					ic.hit(n.arms[i].pt)
 					ic.walk(s, n.arms[i].sub)
 					break
 				}
 			}
 			if !matched {
-				if ic.opts.Branches {
-					ic.m.Add(n.defPt, 1)
-				}
+				ic.hit(n.defPt)
 				ic.walk(s, n.defSub)
 			}
 		case coverFor:
@@ -563,34 +524,152 @@ func (s *Instance) coverSampleState() {
 	if ic == nil {
 		return
 	}
-	if ic.opts.Toggles {
-		for _, tg := range ic.toggles {
-			v := s.vals[tg.sig]
-			for b := 0; b < tg.width; b++ {
-				if v&(1<<uint(b)) != 0 {
-					ic.m.Add(tg.pts1[b], 1)
-				} else {
-					ic.m.Add(tg.pts0[b], 1)
-				}
+	for _, tg := range ic.view.toggles {
+		v := s.vals[tg.sig]
+		for b := 0; b < tg.width; b++ {
+			if v&(1<<uint(b)) != 0 {
+				ic.hit(tg.pts1[b])
+			} else {
+				ic.hit(tg.pts0[b])
 			}
 		}
 	}
-	if ic.opts.FSM {
-		for i := range ic.fsms {
-			f := &ic.fsms[i]
-			cur := s.vals[f.sig]
-			if pt, ok := f.statePts[cur]; ok {
-				ic.m.Add(pt, 1)
+	for i := range ic.view.fsms {
+		f := &ic.view.fsms[i]
+		cur := s.vals[f.sig]
+		if ps, ok := f.statePts[cur]; ok {
+			ic.hit(ps)
+		}
+		if ic.fsmSeen[i] {
+			if ps, ok := f.transPts[[2]uint64{ic.fsmPrev[i], cur}]; ok {
+				ic.hit(ps)
 			}
-			if ic.fsmSeen[i] {
-				if pt, ok := f.transPts[[2]uint64{ic.fsmPrev[i], cur}]; ok {
-					ic.m.Add(pt, 1)
-				}
-			}
-			ic.fsmPrev[i] = cur
-			ic.fsmSeen[i] = true
+		}
+		ic.fsmPrev[i] = cur
+		ic.fsmSeen[i] = true
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Per-option-set views: the universe an option set collects.
+
+// coverView is the coverage plan restricted to one option set: the
+// universe of the points it collects, where each plan slot counts in
+// that universe, and the toggle and FSM plans left after exclusions.
+// Views are immutable and shared by every instance enabled with an
+// equal option set.
+type coverView struct {
+	u       *cover.Universe
+	slots   []int32 // plan slot -> universe slot; -1 when not collected
+	toggles []coverTogglePlan
+	fsms    []coverFSMPlan
+}
+
+// coverKey identifies an option set: the enabled models and the set of
+// excluded signals.
+func coverKey(o CoverOptions) string {
+	ex := slices.Clone(o.ExcludeSignals)
+	sort.Strings(ex)
+	return fmt.Sprintf("%t %t %t %t %q", o.Statements, o.Branches, o.Toggles, o.FSM, slices.Compact(ex))
+}
+
+// view returns the plan's view for opts, building it on first use.
+func (plan *coverPlan) view(opts CoverOptions) *coverView {
+	key := coverKey(opts)
+	plan.mu.Lock()
+	defer plan.mu.Unlock()
+	if v := plan.views[key]; v != nil {
+		return v
+	}
+	if plan.views == nil {
+		plan.views = map[string]*coverView{}
+	}
+	v := plan.buildView(opts)
+	plan.views[key] = v
+	return v
+}
+
+func (plan *coverPlan) buildView(opts CoverOptions) *coverView {
+	excluded := map[string]bool{}
+	for _, n := range opts.ExcludeSignals {
+		excluded[n] = true
+	}
+	v := &coverView{}
+	var on []int32 // plan slots collected under opts
+	if opts.Statements || opts.Branches {
+		for _, pp := range plan.procs {
+			on = collectNodes(on, opts, pp.nodes)
 		}
 	}
+	if opts.Toggles {
+		for _, tg := range plan.toggles {
+			if excluded[tg.name] {
+				continue
+			}
+			v.toggles = append(v.toggles, tg)
+			on = append(append(on, tg.pts0...), tg.pts1...)
+		}
+	}
+	if opts.FSM {
+		for _, f := range plan.fsms {
+			if excluded[f.name] {
+				continue
+			}
+			v.fsms = append(v.fsms, f)
+			for _, ps := range f.statePts {
+				on = append(on, ps)
+			}
+			for _, ps := range f.transPts {
+				on = append(on, ps)
+			}
+		}
+	}
+	pts := make([]cover.Point, len(on))
+	for i, ps := range on {
+		pts[i] = plan.points[ps]
+	}
+	v.u = cover.NewUniverse(pts)
+	v.slots = make([]int32, len(plan.points))
+	for i := range v.slots {
+		v.slots[i] = -1
+	}
+	for _, ps := range on {
+		s, _ := v.u.Slot(plan.points[ps])
+		v.slots[ps] = int32(s)
+	}
+	return v
+}
+
+// collectNodes appends the plan slots of the statement and branch points
+// opts collects in nodes.
+func collectNodes(on []int32, opts CoverOptions, nodes []*coverNode) []int32 {
+	for _, n := range nodes {
+		if opts.Statements {
+			on = append(on, n.stmt)
+		}
+		switch n.kind {
+		case coverIf:
+			if opts.Branches {
+				on = append(on, n.thenPt, n.elsePt)
+			}
+			on = collectNodes(on, opts, n.thenSub)
+			on = collectNodes(on, opts, n.elseSub)
+		case coverCase:
+			if opts.Branches {
+				for i := range n.arms {
+					on = append(on, n.arms[i].pt)
+				}
+				on = append(on, n.defPt)
+			}
+			for i := range n.arms {
+				on = collectNodes(on, opts, n.arms[i].sub)
+			}
+			on = collectNodes(on, opts, n.defSub)
+		case coverFor:
+			on = collectNodes(on, opts, n.body)
+		}
+	}
+	return on
 }
 
 // coverOnceState is embedded in Program (declared here to keep all

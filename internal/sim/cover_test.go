@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"uvllm/internal/cover"
@@ -195,5 +196,72 @@ func TestCoverageSharedProgramIndependentInstances(t *testing.T) {
 	}
 	if merged.Hit() < m1.Hit() {
 		t.Fatal("merge lost hits")
+	}
+}
+
+// TestCoverageConcurrentEnable: goroutines that enable coverage under
+// two option sets on instances of one Program, and drive the same
+// stimulus, build the plan and one universe per option set between them
+// and encode exactly what a sequential run does. Run it with -race.
+func TestCoverageConcurrentEnable(t *testing.T) {
+	optSets := []CoverOptions{
+		CoverAll(),
+		{Statements: true, Toggles: true, FSM: true, ExcludeSignals: []string{"in"}},
+	}
+	run := func(p *Program, opts CoverOptions) ([]byte, error) {
+		inst, err := p.NewInstance()
+		if err != nil {
+			return nil, err
+		}
+		h := NewHarness(inst, "clk")
+		if err := h.EnableCover(opts); err != nil {
+			return nil, err
+		}
+		if err := h.ApplyReset(2); err != nil {
+			return nil, err
+		}
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 40; i++ {
+			if _, err := h.Cycle(map[string]uint64{"rst_n": 1, "in": rng.Uint64() & 1}); err != nil {
+				return nil, err
+			}
+		}
+		return h.Coverage().Encode(), nil
+	}
+	seq, err := CompileSource(coverFSMSrc, "cfsm", BackendCompiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]byte, len(optSets))
+	for i, o := range optSets {
+		if want[i], err = run(seq, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(want[0], want[1]) {
+		t.Fatal("the two option sets collect the same universe")
+	}
+	p, err := CompileSource(coverFSMSrc, "cfsm", BackendCompiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got, err := run(p, optSets[g%2])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(got, want[g%2]) {
+				t.Errorf("goroutine %d encoded\n%s\nsequential run encoded\n%s", g, got, want[g%2])
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := len(p.coverPlan().views); n != len(optSets) {
+		t.Fatalf("%d cached universes for %d option sets", n, len(optSets))
 	}
 }
