@@ -668,8 +668,8 @@ func BenchmarkSATSolve(b *testing.B) {
 	}
 }
 
-// bmcBenchPair compiles the accumulator pair both BMC benchmarks share:
-// two syntactically different but equivalent 4-bit accumulators, so the
+// bmcBenchPair compiles the BMC benchmark's accumulator pair: two
+// syntactically different but equivalent 4-bit accumulators, so the
 // solver proves UNSAT at every depth — the workload where clause
 // retention pays (refutations stop at the first SAT depth and barely
 // reuse anything).
@@ -694,35 +694,13 @@ endmodule`
 	return golden, mutant
 }
 
-// bmcBenchDepth is the unrolling depth of the BMCEquiv benchmark pair —
-// deep enough that per-depth re-solving dominates the from-scratch loop.
+// bmcBenchDepth is the unrolling depth of BenchmarkBMCEquivIncremental.
 const bmcBenchDepth = 8
 
-// BenchmarkBMCEquiv measures one full bounded-equivalence proof end to
-// end on the from-scratch path — blast, unroll, Tseitin and a fresh
-// solver at every depth — the engine as it stood before the incremental
-// interface. Paired with BenchmarkBMCEquivIncremental under a benchguard
-// pair rule: the incremental path must stay strictly faster.
-func BenchmarkBMCEquiv(b *testing.B) {
-	golden, mutant := bmcBenchPair(b)
-	opts := formal.Options{Clock: "clk", FromScratch: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := formal.BMCEquivOpts(golden, mutant, "clk", bmcBenchDepth, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Equivalent {
-			b.Fatal("accumulator pair unexpectedly refuted")
-		}
-	}
-}
-
-// BenchmarkBMCEquivIncremental measures the same proof on the default
-// incremental path: one solver and one Tseitin emission across all
-// depths, learned clauses and earlier ¬bad units retained. The
-// benchguard pair rule requires this to beat BenchmarkBMCEquiv.
+// BenchmarkBMCEquivIncremental measures one full bounded-equivalence
+// proof end to end — blast, unroll, and one solver and one Tseitin
+// emission across all depths, learned clauses and earlier ¬bad units
+// retained.
 func BenchmarkBMCEquivIncremental(b *testing.B) {
 	golden, mutant := bmcBenchPair(b)
 	opts := formal.Options{Clock: "clk"}

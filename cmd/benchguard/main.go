@@ -5,7 +5,7 @@
 // (minimum ns/op) run across -count repetitions, and compares against
 // the committed BENCH_baseline.json:
 //
-//	go test -run XXX -bench 'Benchmark(Sim(EventDriven|Compiled|CompiledObs)|PipelineVerify|BitBlast|SATSolve|BMCEquiv(Incremental)?|Batch(Lanes|VsSequential)|BitSim(Lanes|Transpose))$' -count=5 . | tee bench.txt
+//	go test -run XXX -bench 'Benchmark(Sim(EventDriven|Compiled|CompiledObs)|PipelineVerify|BitBlast|SATSolve|BMCEquivIncremental|Batch(Lanes|VsSequential)|BitSim(Lanes|Transpose)|CoverageDirected)$' -count=5 . | tee bench.txt
 //	go run ./cmd/benchguard -bench bench.txt -baseline BENCH_baseline.json
 //
 // Raw ns/op is machine-dependent, so every guarded quantity is a ratio
@@ -19,12 +19,10 @@
 // paths roll out by adding a baseline line.
 //
 // Pair rules hold architectural claims independent of the baseline:
-// batch lane amortization, the bit-parallel per-lane floor, the
-// incremental formal engine — BenchmarkBMCEquivIncremental must stay
-// strictly faster than the from-scratch BenchmarkBMCEquiv on the same
-// depth-8 proof — and the observability layer's zero-overhead claim:
-// BenchmarkSimCompiledObs (hot loop with a live registry counter) must
-// stay within 15% of BenchmarkSimCompiled in the same run.
+// batch lane amortization, the bit-parallel per-lane floor, and the
+// observability layer's zero-overhead claim: BenchmarkSimCompiledObs
+// (hot loop with a live registry counter) must stay within 15% of
+// BenchmarkSimCompiled in the same run.
 package main
 
 import (
@@ -53,8 +51,6 @@ const (
 	benchBatch       = "BenchmarkBatchLanes"
 	benchBatchSeq    = "BenchmarkBatchVsSequential"
 	benchBitSim      = "BenchmarkBitSimLanes"
-	benchBMCScratch  = "BenchmarkBMCEquiv"
-	benchBMCInc      = "BenchmarkBMCEquivIncremental"
 )
 
 // batchMinSpeedup is the acceptance bar for the batch scheduler: the
@@ -85,13 +81,6 @@ const bitSimMinSpeedup = 4.0
 // same run. The instrumented path is one atomic add per cycle, so the
 // bar is mostly noise allowance.
 const obsMaxOverhead = 1.15
-
-// bmcIncMinSpeedup is the acceptance bar for the incremental formal
-// engine: the same depth-8 UNSAT proof must be strictly cheaper on the
-// retained-solver path than rebuilt from scratch at every depth. The
-// observed margin is orders of magnitude; the gate only pins the
-// direction so the pair rule survives machine variance.
-const bmcIncMinSpeedup = 1.0
 
 func main() {
 	var (
@@ -212,21 +201,6 @@ func main() {
 			if overhead > obsMaxOverhead {
 				fmt.Fprintf(os.Stderr, "benchguard: FAIL: instrumented sim loop costs %.3fx the plain loop (> %.2fx) — the obs hot path regressed\n",
 					overhead, obsMaxOverhead)
-				failed = true
-			}
-		}
-	}
-	// Pair rule: whenever both formal benchmarks are in the run, the
-	// incremental engine must be strictly faster than the from-scratch
-	// loop on the identical proof obligation.
-	if sc, ok := best[benchBMCScratch]; ok {
-		if inc, ok := best[benchBMCInc]; ok {
-			speedup := sc / inc
-			fmt.Printf("benchguard: incremental BMC speedup %.2fx (%s %.0f ns/op vs %s %.0f ns/op, floor >%.1fx)\n",
-				speedup, benchBMCInc, inc, benchBMCScratch, sc, bmcIncMinSpeedup)
-			if speedup <= bmcIncMinSpeedup {
-				fmt.Fprintf(os.Stderr, "benchguard: FAIL: incremental BMC speedup %.2fx is not strictly above %.1fx — the retained solver no longer pays\n",
-					speedup, bmcIncMinSpeedup)
 				failed = true
 			}
 		}

@@ -122,9 +122,9 @@ func Example_formalEquivalence() {
 	// Bounded model check: unroll both transition relations from the
 	// concrete reset state and ask the SAT solver for any distinguishing
 	// stimulus. Four cycles cannot reach the bug; eight can.
-	res, _ := formal.BMCEquiv(golden, mutant, m.Clock, 4)
+	res, _ := formal.BMCEquivOpts(golden, mutant, m.Clock, 4, formal.Options{})
 	fmt.Printf("buggy vs golden, depth 4: equivalent=%v\n", res.Equivalent)
-	res, _ = formal.BMCEquiv(golden, mutant, m.Clock, 8)
+	res, _ = formal.BMCEquivOpts(golden, mutant, m.Clock, 8, formal.Options{})
 	fmt.Printf("buggy vs golden, depth 8: equivalent=%v, counterexample at cycle %d on %q\n",
 		res.Equivalent, res.Cex.Cycle, res.Cex.Signal)
 
@@ -141,7 +141,7 @@ func Example_formalEquivalence() {
 		"count <= (count == 12'd6) ? 12'd8 : (count + 12'd1);",
 		"count <= (count + 12'd2) - 12'd1;", 1)
 	repaired, _ := sim.CompileSource(fixed, m.Top, sim.BackendCompiled)
-	res, _ = formal.BMCEquiv(golden, repaired, m.Clock, 8)
+	res, _ = formal.BMCEquivOpts(golden, repaired, m.Clock, 8, formal.Options{})
 	fmt.Printf("repaired vs golden, depth 8: equivalent=%v (real CDCL search: %v)\n",
 		res.Equivalent, res.Stats.Conflicts() > 0)
 

@@ -22,7 +22,8 @@ func unsupportedf(format string, args ...interface{}) error {
 }
 
 // DefaultMaxMemBits bounds the total memory state a model may blast
-// (every word of every memory becomes per-bit state).
+// (every word of every memory becomes per-bit state); larger designs
+// return ErrUnsupported.
 const DefaultMaxMemBits = 4096
 
 // ResetCycles is the reset preamble length of the formal stimulus
@@ -31,8 +32,6 @@ const ResetCycles = 2
 
 // Options bound what the bit-blaster will attempt.
 type Options struct {
-	// MaxMemBits caps total blasted memory bits (0 = DefaultMaxMemBits).
-	MaxMemBits int
 	// Clock overrides the conventional clock-name guess (sim.FindClock);
 	// equivalence callers pass the clock they drive the harness with.
 	Clock string
@@ -56,20 +55,16 @@ type Options struct {
 	// the harness contract, where an empty clock name selects the
 	// combinational protocol even when the design has a clk input.
 	LiteralClock bool
-	// FromScratch disables incremental solving in BMCEquivOpts: a fresh
-	// solver and a fresh Tseitin conversion per depth, the PR-5 behavior.
-	// Kept as the differential/benchmark twin of the incremental path.
-	FromScratch bool
 	// MinimizeCex shrinks SAT counterexamples before returning them:
 	// re-solve under assumptions freezing the already-satisfying suffix
 	// and greedily zeroing input bits, so the directed sequences replayed
 	// on the simulators are near-minimal in weight. The unminimized trace
 	// is preserved in EquivResult.RawCex.
 	MinimizeCex bool
-	// Ctx, when non-nil, is checked between unrolling depths: once it is
-	// cancelled the check stops at the next depth boundary with
-	// ErrCancelled (the SAT budget in flight finishes its depth first).
-	// nil means run to completion.
+	// Ctx, when non-nil, is checked between unrolling depths and polled
+	// by the solver: once it is cancelled the check stops with
+	// ErrCancelled at the next depth boundary, or within a few hundred
+	// conflicts of a solve in flight. nil means run to completion.
 	Ctx context.Context
 	// Span, when non-nil, is the parent trace span of this check; each
 	// solved depth records a child span ("bmc_depth", "induct_base",
@@ -85,6 +80,17 @@ func (o Options) cancelled(t int) error {
 		return nil
 	}
 	return fmt.Errorf("%w: depth %d: %v", ErrCancelled, t, o.Ctx.Err())
+}
+
+// solver returns an empty incremental solver under the check's conflict
+// budget, stopped early once Ctx is cancelled.
+func (o Options) solver() *Solver {
+	s := NewSolver(0)
+	s.MaxConflicts = o.MaxConflicts
+	if ctx := o.Ctx; ctx != nil {
+		s.stop = func() bool { return ctx.Err() != nil }
+	}
+	return s
 }
 
 // ErrCancelled marks a check abandoned because Options.Ctx was
@@ -114,12 +120,11 @@ type Model struct {
 	outs     []sim.PortInfo
 	outIdx   []int
 
-	combOrder    []int
-	posedge      []int
-	negedge      []int
-	procs        []sim.ProcView
-	sigs         []sim.SignalView
-	maxConflicts int
+	combOrder []int
+	posedge   []int
+	negedge   []int
+	procs     []sim.ProcView
+	sigs      []sim.SignalView
 
 	// Async-reset bookkeeping (FreeReset only): the conventional reset's
 	// arena index and the sequential processes with an edge trigger on it,
@@ -156,11 +161,6 @@ func (st *State) clone() *State {
 	return n
 }
 
-// NewModel bit-blasts a compiled program under default options.
-func NewModel(prog *sim.Program) (*Model, error) {
-	return NewModelOpts(prog, Options{})
-}
-
 // NewModelOpts bit-blasts a compiled program, sharing no AIG with other
 // models. Use newModelShared for miters.
 func NewModelOpts(prog *sim.Program, opts Options) (*Model, error) {
@@ -176,26 +176,21 @@ func newModelShared(g *AIG, prog *sim.Program, opts Options) (*Model, error) {
 	if !prog.Levelized() {
 		return nil, unsupportedf("not cleanly levelizable: %s", prog.FallbackReason())
 	}
-	maxMem := opts.MaxMemBits
-	if maxMem == 0 {
-		maxMem = DefaultMaxMemBits
-	}
 	d := prog.Design()
 	clock := opts.Clock
 	if clock == "" && !opts.LiteralClock {
 		clock = sim.FindClock(d)
 	}
 	m := &Model{
-		g:            g,
-		prog:         prog,
-		d:            d,
-		clock:        clock,
-		clockIdx:     -1,
-		frozen:       map[int]uint64{},
-		outs:         d.Outputs(),
-		combOrder:    prog.CombOrder(),
-		maxConflicts: opts.MaxConflicts,
-		rstIdx:       -1,
+		g:         g,
+		prog:      prog,
+		d:         d,
+		clock:     clock,
+		clockIdx:  -1,
+		frozen:    map[int]uint64{},
+		outs:      d.Outputs(),
+		combOrder: prog.CombOrder(),
+		rstIdx:    -1,
 	}
 	if m.clock != "" {
 		if idx, ok := d.SignalIndex(m.clock); ok {
@@ -248,8 +243,8 @@ func newModelShared(g *AIG, prog *sim.Program, opts Options) (*Model, error) {
 			memBits += sv.Width * sv.Depth
 		}
 	}
-	if memBits > maxMem {
-		return nil, unsupportedf("memories total %d bits (cap %d)", memBits, maxMem)
+	if memBits > DefaultMaxMemBits {
+		return nil, unsupportedf("memories total %d bits (cap %d)", memBits, DefaultMaxMemBits)
 	}
 	for pi, pv := range m.procs {
 		if pv.Kind != sim.ProcSeq {

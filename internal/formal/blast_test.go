@@ -45,7 +45,7 @@ func crossValidate(t *testing.T, src, top, clock string, cycles int, seed int64)
 	}
 	m, err := NewModelOpts(prog, Options{Clock: clock})
 	if err != nil {
-		t.Fatalf("NewModel: %v", err)
+		t.Fatalf("NewModelOpts: %v", err)
 	}
 	st, err := m.InitState()
 	if err != nil {
@@ -231,7 +231,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewModel(pe); !errors.Is(err, ErrUnsupported) {
+	if _, err := NewModelOpts(pe, Options{}); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("event backend: err = %v, want ErrUnsupported", err)
 	}
 
@@ -247,7 +247,7 @@ endmodule
 	if pf.Levelized() {
 		t.Fatal("gated-clock fixture unexpectedly levelized")
 	}
-	if _, err := NewModel(pf); !errors.Is(err, ErrUnsupported) {
+	if _, err := NewModelOpts(pf, Options{}); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("fallback design: err = %v, want ErrUnsupported", err)
 	}
 
@@ -261,7 +261,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewModel(pm); !errors.Is(err, ErrUnsupported) {
+	if _, err := NewModelOpts(pm, Options{}); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("oversized memory: err = %v, want ErrUnsupported", err)
 	}
 
@@ -273,7 +273,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewModel(pd); !errors.Is(err, ErrUnsupported) {
+	if _, err := NewModelOpts(pd, Options{}); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("data-input edge trigger: err = %v, want ErrUnsupported", err)
 	}
 }

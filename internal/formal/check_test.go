@@ -29,14 +29,14 @@ const accSub = `module acc(input clk, input rst_n, input en, input [7:0] d, outp
 endmodule
 `
 
-// TestInductionEquivUnbounded is the tentpole's headline path: the
+// TestInductionEquivUnbounded is induction's headline path: the
 // accumulator pair is proved equivalent for all time by a closing
 // inductive step, where plain BMC reports only a bounded verdict.
 func TestInductionEquivUnbounded(t *testing.T) {
 	a := mustCompile(t, accAdd, "acc")
 	b := mustCompile(t, accSub, "acc")
 
-	res, err := InductionEquiv(a, b, "clk", DefaultBMCDepth)
+	res, err := InductionEquivOpts(a, b, "clk", DefaultBMCDepth, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestInductionEquivUnbounded(t *testing.T) {
 		t.Fatal("proof established without a SAT solve: the miter collapsed, the inductive step went untested")
 	}
 
-	bmc, err := BMCEquiv(a, b, "clk", DefaultBMCDepth)
+	bmc, err := BMCEquivOpts(a, b, "clk", DefaultBMCDepth, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestInductionEquivSoundOnDeepBug(t *testing.T) {
 	golden := mustCompile(t, cntGolden, "cnt")
 	bug := mustCompile(t, cntBug, "cnt")
 
-	res, err := InductionEquiv(golden, bug, "clk", 5)
+	res, err := InductionEquivOpts(golden, bug, "clk", 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestInductionEquivSoundOnDeepBug(t *testing.T) {
 		t.Fatal("UNSOUND: induction claimed an unbounded proof for a pair that diverges at depth 13")
 	}
 
-	res, err = InductionEquiv(golden, bug, "clk", 16)
+	res, err = InductionEquivOpts(golden, bug, "clk", 16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestInductionEquivSoundOnDeepBug(t *testing.T) {
 // window 2.
 func TestInductionEquivSelf(t *testing.T) {
 	golden := mustCompile(t, cntGolden, "cnt")
-	res, err := InductionEquiv(golden, golden, "clk", 6)
+	res, err := InductionEquivOpts(golden, golden, "clk", 6, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ endmodule
 endmodule
 `
 	g, b := mustCompile(t, golden, "rf"), mustCompile(t, bug, "rf")
-	res, err := InductionEquiv(g, g, "clk", 4)
+	res, err := InductionEquivOpts(g, g, "clk", 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ endmodule
 	if res.Unbounded {
 		t.Fatal("UNSOUND: memory equivalence is not k-inductive under output observation, yet the step closed")
 	}
-	res, err = InductionEquiv(g, b, "clk", 4)
+	res, err = InductionEquivOpts(g, b, "clk", 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,44 +162,6 @@ endmodule
 	div, _, err := ReplayCex(golden, bug, "rf", "clk", res.Cex, sim.BackendCompiled)
 	if err != nil || !div {
 		t.Fatalf("memory cex replay: diverged=%v err=%v", div, err)
-	}
-}
-
-// TestIncrementalMatchesScratch is the differential gate over the solver
-// rewrite: the incremental default and the FromScratch reference loop
-// must agree on verdict and depth across the fixture pairs, and SAT
-// counterexamples from both paths must replay.
-func TestIncrementalMatchesScratch(t *testing.T) {
-	golden := mustCompile(t, cntGolden, "cnt")
-	bug := mustCompile(t, cntBug, "cnt")
-	cases := []struct {
-		name string
-		a, b *sim.Program
-		k    int
-	}{
-		{"self", golden, golden, 6},
-		{"shallow", golden, bug, 5},
-		{"deep-bug", golden, bug, 16},
-	}
-	for _, tc := range cases {
-		inc, err := BMCEquivOpts(tc.a, tc.b, "clk", tc.k, Options{})
-		if err != nil {
-			t.Fatalf("%s incremental: %v", tc.name, err)
-		}
-		scr, err := BMCEquivOpts(tc.a, tc.b, "clk", tc.k, Options{FromScratch: true})
-		if err != nil {
-			t.Fatalf("%s scratch: %v", tc.name, err)
-		}
-		if inc.Equivalent != scr.Equivalent || inc.Depth != scr.Depth {
-			t.Fatalf("%s: incremental (eq=%v depth=%d) disagrees with scratch (eq=%v depth=%d)",
-				tc.name, inc.Equivalent, inc.Depth, scr.Equivalent, scr.Depth)
-		}
-		if !inc.Equivalent {
-			div, cyc, err := ReplayCex(cntGolden, cntBug, "cnt", "clk", inc.Cex, sim.BackendCompiled)
-			if err != nil || !div || cyc != inc.Cex.Cycle {
-				t.Fatalf("%s: incremental cex replay diverged=%v cycle=%d err=%v", tc.name, div, cyc, err)
-			}
-		}
 	}
 }
 
@@ -250,11 +212,11 @@ func TestMinimizeCex(t *testing.T) {
 	}
 }
 
-// TestInductionAssertions covers the assertion side of the tentpole: the
+// TestInductionAssertions covers induction over assertions: the
 // saturating counter's true bound is 1-inductive (q<=9 is preserved by
 // the transition), so it must come back proved *unbounded*, while the
-// too-tight bound still refutes and opaque forms still skip. The
-// promotion wrapper must carry the DepthUnbounded certificate.
+// too-tight bound still refutes and opaque forms still skip. Promotion
+// must carry the DepthUnbounded certificate.
 func TestInductionAssertions(t *testing.T) {
 	prog := mustCompile(t, modSaturate, "sat9")
 	as := []assert.Assertion{
@@ -281,10 +243,7 @@ func TestInductionAssertions(t *testing.T) {
 		t.Fatal("a refuted assertion cannot be unbounded")
 	}
 
-	promoted, refuted, skipped, err := PromoteAssertionsInduction(prog, "clk", as, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	promoted, refuted, skipped := PromoteAssertions(results)
 	if len(promoted) != len(as) || len(refuted) != 1 || skipped != 1 {
 		t.Fatalf("promotion shape: %d promoted, %d refuted, %d skipped", len(promoted), len(refuted), skipped)
 	}

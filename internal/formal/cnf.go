@@ -17,7 +17,7 @@ func (c *CNF) AddClause(lits ...int) {
 // the nodes it has not seen and emits their defining clauses exactly
 // once. The AIG is append-only, so a node's definition never changes and
 // the emitted clauses stay valid for the lifetime of the solver — this is
-// what lets BMCEquiv's iterative deepening extend one retained unrolling
+// what lets the unrolling loop's iterative deepening extend one retained unrolling
 // (frame variables of earlier depths stay allocated and constrained)
 // instead of re-Tseitin-ing from scratch at every depth.
 type IncTseitin struct {

@@ -60,7 +60,7 @@ const DefaultBMCDepth = 8
 type EquivResult struct {
 	Equivalent bool // UNSAT at every depth through K
 	// Unbounded marks an equivalence that holds for every depth, not just
-	// through K: InductionEquiv sets it when the inductive step closes.
+	// through K: InductionEquivOpts sets it when the inductive step closes.
 	Unbounded bool
 	Depth     int             // depth proved/refuted at, or the window that closed induction
 	Cex       *Counterexample // nil when equivalent (minimized under Options.MinimizeCex)
@@ -85,33 +85,67 @@ func (s BMCStats) Conflicts() int {
 	return n
 }
 
-// BMCEquiv checks bounded sequential equivalence of two compiled designs:
-// both are reset concretely, then unrolled k cycles over shared per-cycle
-// input variables (a miter), and each depth asks the SAT solver whether
-// any output can differ at that cycle. UNSAT through depth k proves the
-// designs indistinguishable by any k-cycle post-reset stimulus under the
+// BMCEquivOpts checks bounded sequential equivalence of two compiled
+// designs: both are reset concretely, then unrolled k cycles over shared
+// per-cycle input variables (a miter), and each depth asks the SAT
+// solver whether any output can differ at that cycle (see check for the
+// incremental loop). UNSAT through depth k proves the designs
+// indistinguishable by any k-cycle post-reset stimulus under the
 // protocol (reset held deasserted); SAT returns a replayable
-// counterexample. Output sets are compared on a's ports, with ports b
-// lacks reading zero — the same convention as the scoreboard's map
-// compare. Designs outside the blastable subset return ErrUnsupported.
-func BMCEquiv(a, b *sim.Program, clock string, k int) (EquivResult, error) {
-	return BMCEquivOpts(a, b, clock, k, Options{})
+// counterexample at the earliest divergence. Output sets are compared on
+// a's ports, with ports b lacks reading zero — the same convention as
+// the scoreboard's map compare. A combinational pair is checked
+// exhaustively at k=1 with clock "". Designs outside the blastable
+// subset return ErrUnsupported.
+func BMCEquivOpts(a, b *sim.Program, clock string, k int, opts Options) (EquivResult, error) {
+	return equiv(a, b, clock, k, opts, false)
 }
 
-// miter pairs two models over one shared AIG with their rolling states:
-// the unrolling machinery common to bounded equivalence and the
-// k-induction window.
+// InductionEquivOpts is BMCEquivOpts plus Sheeran-style k-induction:
+// each depth also runs one inductive-step round over a window that
+// starts from a fully symbolic product state (every register and memory
+// word of both models a free variable), upgrading "equivalent to depth
+// k" into "equivalent for all time" (Equivalent and Unbounded, Depth =
+// the closing window) whenever the step closes. A step that exhausts its
+// conflict budget degrades to plain bounded BMC for the remaining
+// depths; a base-side exhaustion is ErrBudget as in BMCEquivOpts.
+func InductionEquivOpts(a, b *sim.Program, clock string, k int, opts Options) (EquivResult, error) {
+	return equiv(a, b, clock, k, opts, true)
+}
+
+// equiv blasts the miter of a and b under a "blast" span and runs the
+// unrolling loop on it.
+func equiv(a, b *sim.Program, clock string, k int, opts Options, induct bool) (EquivResult, error) {
+	opts.Clock = clock
+	g := NewAIG()
+	sp := opts.Span.Child("blast")
+	u, err := newMiter(g, a, b, opts, induct)
+	sp.End()
+	if err != nil {
+		return EquivResult{}, err
+	}
+	return check(g, u, k, opts, induct)
+}
+
+// miter is the equivalence property of two models over one shared AIG:
+// "some output differs at this cycle". The base path starts both models
+// from their concrete post-reset states; the induction window, when
+// present, from independent free states.
 type miter struct {
-	g        *AIG
-	ma, mb   *Model
-	sta, stb *State
-	inputs   []map[string]Vec // a's per-cycle stimulus variables, in order
+	g          *AIG
+	ma, mb     *Model
+	sta, stb   *State           // base path states
+	in         []map[string]Vec // base path stimulus (a's variables), per cycle
+	diffs      []Lit            // per-output difference literals of the latest base cycle
+	winA, winB []*State         // window product states, free start first
+	sigA, sigB []int            // each model's sequential state (StateSignals)
 }
 
-// newMiter blasts both programs into one graph. b's free inputs that a
-// also drives will share a's variables; inputs only b has stay at their
-// previous values (the harness never sets them).
-func newMiter(g *AIG, a, b *sim.Program, opts Options) (*miter, error) {
+// newMiter blasts both programs into one graph and sets up the base
+// path, plus the window under induct. b's free inputs that a also
+// drives share a's variables; inputs only b has stay at their previous
+// values (the harness never sets them).
+func newMiter(g *AIG, a, b *sim.Program, opts Options, induct bool) (*miter, error) {
 	ma, err := newModelShared(g, a, opts)
 	if err != nil {
 		return nil, err
@@ -120,27 +154,27 @@ func newMiter(g *AIG, a, b *sim.Program, opts Options) (*miter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &miter{g: g, ma: ma, mb: mb}, nil
+	u := &miter{g: g, ma: ma, mb: mb}
+	if u.sta, err = ma.InitState(); err != nil {
+		return nil, err
+	}
+	if u.stb, err = mb.InitState(); err != nil {
+		return nil, err
+	}
+	if induct {
+		u.winA, u.winB = []*State{ma.FreeState()}, []*State{mb.FreeState()}
+		u.sigA, u.sigB = ma.StateSignals(), mb.StateSignals()
+	}
+	return u, nil
 }
 
-// init sets both states to the concrete post-reset snapshot.
-func (u *miter) init() error {
-	sta, err := u.ma.InitState()
-	if err != nil {
-		return err
+// advance steps the base path or the window one harness cycle under
+// fresh shared inputs and returns "some output differs".
+func (u *miter) advance(window bool) (Lit, error) {
+	sta, stb := u.sta, u.stb
+	if window {
+		sta, stb = u.winA[len(u.winA)-1], u.winB[len(u.winB)-1]
 	}
-	stb, err := u.mb.InitState()
-	if err != nil {
-		return err
-	}
-	u.sta, u.stb = sta, stb
-	return nil
-}
-
-// step advances both sides one harness cycle under fresh shared inputs
-// and returns the per-output difference literals and their disjunction
-// ("some output differs at this cycle").
-func (u *miter) step() (bad Lit, diffs []Lit, err error) {
 	inA := u.ma.FreshInputs()
 	inB := map[string]Vec{}
 	for _, p := range u.mb.FreeInputs() {
@@ -148,19 +182,19 @@ func (u *miter) step() (bad Lit, diffs []Lit, err error) {
 			inB[p.Name] = v
 		}
 	}
-	u.inputs = append(u.inputs, inA)
-	if u.sta, err = u.ma.Step(u.sta, inA); err != nil {
-		return False, nil, err
+	sta, err := u.ma.Step(sta, inA)
+	if err != nil {
+		return False, err
 	}
-	if u.stb, err = u.mb.Step(u.stb, inB); err != nil {
-		return False, nil, err
+	if stb, err = u.mb.Step(stb, inB); err != nil {
+		return False, err
 	}
 	g := u.g
-	bad = False
-	diffs = make([]Lit, len(u.ma.Outputs()))
+	bad := False
+	diffs := make([]Lit, len(u.ma.Outputs()))
 	for i, p := range u.ma.Outputs() {
-		av := u.ma.OutputVec(u.sta, i)
-		bv, ok := u.mb.OutputVecByName(u.stb, p.Name)
+		av := u.ma.OutputVec(sta, i)
+		bv, ok := u.mb.OutputVecByName(stb, p.Name)
 		if !ok {
 			bv = g.ConstVec(0, len(av))
 		}
@@ -172,134 +206,46 @@ func (u *miter) step() (bad Lit, diffs []Lit, err error) {
 		diffs[i] = d
 		bad = g.Or(bad, d)
 	}
-	return bad, diffs, nil
+	if window {
+		u.winA, u.winB = append(u.winA, sta), append(u.winB, stb)
+	} else {
+		u.sta, u.stb, u.diffs = sta, stb, diffs
+		u.in = append(u.in, inA)
+	}
+	return bad, nil
 }
 
-// BMCEquivOpts is BMCEquiv with explicit blaster options. The default
-// path is incremental: one solver instance per equivalence query, the
-// Tseitin frame of every depth retained (frozen frame variables), each
-// depth solved under the single assumption "the miter differs at this
-// cycle" and, on UNSAT, strengthened into the permanent fact that it does
-// not — so deeper solves reuse everything learned at shallower ones.
-// Options.FromScratch restores the PR-5 fresh-solver-per-depth loop for
-// differential testing and benchmarking.
-func BMCEquivOpts(a, b *sim.Program, clock string, k int, opts Options) (EquivResult, error) {
-	if opts.FromScratch {
-		return bmcEquivScratch(a, b, clock, k, opts)
-	}
-	var res EquivResult
-	g := NewAIG()
-	opts.Clock = clock
-	bSp := opts.Span.Child("blast")
-	u, err := newMiter(g, a, b, opts)
-	if err != nil {
-		bSp.End()
-		return res, err
-	}
-	err = u.init()
-	bSp.End()
-	if err != nil {
-		return res, err
-	}
-	s := NewSolver(0)
-	s.MaxConflicts = opts.MaxConflicts
-	ti := NewIncTseitin(g, s)
+// distinct is "window product states i and j differ" in either model.
+func (u *miter) distinct(i, j int) Lit {
+	return u.g.Or(
+		stateDiff(u.g, u.ma, u.winA[i], u.winA[j], u.sigA),
+		stateDiff(u.g, u.mb, u.winB[i], u.winB[j], u.sigB),
+	)
+}
 
-	// Depths are solved by iterative deepening — one (cheap, usually
-	// structurally collapsed) solve per cycle — which both finds the
-	// earliest possible divergence and beats a single deep solve in
-	// practice: SAT mutants decide at the first reachable depth, and the
-	// shared unrolling prefix is hashed away across depths.
-	for t := 0; t < k; t++ {
-		if err := opts.cancelled(t); err != nil {
-			return res, err
-		}
-		bad, diffs, err := u.step()
-		if err != nil {
-			return res, err
-		}
-		res.Stats.AIGNodes = g.NumNodes()
-		if c, v := g.IsConst(bad); c && !v {
-			continue // structurally identical at this depth: no solve needed
-		}
-		badLit := ti.Lit(bad)
-		dSp := opts.Span.Child("bmc_depth")
-		dSp.SetArg("depth", fmt.Sprintf("%d", t))
-		sat := s.SolveAssuming(badLit)
-		dSp.End()
-		res.Stats.Solves = append(res.Stats.Solves, s.CallStats())
-		if s.Exhausted() {
-			return res, fmt.Errorf("%w: depth %d after %d conflicts", ErrBudget, t, s.Stats().Conflicts)
-		}
-		if sat {
-			res.Depth = t
-			res.Cex = extractCex(u.ma, u.inputs, ti.Vars(), s, diffs, t)
-			if opts.MinimizeCex {
-				res.RawCex = res.Cex
-				minimizeModel(s, ti, badLit, u.inputs)
-				res.Cex = extractCex(u.ma, u.inputs, ti.Vars(), s, diffs, t)
+// cex decodes the base-path stimulus and names a diverging output.
+func (u *miter) cex(s *Solver, vars map[uint32]int, t int) *Counterexample {
+	return extractCex(u.ma, u.in, vars, s, u.diffs, t)
+}
+
+// inputs returns the base-path stimulus variables.
+func (u *miter) inputs() []map[string]Vec { return u.in }
+
+// stateDiff is the "these two window snapshots differ" literal over one
+// model's sequential state: some register or memory word among sigs
+// differs between si and sj.
+func stateDiff(g *AIG, m *Model, si, sj *State, sigs []int) Lit {
+	d := False
+	for _, idx := range sigs {
+		if m.sigs[idx].IsMem {
+			for wd := range si.mems[idx] {
+				d = g.Or(d, g.EqVec(si.mems[idx][wd], sj.mems[idx][wd]).Not())
 			}
-			return res, nil
-		}
-		// UNSAT under the assumption: the miter provably cannot differ at
-		// this cycle, a permanent fact that strengthens deeper solves.
-		s.AddClause(-badLit)
-	}
-	res.Equivalent = true
-	res.Depth = k
-	res.Stats.AIGNodes = g.NumNodes()
-	return res, nil
-}
-
-// bmcEquivScratch is the pre-incremental reference loop: a fresh solver
-// and a fresh Tseitin conversion per depth. Kept as the differential twin
-// of the incremental path (TestIncrementalMatchesScratch and the
-// BenchmarkBMCEquiv / BenchmarkBMCEquivIncremental benchguard pair).
-func bmcEquivScratch(a, b *sim.Program, clock string, k int, opts Options) (EquivResult, error) {
-	var res EquivResult
-	g := NewAIG()
-	opts.Clock = clock
-	u, err := newMiter(g, a, b, opts)
-	if err != nil {
-		return res, err
-	}
-	if err := u.init(); err != nil {
-		return res, err
-	}
-	for t := 0; t < k; t++ {
-		if err := opts.cancelled(t); err != nil {
-			return res, err
-		}
-		bad, diffs, err := u.step()
-		if err != nil {
-			return res, err
-		}
-		res.Stats.AIGNodes = g.NumNodes()
-		if c, v := g.IsConst(bad); c && !v {
 			continue
 		}
-		cnf, vars := g.Tseitin([]Lit{bad})
-		s := NewSolverCNF(cnf)
-		s.MaxConflicts = opts.MaxConflicts
-		dSp := opts.Span.Child("bmc_depth")
-		dSp.SetArg("depth", fmt.Sprintf("%d", t))
-		sat := s.Solve()
-		dSp.End()
-		res.Stats.Solves = append(res.Stats.Solves, s.Stats())
-		if s.Exhausted() {
-			return res, fmt.Errorf("%w: depth %d after %d conflicts", ErrBudget, t, s.Stats().Conflicts)
-		}
-		if !sat {
-			continue
-		}
-		res.Depth = t
-		res.Cex = extractCex(u.ma, u.inputs, vars, s, diffs, t)
-		return res, nil
+		d = g.Or(d, g.EqVec(si.vals[idx], sj.vals[idx]).Not())
 	}
-	res.Equivalent = true
-	res.Depth = k
-	res.Stats.AIGNodes = g.NumNodes()
-	return res, nil
+	return d
 }
 
 // extractCex decodes the SAT model into concrete per-cycle stimulus and
@@ -333,13 +279,6 @@ func extractCex(m *Model, inputs []map[string]Vec, vars map[uint32]int, s *Solve
 		}
 	}
 	return cex
-}
-
-// CombEquiv is bounded equivalence specialized to combinational designs:
-// a depth-1 unrolling (one input application and settle) is exhaustive
-// when neither design carries state.
-func CombEquiv(a, b *sim.Program) (EquivResult, error) {
-	return BMCEquiv(a, b, "", 1)
 }
 
 // ReplayCex drives both sources through fresh simulator instances on the

@@ -40,7 +40,7 @@ module add(input [7:0] a, input [7:0] b, input cin, output [7:0] sum, output cou
     fa f7(.x(a[7]), .y(b[7]), .ci(c7), .s(sum[7]), .co(cout));
 endmodule
 `
-	res, err := CombEquiv(mustCompile(t, flat, "add"), mustCompile(t, ripple, "add"))
+	res, err := BMCEquivOpts(mustCompile(t, flat, "add"), mustCompile(t, ripple, "add"), "", 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestBMCEquivSelfAndDeepBug(t *testing.T) {
 	golden := mustCompile(t, cntGolden, "cnt")
 	bug := mustCompile(t, cntBug, "cnt")
 
-	res, err := BMCEquiv(golden, golden, "clk", 6)
+	res, err := BMCEquivOpts(golden, golden, "clk", 6, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBMCEquivSelfAndDeepBug(t *testing.T) {
 	}
 
 	// The bug needs q > 0x0b: unreachable within a few post-reset cycles.
-	res, err = BMCEquiv(golden, bug, "clk", 5)
+	res, err = BMCEquivOpts(golden, bug, "clk", 5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestBMCEquivSelfAndDeepBug(t *testing.T) {
 		t.Fatalf("divergence needs >= 13 cycles, found cex at depth %d", res.Depth)
 	}
 
-	res, err = BMCEquiv(golden, bug, "clk", 16)
+	res, err = BMCEquivOpts(golden, bug, "clk", 16, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCexSequenceBridge(t *testing.T) {
     assign hit = (q >= d);
 endmodule
 `
-	res, err := BMCEquiv(golden, mustCompile(t, bugSrc, "cnt"), "clk", 8)
+	res, err := BMCEquivOpts(golden, mustCompile(t, bugSrc, "cnt"), "clk", 8, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ endmodule
     assign z = x + 4'd1;
 endmodule
 `
-	res, err := CombEquiv(mustCompile(t, a, "m"), mustCompile(t, b, "m"))
+	res, err := BMCEquivOpts(mustCompile(t, a, "m"), mustCompile(t, b, "m"), "", 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,14 +237,14 @@ endmodule
 endmodule
 `
 	g, b := mustCompile(t, golden, "rf"), mustCompile(t, bug, "rf")
-	res, err := BMCEquiv(g, g, "clk", 4)
+	res, err := BMCEquivOpts(g, g, "clk", 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Equivalent {
 		t.Fatal("register file must be self-equivalent")
 	}
-	res, err = BMCEquiv(g, b, "clk", 4)
+	res, err = BMCEquivOpts(g, b, "clk", 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ endmodule
     end
 endmodule
 `
-	res, err := BMCEquiv(mustCompile(t, golden, "m"), mustCompile(t, shadow, "m"), "clk", 4)
+	res, err := BMCEquivOpts(mustCompile(t, golden, "m"), mustCompile(t, shadow, "m"), "clk", 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package formal
 
 import (
-	"fmt"
+	"errors"
 
 	"uvllm/internal/assert"
 	"uvllm/internal/sim"
@@ -57,76 +57,56 @@ type AssertResult struct {
 // cycle's sampled values (inputs and outputs, the UVM monitor's view)
 // instantiate the property. Unsupported designs return ErrUnsupported.
 func CheckAssertions(prog *sim.Program, clock string, as []assert.Assertion, k int) ([]AssertResult, error) {
-	m, err := newModelShared(NewAIG(), prog, Options{Clock: clock})
-	if err != nil {
-		return nil, err
-	}
-	var out []AssertResult
-	for _, a := range as {
-		res, err := m.checkOne(a, k)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// PromoteAssertions upgrades every provable assertion to its
-// assert.Promoted form (held-on-trace → proved-to-depth-k), returning the
-// upgraded list alongside the refuted and skipped subsets. The input
-// order is preserved in the promoted list: callers can swap it directly
-// into a uvm.Config.
-func PromoteAssertions(prog *sim.Program, clock string, as []assert.Assertion, k int) (promoted []assert.Assertion, refuted []AssertResult, skipped int, err error) {
-	results, err := CheckAssertions(prog, clock, as, k)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	for _, r := range results {
-		switch r.Verdict {
-		case AssertProved:
-			promoted = append(promoted, assert.Promote(r.Assertion, r.Depth))
-		case AssertRefuted:
-			refuted = append(refuted, r)
-			promoted = append(promoted, r.Assertion)
-		default:
-			skipped++
-			promoted = append(promoted, r.Assertion)
-		}
-	}
-	return promoted, refuted, skipped, nil
+	return checkAssertions(prog, clock, as, k, false)
 }
 
 // InductionAssertions checks each assertion with k-induction: the
 // bounded base case of CheckAssertions plus an inductive step over an
-// arbitrary-state window (the same scheme as InductionEquivOpts).
+// arbitrary-state window (the same loop as InductionEquivOpts).
 // Assertions whose step closes come back AssertProved with Unbounded set
 // — the property holds at every cycle of every post-reset run, not just
 // to depth k.
 func InductionAssertions(prog *sim.Program, clock string, as []assert.Assertion, k int) ([]AssertResult, error) {
-	m, err := newModelShared(NewAIG(), prog, Options{Clock: clock})
+	return checkAssertions(prog, clock, as, k, true)
+}
+
+// checkAssertions runs every assertion through the unrolling loop, each
+// over its own unrolling of one shared model.
+func checkAssertions(prog *sim.Program, clock string, as []assert.Assertion, k int, induct bool) ([]AssertResult, error) {
+	opts := Options{Clock: clock}
+	m, err := newModelShared(NewAIG(), prog, opts)
 	if err != nil {
 		return nil, err
 	}
 	var out []AssertResult
 	for _, a := range as {
-		res, err := m.checkOneInduction(a, k)
+		p, err := newAssertProp(m, a, induct)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, res)
+		res, err := check(m.g, p, k, opts, induct)
+		r := AssertResult{Assertion: a, Verdict: AssertRefuted, Unbounded: res.Unbounded,
+			Depth: res.Depth, Cex: res.Cex, Stats: res.Stats}
+		switch {
+		case errors.Is(err, errSkipped):
+			r = AssertResult{Assertion: a, Verdict: AssertSkipped}
+		case err != nil:
+			return nil, err
+		case res.Equivalent:
+			r.Verdict = AssertProved
+		}
+		out = append(out, r)
 	}
 	return out, nil
 }
 
-// PromoteAssertionsInduction is PromoteAssertions on top of
-// InductionAssertions: assertions proved for all time are promoted with
-// assert.DepthUnbounded instead of a finite depth.
-func PromoteAssertionsInduction(prog *sim.Program, clock string, as []assert.Assertion, k int) (promoted []assert.Assertion, refuted []AssertResult, skipped int, err error) {
-	results, err := InductionAssertions(prog, clock, as, k)
-	if err != nil {
-		return nil, nil, 0, err
-	}
+// PromoteAssertions upgrades every proved assertion to its
+// assert.Promoted form (held-on-trace → proved-to-depth-k, or
+// assert.DepthUnbounded when the inductive step closed), returning the
+// upgraded list alongside the refuted and skipped subsets. The input
+// order is preserved in the promoted list: callers can swap it directly
+// into a uvm.Config.
+func PromoteAssertions(results []AssertResult) (promoted []assert.Assertion, refuted []AssertResult, skipped int) {
 	for _, r := range results {
 		switch r.Verdict {
 		case AssertProved:
@@ -143,195 +123,88 @@ func PromoteAssertionsInduction(prog *sim.Program, clock string, as []assert.Ass
 			promoted = append(promoted, r.Assertion)
 		}
 	}
-	return promoted, refuted, skipped, nil
+	return promoted, refuted, skipped
 }
 
-// checkOneInduction runs one assertion through the interleaved
-// base/step loop: an incremental BMC unrolling from the concrete reset
-// state plus an induction window from a fully symbolic state, with the
-// window's ¬bad and loop-free (register-distinctness) hypotheses
-// accumulated as permanent unit clauses. See InductionEquivOpts for the
-// soundness argument; a budget-exhausted step degrades to the bounded
-// verdict instead of failing.
-func (m *Model) checkOneInduction(a assert.Assertion, k int) (AssertResult, error) {
-	res := AssertResult{Assertion: a}
-	g := m.g
-	stB, err := m.InitState()
-	if err != nil {
-		return res, err
-	}
-	stI := m.FreeState()
-	sBase := NewSolver(0)
-	sBase.MaxConflicts = m.maxConflicts
-	tiB := NewIncTseitin(g, sBase)
-	sInd := NewSolver(0)
-	sInd.MaxConflicts = m.maxConflicts
-	tiI := NewIncTseitin(g, sInd)
-	sigs := m.StateSignals()
-	win := []*State{stI}
-	prevIndBad := False
-	inductionAlive := true
-	var inputsSoFar []map[string]Vec
+// errSkipped ends the check of an assertion form outside the blastable
+// subset; checkAssertions reports it as AssertSkipped.
+var errSkipped = errors.New("formal: assertion form not blastable")
 
-	sample := func(in map[string]Vec, st *State) func(string) (Vec, bool) {
-		return func(name string) (Vec, bool) {
-			if v, ok := in[name]; ok {
-				return v, true
-			}
-			if idx, ok := m.d.SignalIndex(name); ok {
-				return st.vals[idx], true
-			}
-			return nil, false
-		}
-	}
-
-	for t := 0; t < k; t++ {
-		// ---- base case, depth t ----
-		in := m.FreshInputs()
-		inputsSoFar = append(inputsSoFar, in)
-		if stB, err = m.Step(stB, in); err != nil {
-			return res, err
-		}
-		holds, ok := m.blastAssertion(a, sample(in, stB))
-		if !ok {
-			res.Verdict = AssertSkipped
-			return res, nil
-		}
-		bad := holds.Not()
-		res.Stats.AIGNodes = g.NumNodes()
-		if c, v := g.IsConst(bad); !c || v {
-			badLit := tiB.Lit(bad)
-			sat := sBase.SolveAssuming(badLit)
-			res.Stats.Solves = append(res.Stats.Solves, sBase.CallStats())
-			if sBase.Exhausted() {
-				return res, fmt.Errorf("%w: assertion %s at depth %d", ErrBudget, a.Name(), t)
-			}
-			if sat {
-				res.Verdict = AssertRefuted
-				res.Depth = t
-				res.Cex = extractCex(m, inputsSoFar, tiB.Vars(), sBase, nil, t)
-				res.Cex.Signal = a.Name()
-				return res, nil
-			}
-			sBase.AddClause(-badLit)
-		}
-
-		// ---- inductive step, window r = t+1 ----
-		if !inductionAlive {
-			continue
-		}
-		if t > 0 {
-			if c, _ := g.IsConst(prevIndBad); !c {
-				sInd.AddClause(-tiI.Lit(prevIndBad))
-			}
-			for i := 0; i < t; i++ {
-				sInd.AddClause(tiI.Lit(stateDiff(g, m, win[i], win[t], sigs)))
-			}
-		}
-		inI := m.FreshInputs()
-		if stI, err = m.Step(stI, inI); err != nil {
-			// Symbolic-start execution outside the supported subset (e.g. a
-			// loop bound that is only constant from the reset state):
-			// degrade to the bounded verdict.
-			inductionAlive = false
-			err = nil
-			continue
-		}
-		win = append(win, stI)
-		holdsI, ok := m.blastAssertion(a, sample(inI, stI))
-		if !ok {
-			inductionAlive = false
-			continue
-		}
-		indBad := holdsI.Not()
-		if c, v := g.IsConst(indBad); c {
-			if v {
-				inductionAlive = false
-				continue
-			}
-			res.Verdict = AssertProved
-			res.Unbounded = true
-			res.Depth = t + 1
-			return res, nil
-		}
-		indBadLit := tiI.Lit(indBad)
-		sat := sInd.SolveAssuming(indBadLit)
-		res.Stats.Solves = append(res.Stats.Solves, sInd.CallStats())
-		if sInd.Exhausted() {
-			inductionAlive = false
-			continue
-		}
-		if !sat {
-			res.Verdict = AssertProved
-			res.Unbounded = true
-			res.Depth = t + 1
-			res.Stats.AIGNodes = g.NumNodes()
-			return res, nil
-		}
-		prevIndBad = indBad
-	}
-	res.Verdict = AssertProved
-	res.Depth = k
-	res.Stats.AIGNodes = g.NumNodes()
-	return res, nil
+// assertProp is one assertion over one model: "the monitor's sampled
+// values violate it at this cycle".
+type assertProp struct {
+	m    *Model
+	a    assert.Assertion
+	st   *State           // base path state
+	in   []map[string]Vec // base path stimulus, per cycle
+	win  []*State         // window states, free start first
+	sigs []int            // the model's sequential state (StateSignals)
 }
 
-// checkOne unrolls the model and checks one assertion at every depth.
-func (m *Model) checkOne(a assert.Assertion, k int) (AssertResult, error) {
-	res := AssertResult{Assertion: a}
+// newAssertProp starts the base path at the concrete reset state and,
+// under induct, the window at a free state.
+func newAssertProp(m *Model, a assert.Assertion, induct bool) (*assertProp, error) {
 	st, err := m.InitState()
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	g := m.g
-	var inputsSoFar []map[string]Vec
-	for t := 0; t < k; t++ {
-		in := m.FreshInputs()
-		inputsSoFar = append(inputsSoFar, in)
-		if st, err = m.Step(st, in); err != nil {
-			return res, err
-		}
-		// The monitor samples inputs and outputs after the cycle.
-		values := func(name string) (Vec, bool) {
-			if v, ok := in[name]; ok {
-				return v, true
-			}
-			if idx, ok := m.d.SignalIndex(name); ok {
-				return st.vals[idx], true
-			}
-			return nil, false
-		}
-		holds, ok := m.blastAssertion(a, values)
-		if !ok {
-			res.Verdict = AssertSkipped
-			return res, nil
-		}
-		bad := holds.Not()
-		if c, v := g.IsConst(bad); c && !v {
-			continue
-		}
-		cnf, vars := g.Tseitin([]Lit{bad})
-		s := NewSolverCNF(cnf)
-		s.MaxConflicts = m.maxConflicts
-		sat := s.Solve()
-		res.Stats.Solves = append(res.Stats.Solves, s.Stats())
-		if s.Exhausted() {
-			return res, fmt.Errorf("%w: assertion %s at depth %d", ErrBudget, a.Name(), t)
-		}
-		res.Stats.AIGNodes = g.NumNodes()
-		if sat {
-			res.Verdict = AssertRefuted
-			res.Depth = t
-			res.Cex = extractCex(m, inputsSoFar, vars, s, nil, t)
-			res.Cex.Signal = a.Name()
-			return res, nil
-		}
+	p := &assertProp{m: m, a: a, st: st}
+	if induct {
+		p.win, p.sigs = []*State{m.FreeState()}, m.StateSignals()
 	}
-	res.Verdict = AssertProved
-	res.Depth = k
-	res.Stats.AIGNodes = g.NumNodes()
-	return res, nil
+	return p, nil
 }
+
+// advance steps the base path or the window one cycle and instantiates
+// the assertion over the cycle's inputs and post-cycle signal values.
+func (p *assertProp) advance(window bool) (Lit, error) {
+	m := p.m
+	st := p.st
+	if window {
+		st = p.win[len(p.win)-1]
+	}
+	in := m.FreshInputs()
+	st, err := m.Step(st, in)
+	if err != nil {
+		return False, err
+	}
+	if window {
+		p.win = append(p.win, st)
+	} else {
+		p.st = st
+		p.in = append(p.in, in)
+	}
+	// The monitor samples inputs and outputs after the cycle.
+	holds, ok := m.blastAssertion(p.a, func(name string) (Vec, bool) {
+		if v, ok := in[name]; ok {
+			return v, true
+		}
+		if idx, ok := m.d.SignalIndex(name); ok {
+			return st.vals[idx], true
+		}
+		return nil, false
+	})
+	if !ok {
+		return False, errSkipped
+	}
+	return holds.Not(), nil
+}
+
+// distinct is "window states i and j differ".
+func (p *assertProp) distinct(i, j int) Lit {
+	return stateDiff(p.m.g, p.m, p.win[i], p.win[j], p.sigs)
+}
+
+// cex decodes the base-path stimulus; the failing signal is the
+// assertion's name.
+func (p *assertProp) cex(s *Solver, vars map[uint32]int, t int) *Counterexample {
+	c := extractCex(p.m, p.in, vars, s, nil, t)
+	c.Signal = p.a.Name()
+	return c
+}
+
+// inputs returns the base-path stimulus variables.
+func (p *assertProp) inputs() []map[string]Vec { return p.in }
 
 // blastAssertion lowers one structural assertion over the sampled values
 // into a single "holds" literal; ok=false marks unsupported forms.

@@ -96,10 +96,11 @@ func TestPromoteAssertions(t *testing.T) {
 		assert.Bound{Signal: "q", Limit: 4},
 		assert.Invariant{Label: "opaque", Pred: func(map[string]uint64) bool { return true }},
 	}
-	promoted, refuted, skipped, err := PromoteAssertions(prog, "clk", as, 8)
+	results, err := CheckAssertions(prog, "clk", as, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	promoted, refuted, skipped := PromoteAssertions(results)
 	if len(promoted) != len(as) {
 		t.Fatalf("promoted list must preserve length: %d vs %d", len(promoted), len(as))
 	}

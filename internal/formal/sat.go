@@ -53,6 +53,9 @@ type Solver struct {
 	// oracles) skip the same hard instances on every run.
 	MaxConflicts int
 	exhausted    bool
+	// stop, when set, is polled every stopPoll conflicts of a call; a
+	// true answer ends the call the way an exhausted budget does.
+	stop func() bool
 
 	nVars   int
 	arena   []int32   // clauses: a length word, then the literals
@@ -90,6 +93,11 @@ type watch struct {
 	cref  int32
 	other int32
 }
+
+// stopPoll is the conflict interval at which a solve polls its stop
+// check: rare enough to cost nothing, frequent enough that a cancelled
+// context interrupts even a deep miter within milliseconds.
+const stopPoll = 256
 
 const (
 	noLit    int32 = -1
@@ -517,7 +525,8 @@ func (s *Solver) SolveAssuming(assumptions ...int) bool {
 		if confl := s.propagate(); confl != noReason {
 			s.stats.Conflicts++
 			conflictsHere++
-			if s.MaxConflicts > 0 && s.stats.Conflicts-s.callBase.Conflicts >= s.MaxConflicts {
+			if n := s.stats.Conflicts - s.callBase.Conflicts; s.MaxConflicts > 0 && n >= s.MaxConflicts ||
+				s.stop != nil && n%stopPoll == 0 && s.stop() {
 				s.exhausted = true
 				s.cancelUntil(0)
 				return false
@@ -697,9 +706,9 @@ func (s *Solver) CallStats() SolveStats {
 }
 
 // Exhausted reports whether the most recent call gave up on its
-// MaxConflicts budget (in which case its false return is "unknown", not
-// UNSAT). Calling Solve or SolveAssuming again resumes the search under a
-// fresh budget.
+// MaxConflicts budget or its stop check (in which case its false return
+// is "unknown", not UNSAT). Calling Solve or SolveAssuming again resumes
+// the search under a fresh budget.
 func (s *Solver) Exhausted() bool { return s.exhausted }
 
 // --- activity heap -----------------------------------------------------

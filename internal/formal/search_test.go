@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"uvllm/internal/assert"
 	"uvllm/internal/dataset"
 	"uvllm/internal/faultgen"
 	"uvllm/internal/formal"
@@ -101,6 +102,32 @@ solve c=5 d=99 p=862 r=0 l=4 vars=382 clauses=1026
 solve c=25 d=157 p=5003 r=0 l=22 vars=1063 clauses=3036
 solve c=14 d=103 p=5887 r=0 l=14 vars=1847 clauses=5322
 solve c=60 d=200 p=17916 r=0 l=59 vars=2734 clauses=7922`},
+		{"bmc-acc", pinBMCSources(formal.AccAdd, formal.AccSub, "acc", formal.Options{}), `
+eq=true unbounded=false depth=8 nodes=1862
+solve c=44 d=67 p=1285 r=0 l=43 vars=104 clauses=285
+solve c=421 d=687 p=23969 r=5 l=420 vars=346 clauses=984
+solve c=458 d=796 p=24605 r=5 l=457 vars=590 clauses=1689
+solve c=347 d=686 p=18679 r=4 l=346 vars=834 clauses=2394
+solve c=367 d=645 p=17811 r=4 l=366 vars=1078 clauses=3099
+solve c=347 d=631 p=18605 r=4 l=346 vars=1322 clauses=3804
+solve c=437 d=801 p=23382 r=5 l=436 vars=1566 clauses=4509
+solve c=402 d=759 p=21750 r=5 l=401 vars=1810 clauses=5214`},
+		{"bmc-acc-budget", pinBMCSources(formal.AccAdd, formal.AccSub, "acc", formal.Options{MaxConflicts: 200}), `
+eq=false unbounded=false depth=0 nodes=356
+solve c=44 d=67 p=1285 r=0 l=43 vars=104 clauses=285
+solve c=200 d=285 p=11344 r=2 l=199 vars=346 clauses=984
+err formal: solver conflict budget exhausted: depth 1 after 244 conflicts`},
+		{"bmc-minimize-cex", pinBMC("lifo_stack/FuncBitwidth-0", formal.Options{MinimizeCex: true}), `
+eq=false unbounded=false depth=4 nodes=2260
+solve c=154 d=417 p=19290 r=2 l=151 vars=678 clauses=1947
+solve c=223 d=898 p=42083 r=2 l=219 vars=1400 clauses=3939
+solve c=370 d=1491 p=96904 r=4 l=370 vars=2122 clauses=6003
+raw cycle=4 signal=dout weight=18 | 0: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 1: din=0x10 pop=0x0 push=0x1 rst_n=0x1 | 2: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 3: din=0x9d pop=0x1 push=0x1 rst_n=0x1 | 4: din=0x40 pop=0x0 push=0x1 rst_n=0x1
+cex cycle=4 signal=dout weight=11 | 0: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 1: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 2: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 3: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 4: din=0x80 pop=0x0 push=0x1 rst_n=0x1`},
+		{"assert-sat9-unbounded", pinAssertion(formal.ModSaturate, "sat9", assert.Bound{Signal: "q", Limit: 9}), `
+bound_q proved unbounded=true depth=2 nodes=142
+solve c=0 d=4 p=33 r=0 l=0 vars=33 clauses=84
+solve c=4 d=6 p=117 r=0 l=3 vars=80 clauses=224`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -206,48 +233,100 @@ func pinRandom3SAT(t *testing.T) string {
 }
 
 // pinInduction runs one dataset (golden, mutant) pair through
-// InductionEquivOpts at the conventional depth and records the verdict,
-// every per-depth solve and the counterexample.
+// InductionEquivOpts at the conventional depth and records it with
+// equivRecord.
 func pinInduction(id string, opts formal.Options) func(t *testing.T) string {
 	return func(t *testing.T) string {
-		mod, _, _ := strings.Cut(id, "/")
-		m := dataset.ByName(mod)
-		var mutant string
-		for _, c := range faultgen.FunctionalClasses() {
-			for _, f := range faultgen.Generate(m, c) {
-				if f.ID == id {
-					mutant = f.Source
-				}
-			}
-		}
-		if mutant == "" {
-			t.Fatalf("fault %s not generated", id)
-		}
-		a, err := sim.CompileSource(m.Source, m.Top, sim.BackendCompiled)
+		a, b, clock := datasetPair(t, id)
+		return equivRecord(formal.InductionEquivOpts(a, b, clock, formal.DefaultBMCDepth, opts))
+	}
+}
+
+// pinBMC is pinInduction through BMCEquivOpts: the base path alone.
+func pinBMC(id string, opts formal.Options) func(t *testing.T) string {
+	return func(t *testing.T) string {
+		a, b, clock := datasetPair(t, id)
+		return equivRecord(formal.BMCEquivOpts(a, b, clock, formal.DefaultBMCDepth, opts))
+	}
+}
+
+// pinBMCSources runs BMCEquivOpts at the conventional depth on two
+// sources of one top module clocked by clk.
+func pinBMCSources(srcA, srcB, top string, opts formal.Options) func(t *testing.T) string {
+	return func(t *testing.T) string {
+		return equivRecord(formal.BMCEquivOpts(compile(t, srcA, top), compile(t, srcB, top), "clk",
+			formal.DefaultBMCDepth, opts))
+	}
+}
+
+// pinAssertion runs one assertion through InductionAssertions at the
+// conventional depth and records its verdict and every solve.
+func pinAssertion(src, top string, a assert.Assertion) func(t *testing.T) string {
+	return func(t *testing.T) string {
+		rs, err := formal.InductionAssertions(compile(t, src, top), "clk", []assert.Assertion{a}, formal.DefaultBMCDepth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := sim.CompileSource(mutant, m.Top, sim.BackendCompiled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := formal.InductionEquivOpts(a, b, m.Clock, formal.DefaultBMCDepth, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := []string{fmt.Sprintf("eq=%v unbounded=%v depth=%d nodes=%d",
-			res.Equivalent, res.Unbounded, res.Depth, res.Stats.AIGNodes)}
-		for _, cs := range res.Stats.Solves {
+		r := rs[0]
+		lines := []string{fmt.Sprintf("%s %v unbounded=%v depth=%d nodes=%d",
+			r.Assertion.Name(), r.Verdict, r.Unbounded, r.Depth, r.Stats.AIGNodes)}
+		for _, cs := range r.Stats.Solves {
 			lines = append(lines, statsLine("solve", cs))
 		}
-		if res.RawCex != nil {
-			lines = append(lines, "raw "+cexLine(res.RawCex))
-		}
-		if res.Cex != nil {
-			lines = append(lines, "cex "+cexLine(res.Cex))
+		if r.Cex != nil {
+			lines = append(lines, "cex "+cexLine(r.Cex))
 		}
 		return strings.Join(lines, "\n")
 	}
+}
+
+// datasetPair compiles one dataset fault's (golden, mutant) pair.
+func datasetPair(t *testing.T, id string) (a, b *sim.Program, clock string) {
+	t.Helper()
+	mod, _, _ := strings.Cut(id, "/")
+	m := dataset.ByName(mod)
+	var mutant string
+	for _, c := range faultgen.FunctionalClasses() {
+		for _, f := range faultgen.Generate(m, c) {
+			if f.ID == id {
+				mutant = f.Source
+			}
+		}
+	}
+	if mutant == "" {
+		t.Fatalf("fault %s not generated", id)
+	}
+	return compile(t, m.Source, m.Top), compile(t, mutant, m.Top), m.Clock
+}
+
+// compile compiles one source on the compiled backend or fails the test.
+func compile(t *testing.T, src, top string) *sim.Program {
+	t.Helper()
+	p, err := sim.CompileSource(src, top, sim.BackendCompiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// equivRecord renders an equivalence check: the verdict, every
+// per-depth solve, the raw and final counterexamples and the error.
+func equivRecord(res formal.EquivResult, err error) string {
+	lines := []string{fmt.Sprintf("eq=%v unbounded=%v depth=%d nodes=%d",
+		res.Equivalent, res.Unbounded, res.Depth, res.Stats.AIGNodes)}
+	for _, cs := range res.Stats.Solves {
+		lines = append(lines, statsLine("solve", cs))
+	}
+	if res.RawCex != nil {
+		lines = append(lines, "raw "+cexLine(res.RawCex))
+	}
+	if res.Cex != nil {
+		lines = append(lines, "cex "+cexLine(res.Cex))
+	}
+	if err != nil {
+		lines = append(lines, "err "+err.Error())
+	}
+	return strings.Join(lines, "\n")
 }
 
 // cexLine renders a counterexample: its divergence and every input of

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"uvllm/internal/core"
@@ -203,8 +204,8 @@ type Result struct {
 	// Final is the delivered source.
 	Final string `json:"final,omitempty"`
 	// Cancelled reports the job's context was cancelled and the pipeline
-	// stopped at an iteration boundary; the other fields carry whatever
-	// progress was made.
+	// stopped at an iteration boundary, or the proof stopped mid-check;
+	// the other fields carry whatever progress was made.
 	Cancelled bool `json:"cancelled,omitempty"`
 	// Log is the pipeline log.
 	Log []string `json:"log,omitempty"`
@@ -233,11 +234,11 @@ func Execute(spec JobSpec, svc Services, emit func(Event)) Result {
 // equivalence proof. Progress is streamed through emit (which may be
 // nil); the events carry per-iteration verdicts from
 // core.Options.OnProgress and a final formal status. Cancelling ctx
-// stops the repair loop and the formal check at the next iteration or
-// depth boundary, returning a Result with Cancelled set; a span carried
-// by ctx (obs.ContextWith) roots the job's phase trace. ExecuteCtx is
-// safe for concurrent use — all mutable state is job-local or behind
-// the Services' own synchronization.
+// stops the repair loop at the next iteration boundary and the formal
+// check within a few hundred solver conflicts, returning a Result with
+// Cancelled set; a span carried by ctx (obs.ContextWith) roots the
+// job's phase trace. ExecuteCtx is safe for concurrent use — all mutable
+// state is job-local or behind the Services' own synchronization.
 func ExecuteCtx(ctx context.Context, spec JobSpec, svc Services, emit func(Event)) Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -299,7 +300,9 @@ func ExecuteCtx(ctx context.Context, spec JobSpec, svc Services, emit func(Event
 	}
 
 	if (spec.Options.Formal || spec.Options.Induction) && res.Success {
-		out.Formal, out.FormalDetail = prove(ctx, res.Final, in.Golden, m, spec.Options.BMCDepth(), spec.Options.Induction, svc)
+		var cancelled bool
+		out.Formal, out.FormalDetail, cancelled = prove(ctx, res.Final, in.Golden, m, spec.Options.BMCDepth(), spec.Options.Induction, svc)
+		out.Cancelled = out.Cancelled || cancelled
 		emit(Event{Kind: EventFormal, Formal: out.Formal, Message: out.FormalDetail})
 	}
 	return out
@@ -311,20 +314,21 @@ func ExecuteCtx(ctx context.Context, spec JobSpec, svc Services, emit func(Event
 // upgrades the detail to "for all time"; the status strings stay the
 // same three values either way). Designs outside the blastable subset
 // report "unsupported": the simulation verdict stands alone, exactly as
-// in the CLI. The check honours ctx at depth boundaries, traces under
-// the ctx span, and records per-call solver work into the registry's
-// histograms.
-func prove(ctx context.Context, final, golden string, m *dataset.Module, depth int, induction bool, svc Services) (status, detail string) {
+// in the CLI. The check honours ctx down to a solve in flight, traces
+// under the ctx span, and records per-call solver work into the
+// registry's histograms; cancelled reports that the check stopped on
+// ctx.
+func prove(ctx context.Context, final, golden string, m *dataset.Module, depth int, induction bool, svc Services) (status, detail string, cancelled bool) {
 	cache := svc.Cache
 	sp := obs.FromContext(ctx).Child("formal")
 	defer sp.End()
 	g, err := cache.Compile(golden, m.Top, sim.BackendCompiled)
 	if err != nil {
-		return "unsupported", fmt.Sprintf("golden does not compile: %v", err)
+		return "unsupported", fmt.Sprintf("golden does not compile: %v", err), false
 	}
 	c, err := cache.Compile(final, m.Top, sim.BackendCompiled)
 	if err != nil {
-		return "refuted", fmt.Sprintf("delivered source does not compile: %v", err)
+		return "refuted", fmt.Sprintf("delivered source does not compile: %v", err), false
 	}
 	fopts := formal.Options{Ctx: ctx, Span: sp}
 	var res formal.EquivResult
@@ -335,19 +339,19 @@ func prove(ctx context.Context, final, golden string, m *dataset.Module, depth i
 	}
 	recordSolves(svc.Obs, res.Stats.Solves)
 	if err != nil {
-		return "unsupported", fmt.Sprintf("not checked: %v", err)
+		return "unsupported", fmt.Sprintf("not checked: %v", err), errors.Is(err, formal.ErrCancelled)
 	}
 	if res.Equivalent {
 		if res.Unbounded {
 			return "proved", fmt.Sprintf("equivalent to golden for all time — k-induction closed at window %d (%d AIG nodes, %d conflicts)",
-				res.Depth, res.Stats.AIGNodes, res.Stats.Conflicts())
+				res.Depth, res.Stats.AIGNodes, res.Stats.Conflicts()), false
 		}
 		return "proved", fmt.Sprintf("equivalent to golden for every stimulus up to %d cycles (%d AIG nodes, %d conflicts)",
-			depth, res.Stats.AIGNodes, res.Stats.Conflicts())
+			depth, res.Stats.AIGNodes, res.Stats.Conflicts()), false
 	}
 	div, cyc, rerr := formal.ReplayCex(golden, final, m.Top, m.Clock, res.Cex, sim.BackendCompiled)
 	return "refuted", fmt.Sprintf("diverges from golden at post-reset cycle %d on %s (replay: diverged=%v at cycle %d, err=%v); stimulus: %v",
-		res.Cex.Cycle, res.Cex.Signal, div, cyc, rerr, res.Cex.Inputs)
+		res.Cex.Cycle, res.Cex.Signal, div, cyc, rerr, res.Cex.Inputs), false
 }
 
 // solverWorkBuckets bound the solver histograms: exponential, wide
