@@ -2,12 +2,15 @@
 // against the recorded numbers in EXPERIMENTS.md, the CI gate that keeps
 // the documented paper-vs-measured table honest:
 //
-//	go run ./cmd/experiments -table2 | tee /tmp/exp.txt
+//	go run ./cmd/experiments -table2 -formal | tee /tmp/exp.txt
 //	go run ./cmd/expcheck -report /tmp/exp.txt -md EXPERIMENTS.md
 //
 // The evaluation is fully deterministic (seeded oracle), so every metric
-// present in both sources must match to the printed precision. Exit 1 on
-// any mismatch or when the sources share no metrics (format drift).
+// present in both sources must match to the printed precision. When the
+// report carries the equivalence study (-formal), its summary line must
+// also appear in EXPERIMENTS.md, compared after collapsing whitespace
+// and dropping markdown bold markers. Exit 1 on any mismatch or when the
+// sources share no metrics (format drift).
 package main
 
 import (
@@ -69,12 +72,44 @@ func main() {
 	if compared == 0 {
 		fatal(fmt.Errorf("headline formats share no metrics (parser drift?)"))
 	}
+	if summary := studySummary(repLines); summary != "" {
+		if strings.Contains(flatten(mdLines), summary) {
+			fmt.Printf("expcheck: ok equivalence study summary\n")
+		} else {
+			fmt.Fprintf(os.Stderr, "expcheck: MISMATCH equivalence study summary not recorded in %s:\n  %s\n", *md, summary)
+			failed++
+		}
+	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "expcheck: %d/%d headline metrics diverged from %s — rerun cmd/experiments and update the table\n",
-			failed, compared, *md)
+		fmt.Fprintf(os.Stderr, "expcheck: %d check(s) diverged from %s — rerun cmd/experiments and update the tables\n",
+			failed, *md)
 		os.Exit(1)
 	}
 	fmt.Printf("expcheck: all %d shared headline metrics match\n", compared)
+}
+
+// studyLineRe matches the equivalence study's summary line
+// (exp.FormatEquiv):
+//
+//	"27/27 modules supported; golden self-equivalent 27/27 (27 unbounded); ..."
+var studyLineRe = regexp.MustCompile(`^\d+/\d+ modules supported; `)
+
+// studySummary returns the report's equivalence study summary line with
+// its whitespace collapsed, or "" when the report has none.
+func studySummary(lines []string) string {
+	for _, ln := range lines {
+		if studyLineRe.MatchString(ln) {
+			return strings.Join(strings.Fields(ln), " ")
+		}
+	}
+	return ""
+}
+
+// flatten joins the markdown into one line with its whitespace collapsed
+// and bold markers dropped, so a summary wrapped or emphasised in the
+// prose still matches.
+func flatten(lines []string) string {
+	return strings.Join(strings.Fields(strings.ReplaceAll(strings.Join(lines, " "), "**", "")), " ")
 }
 
 // reportLineRe matches FormatHeadline rows:

@@ -290,3 +290,50 @@ func (g *AIG) Eval(assign func(node uint32) bool, roots []Lit) []bool {
 	}
 	return out
 }
+
+// evalWords is Eval over 64 assignments at once: pattern gives each
+// input variable's value under all 64, one per bit, and each root's 64
+// values come back the same way. Nodes are created after their fanins,
+// so one ascending pass over the marked cone evaluates it in order.
+func (g *AIG) evalWords(pattern func(node uint32) uint64, roots []Lit) []uint64 {
+	cone := make([]bool, len(g.nodes))
+	lo := uint32(len(g.nodes))
+	stack := make([]uint32, 0, len(roots))
+	for _, r := range roots {
+		stack = append(stack, r.Node())
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n == 0 || cone[n] {
+			continue
+		}
+		cone[n] = true
+		lo = min(lo, n)
+		if nd := g.nodes[n]; nd.a != varSentinel {
+			stack = append(stack, nd.a.Node(), nd.b.Node())
+		}
+	}
+	val := make([]uint64, len(g.nodes))
+	word := func(l Lit) uint64 {
+		if l.Neg() {
+			return ^val[l.Node()]
+		}
+		return val[l.Node()]
+	}
+	for n := lo; n < uint32(len(g.nodes)); n++ {
+		if !cone[n] {
+			continue
+		}
+		if nd := g.nodes[n]; nd.a == varSentinel {
+			val[n] = pattern(n)
+		} else {
+			val[n] = word(nd.a) & word(nd.b)
+		}
+	}
+	out := make([]uint64, len(roots))
+	for i, r := range roots {
+		out[i] = word(r)
+	}
+	return out
+}

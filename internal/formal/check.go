@@ -12,6 +12,10 @@ type property interface {
 	// cycle under fresh inputs and returns the literal "the property
 	// fails at this cycle".
 	advance(window bool) (Lit, error)
+	// strengthen runs once, before the window's first cycle: it may
+	// constrain the window's free start by invariants it proves itself
+	// and returns its solver calls. Its only error is cancellation.
+	strengthen(opts Options) ([]SolveStats, error)
 	// distinct is the literal "window states i and j differ" over the
 	// sequential state (state 0 is the free start).
 	distinct(i, j int) Lit
@@ -35,21 +39,26 @@ type property interface {
 // With induct, each depth also runs one round of Sheeran-style
 // k-induction on a second solver: window round r = t+1 asks whether the
 // property can first fail at the r-th cycle of the free-state window.
-// The hypotheses — ¬bad at window cycles 1..r-1 and pairwise
+// Before the first round the property may strengthen the window with
+// invariants it proves itself (the miter's signal correspondence, see
+// corr.go); refutations at depth 0 end before that and never pay for
+// it. The hypotheses — ¬bad at window cycles 1..r-1 and pairwise
 // distinctness of the window states (the loop-free path constraint that
 // makes k-induction complete) — grow monotonically with r, so each is
 // committed as a permanent clause. An UNSAT step at round r, together
 // with the base answers at depths 0..r-1, proves the property for all
 // time (Unbounded, Depth = r): any reachable failure would embed a
-// loop-free window satisfying the round-r query. A window that leaves
-// the blastable subset, fails structurally, or exhausts its conflict
-// budget degrades the check to plain bounded BMC.
+// loop-free window satisfying the round-r query, and every reachable
+// state satisfies the proved invariants. A window that leaves the
+// blastable subset, fails structurally, or exhausts its conflict budget
+// degrades the check to plain bounded BMC.
 //
 // A base-side exhaustion is ErrBudget. Options.Ctx is checked before
 // every depth and interrupts a solve in flight; either way the check
-// reports ErrCancelled.
-func check(g *AIG, p property, k int, opts Options, induct bool) (EquivResult, error) {
-	var res EquivResult
+// reports ErrCancelled. Stats.AIGNodes is the graph size at whichever
+// exit the check takes.
+func check(g *AIG, p property, k int, opts Options, induct bool) (res EquivResult, err error) {
+	defer func() { res.Stats.AIGNodes = g.NumNodes() }()
 	sBase := opts.solver()
 	tiB := NewIncTseitin(g, sBase)
 	var sInd *Solver
@@ -72,7 +81,6 @@ func check(g *AIG, p property, k int, opts Options, induct bool) (EquivResult, e
 		if err != nil {
 			return res, err
 		}
-		res.Stats.AIGNodes = g.NumNodes()
 		if c, v := g.IsConst(bad); !c || v {
 			badLit := tiB.Lit(bad)
 			sp := opts.Span.Child(baseSpan)
@@ -106,7 +114,13 @@ func check(g *AIG, p property, k int, opts Options, induct bool) (EquivResult, e
 		if !inductionAlive {
 			continue
 		}
-		if t > 0 {
+		if t == 0 {
+			solves, err := p.strengthen(opts)
+			res.Stats.Solves = append(res.Stats.Solves, solves...)
+			if err != nil {
+				return res, err
+			}
+		} else {
 			// Commit the monotone hypotheses that round t established:
 			// the window cannot first fail at cycle t, and window state t
 			// is distinct from every earlier one.
@@ -150,13 +164,11 @@ func check(g *AIG, p property, k int, opts Options, induct bool) (EquivResult, e
 		}
 		if !sat {
 			res.Equivalent, res.Unbounded, res.Depth = true, true, t+1
-			res.Stats.AIGNodes = g.NumNodes()
 			return res, nil
 		}
 		prevIndBad = indBad
 	}
 	res.Equivalent = true
 	res.Depth = k
-	res.Stats.AIGNodes = g.NumNodes()
 	return res, nil
 }

@@ -72,8 +72,11 @@ type EquivResult struct {
 
 // BMCStats aggregates per-depth solver work of one bounded check.
 type BMCStats struct {
-	AIGNodes int          // graph size after the full unrolling
-	Solves   []SolveStats // one entry per depth actually solved
+	AIGNodes int // graph size after the full unrolling
+	// Solves has one entry per solver call, in call order: each depth or
+	// window round actually solved, and each refinement solve of an
+	// induction check's signal correspondence.
+	Solves []SolveStats
 }
 
 // Conflicts sums the conflict counts over all depths.
@@ -103,12 +106,19 @@ func BMCEquivOpts(a, b *sim.Program, clock string, k int, opts Options) (EquivRe
 
 // InductionEquivOpts is BMCEquivOpts plus Sheeran-style k-induction:
 // each depth also runs one inductive-step round over a window that
-// starts from a fully symbolic product state (every register and memory
-// word of both models a free variable), upgrading "equivalent to depth
+// starts from a symbolic product state, upgrading "equivalent to depth
 // k" into "equivalent for all time" (Equivalent and Unbounded, Depth =
-// the closing window) whenever the step closes. A step that exhausts its
-// conflict budget degrades to plain bounded BMC for the remaining
-// depths; a base-side exhaustion is ErrBudget as in BMCEquivOpts.
+// the closing window) whenever the step closes. At its first round the
+// step proves a signal correspondence — the same-named signals of a and
+// b that agree after reset and stay equal from any state where they all
+// agree — and starts the window from one free state in which b's
+// corresponding bits are a's variables, so an inert mutant folds into
+// its golden and typically closes at window 1; the refinement's solves
+// are part of Stats.Solves. A refinement or step that exhausts its
+// conflict budget degrades (to independent free states, or to plain
+// bounded BMC for the remaining depths); a base-side exhaustion is
+// ErrBudget as in BMCEquivOpts. The correspondence never touches the
+// base path, so no refutation depends on it.
 func InductionEquivOpts(a, b *sim.Program, clock string, k int, opts Options) (EquivResult, error) {
 	return equiv(a, b, clock, k, opts, true)
 }
@@ -130,15 +140,18 @@ func equiv(a, b *sim.Program, clock string, k int, opts Options, induct bool) (E
 // miter is the equivalence property of two models over one shared AIG:
 // "some output differs at this cycle". The base path starts both models
 // from their concrete post-reset states; the induction window, when
-// present, from independent free states.
+// present, from free states — independent ones, until strengthen proves
+// a signal correspondence and shares the corresponding bits.
 type miter struct {
-	g          *AIG
-	ma, mb     *Model
-	sta, stb   *State           // base path states
-	in         []map[string]Vec // base path stimulus (a's variables), per cycle
-	diffs      []Lit            // per-output difference literals of the latest base cycle
-	winA, winB []*State         // window product states, free start first
-	sigA, sigB []int            // each model's sequential state (StateSignals)
+	g              *AIG
+	ma, mb         *Model
+	sta, stb       *State           // base path states
+	resetA, resetB *State           // the post-reset states the base path started from
+	in             []map[string]Vec // base path stimulus (a's variables), per cycle
+	diffs          []Lit            // per-output difference literals of the latest base cycle
+	winA, winB     []*State         // window product states, free start first
+	winIn          map[string]Vec   // inputs of the window's first cycle, when strengthen allocated them
+	sigA, sigB     []int            // each model's sequential state (StateSignals)
 }
 
 // newMiter blasts both programs into one graph and sets up the base
@@ -161,6 +174,7 @@ func newMiter(g *AIG, a, b *sim.Program, opts Options, induct bool) (*miter, err
 	if u.stb, err = mb.InitState(); err != nil {
 		return nil, err
 	}
+	u.resetA, u.resetB = u.sta, u.stb
 	if induct {
 		u.winA, u.winB = []*State{ma.FreeState()}, []*State{mb.FreeState()}
 		u.sigA, u.sigB = ma.StateSignals(), mb.StateSignals()
@@ -176,17 +190,14 @@ func (u *miter) advance(window bool) (Lit, error) {
 		sta, stb = u.winA[len(u.winA)-1], u.winB[len(u.winB)-1]
 	}
 	inA := u.ma.FreshInputs()
-	inB := map[string]Vec{}
-	for _, p := range u.mb.FreeInputs() {
-		if v, ok := inA[p.Name]; ok {
-			inB[p.Name] = v
-		}
+	if window && len(u.winA) == 1 && u.winIn != nil {
+		inA = u.winIn
 	}
 	sta, err := u.ma.Step(sta, inA)
 	if err != nil {
 		return False, err
 	}
-	if stb, err = u.mb.Step(stb, inB); err != nil {
+	if stb, err = u.mb.Step(stb, u.sharedInputs(inA)); err != nil {
 		return False, err
 	}
 	g := u.g
@@ -213,6 +224,19 @@ func (u *miter) advance(window bool) (Lit, error) {
 		u.in = append(u.in, inA)
 	}
 	return bad, nil
+}
+
+// sharedInputs gives b a's input variables for every free input b also
+// has; b's other inputs hold their previous values (the harness never
+// sets them).
+func (u *miter) sharedInputs(inA map[string]Vec) map[string]Vec {
+	inB := map[string]Vec{}
+	for _, p := range u.mb.FreeInputs() {
+		if v, ok := inA[p.Name]; ok {
+			inB[p.Name] = v
+		}
+	}
+	return inB
 }
 
 // distinct is "window product states i and j differ" in either model.

@@ -3,6 +3,7 @@ package formal_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"uvllm/internal/dataset"
@@ -109,6 +110,65 @@ func TestEquivMatchesEnumeration(t *testing.T) {
 		checked, refuted, equivalent, unbounded, unsupported)
 	if refuted == 0 || equivalent == 0 {
 		t.Fatal("the oracle must see both verdicts")
+	}
+}
+
+// TestUnboundedSurvivesDeepBMC checks every all-time proof over the
+// dataset without the inductive step: each (golden, golden) and (golden,
+// functional mutant) pair that InductionEquivOpts proves Unbounded at
+// the conventional depth k must stay equivalent under plain BMC to
+// depth 3k+2. Each pair's signal correspondence must also come out the
+// same with and without the random run that prunes its candidates.
+func TestUnboundedSurvivesDeepBMC(t *testing.T) {
+	const k = formal.DefaultBMCDepth
+	var pairs, claims int
+	for _, m := range dataset.All() {
+		golden, err := sim.CompileSource(m.Source, m.Top, sim.BackendCompiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources := map[string]string{m.Name + "/self": m.Source}
+		for _, c := range faultgen.FunctionalClasses() {
+			for _, f := range faultgen.Generate(m, c) {
+				sources[f.ID] = f.Source
+			}
+		}
+		for id, src := range sources {
+			mutant, err := sim.CompileSource(src, m.Top, sim.BackendCompiled)
+			if err != nil {
+				continue // a functional fault the front end rejects
+			}
+			pairs++
+			ind, err := formal.InductionEquivOpts(golden, mutant, m.Clock, k, formal.Options{})
+			if errors.Is(err, formal.ErrUnsupported) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: induction: %v", id, err)
+			}
+			filtered, err := formal.Correspondence(golden, mutant, m.Clock, true)
+			if err != nil {
+				t.Fatalf("%s: correspondence: %v", id, err)
+			}
+			if full, _ := formal.Correspondence(golden, mutant, m.Clock, false); !reflect.DeepEqual(filtered, full) {
+				t.Errorf("%s: the random run changed the proved correspondence: %v, without it %v", id, filtered, full)
+			}
+			if !ind.Unbounded {
+				continue
+			}
+			claims++
+			bmc, err := formal.BMCEquivOpts(golden, mutant, m.Clock, 3*k+2, formal.Options{})
+			if err != nil {
+				t.Fatalf("%s: bmc: %v", id, err)
+			}
+			if !bmc.Equivalent {
+				t.Errorf("UNSOUND: %s proved unbounded at window %d, BMC refutes at depth %d", id, ind.Depth, bmc.Depth)
+			}
+		}
+	}
+	t.Logf("%d pairs, %d unbounded claims checked to depth %d", pairs, claims, 3*k+2)
+	if claims == 0 {
+		t.Fatal("no unbounded claim to check")
 	}
 }
 

@@ -190,6 +190,10 @@ func (p *assertProp) advance(window bool) (Lit, error) {
 	return holds.Not(), nil
 }
 
+// strengthen proves nothing: an assertion over one model has no second
+// design to correspond with.
+func (p *assertProp) strengthen(Options) ([]SolveStats, error) { return nil, nil }
+
 // distinct is "window states i and j differ".
 func (p *assertProp) distinct(i, j int) Lit {
 	return stateDiff(p.m.g, p.m, p.win[i], p.win[j], p.sigs)

@@ -68,40 +68,42 @@ unsat c=97 d=123 p=3560 r=1 l=89 vars=311 clauses=862`},
 5.3 unsat c=0 d=0 p=0 r=0 l=0 vars=80 clauses=303 core=[-18] min=[-18] total c=178 d=308 p=4147 r=0 l=174 vars=80 clauses=303
 5.4 unsat c=2 d=0 p=90 r=0 l=2 vars=80 clauses=303 core=[72 -29] min=[72] total c=183 d=335 p=4454 r=0 l=177 vars=80 clauses=303`},
 		{"minimize-cex", pinInduction("lifo_stack/FuncBitwidth-0", formal.Options{MinimizeCex: true}), `
-eq=false unbounded=false depth=4 nodes=8878
-solve c=3 d=164 p=1163 r=0 l=3 vars=1034 clauses=2664
-solve c=65 d=3509 p=68305 r=1 l=65 vars=2315 clauses=6479
+eq=false unbounded=false depth=4 nodes=8481
+solve c=1 d=122 p=1279 r=0 l=1 vars=901 clauses=2373
+solve c=67 d=2816 p=49133 r=1 l=67 vars=2087 clauses=5903
 solve c=154 d=417 p=19290 r=2 l=151 vars=678 clauses=1947
-solve c=28 d=2434 p=78142 r=0 l=28 vars=4011 clauses=11540
+solve c=17 d=664 p=25212 r=0 l=17 vars=3673 clauses=10634
 solve c=223 d=898 p=42083 r=2 l=219 vars=1400 clauses=3939
-solve c=16 d=794 p=45713 r=0 l=16 vars=6122 clauses=17847
+solve c=9 d=627 p=35323 r=0 l=9 vars=5659 clauses=16566
 solve c=370 d=1491 p=96904 r=4 l=370 vars=2122 clauses=6003
 raw cycle=4 signal=dout weight=18 | 0: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 1: din=0x10 pop=0x0 push=0x1 rst_n=0x1 | 2: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 3: din=0x9d pop=0x1 push=0x1 rst_n=0x1 | 4: din=0x40 pop=0x0 push=0x1 rst_n=0x1
 cex cycle=4 signal=dout weight=11 | 0: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 1: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 2: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 3: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 4: din=0x80 pop=0x0 push=0x1 rst_n=0x1`},
 		{"vending-unbounded", pinInduction("vending_machine/FuncCondition-0", formal.Options{}), `
-eq=true unbounded=true depth=6 nodes=6596
-solve c=5 d=99 p=862 r=0 l=4 vars=382 clauses=1026
-solve c=25 d=157 p=5003 r=0 l=22 vars=1063 clauses=3036
-solve c=14 d=103 p=5887 r=0 l=14 vars=1847 clauses=5322
-solve c=64 d=271 p=21501 r=1 l=64 vars=2734 clauses=7922
-solve c=74 d=218 p=25598 r=1 l=74 vars=3724 clauses=10832
-solve c=489 d=1013 p=207970 r=5 l=486 vars=4817 clauses=14052`},
+eq=true unbounded=true depth=1 nodes=491`},
 		{"ram-bounded", pinInduction("ram_sp/FuncDeclType-1", formal.Options{}), `
-eq=true unbounded=false depth=8 nodes=48313
-solve c=4 d=273 p=2626 r=0 l=4 vars=1055 clauses=2385
-solve c=194 d=29293 p=377474 r=2 l=194 vars=3622 clauses=10001
-solve c=59 d=3869 p=146359 r=0 l=59 vars=7260 clauses=20879
-solve c=9 d=463 p=24664 r=0 l=9 vars=11985 clauses=35019
-solve c=8 d=2464 p=119418 r=0 l=8 vars=17797 clauses=52421
-solve c=9 d=1786 p=121498 r=0 l=9 vars=24696 clauses=73085
-solve c=8 d=1607 p=147210 r=0 l=8 vars=32682 clauses=97011
-solve c=11 d=2892 p=331472 r=0 l=11 vars=41755 clauses=124199`},
+eq=true unbounded=true depth=1 nodes=1324`},
 		{"vending-budget", pinInduction("vending_machine/FuncCondition-0", formal.Options{MaxConflicts: 60}), `
-eq=true unbounded=false depth=8 nodes=5009
-solve c=5 d=99 p=862 r=0 l=4 vars=382 clauses=1026
-solve c=25 d=157 p=5003 r=0 l=22 vars=1063 clauses=3036
-solve c=14 d=103 p=5887 r=0 l=14 vars=1847 clauses=5322
-solve c=60 d=200 p=17916 r=0 l=59 vars=2734 clauses=7922`},
+eq=true unbounded=true depth=1 nodes=491`},
+		{"fifo-unbounded", pinInduction("fifo_sync/FuncCondition-0", formal.Options{}), `
+eq=true unbounded=true depth=1 nodes=903`},
+		{"seq-refine", pinInduction("seq_detector/FuncDeclType-0", formal.Options{}), `
+eq=false unbounded=false depth=3 nodes=1639
+solve c=30 d=43 p=1486 r=0 l=28 vars=227 clauses=651
+solve c=4 d=9 p=229 r=0 l=4 vars=88 clauses=243
+solve c=7 d=21 p=688 r=0 l=7 vars=326 clauses=914
+solve c=4 d=3 p=211 r=0 l=3 vars=145 clauses=426
+solve c=12 d=37 p=1932 r=0 l=12 vars=633 clauses=1802
+solve c=2 d=6 p=627 r=0 l=2 vars=314 clauses=884
+cex cycle=3 signal=z weight=7 | 0: rst_n=0x1 x=0x1 | 1: rst_n=0x1 x=0x0 | 2: rst_n=0x1 x=0x1 | 3: rst_n=0x1 x=0x1`},
+		{"seq-budget", pinInduction("seq_detector/FuncDeclType-0", formal.Options{MaxConflicts: 20}), `
+eq=false unbounded=false depth=3 nodes=1737
+solve c=20 d=32 p=1023 r=0 l=19 vars=227 clauses=651
+solve c=4 d=9 p=229 r=0 l=4 vars=88 clauses=243
+solve c=7 d=22 p=689 r=0 l=7 vars=327 clauses=914
+solve c=4 d=3 p=211 r=0 l=3 vars=145 clauses=426
+solve c=10 d=36 p=1813 r=0 l=10 vars=634 clauses=1802
+solve c=2 d=6 p=627 r=0 l=2 vars=314 clauses=884
+cex cycle=3 signal=z weight=7 | 0: rst_n=0x1 x=0x1 | 1: rst_n=0x1 x=0x0 | 2: rst_n=0x1 x=0x1 | 3: rst_n=0x1 x=0x1`},
 		{"bmc-acc", pinBMCSources(formal.AccAdd, formal.AccSub, "acc", formal.Options{}), `
 eq=true unbounded=false depth=8 nodes=1862
 solve c=44 d=67 p=1285 r=0 l=43 vars=104 clauses=285
