@@ -222,7 +222,7 @@ var simHotLoopModules = []string{"fifo_sync", "alu", "traffic_light", "adder_32b
 func benchSimBackend(b *testing.B, backend sim.Backend, cycles *obs.Counter) {
 	type dut struct {
 		m *dataset.Module
-		s *sim.Simulator
+		s *sim.Instance
 	}
 	var duts []dut
 	for _, name := range simHotLoopModules {

@@ -46,7 +46,7 @@ func main() {
 	}
 
 	if *cov {
-		runs, cum, err := rtlgen.CoverSweepLanes(*seed, *n, *cycles, *lanes)
+		runs, cum, err := rtlgen.CoverSweep(*seed, *n, *cycles, *lanes)
 		if err != nil {
 			fatal(err)
 		}
@@ -78,8 +78,8 @@ func main() {
 				os.Exit(1)
 			}
 			if *lanes > 1 {
-				if err := rtlgen.DiffBatchLanes(d.Source, d.Top, d.Clock, *lanes, *cycles, d.Seed); err != nil {
-					fmt.Fprintf(os.Stderr, "rtlgen: seed %d (%s): batch diverged: %v\n%s\n",
+				if _, err := rtlgen.DiffLanes(d.Source, d.Top, d.Clock, *lanes, *cycles, d.Seed); err != nil {
+					fmt.Fprintf(os.Stderr, "rtlgen: seed %d (%s): lane engines diverged: %v\n%s\n",
 						d.Seed, d.Flavor, err, d.Source)
 					os.Exit(1)
 				}

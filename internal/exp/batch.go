@@ -53,7 +53,7 @@ func (s *Session) BatchAmortizationStudy(lanes, cycles int) ([]BatchAmortRow, er
 		if err != nil {
 			return rows, fmt.Errorf("exp: batch study: %s (sequential): %w", name, err)
 		}
-		bat, err := timeBatchLanes(p, m, lanes, cycles)
+		bat, err := timeLanes(m, lanes, cycles, newBatch(p, m, lanes))
 		if err != nil {
 			return rows, fmt.Errorf("exp: batch study: %s (batch): %w", name, err)
 		}
@@ -118,18 +118,25 @@ func timeSequentialLanes(p *sim.Program, m *dataset.Module, lanes, cycles int) (
 	return time.Since(start), nil
 }
 
-// timeBatchLanes runs the same total work as one `lanes`-lane sim.Batch
-// driven through the flat row API and returns the wall time.
-func timeBatchLanes(p *sim.Program, m *dataset.Module, lanes, cycles int) (time.Duration, error) {
+// newBatch builds the batch side of the studies: one `lanes`-lane
+// sim.Batch of p.
+func newBatch(p *sim.Program, m *dataset.Module, lanes int) func() (sim.LaneEngine, error) {
+	return func() (sim.LaneEngine, error) { return sim.NewBatch(p, lanes, m.Clock) }
+}
+
+// timeLanes runs the same stimulus stream as timeSequentialLanes, as flat
+// rows, through one lane engine of `lanes` lanes — construction and the
+// reset phase included — and returns the wall time.
+func timeLanes(m *dataset.Module, lanes, cycles int, build func() (sim.LaneEngine, error)) (time.Duration, error) {
 	start := time.Now()
-	b, err := sim.NewBatch(p, lanes, m.Clock)
+	eng, err := build()
 	if err != nil {
 		return 0, err
 	}
-	if err := b.ApplyReset(2); err != nil {
+	if err := eng.ApplyReset(2); err != nil {
 		return 0, err
 	}
-	ports := b.Ports()
+	ports := eng.Ports()
 	rstIdx := -1
 	for i, pt := range ports {
 		if m.HasReset && pt.Name == "rst_n" {
@@ -149,13 +156,13 @@ func timeBatchLanes(p *sim.Program, m *dataset.Module, lanes, cycles int) (time.
 				rows[k][rstIdx] = 1
 			}
 		}
-		if err := b.Cycle(rows); err != nil {
+		if err := eng.Cycle(rows); err != nil {
 			return 0, err
 		}
-		for k := range rows {
-			if err := b.Err(k); err != nil {
-				return 0, err
-			}
+	}
+	for k := range rows {
+		if err := eng.Err(k); err != nil {
+			return 0, err
 		}
 	}
 	return time.Since(start), nil

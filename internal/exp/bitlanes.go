@@ -12,7 +12,6 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"uvllm/internal/dataset"
 	"uvllm/internal/psim"
@@ -59,11 +58,17 @@ func (s *Session) BitSimAmortizationStudy(cycles int) ([]BitAmortRow, error) {
 		if err != nil {
 			return rows, fmt.Errorf("exp: bitlanes study: %s (sequential): %w", name, err)
 		}
-		bat, err := timeBatchLanes(p, m, batchLanes, cycles)
+		bat, err := timeLanes(m, batchLanes, cycles, newBatch(p, m, batchLanes))
 		if err != nil {
 			return rows, fmt.Errorf("exp: bitlanes study: %s (batch): %w", name, err)
 		}
-		bit, err := timeBitLanes(p, m, bitAmortLanes, cycles)
+		bit, err := timeLanes(m, bitAmortLanes, cycles, func() (sim.LaneEngine, error) {
+			e, err := psim.NewEngine(p, bitAmortLanes, m.Clock)
+			if err == nil {
+				e.SetRecord(false) // the throughput consumers screen without waveforms
+			}
+			return e, err
+		})
 		if err != nil {
 			return rows, fmt.Errorf("exp: bitlanes study: %s (bit-parallel): %w", name, err)
 		}
@@ -80,47 +85,6 @@ func (s *Session) BitSimAmortizationStudy(cycles int) ([]BitAmortRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// timeBitLanes runs the same stimulus stream as the batch driver through
-// one `lanes`-lane bit-parallel engine with recording off — engine
-// construction (bit-blasting the cycle circuit) included, matching the
-// root benchmark — and returns the wall time.
-func timeBitLanes(p *sim.Program, m *dataset.Module, lanes, cycles int) (time.Duration, error) {
-	start := time.Now()
-	eng, err := psim.NewEngine(p, lanes, m.Clock)
-	if err != nil {
-		return 0, err
-	}
-	eng.SetRecord(false)
-	if err := eng.ApplyReset(2); err != nil {
-		return 0, err
-	}
-	ports := eng.Ports()
-	rstIdx := -1
-	for i, pt := range ports {
-		if m.HasReset && pt.Name == "rst_n" {
-			rstIdx = i
-		}
-	}
-	rows := make([][]uint64, lanes)
-	for k := range rows {
-		rows[k] = make([]uint64, len(ports))
-	}
-	for c := 0; c < cycles; c++ {
-		for k := range rows {
-			for i, pt := range ports {
-				rows[k][i] = amortStim(k, c, pt)
-			}
-			if rstIdx >= 0 {
-				rows[k][rstIdx] = 1
-			}
-		}
-		if err := eng.Cycle(rows); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
 }
 
 // FormatBitSimAmortization renders the study as the EXPERIMENTS.md table.

@@ -205,41 +205,63 @@ func earliestDivergence(a, b *sim.Program, clock string, free []sim.PortInfo, bi
 	if err := bb.ApplyReset(formal.ResetCycles); err != nil {
 		return 0, err
 	}
-	has := map[string]bool{}
-	for _, p := range b.Design().Inputs() {
-		has[p.Name] = true
+	// Ports the mutant lacks read zero on its side.
+	outB := map[string]int{}
+	for i, p := range b.Design().Outputs() {
+		outB[p.Name] = i
 	}
-	insA, insB := make([]map[string]uint64, lanes), make([]map[string]uint64, lanes)
+	var ra, rb []uint64
 	for t := 0; t < depth; t++ {
-		for k := range insA {
-			seq := uint64(k) >> (t * bits)
-			insA[k], insB[k] = map[string]uint64{}, map[string]uint64{}
-			for _, p := range free {
-				v := seq & (1<<p.Width - 1)
-				seq >>= p.Width
-				insA[k][p.Name] = v
-				if has[p.Name] {
-					insB[k][p.Name] = v
-				}
-			}
-		}
-		if err := ba.CycleMaps(insA); err != nil {
+		if err := ba.Cycle(enumRows(ba, a.Design(), free, bits, t)); err != nil {
 			return 0, err
 		}
-		if err := bb.CycleMaps(insB); err != nil {
+		if err := bb.Cycle(enumRows(bb, b.Design(), free, bits, t)); err != nil {
 			return 0, err
 		}
 		for k := 0; k < lanes; k++ {
 			if ba.Err(k) != nil || bb.Err(k) != nil {
 				return 0, fmt.Errorf("lane %d at cycle %d: %v / %v", k, t, ba.Err(k), bb.Err(k))
 			}
-			outB := bb.Outputs(k)
-			for name, v := range ba.Outputs(k) {
-				if outB[name] != v {
+			ra, rb = ba.OutputRow(k, ra), bb.OutputRow(k, rb)
+			for i, p := range a.Design().Outputs() {
+				var w uint64
+				if j, ok := outB[p.Name]; ok {
+					w = rb[j]
+				}
+				if ra[i] != w {
 					return t, nil
 				}
 			}
 		}
 	}
 	return -1, nil
+}
+
+// enumRows lays cycle t of every lane's input sequence out in bt's row
+// layout: the free inputs from the lane's sequence bits, the reset held
+// at its deasserted value, and any other input at zero, the value it
+// holds when never driven.
+func enumRows(bt *sim.Batch, d *sim.Design, free []sim.PortInfo, bits, t int) [][]uint64 {
+	rst, deassert := sim.FindResetDeassert(d)
+	col := map[string]int{}
+	ports := bt.Ports()
+	for i, p := range ports {
+		col[p.Name] = i
+	}
+	rows := make([][]uint64, bt.Lanes())
+	for k := range rows {
+		row := make([]uint64, len(ports))
+		if i, ok := col[rst]; ok {
+			row[i] = deassert
+		}
+		seq := uint64(k) >> (t * bits)
+		for _, p := range free {
+			if i, ok := col[p.Name]; ok {
+				row[i] = seq & (1<<p.Width - 1)
+			}
+			seq >>= p.Width
+		}
+		rows[k] = row
+	}
+	return rows
 }

@@ -15,19 +15,17 @@ import (
 // transposed on the way in; recorded waveform rows are transposed back on
 // the way out, once per port per cycle.
 //
-// The protocol is exactly the harness cycle contract (sim.Batch's): apply
-// inputs, settle, pulse the clock, record a waveform row with the clock
-// low. Lanes are independent simulations; a nil stimulus row masks a lane
-// out of a cycle (it neither advances nor records), which is also how
-// callers retire short lanes mid-run. On the supported subset
+// The protocol is exactly the harness cycle contract (sim.LaneEngine's):
+// apply inputs, settle, pulse the clock, record a waveform row with the
+// clock low. Lanes are independent simulations; a nil stimulus row masks
+// a lane out of a cycle (it neither advances nor records), which is also
+// how callers retire short lanes mid-run. On the supported subset
 // (formal.NewCircuit succeeds) lanes cannot error: every construct the
 // circuit models evaluates totally.
 type Engine struct {
 	c     *formal.Circuit
 	m     *Machine
-	prog  *sim.Program
 	d     *sim.Design
-	clock string
 	lanes int
 
 	state [][]uint64   // per signal: vecW(width) bit-sliced words
@@ -36,17 +34,17 @@ type Engine struct {
 	record bool
 	waves  []*sim.Waveform
 	recIdx []int // arena index per recorded name, Waveform Names() order
+	outIdx []int // arena index per output, output declaration order
 
 	act01 [][]uint64 // nil when activity tracking is off
 	act10 [][]uint64
 
-	cycle int
-
 	stim     [][]uint64 // scratch: per free input, width stimulus words
 	applyM   []uint64   // scratch: per free input, lanes applying this cycle
-	inNames  map[string]int
 	laneRows [][]uint64 // scratch: per lane, one row in waveform name order
 }
+
+var _ sim.LaneEngine = (*Engine)(nil)
 
 // NewEngine builds a bit-parallel engine for 1..64 lanes of p under the
 // given clock name (taken literally; "" selects the combinational
@@ -62,12 +60,10 @@ func NewEngine(p *sim.Program, lanes int, clock string) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		c: c, m: NewMachine(c.G), prog: p, d: p.Design(),
-		clock: clock, lanes: lanes, record: true,
-		inNames: map[string]int{},
+		c: c, m: NewMachine(c.G), d: p.Design(),
+		lanes: lanes, record: true,
 	}
-	for i, pt := range c.Free {
-		e.inNames[pt.Name] = i
+	for i := range c.Free {
 		e.stim = append(e.stim, make([]uint64, len(c.In[i])))
 	}
 	e.applyM = make([]uint64, len(c.Free))
@@ -95,6 +91,9 @@ func NewEngine(p *sim.Program, lanes int, clock string) (*Engine, error) {
 	}
 	for _, pt := range e.d.Outputs() {
 		names = append(names, pt.Name)
+		if idx, ok := e.d.SignalIndex(pt.Name); ok {
+			e.outIdx = append(e.outIdx, idx)
+		}
 	}
 	for k := 0; k < lanes; k++ {
 		w := sim.NewWaveform(names)
@@ -119,12 +118,6 @@ func NewEngine(p *sim.Program, lanes int, clock string) (*Engine, error) {
 // Lanes returns the lane count.
 func (e *Engine) Lanes() int { return e.lanes }
 
-// Ops returns the compiled per-sweep gate count (a size diagnostic).
-func (e *Engine) Ops() int { return e.m.Ops() }
-
-// CycleCount returns the number of cycles driven so far.
-func (e *Engine) CycleCount() int { return e.cycle }
-
 // Ports returns the row stimulus layout: the non-clock inputs in
 // declaration order, identical to sim.Batch.Ports.
 func (e *Engine) Ports() []sim.PortInfo { return append([]sim.PortInfo(nil), e.c.Free...) }
@@ -133,6 +126,9 @@ func (e *Engine) Ports() []sim.PortInfo { return append([]sim.PortInfo(nil), e.c
 // standalone Harness waveform).
 func (e *Engine) Wave(k int) *sim.Waveform { return e.waves[k] }
 
+// Err is always nil: on the supported subset a lane cannot error.
+func (e *Engine) Err(k int) error { return nil }
+
 // SetRecord switches waveform recording on or off (on by default).
 // Scoring-only consumers (the directed-stimulus BitLanes rounds) switch
 // it off so speculative cycles do not grow 64 waveforms.
@@ -140,8 +136,8 @@ func (e *Engine) SetRecord(on bool) { e.record = on }
 
 // Broadcast re-initializes every lane's state from one concrete instance
 // arena: all 64 lanes become exact copies of inst (signals and memories).
-// Waveforms and the cycle counter are not touched. A freshly constructed
-// engine is broadcast from a fresh Instance, matching sim.NewBatch.
+// Waveforms are not touched. A freshly constructed engine is broadcast
+// from a fresh Instance, matching sim.NewBatch.
 func (e *Engine) Broadcast(inst *sim.Instance) {
 	for i, sv := range e.c.Sigs {
 		spread(e.state[i], inst.Get(sv.Name))
@@ -190,7 +186,6 @@ func (e *Engine) Cycle(rows [][]uint64) error {
 		packStim(&col, e.stim[i], e.lanes)
 	}
 	e.cycleWords(active, false)
-	e.cycle++
 	return nil
 }
 
@@ -219,86 +214,43 @@ func packStim(col *[64]uint64, dst []uint64, lanes int) {
 	}
 }
 
-// CycleMaps drives one cycle with per-lane map stimulus under the
-// standalone Harness.Cycle application semantics: inputs present in a
-// lane's map are applied, absent inputs hold their values, a nil map
-// masks the lane out. Keys must name non-clock design inputs (the clock
-// key is ignored, as in the harness); other keys are an error — the
-// bit-parallel engine cannot honor the harness's internal-signal pokes.
-func (e *Engine) CycleMaps(ins []map[string]uint64) error {
-	if len(ins) != e.lanes {
-		return fmt.Errorf("psim: cycle: %d stimulus maps for %d lanes", len(ins), e.lanes)
-	}
-	var active uint64
-	for i := range e.c.Free {
-		e.applyM[i] = 0
-	}
-	cols := make([][64]uint64, len(e.c.Free))
-	for k, in := range ins {
-		if in == nil {
-			continue
-		}
-		active |= 1 << uint(k)
-		for name, v := range in {
-			i, ok := e.inNames[name]
-			if !ok {
-				if name == e.clock && e.clock != "" {
-					continue
-				}
-				return fmt.Errorf("psim: cycle: lane %d stimulus names %q, not a free input", k, name)
-			}
-			e.applyM[i] |= 1 << uint(k)
-			cols[i][k] = v
-		}
-	}
-	for i := range e.c.Free {
-		packStim(&cols[i], e.stim[i], e.lanes)
-	}
-	e.cycleWords(active, false)
-	e.cycle++
-	return nil
-}
-
 // ApplyReset drives the conventional reset sequence on every lane —
 // assert for cycles clock edges (recorded, other inputs holding), then
 // deassert and settle without a waveform row — mirroring
 // Harness.ApplyReset and sim.Batch.ApplyReset. Designs without a
 // recognized reset input are untouched.
 func (e *Engine) ApplyReset(cycles int) error {
-	name, activeLow := sim.FindReset(e.d)
+	name, deassert := sim.FindResetDeassert(e.d)
 	if name == "" {
 		return nil
 	}
-	assert, deassert := uint64(1), uint64(0)
-	if activeLow {
-		assert, deassert = 0, 1
-	}
-	in := map[string]uint64{name: assert}
-	ins := make([]map[string]uint64, e.lanes)
-	for k := range ins {
-		ins[k] = in
-	}
-	for i := 0; i < cycles; i++ {
-		if err := e.CycleMaps(ins); err != nil {
-			return err
+	col := -1
+	for i, pt := range e.c.Free {
+		if pt.Name == name {
+			col = i
 		}
+	}
+	if col < 0 {
+		return fmt.Errorf("psim: reset input %q is not free", name)
+	}
+	all := allLanes(e.lanes)
+	drive := func(v uint64) {
+		for i := range e.applyM {
+			e.applyM[i] = 0
+		}
+		e.applyM[col] = all
+		for b := range e.stim[col] {
+			e.stim[col][b] = -(v >> uint(b) & 1) & all
+		}
+	}
+	drive(deassert ^ 1)
+	for i := 0; i < cycles; i++ {
+		e.cycleWords(all, false)
 	}
 	// Deassert + settle: inputs applied, combinational logic settled, no
 	// clock pulse, no waveform row — the harness's Set+Settle instant.
-	i, ok := e.inNames[name]
-	if !ok {
-		return fmt.Errorf("psim: reset input %q is not free", name)
-	}
-	for j := range e.c.Free {
-		e.applyM[j] = 0
-	}
-	var col [64]uint64
-	for k := 0; k < e.lanes; k++ {
-		col[k] = deassert
-	}
-	packStim(&col, e.stim[i], e.lanes)
-	e.applyM[i] = allLanes(e.lanes)
-	e.cycleWords(allLanes(e.lanes), true)
+	drive(deassert)
+	e.cycleWords(all, true)
 	return nil
 }
 
@@ -415,15 +367,14 @@ func lane(words []uint64, k int) uint64 {
 	return v
 }
 
-// Outputs samples lane k's top-level outputs without advancing time.
-func (e *Engine) Outputs(k int) map[string]uint64 {
-	outs := map[string]uint64{}
-	for _, pt := range e.d.Outputs() {
-		if idx, ok := e.d.SignalIndex(pt.Name); ok {
-			outs[pt.Name] = lane(e.state[idx], k)
-		}
+// OutputRow samples lane k's outputs into buf (grown as needed) in the
+// output declaration order, mirroring sim.Batch.OutputRow.
+func (e *Engine) OutputRow(k int, buf []uint64) []uint64 {
+	buf = buf[:0]
+	for _, idx := range e.outIdx {
+		buf = append(buf, lane(e.state[idx], k))
 	}
-	return outs
+	return buf
 }
 
 // Get reads lane k's current value of a signal by name (0 when unknown),

@@ -13,207 +13,21 @@
 // The subset discipline mirrors internal/formal: designs the bit-blaster
 // cannot model (event-scheduler fallback, oversized memories, edge
 // triggers on signals other than the clock and the conventional reset)
-// are reported via formal.ErrUnsupported, and the Lanes
-// wrapper falls back to sim.Batch transparently — callers get one API
-// that is always correct and bit-parallel when possible. On the supported
-// subset the traces are byte-identical to sim.Batch and the standalone
-// Harness (enforced by rtlgen's DiffBitSim differential gate and fuzz
-// target).
+// are reported via formal.ErrUnsupported, and the lane consumers run
+// them on sim.Batch, the other sim.LaneEngine. On the supported subset
+// the traces are byte-identical to sim.Batch and the standalone Harness
+// (enforced by rtlgen's DiffLanes differential gate and fuzz target).
 package psim
 
 import (
-	"fmt"
-
 	"uvllm/internal/formal"
 	"uvllm/internal/sim"
 )
 
-// ResetCycles is the reset preamble length of the differential protocol
-// (ApplyReset(2)), shared with internal/formal.
-const ResetCycles = formal.ResetCycles
-
 // Supported reports whether p can run bit-parallel under the given clock
 // name: nil, or a formal.ErrUnsupported-wrapped reason. It is the same
-// check Lanes construction performs before falling back to sim.Batch.
+// check NewEngine performs.
 func Supported(p *sim.Program, clock string) error {
 	_, err := formal.NewCircuit(p, clock, formal.Options{})
 	return err
-}
-
-// Lanes is the always-correct multi-lane front end: bit-parallel Engines
-// (in chunks of up to 64 lanes) when the design is in the supported
-// subset, a sim.Batch otherwise. The cycle protocol, row layout, waveform
-// shape and per-lane observables are identical on both paths.
-type Lanes struct {
-	eng   []*Engine
-	b     *sim.Batch
-	lanes int
-	ports []sim.PortInfo
-}
-
-// NewLanes builds a lane runner for `lanes` lanes of p under the given
-// clock name (taken literally, as in sim.NewBatch). Designs outside the
-// bit-parallel subset fall back to sim.Batch; a non-nil error means even
-// the fallback could not be constructed.
-func NewLanes(p *sim.Program, lanes int, clock string) (*Lanes, error) {
-	if lanes < 1 {
-		return nil, fmt.Errorf("psim: lanes must be >= 1, got %d", lanes)
-	}
-	l := &Lanes{lanes: lanes}
-	if err := Supported(p, clock); err == nil {
-		for off := 0; off < lanes; off += 64 {
-			n := lanes - off
-			if n > 64 {
-				n = 64
-			}
-			e, err := NewEngine(p, n, clock)
-			if err != nil {
-				l.eng = nil
-				break
-			}
-			l.eng = append(l.eng, e)
-		}
-	}
-	if l.eng == nil {
-		b, err := sim.NewBatch(p, lanes, clock)
-		if err != nil {
-			return nil, err
-		}
-		l.b = b
-		l.ports = b.Ports()
-		return l, nil
-	}
-	l.ports = l.eng[0].Ports()
-	return l, nil
-}
-
-// BitParallel reports which path the runner took: true for the
-// bit-parallel engines, false for the sim.Batch fallback.
-func (l *Lanes) BitParallel() bool { return l.b == nil }
-
-// Lanes returns the lane count.
-func (l *Lanes) Lanes() int { return l.lanes }
-
-// Ports returns the row stimulus layout: the non-clock inputs in
-// declaration order (identical on both paths).
-func (l *Lanes) Ports() []sim.PortInfo { return l.ports }
-
-// chunk locates lane k's engine and its local lane index.
-func (l *Lanes) chunk(k int) (*Engine, int) {
-	return l.eng[k/64], k % 64
-}
-
-// Cycle drives one cycle on every unmasked lane; rows[k] aligns with
-// Ports(), nil masks lane k (it neither advances nor records).
-func (l *Lanes) Cycle(rows [][]uint64) error {
-	if len(rows) != l.lanes {
-		return fmt.Errorf("psim: cycle: %d rows for %d lanes", len(rows), l.lanes)
-	}
-	if l.b != nil {
-		return l.b.Cycle(rows)
-	}
-	for ci, e := range l.eng {
-		if err := e.Cycle(rows[ci*64 : ci*64+e.Lanes()]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ApplyReset drives the conventional reset sequence on every lane,
-// mirroring sim.Batch.ApplyReset.
-func (l *Lanes) ApplyReset(cycles int) error {
-	if l.b != nil {
-		return l.b.ApplyReset(cycles)
-	}
-	for _, e := range l.eng {
-		if err := e.ApplyReset(cycles); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Wave returns lane k's recorded waveform.
-func (l *Lanes) Wave(k int) *sim.Waveform {
-	if l.b != nil {
-		return l.b.Wave(k)
-	}
-	e, kk := l.chunk(k)
-	return e.Wave(kk)
-}
-
-// Outputs samples lane k's top-level outputs without advancing time.
-func (l *Lanes) Outputs(k int) map[string]uint64 {
-	if l.b != nil {
-		return l.b.Outputs(k)
-	}
-	e, kk := l.chunk(k)
-	return e.Outputs(kk)
-}
-
-// Err returns the error that made lane k inert. Bit-parallel lanes cannot
-// error on the supported subset, so the engine path always reports nil;
-// the fallback path reports sim.Batch's per-lane errors.
-func (l *Lanes) Err(k int) error {
-	if l.b != nil {
-		return l.b.Err(k)
-	}
-	return nil
-}
-
-// Get reads lane k's current value of a signal by name.
-func (l *Lanes) Get(k int, name string) uint64 {
-	if l.b != nil {
-		return l.b.Lane(k).Get(name)
-	}
-	e, kk := l.chunk(k)
-	return e.Get(kk, name)
-}
-
-// GetMem reads lane k's current value of one memory word.
-func (l *Lanes) GetMem(k int, name string, word int) uint64 {
-	if l.b != nil {
-		return l.b.Lane(k).GetMem(name, word)
-	}
-	e, kk := l.chunk(k)
-	return e.GetMem(kk, name, word)
-}
-
-// Run is the one-shot entry point: it builds a lane runner for one
-// stimulus stream per lane, applies the differential reset preamble
-// (ApplyReset(ResetCycles)), and drives every lane to the end of its
-// stream. stim[k] is lane k's per-cycle rows aligned with Ports(); lanes
-// may have different lengths — a lane whose stream is exhausted retires
-// (its state freezes and it stops recording) while longer lanes continue.
-// The returned runner holds every lane's waveform, outputs and final
-// state, on whichever path (bit-parallel or fallback) was taken.
-func Run(p *sim.Program, clock string, stim [][][]uint64) (*Lanes, error) {
-	l, err := NewLanes(p, len(stim), clock)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.ApplyReset(ResetCycles); err != nil {
-		return nil, err
-	}
-	maxLen := 0
-	for _, s := range stim {
-		if len(s) > maxLen {
-			maxLen = len(s)
-		}
-	}
-	rows := make([][]uint64, len(stim))
-	for c := 0; c < maxLen; c++ {
-		for k, s := range stim {
-			if c < len(s) {
-				rows[k] = s[c]
-			} else {
-				rows[k] = nil // retired: shorter lanes don't pay for long ones
-			}
-		}
-		if err := l.Cycle(rows); err != nil {
-			return nil, err
-		}
-	}
-	return l, nil
 }

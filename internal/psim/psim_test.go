@@ -1,6 +1,7 @@
 package psim
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -98,7 +99,7 @@ func TestMachineAgreesWithEval(t *testing.T) {
 // lanes of random full-row stimulus, bit-parallel and standalone, and
 // requires byte-identical outputs, waveforms and final state (signals and
 // memories). This is the in-package identity check; the adversarial
-// differential gate over generated designs lives in rtlgen (DiffBitSim).
+// differential gate over generated designs lives in rtlgen (DiffLanes).
 func TestEngineMatchesHarness(t *testing.T) {
 	supported := 0
 	for _, mod := range dataset.All() {
@@ -149,19 +150,14 @@ func TestEngineMatchesHarness(t *testing.T) {
 				t.Fatalf("%s cycle %d: %v", mod.Name, cyc, err)
 			}
 			for k, h := range refs {
-				in := map[string]uint64{}
-				for i, pt := range ports {
-					in[pt.Name] = rows[k][i]
-				}
-				out, err := h.Cycle(in)
-				if err != nil {
+				if err := h.CycleRow(rows[k]); err != nil {
 					t.Fatalf("%s lane %d cycle %d: harness: %v", mod.Name, k, cyc, err)
 				}
-				got := e.Outputs(k)
-				for name, v := range out {
-					if got[name] != v {
-						t.Fatalf("%s lane %d cycle %d output %s: psim=0x%x harness=0x%x",
-							mod.Name, k, cyc, name, got[name], v)
+				want, got := h.OutputRow(nil), e.OutputRow(k, nil)
+				for i, v := range want {
+					if got[i] != v {
+						t.Fatalf("%s lane %d cycle %d output %d: psim=0x%x harness=0x%x",
+							mod.Name, k, cyc, i, got[i], v)
 					}
 				}
 			}
@@ -201,144 +197,10 @@ func TestEngineMatchesHarness(t *testing.T) {
 	t.Logf("bit-parallel subset: %d/%d dataset modules", supported, len(dataset.All()))
 }
 
-// TestCycleMapsHoldSemantics checks the per-lane hold path: inputs absent
-// from a stimulus map keep their previous value, exactly like the
-// standalone harness.
-func TestCycleMapsHoldSemantics(t *testing.T) {
-	mod := dataset.ByName("fifo_sync")
-	if mod == nil {
-		t.Skip("fifo_sync not in dataset")
-	}
-	p, err := sim.CompileSource(mod.Source, mod.Top, sim.BackendCompiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Supported(p, mod.Clock); err != nil {
-		t.Skipf("fifo_sync unsupported: %v", err)
-	}
-	const lanes = 4
-	e, err := NewEngine(p, lanes, mod.Clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := make([]*sim.Harness, lanes)
-	for k := range refs {
-		inst, _ := p.NewInstance()
-		refs[k] = sim.NewHarness(inst, mod.Clock)
-	}
-	if err := e.ApplyReset(2); err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range refs {
-		if err := h.ApplyReset(2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(11))
-	ports := e.Ports()
-	for cyc := 0; cyc < 30; cyc++ {
-		ins := make([]map[string]uint64, lanes)
-		for k := range ins {
-			in := map[string]uint64{}
-			for _, pt := range ports {
-				if rng.Intn(3) == 0 {
-					continue // hold this input on this lane
-				}
-				in[pt.Name] = rng.Uint64() & maskW(pt.Width)
-			}
-			ins[k] = in
-		}
-		if err := e.CycleMaps(ins); err != nil {
-			t.Fatal(err)
-		}
-		for k, h := range refs {
-			out, err := h.Cycle(ins[k])
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := e.Outputs(k)
-			for name, v := range out {
-				if got[name] != v {
-					t.Fatalf("cycle %d lane %d output %s: psim=0x%x harness=0x%x", cyc, k, name, got[name], v)
-				}
-			}
-		}
-	}
-}
-
-// TestRunRetirement drives lanes of different lengths through Run and
-// checks each lane's waveform stops at its own stream length.
-func TestRunRetirement(t *testing.T) {
-	mod := dataset.ByName("fifo_sync")
-	if mod == nil {
-		t.Skip("fifo_sync not in dataset")
-	}
-	p, err := sim.CompileSource(mod.Source, mod.Top, sim.BackendCompiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLanes(p, 1, mod.Clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ports := l.Ports()
-	rng := rand.New(rand.NewSource(3))
-	const lanes = 70 // exercises engine chunking too (two engines)
-	stim := make([][][]uint64, lanes)
-	for k := range stim {
-		n := 5 + k%7
-		stim[k] = make([][]uint64, n)
-		for c := range stim[k] {
-			row := make([]uint64, len(ports))
-			for i, pt := range ports {
-				row[i] = rng.Uint64() & maskW(pt.Width)
-			}
-			stim[k][c] = row
-		}
-	}
-	run, err := Run(p, mod.Clock, stim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resetRows := 0
-	if name, _ := sim.FindReset(p.Design()); name != "" {
-		resetRows = ResetCycles
-	}
-	for k := range stim {
-		if got, want := run.Wave(k).Cycles(), resetRows+len(stim[k]); got != want {
-			t.Fatalf("lane %d: wave cycles %d, want %d", k, got, want)
-		}
-	}
-	// Each lane's trace must match a standalone run of the same stream.
-	for _, k := range []int{0, 3, 64, 69} {
-		inst, _ := p.NewInstance()
-		h := sim.NewHarness(inst, mod.Clock)
-		if err := h.ApplyReset(ResetCycles); err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range stim[k] {
-			in := map[string]uint64{}
-			for i, pt := range ports {
-				in[pt.Name] = row[i]
-			}
-			if _, err := h.Cycle(in); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, n := range h.Wave.Names() {
-			for cyc := 0; cyc < h.Wave.Cycles(); cyc++ {
-				if run.Wave(k).At(n, cyc) != h.Wave.At(n, cyc) {
-					t.Fatalf("lane %d wave %s@%d diverges from standalone", k, n, cyc)
-				}
-			}
-		}
-	}
-}
-
 // TestFallbackUnsupported checks that a design outside the subset (an
 // edge trigger on a data strobe, which is neither the clock nor the
-// conventional reset) transparently falls back to sim.Batch and still
-// produces harness-identical traces.
+// conventional reset) is rejected with formal.ErrUnsupported — the lane
+// consumers' cue to run it on sim.Batch instead.
 func TestFallbackUnsupported(t *testing.T) {
 	src := `module ff(input clk, input strobe, input d, output reg q);
 always @(posedge strobe) q <= d;
@@ -347,31 +209,10 @@ endmodule`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Supported(p, "clk"); err == nil {
-		t.Fatal("strobe-triggered design unexpectedly supported")
+	if err := Supported(p, "clk"); !errors.Is(err, formal.ErrUnsupported) {
+		t.Fatalf("strobe-triggered design: Supported = %v, want ErrUnsupported", err)
 	}
-	l, err := NewLanes(p, 3, "clk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.BitParallel() {
-		t.Fatal("expected sim.Batch fallback")
-	}
-	if err := l.ApplyReset(2); err != nil {
-		t.Fatal(err)
-	}
-	rows := [][]uint64{{1, 1}, {1, 0}, {0, 1}}
-	// Ports are strobe, d in declaration order.
-	if got := l.Ports(); len(got) != 2 || got[0].Name != "strobe" || got[1].Name != "d" {
-		t.Fatalf("unexpected port layout: %+v", got)
-	}
-	if err := l.Cycle(rows); err != nil {
-		t.Fatal(err)
-	}
-	if q := l.Outputs(0)["q"]; q != 1 {
-		t.Fatalf("lane 0 q=%d, want 1", q)
-	}
-	if q := l.Outputs(1)["q"]; q != 0 {
-		t.Fatalf("lane 1 q=%d, want 0", q)
+	if _, err := NewEngine(p, 3, "clk"); !errors.Is(err, formal.ErrUnsupported) {
+		t.Fatalf("strobe-triggered design: NewEngine error = %v, want ErrUnsupported", err)
 	}
 }

@@ -29,22 +29,16 @@ type CoverRun struct {
 }
 
 // CoverSweep generates designs for seeds seed..seed+n-1 and evaluates
-// each with both stimulus generators at an equal cycle budget. Designs
-// are scored against a cumulative map of generator-shape points (the
-// generator's deterministic naming makes structurally analogous points —
-// "p3.s1.then", "w2[5]" — comparable across designs): a design is kept
-// when its directed run hits shapes no kept design has hit before, so
-// the retained set grows only while the design space still yields new
-// structure. The cumulative map is returned alongside the runs.
-func CoverSweep(seed int64, n, cycles int) ([]CoverRun, *cover.Map, error) {
-	return CoverSweepLanes(seed, n, cycles, 0)
-}
-
-// CoverSweepLanes is CoverSweep with the directed stimulus run through
-// the lane-parallel batch scorer (uvm.CoverageDirectedBatch) when lanes
-// > 1; lanes <= 1 keeps the sequential directed loop. The retention rule
-// and the cycle budget accounting are unchanged.
-func CoverSweepLanes(seed int64, n, cycles, lanes int) ([]CoverRun, *cover.Map, error) {
+// each with both stimulus generators at an equal cycle budget, the
+// directed one scoring `lanes` candidates per round on the batch scorer
+// (one when lanes <= 1). Designs are scored against a cumulative map of
+// generator-shape points (the generator's deterministic naming makes
+// structurally analogous points — "p3.s1.then", "w2[5]" — comparable
+// across designs): a design is kept when its directed run hits shapes no
+// kept design has hit before, so the retained set grows only while the
+// design space still yields new structure. The cumulative map is
+// returned alongside the runs.
+func CoverSweep(seed int64, n, cycles, lanes int) ([]CoverRun, *cover.Map, error) {
 	cum := cover.New()
 	runs, err := coverSweepInto(cum, seed, n, cycles, lanes)
 	return runs, cum, err

@@ -18,7 +18,7 @@ func TestDirectedBeatsRandomMedian(t *testing.T) {
 		nDesigns = 24 // well above the required >=10
 		budget   = 48 // cycles per design per method
 	)
-	runs, _, err := CoverSweep(1, nDesigns, budget)
+	runs, _, err := CoverSweep(1, nDesigns, budget, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCoverSweepKeepLogic(t *testing.T) {
 }
 
 func TestCoverSweepCorporaRecorded(t *testing.T) {
-	runs, cum, err := CoverSweep(5, 3, 24)
+	runs, cum, err := CoverSweep(5, 3, 24, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

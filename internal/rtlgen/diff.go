@@ -32,7 +32,7 @@ var diffCache = sim.NewCacheLimit(512)
 // preserving CompileAndNewBackend's construction-error surface (parse and
 // elaboration errors from the cached compile, reset-time errors from the
 // fresh instance).
-func newSim(src, top string, backend sim.Backend) (*sim.Simulator, error) {
+func newSim(src, top string, backend sim.Backend) (*sim.Instance, error) {
 	return diffCache.Instance(src, top, backend)
 }
 
@@ -500,7 +500,7 @@ func tracesDivergeFrozen(golden, mutant, top, clock string, cycles int, seed int
 
 // copyIn filters a stimulus map down to inputs the (possibly mutated)
 // design still has, so renamed/deleted ports do not error the harness.
-func copyIn(in map[string]uint64, s *sim.Simulator) map[string]uint64 {
+func copyIn(in map[string]uint64, s *sim.Instance) map[string]uint64 {
 	out := make(map[string]uint64, len(in))
 	for k, v := range in {
 		if s.Has(k) {

@@ -121,12 +121,12 @@ func FuzzInductionAgreesWithBMC(f *testing.F) {
 	})
 }
 
-// FuzzBitSimAgreesWithSim is the bit-parallel simulator's differential
-// fuzz target: for a fuzzer-chosen generated design, lane count and
-// cycle budget, psim's lane traces (bit-parallel or fallback, whichever
-// path the design lands on) must stay byte-identical to a sim.Batch and
-// to standalone harness runs — outputs, waveforms, VCD bytes and final
-// state, with staggered lane retirement in the mix.
+// FuzzBitSimAgreesWithSim is the lane engines' differential fuzz target:
+// for a fuzzer-chosen generated design, lane count and cycle budget, the
+// sim.Batch lanes and (on the bit-parallel subset) the psim lanes must
+// stay byte-identical to standalone harness runs — outputs, errors,
+// waveforms, VCD bytes, coverage and final state, with staggered lane
+// retirement in the mix (DiffLanes).
 //
 // Seed corpus: committed under testdata/fuzz/FuzzBitSimAgreesWithSim. Run
 // locally with:
@@ -142,8 +142,8 @@ func FuzzBitSimAgreesWithSim(f *testing.F) {
 		d := Generate(seed)
 		lanes := int(lanesSel)%12 + 1
 		cycles := int(cyclesSel)%24 + 2
-		if _, err := DiffBitSim(d.Source, d.Top, d.Clock, lanes, cycles, seed); err != nil {
-			t.Fatalf("seed %d (%s) lanes %d cycles %d: bit-parallel diverged: %v\n%s",
+		if _, err := DiffLanes(d.Source, d.Top, d.Clock, lanes, cycles, seed); err != nil {
+			t.Fatalf("seed %d (%s) lanes %d cycles %d: lane engines diverged: %v\n%s",
 				seed, d.Flavor, lanes, cycles, err, d.Source)
 		}
 	})

@@ -16,10 +16,9 @@ import (
 // on a strided subset of the small levelized designs the formal engine's
 // bounded-equivalence verdicts agree with simulation (the fourth oracle:
 // golden provably self-equivalent, mutant refutations replayable, bounded
-// proofs unrefuted by random probes), and (e) on a strided subset the
-// bit-parallel lane simulator diffs byte-identical against batch and
-// standalone runs (the fifth oracle), with both its engine and fallback
-// paths exercised.
+// proofs unrefuted by random probes), and (e) on a strided subset both
+// lane engines diff byte-identical against standalone runs (the fifth
+// oracle), with designs on and off the bit-parallel subset exercised.
 func TestSweep(t *testing.T) {
 	const (
 		seeds        = 330
@@ -60,9 +59,9 @@ func TestSweep(t *testing.T) {
 			}
 		}
 		if seed%bitStride == 1 {
-			bp, err := DiffBitSim(d.Source, d.Top, d.Clock, 5, 20, seed)
+			bp, err := DiffLanes(d.Source, d.Top, d.Clock, 5, 20, seed)
 			if err != nil {
-				t.Fatalf("seed %d: bit-parallel oracle diverged: %v\n%s", seed, err, d.Source)
+				t.Fatalf("seed %d: lane oracle diverged: %v\n%s", seed, err, d.Source)
 			}
 			bitChecked++
 			if bp {
@@ -86,12 +85,12 @@ func TestSweep(t *testing.T) {
 		t.Fatal("formal oracle refuted no mutants: the SAT/replay path went unexercised")
 	}
 	if bitParallel == 0 {
-		t.Fatal("bit-parallel oracle never took the engine path")
+		t.Fatal("lane oracle never took the psim leg")
 	}
 	if bitParallel == bitChecked {
-		t.Fatal("bit-parallel oracle never exercised the sim.Batch fallback")
+		t.Fatal("lane oracle never ran a design on the batch alone")
 	}
-	t.Logf("swept %d designs (%d distinct, %d event-fallback = %.1f%%); formal agreed on %d designs / %d mutants (%d refuted); bit-parallel agreed on %d designs (%d on the engine path)",
+	t.Logf("swept %d designs (%d distinct, %d event-fallback = %.1f%%); formal agreed on %d designs / %d mutants (%d refuted); lane engines agreed on %d designs (%d with the psim leg)",
 		total, len(distinct), fallback, 100*float64(fallback)/float64(total),
 		formalChecked, formalMutants, formalRefuted, bitChecked, bitParallel)
 }

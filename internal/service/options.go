@@ -16,15 +16,14 @@ import (
 	"uvllm/internal/exp"
 	"uvllm/internal/formal"
 	"uvllm/internal/sim"
-	"uvllm/internal/uvm"
 )
 
 // Options is the one composable knob set of the verification stack: the
 // five settings that used to be re-declared (and re-validated, and
 // allowed to drift) across uvm.Config, core.Options, exp.Config and
 // every command's flag block. The old structs keep their fields — they
-// are the thin adapter surface the Core/Exp/UVM/Stim methods fill in —
-// so existing call sites and the differential gates are byte-identical.
+// are the thin adapter surface the Core/Exp methods fill in — so
+// existing call sites and the differential gates are byte-identical.
 //
 // The zero value is valid and means: compiled backend, coverage off,
 // formal off, sequential (no batch lanes), default worker count. Backend
@@ -139,22 +138,6 @@ func (o Options) Core(base core.Options) core.Options {
 func (o Options) Exp(base exp.Config) exp.Config {
 	base.Backend = o.SimBackend()
 	base.Workers = o.Workers
-	return base
-}
-
-// UVM fills the shared knobs into a uvm.Config, leaving every
-// testbench-specific field of base untouched.
-func (o Options) UVM(base uvm.Config) uvm.Config {
-	base.Backend = o.SimBackend()
-	base.Cover = o.CoverOptions()
-	return base
-}
-
-// Stim fills the shared knobs into a uvm.StimConfig, leaving every
-// stimulus-specific field of base untouched.
-func (o Options) Stim(base uvm.StimConfig) uvm.StimConfig {
-	base.Lanes = o.Lanes
-	base.Cover = o.CoverOptions()
 	return base
 }
 

@@ -9,7 +9,6 @@ import (
 	"uvllm/internal/exp"
 	"uvllm/internal/formal"
 	"uvllm/internal/sim"
-	"uvllm/internal/uvm"
 )
 
 // TestOptionsValidate is the table test for the single shared validation
@@ -114,16 +113,6 @@ func TestOptionsAdapters(t *testing.T) {
 	ec := o.Exp(exp.Config{Seed: 9})
 	if ec.Backend != sim.BackendEventDriven || ec.Workers != 3 || ec.Seed != 9 {
 		t.Fatalf("Exp adapter wrong: %+v", ec)
-	}
-
-	uc := o.UVM(uvm.Config{Seed: 11})
-	if uc.Backend != sim.BackendEventDriven || !uc.Cover.Any() || uc.Seed != 11 {
-		t.Fatalf("UVM adapter wrong: %+v", uc)
-	}
-
-	sc := o.Stim(uvm.StimConfig{Cycles: 13})
-	if sc.Lanes != 8 || !sc.Cover.Any() || sc.Cycles != 13 {
-		t.Fatalf("Stim adapter wrong: %+v", sc)
 	}
 }
 

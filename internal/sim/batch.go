@@ -9,8 +9,7 @@ package sim
 // closure code stay hot in cache), and the signal arenas (one contiguous
 // pooled slab, sliced per lane). Stimulus enters as flat rows aligned
 // with the non-clock input declaration order — no per-cycle map
-// allocation or name hashing — or as per-lane maps with exactly the
-// standalone Harness application semantics.
+// allocation or name hashing.
 //
 // Byte-identity is the design constraint, not an aspiration: lane k of a
 // Batch must produce the same trace, VCD rendering, coverage map and
@@ -18,26 +17,44 @@ package sim
 // Harness driving a fresh Instance with the same stimulus. The fused
 // sweep preserves the per-lane state machine of settleLevelized exactly —
 // same phase order, same per-lane delta accounting, same self-trigger
-// guard — and the rtlgen differential gate (DiffBatchLanes) enforces the
+// guard — and the rtlgen lane differential gate (DiffLanes) enforces the
 // equivalence over generated designs.
 
 import (
 	"fmt"
-	"sync"
 
 	"uvllm/internal/cover"
 )
+
+// LaneEngine is the row-only contract of the lane engines — Batch and
+// the bit-parallel psim.Engine: K independent simulations of one design
+// driven in lockstep through the harness cycle protocol, with stimulus
+// rows aligned with Ports() (a nil row masks a lane out of a cycle) and
+// every lane observable on its own. Lane k of any LaneEngine must be
+// byte-identical to a standalone Harness driving the same rows.
+type LaneEngine interface {
+	Lanes() int
+	Ports() []PortInfo
+	ApplyReset(cycles int) error
+	Cycle(rows [][]uint64) error
+	Err(k int) error
+	Wave(k int) *Waveform
+	OutputRow(k int, buf []uint64) []uint64
+	Get(k int, name string) uint64
+	GetMem(k int, name string, word int) uint64
+}
+
+var _ LaneEngine = (*Batch)(nil)
 
 // Batch drives K lanes — K Instances of one Program — through the cycle
 // protocol in lockstep. Lanes are independent simulations: they share the
 // immutable Program, the decoded schedule and one pooled signal arena,
 // but never observe each other's state. A lane that errors (oscillation,
-// unknown stimulus signal) goes inert at that cycle — exactly where the
+// an unknown clock name) goes inert at that cycle — exactly where the
 // standalone harness run would have stopped — and the remaining lanes
 // continue; Err reports per-lane outcomes.
 //
-// A Batch is not safe for concurrent use by multiple goroutines; lane
-// parallelism inside one Batch is opted into with Workers.
+// A Batch is not safe for concurrent use by multiple goroutines.
 type Batch struct {
 	prog  *Program
 	d     *Design
@@ -47,20 +64,12 @@ type Batch struct {
 	waves []*Waveform
 	errs  []error
 
-	// Workers, when >= 2, distributes per-lane cycle work across that many
-	// goroutines instead of running the single-threaded fused sweep. The
-	// results are byte-identical (lanes are independent); the fused path is
-	// usually faster for small designs, the parallel path for large K on
-	// expensive designs. Mutate only between Cycle calls.
-	Workers int
-
 	inPorts  []portRef // non-clock inputs, declaration order — the row layout
 	outPorts []portRef
 	recIdx   []int // arena index per recorded name, in Waveform Names() order
-	inputSet map[string]bool
 	cycle    int
 
-	recRow     []uint64 // scratch row shared by all lanes (single-threaded path)
+	recRow     []uint64 // scratch row shared by all lanes
 	sweepLanes []int    // scratch: lanes participating in the current fused sweep
 	steps      []int    // scratch: per-lane delta counter of the current settle
 	skip       []bool   // scratch: lanes masked out of the current cycle
@@ -74,13 +83,12 @@ func NewBatch(p *Program, lanes int, clock string) (*Batch, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("sim: batch needs at least 1 lane, got %d", lanes)
 	}
-	b := &Batch{prog: p, d: p.Design(), clock: clock, inputSet: map[string]bool{}}
+	b := &Batch{prog: p, d: p.Design(), clock: clock}
 	n := len(b.d.sigs)
 	slab := make([]uint64, lanes*n)
 	var names []string
 	for _, pt := range b.d.Inputs() {
 		names = append(names, pt.Name)
-		b.inputSet[pt.Name] = true
 		if pt.Name == clock {
 			continue
 		}
@@ -172,18 +180,8 @@ func (b *Batch) EnableCoverLane(k int, opts CoverOptions) error {
 // coverage is off.
 func (b *Batch) Coverage(k int) *cover.Map { return b.lanes[k].Coverage() }
 
-// Outputs samples lane k's top-level outputs without advancing time.
-func (b *Batch) Outputs(k int) map[string]uint64 {
-	s := b.lanes[k]
-	outs := make(map[string]uint64, len(b.outPorts))
-	for _, pr := range b.outPorts {
-		outs[pr.name] = s.vals[pr.idx]
-	}
-	return outs
-}
-
 // OutputRow samples lane k's outputs into buf (grown as needed) in the
-// output declaration order — the allocation-free counterpart of Outputs.
+// output declaration order, the layout of Harness.OutputRow.
 func (b *Batch) OutputRow(k int, buf []uint64) []uint64 {
 	s := b.lanes[k]
 	buf = buf[:0]
@@ -192,6 +190,13 @@ func (b *Batch) OutputRow(k int, buf []uint64) []uint64 {
 	}
 	return buf
 }
+
+// Get reads lane k's current value of a signal by name (0 when unknown).
+func (b *Batch) Get(k int, name string) uint64 { return b.lanes[k].Get(name) }
+
+// GetMem reads lane k's current value of one memory word (0 when unknown
+// or out of range).
+func (b *Batch) GetMem(k int, name string, word int) uint64 { return b.lanes[k].GetMem(name, word) }
 
 // Cycle drives one cycle on every live lane: rows[k] holds lane k's
 // stimulus aligned with Ports() (every non-clock input is applied). A nil
@@ -210,9 +215,6 @@ func (b *Batch) Cycle(rows [][]uint64) error {
 			return fmt.Errorf("sim: batch cycle: lane %d row has %d values, want %d", k, len(row), len(b.inPorts))
 		}
 	}
-	if b.Workers >= 2 {
-		return b.cycleParallel(rows, nil)
-	}
 	for k, s := range b.lanes {
 		if b.errs[k] != nil || b.skip[k] {
 			continue
@@ -222,69 +224,13 @@ func (b *Batch) Cycle(rows [][]uint64) error {
 			s.set(pr.idx, row[i])
 		}
 	}
-	return b.finishCycle()
-}
-
-// CycleMaps drives one cycle with per-lane map stimulus under exactly the
-// standalone Harness.Cycle application semantics: declared inputs present
-// in the map are applied in declaration order, leftover keys in sorted
-// order, absent inputs keep their values. A nil ins[k] masks lane k out
-// of this cycle. Per-lane errors park in Err(k).
-func (b *Batch) CycleMaps(ins []map[string]uint64) error {
-	if len(ins) != len(b.lanes) {
-		return fmt.Errorf("sim: batch cycle: %d stimulus maps for %d lanes", len(ins), len(b.lanes))
-	}
-	for k, in := range ins {
-		b.skip[k] = in == nil
-	}
-	if b.Workers >= 2 {
-		return b.cycleParallel(nil, ins)
-	}
-	for k := range b.lanes {
-		if b.errs[k] != nil || b.skip[k] {
-			continue
-		}
-		if err := b.applyMap(k, ins[k]); err != nil {
-			b.errs[k] = err
-		}
-	}
-	return b.finishCycle()
-}
-
-// applyMap replicates Harness.Cycle's stimulus application for one lane.
-func (b *Batch) applyMap(k int, in map[string]uint64) error {
-	s := b.lanes[k]
-	applied := 0
-	for _, p := range b.d.Inputs() {
-		v, ok := in[p.Name]
-		if !ok || p.Name == b.clock {
-			continue
-		}
-		applied++
-		if err := s.Set(p.Name, v); err != nil {
-			return err
-		}
-	}
-	expect := len(in)
-	if b.clock != "" {
-		if _, ok := in[b.clock]; ok {
-			expect--
-		}
-	}
-	if applied != expect {
-		for _, name := range sortedExtraKeys(in, b.inputSet, b.clock) {
-			if err := s.Set(name, in[name]); err != nil {
-				return err
-			}
-		}
-	}
+	b.finishCycle()
 	return nil
 }
 
-// finishCycle runs the shared post-apply protocol on the single-threaded
-// fused path: settle, exec-coverage sample, clock pulse, state-coverage
-// sample, waveform row.
-func (b *Batch) finishCycle() error {
+// finishCycle runs the shared post-apply protocol: settle, exec-coverage
+// sample, clock pulse, state-coverage sample, waveform row.
+func (b *Batch) finishCycle() {
 	b.settleAll()
 	for k, s := range b.lanes {
 		if b.errs[k] == nil && !b.skip[k] && s.cov != nil {
@@ -333,7 +279,6 @@ func (b *Batch) finishCycle() error {
 		b.waves[k].recordRow(b.recRow)
 	}
 	b.cycle++
-	return nil
 }
 
 // settleAll settles every live, unmasked lane. On levelized programs the
@@ -451,142 +396,39 @@ func (b *Batch) settleAll() {
 	}
 }
 
-// cycleParallel is the Workers>=2 path: each goroutine runs complete,
-// independent lanes through the standalone per-lane protocol (apply,
-// Settle, coverage samples, clock pulse, record). Lanes never share
-// mutable state, so the only coordination is the WaitGroup; results are
-// byte-identical to the fused path.
-func (b *Batch) cycleParallel(rows [][]uint64, ins []map[string]uint64) error {
-	workers := b.Workers
-	if workers > len(b.lanes) {
-		workers = len(b.lanes)
-	}
-	clockIdx, haveClock := -1, false
-	if b.clock != "" {
-		clockIdx, haveClock = b.d.byName[b.clock]
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			row := make([]uint64, len(b.recIdx))
-			for k := range next {
-				b.laneCycle(k, rows, ins, clockIdx, haveClock, row)
-			}
-		}()
-	}
-	for k := range b.lanes {
-		if b.errs[k] == nil && !b.skip[k] {
-			next <- k
-		}
-	}
-	close(next)
-	wg.Wait()
-	b.cycle++
-	return nil
-}
-
-// laneCycle runs one lane's full cycle (parallel path). recRow is the
-// calling worker's private scratch.
-func (b *Batch) laneCycle(k int, rows [][]uint64, ins []map[string]uint64, clockIdx int, haveClock bool, recRow []uint64) {
-	s := b.lanes[k]
-	if rows != nil {
-		for i, pr := range b.inPorts {
-			s.set(pr.idx, rows[k][i])
-		}
-	} else if err := b.applyMap(k, ins[k]); err != nil {
-		b.errs[k] = err
-		return
-	}
-	if err := s.Settle(); err != nil {
-		b.errs[k] = err
-		return
-	}
-	if s.cov != nil {
-		s.coverSampleExec()
-	}
-	if b.clock != "" {
-		if !haveClock {
-			b.errs[k] = fmt.Errorf("sim: unknown signal %q", b.clock)
-			return
-		}
-		s.set(clockIdx, 1)
-		if err := s.Settle(); err != nil {
-			b.errs[k] = err
-			return
-		}
-		s.set(clockIdx, 0)
-		if err := s.Settle(); err != nil {
-			b.errs[k] = err
-			return
-		}
-	}
-	if s.cov != nil {
-		s.coverSampleState()
-	}
-	for i, idx := range b.recIdx {
-		if idx >= 0 {
-			recRow[i] = s.vals[idx]
-		} else {
-			recRow[i] = 0
-		}
-	}
-	b.waves[k].recordRow(recRow)
-}
-
 // ApplyReset drives the conventional reset sequence on every lane —
-// assert for `cycles` clock edges, then deassert and settle — mirroring
-// Harness.ApplyReset (including its "sim: reset:" error wrapping for
-// failures inside the reset cycles). Designs without a recognized reset
-// input are untouched.
+// assert for `cycles` clock edges with the other inputs holding, then
+// deassert and settle — mirroring Harness.ApplyReset (including its
+// "sim: reset:" error wrapping for failures inside the reset cycles).
+// Designs without a recognized reset input are untouched.
 func (b *Batch) ApplyReset(cycles int) error {
-	name, activeLow := FindReset(b.d)
+	name, deassert := FindResetDeassert(b.d)
 	if name == "" {
 		return nil
 	}
-	assert, deassert := uint64(1), uint64(0)
-	if activeLow {
-		assert, deassert = 0, 1
-	}
+	idx := b.d.byName[name]
 	before := make([]bool, len(b.lanes))
 	for k := range b.lanes {
 		before[k] = b.errs[k] != nil
-	}
-	in := map[string]uint64{name: assert}
-	ins := make([]map[string]uint64, len(b.lanes))
-	for k := range ins {
-		ins[k] = in
+		b.skip[k] = false
 	}
 	for i := 0; i < cycles; i++ {
-		if err := b.CycleMaps(ins); err != nil {
-			return err
+		for k, s := range b.lanes {
+			if b.errs[k] == nil {
+				s.set(idx, deassert^1)
+			}
 		}
-	}
-	for k := range b.lanes {
-		if !before[k] && b.errs[k] != nil {
-			b.errs[k] = fmt.Errorf("sim: reset: %w", b.errs[k])
-		}
+		b.finishCycle()
 	}
 	for k, s := range b.lanes {
 		if b.errs[k] != nil {
+			if !before[k] {
+				b.errs[k] = fmt.Errorf("sim: reset: %w", b.errs[k])
+			}
 			continue
 		}
-		if err := s.Set(name, deassert); err != nil {
-			b.errs[k] = err
-			continue
-		}
-	}
-	b.settleAllPostReset()
-	return nil
-}
-
-// settleAllPostReset settles the deassert edge without the cycle masking
-// scratch state (ApplyReset runs outside a cycle).
-func (b *Batch) settleAllPostReset() {
-	for k := range b.skip {
-		b.skip[k] = false
+		s.set(idx, deassert)
 	}
 	b.settleAll()
+	return nil
 }

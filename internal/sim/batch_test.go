@@ -3,7 +3,7 @@ package sim
 // Batch tests: per-lane byte-identity against the standalone Harness
 // (traces, VCD bytes, encoded coverage, final state, errors), per-lane
 // snapshot/restore, lane masking, error isolation, and — under -race —
-// the Workers path plus concurrent Batches of one shared Program.
+// concurrent Batches of one shared Program.
 
 import (
 	"bytes"
@@ -23,10 +23,10 @@ func batchStim(lane, cycle int) map[string]uint64 {
 	}
 }
 
-// harnessRef runs one standalone harness lane of memDUT and returns the
-// harness (for wave/coverage/final-state inspection) and per-cycle
-// outputs.
-func harnessRef(t *testing.T, p *Program, lane, cycles int, withCover bool) (*Harness, []map[string]uint64) {
+// harnessRef runs one standalone harness lane of memDUT under map
+// stimulus and returns the harness (for wave/coverage/final-state
+// inspection) and per-cycle output rows.
+func harnessRef(t *testing.T, p *Program, lane, cycles int, withCover bool) (*Harness, [][]uint64) {
 	t.Helper()
 	inst, err := p.NewInstance()
 	if err != nil {
@@ -41,13 +41,12 @@ func harnessRef(t *testing.T, p *Program, lane, cycles int, withCover bool) (*Ha
 	if err := h.ApplyReset(2); err != nil {
 		t.Fatal(err)
 	}
-	var outs []map[string]uint64
+	var outs [][]uint64
 	for c := 0; c < cycles; c++ {
-		o, err := h.Cycle(batchStim(lane, c))
-		if err != nil {
+		if _, err := h.Cycle(batchStim(lane, c)); err != nil {
 			t.Fatal(err)
 		}
-		outs = append(outs, o)
+		outs = append(outs, h.OutputRow(nil))
 	}
 	return h, outs
 }
@@ -69,15 +68,15 @@ func wavesEqual(a, b *Waveform) error {
 
 // checkLaneIdentity asserts lane k of the batch matches its standalone
 // harness reference on every observable.
-func checkLaneIdentity(t *testing.T, b *Batch, k int, h *Harness, refOuts []map[string]uint64, gotOuts []map[string]uint64, top string) {
+func checkLaneIdentity(t *testing.T, b *Batch, k int, h *Harness, refOuts, gotOuts [][]uint64, top string) {
 	t.Helper()
 	if err := b.Err(k); err != nil {
 		t.Fatalf("lane %d errored: %v", k, err)
 	}
 	for c, want := range refOuts {
-		for n, v := range want {
-			if gotOuts[c][n] != v {
-				t.Fatalf("lane %d cycle %d %s: batch=0x%x harness=0x%x", k, c, n, gotOuts[c][n], v)
+		for i, v := range want {
+			if gotOuts[c][i] != v {
+				t.Fatalf("lane %d cycle %d output %d: batch=0x%x harness=0x%x", k, c, i, gotOuts[c][i], v)
 			}
 		}
 	}
@@ -100,21 +99,30 @@ func checkLaneIdentity(t *testing.T, b *Batch, k int, h *Harness, refOuts []map[
 		t.Fatalf("lane %d coverage maps differ:\n--- batch ---\n%s--- harness ---\n%s", k, bc.Encode(), hc.Encode())
 	}
 	for _, n := range h.Sim.Design().SignalNames() {
-		if h.Sim.Get(n) != b.Lane(k).Get(n) {
-			t.Fatalf("lane %d final %s: batch=0x%x harness=0x%x", k, n, b.Lane(k).Get(n), h.Sim.Get(n))
+		if h.Sim.Get(n) != b.Get(k, n) {
+			t.Fatalf("lane %d final %s: batch=0x%x harness=0x%x", k, n, b.Get(k, n), h.Sim.Get(n))
+		}
+	}
+	d := h.Sim.Design()
+	for i := 0; i < d.NumSignals(); i++ {
+		sv := d.Signal(i)
+		for w := 0; w < sv.Depth; w++ {
+			if h.Sim.GetMem(sv.Name, w) != b.GetMem(k, sv.Name, w) {
+				t.Fatalf("lane %d final %s[%d]: batch=0x%x harness=0x%x", k, sv.Name, w, b.GetMem(k, sv.Name, w), h.Sim.GetMem(sv.Name, w))
+			}
 		}
 	}
 }
 
 // runBatch drives a batch over the shared stimulus via the row API and
-// returns per-lane per-cycle outputs.
-func runBatch(t *testing.T, b *Batch, cycles int) [][]map[string]uint64 {
+// returns per-lane per-cycle output rows.
+func runBatch(t *testing.T, b *Batch, cycles int) [][][]uint64 {
 	t.Helper()
 	ports := b.Ports()
 	if err := b.ApplyReset(2); err != nil {
 		t.Fatal(err)
 	}
-	outs := make([][]map[string]uint64, b.Lanes())
+	outs := make([][][]uint64, b.Lanes())
 	rows := make([][]uint64, b.Lanes())
 	for k := range rows {
 		rows[k] = make([]uint64, len(ports))
@@ -130,7 +138,7 @@ func runBatch(t *testing.T, b *Batch, cycles int) [][]map[string]uint64 {
 			t.Fatal(err)
 		}
 		for k := range rows {
-			outs[k] = append(outs[k], b.Outputs(k))
+			outs[k] = append(outs[k], b.OutputRow(k, nil))
 		}
 	}
 	return outs
@@ -160,59 +168,6 @@ func TestBatchMatchesHarness(t *testing.T) {
 				checkLaneIdentity(t, b, k, h, refOuts, outs[k], "memdut")
 			}
 		})
-	}
-}
-
-// TestBatchCycleMapsMatchesHarness drives the map API with partial maps
-// (absent ports keep their values — the Harness semantics ApplyReset and
-// the UVM layer rely on).
-func TestBatchCycleMapsMatchesHarness(t *testing.T) {
-	const lanes, cycles = 4, 24
-	p, err := CompileSource(memDUT, "memdut", BackendCompiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBatch(p, lanes, "clk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ApplyReset(2); err != nil {
-		t.Fatal(err)
-	}
-	stim := func(lane, c int) map[string]uint64 {
-		in := map[string]uint64{"rst_n": 1, "din": uint64(lane*17 + c)}
-		if c%3 == 0 {
-			in["we"] = uint64(c % 2)
-			in["addr"] = uint64((lane + c) % 16)
-		}
-		return in
-	}
-	ins := make([]map[string]uint64, lanes)
-	for c := 0; c < cycles; c++ {
-		for k := range ins {
-			ins[k] = stim(k, c)
-		}
-		if err := b.CycleMaps(ins); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := 0; k < lanes; k++ {
-		inst, err := p.NewInstance()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := NewHarness(inst, "clk")
-		if err := h.ApplyReset(2); err != nil {
-			t.Fatal(err)
-		}
-		for c := 0; c < cycles; c++ {
-			if _, err := h.Cycle(stim(k, c)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := wavesEqual(h.Wave, b.Wave(k)); err != nil {
-			t.Fatalf("lane %d: %v", k, err)
-		}
 	}
 }
 
@@ -389,46 +344,45 @@ func TestBatchPerLaneSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestBatchWorkersByteIdentical is the -race gate for in-batch lane
-// parallelism: the Workers path must reproduce the fused single-threaded
-// result bit for bit (waveforms and coverage), and concurrent Batches of
-// one shared Program must not interfere.
+// TestBatchWorkersByteIdentical is the -race gate for lane engines run
+// side by side: three Batches of one shared Program, driven concurrently,
+// must each reproduce a sequentially run reference bit for bit
+// (waveforms and coverage).
 func TestBatchWorkersByteIdentical(t *testing.T) {
 	const lanes, cycles = 8, 30
 	p, err := CompileSource(memDUT, "memdut", BackendCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *Batch {
+	run := func() *Batch {
 		b, err := NewBatch(p, lanes, "clk")
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Workers = workers
 		if err := b.EnableCover(CoverAll()); err != nil {
 			t.Fatal(err)
 		}
 		runBatch(t, b, cycles)
 		return b
 	}
-	ref := run(0)
+	ref := run()
 	var wg sync.WaitGroup
 	got := make([]*Batch, 3)
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = run(2 + i) // 2, 3, 4 workers, concurrently
+			got[i] = run()
 		}(i)
 	}
 	wg.Wait()
 	for i, b := range got {
 		for k := 0; k < lanes; k++ {
 			if err := wavesEqual(ref.Wave(k), b.Wave(k)); err != nil {
-				t.Fatalf("workers batch %d lane %d waveform: %v", i, k, err)
+				t.Fatalf("concurrent batch %d lane %d waveform: %v", i, k, err)
 			}
 			if !bytes.Equal(ref.Coverage(k).Encode(), b.Coverage(k).Encode()) {
-				t.Fatalf("workers batch %d lane %d coverage differs", i, k)
+				t.Fatalf("concurrent batch %d lane %d coverage differs", i, k)
 			}
 		}
 	}
@@ -453,13 +407,11 @@ func TestBatchRejectsBadShapes(t *testing.T) {
 	if err := b.Cycle([][]uint64{{1}, {2}}); err == nil {
 		t.Fatal("short row accepted")
 	}
-	if err := b.CycleMaps([]map[string]uint64{nil}); err == nil {
-		t.Fatal("wrong map count accepted")
-	}
 }
 
 // TestBatchRandomizedAgainstHarness fuzzes the identity over random
-// per-lane streams on both backends (short, deterministic).
+// per-lane streams on both backends (short, deterministic): batch rows
+// against the same stimulus as harness maps.
 func TestBatchRandomizedAgainstHarness(t *testing.T) {
 	for _, be := range backends() {
 		t.Run(be.String(), func(t *testing.T) {
@@ -490,12 +442,16 @@ func TestBatchRandomizedAgainstHarness(t *testing.T) {
 			for k := range all {
 				all[k] = stim(k)
 			}
-			ins := make([]map[string]uint64, lanes)
+			ports := b.Ports()
+			rows := make([][]uint64, lanes)
 			for c := 0; c < cycles; c++ {
-				for k := range ins {
-					ins[k] = all[k][c]
+				for k := range rows {
+					rows[k] = make([]uint64, len(ports))
+					for i, pt := range ports {
+						rows[k][i] = all[k][c][pt.Name]
+					}
 				}
-				if err := b.CycleMaps(ins); err != nil {
+				if err := b.Cycle(rows); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -71,14 +71,14 @@ func ParseBackend(name string) (Backend, error) {
 
 // evalFn is a compiled expression: all error paths of the interpreter's
 // eval are compile-time detectable, so compiled expressions cannot fail.
-type evalFn func(*Simulator) uint64
+type evalFn func(*Instance) uint64
 
 // writeFn stores a value into a compiled l-value.
-type writeFn func(*Simulator, uint64)
+type writeFn func(*Instance, uint64)
 
 // stmtFn is a compiled statement; only for-loop iteration limits (and
 // interpreter fallback thunks) can error at runtime.
-type stmtFn func(*Simulator) error
+type stmtFn func(*Instance) error
 
 // program is the compiled form of a Design.
 type program struct {
@@ -94,13 +94,13 @@ func (p *program) clean() bool { return p.reason == "" }
 var errDynamic = fmt.Errorf("sim: construct not statically compilable")
 
 type compiler struct {
-	s *Simulator
+	s *Instance
 }
 
 // compileProgram lowers every process of s's design and levelizes the
 // combinational ones. It never fails: anything uncompilable stays on the
 // interpreter, any unlevelizable structure disables the sweep.
-func compileProgram(s *Simulator) *program {
+func compileProgram(s *Instance) *program {
 	c := &compiler{s: s}
 	p := &program{run: make([]stmtFn, len(s.d.procs))}
 	for _, pr := range s.d.procs {
@@ -116,7 +116,7 @@ func compileProgram(s *Simulator) *program {
 				p.orderFns[i] = fn
 			} else {
 				pr := s.d.procs[pi]
-				p.orderFns[i] = func(s *Simulator) error { return s.interpProc(pr) }
+				p.orderFns[i] = func(s *Instance) error { return s.interpProc(pr) }
 			}
 		}
 	}
@@ -163,7 +163,7 @@ func (c *compiler) compileConn(p *process) (stmtFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(s *Simulator) error {
+	return func(s *Instance) error {
 		wr(s, rhs(s))
 		return nil
 	}, nil
@@ -175,7 +175,7 @@ func (c *compiler) compileConn(p *process) (stmtFn, error) {
 func (c *compiler) compileStmt(p *process, st verilog.Stmt) stmtFn {
 	fn, err := c.tryStmt(p, st)
 	if err != nil {
-		return func(s *Simulator) error { return s.execStmt(p, st) }
+		return func(s *Instance) error { return s.execStmt(p, st) }
 	}
 	return fn
 }
@@ -183,14 +183,14 @@ func (c *compiler) compileStmt(p *process, st verilog.Stmt) stmtFn {
 func (c *compiler) tryStmt(p *process, st verilog.Stmt) (stmtFn, error) {
 	switch v := st.(type) {
 	case nil, *verilog.NullStmt:
-		return func(*Simulator) error { return nil }, nil
+		return func(*Instance) error { return nil }, nil
 
 	case *verilog.Block:
 		fns := make([]stmtFn, len(v.Stmts))
 		for i, sub := range v.Stmts {
 			fns[i] = c.compileStmt(p, sub)
 		}
-		return func(s *Simulator) error {
+		return func(s *Instance) error {
 			for _, fn := range fns {
 				if err := fn(s); err != nil {
 					return err
@@ -212,7 +212,7 @@ func (c *compiler) tryStmt(p *process, st verilog.Stmt) (stmtFn, error) {
 		if v.Else != nil {
 			els = c.compileStmt(p, v.Else)
 		}
-		return func(s *Simulator) error {
+		return func(s *Instance) error {
 			if cond(s) != 0 {
 				return then(s)
 			}
@@ -245,7 +245,7 @@ func (c *compiler) tryStmt(p *process, st verilog.Stmt) (stmtFn, error) {
 			}
 			arms[i] = arm
 		}
-		return func(s *Simulator) error {
+		return func(s *Instance) error {
 			sv := sel(s)
 			var def stmtFn
 			for i := range arms {
@@ -284,7 +284,7 @@ func (c *compiler) tryStmt(p *process, st verilog.Stmt) (stmtFn, error) {
 			}
 		}
 		line := v.Line
-		return func(s *Simulator) error {
+		return func(s *Instance) error {
 			if initFn != nil {
 				if err := initFn(s); err != nil {
 					return err
@@ -315,7 +315,7 @@ func (c *compiler) tryStmt(p *process, st verilog.Stmt) (stmtFn, error) {
 // width stretched by the RHS self-determined width.
 func (c *compiler) compileAssign(sc *scope, a *verilog.Assign) (stmtFn, error) {
 	if a == nil {
-		return func(*Simulator) error { return nil }, nil
+		return func(*Instance) error { return nil }, nil
 	}
 	w, ok := c.staticWidthOfLHS(a.LHS, sc)
 	if !ok {
@@ -336,7 +336,7 @@ func (c *compiler) compileAssign(sc *scope, a *verilog.Assign) (stmtFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(s *Simulator) error {
+	return func(s *Instance) error {
 		wr(s, rhs(s))
 		return nil
 	}, nil
@@ -354,9 +354,9 @@ func (c *compiler) compileWrite(lhs verilog.Expr, sc *scope, blocking bool) (wri
 		}
 		wm := widthMask(c.s.d.sigs[idx].width)
 		if blocking {
-			return func(s *Simulator, v uint64) { s.set(idx, v) }, nil
+			return func(s *Instance, v uint64) { s.set(idx, v) }, nil
 		}
-		return func(s *Simulator, v uint64) {
+		return func(s *Instance, v uint64) {
 			s.nba = append(s.nba, nbaWrite{sig: idx, mask: wm, val: v & wm})
 		}, nil
 
@@ -377,7 +377,7 @@ func (c *compiler) compileWrite(lhs verilog.Expr, sc *scope, blocking bool) (wri
 		if si.isMem {
 			wm := widthMask(si.width)
 			if blocking {
-				return func(s *Simulator, v uint64) {
+				return func(s *Instance, v uint64) {
 					sv := sel(s)
 					mem := s.mems[idx]
 					// Unsigned compare, mirroring writeLHS: bit-63 indices
@@ -388,13 +388,13 @@ func (c *compiler) compileWrite(lhs verilog.Expr, sc *scope, blocking bool) (wri
 					}
 				}, nil
 			}
-			return func(s *Simulator, v uint64) {
+			return func(s *Instance, v uint64) {
 				s.nba = append(s.nba, nbaWrite{sig: idx, isMem: true, memIdx: int(sel(s)), mask: wm, val: v & wm})
 			}, nil
 		}
 		width := si.width
 		if blocking {
-			return func(s *Simulator, v uint64) {
+			return func(s *Instance, v uint64) {
 				sv := sel(s)
 				if int(sv) >= width {
 					return
@@ -403,7 +403,7 @@ func (c *compiler) compileWrite(lhs verilog.Expr, sc *scope, blocking bool) (wri
 				s.set(idx, (s.vals[idx]&^mask)|((v&1)<<uint(sv)))
 			}, nil
 		}
-		return func(s *Simulator, v uint64) {
+		return func(s *Instance, v uint64) {
 			sv := sel(s)
 			if int(sv) >= width {
 				return
@@ -434,11 +434,11 @@ func (c *compiler) compileWrite(lhs verilog.Expr, sc *scope, blocking bool) (wri
 		wm := widthMask(w)
 		shift := uint(lsb)
 		if blocking {
-			return func(s *Simulator, v uint64) {
+			return func(s *Instance, v uint64) {
 				s.set(idx, (s.vals[idx]&^mask)|((v&wm)<<shift))
 			}, nil
 		}
-		return func(s *Simulator, v uint64) {
+		return func(s *Instance, v uint64) {
 			s.nba = append(s.nba, nbaWrite{sig: idx, mask: mask, val: (v & wm) << shift})
 		}, nil
 
@@ -459,7 +459,7 @@ func (c *compiler) compileWrite(lhs verilog.Expr, sc *scope, blocking bool) (wri
 			}
 			parts[i] = wfn
 		}
-		return func(s *Simulator, v uint64) {
+		return func(s *Instance, v uint64) {
 			shift := total
 			for i, wfn := range parts {
 				shift -= widths[i]
@@ -496,18 +496,18 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 	switch v := e.(type) {
 	case *verilog.Number:
 		k := v.Value & m
-		return func(*Simulator) uint64 { return k }, nil
+		return func(*Instance) uint64 { return k }, nil
 
 	case *verilog.Ident:
 		if pv, isParam := sc.env[v.Name]; isParam {
 			k := uint64(pv) & m
-			return func(*Simulator) uint64 { return k }, nil
+			return func(*Instance) uint64 { return k }, nil
 		}
 		idx, ok := sc.names[v.Name]
 		if !ok {
 			return nil, errDynamic
 		}
-		return func(s *Simulator) uint64 { return s.vals[idx] & m }, nil
+		return func(s *Instance) uint64 { return s.vals[idx] & m }, nil
 
 	case *verilog.Unary:
 		switch v.Op {
@@ -516,13 +516,13 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 			if err != nil {
 				return nil, err
 			}
-			return func(s *Simulator) uint64 { return b2u(x(s) == 0) }, nil
+			return func(s *Instance) uint64 { return b2u(x(s) == 0) }, nil
 		case "-":
 			x, err := c.compileExpr(v.X, sc, ctxW)
 			if err != nil {
 				return nil, err
 			}
-			return func(s *Simulator) uint64 { return (-x(s)) & m }, nil
+			return func(s *Instance) uint64 { return (-x(s)) & m }, nil
 		case "+":
 			return c.compileExpr(v.X, sc, ctxW)
 		case "~":
@@ -530,7 +530,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 			if err != nil {
 				return nil, err
 			}
-			return func(s *Simulator) uint64 { return (^x(s)) & m }, nil
+			return func(s *Instance) uint64 { return (^x(s)) & m }, nil
 		case "&", "|", "^", "~&", "~|", "~^":
 			w, ok := c.staticWidthOf(v.X, sc)
 			if !ok {
@@ -541,7 +541,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 				return nil, err
 			}
 			op := v.Op
-			return func(s *Simulator) uint64 { return reduce(op, x(s), w) }, nil
+			return func(s *Instance) uint64 { return reduce(op, x(s), w) }, nil
 		}
 		return nil, errDynamic
 
@@ -561,7 +561,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 		if err != nil {
 			return nil, err
 		}
-		return func(s *Simulator) uint64 {
+		return func(s *Instance) uint64 {
 			if cond(s) != 0 {
 				return then(s)
 			}
@@ -583,7 +583,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 		}
 		si := c.s.d.sigs[idx]
 		if si.isMem {
-			return func(s *Simulator) uint64 {
+			return func(s *Instance) uint64 {
 				sv := sel(s)
 				mem := s.mems[idx]
 				if sv >= uint64(len(mem)) {
@@ -593,7 +593,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 			}, nil
 		}
 		width := si.width
-		return func(s *Simulator) uint64 {
+		return func(s *Instance) uint64 {
 			sv := sel(s)
 			if int(sv) >= width {
 				return 0
@@ -618,7 +618,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 				w := int(msb-lsb) + 1
 				k := widthMask(w) & m
 				shift := uint(lsb)
-				return func(s *Simulator) uint64 { return (s.vals[idx] >> shift) & k }, nil
+				return func(s *Instance) uint64 { return (s.vals[idx] >> shift) & k }, nil
 			}
 		}
 		msbFn, err := c.compileSelf(v.MSB, sc)
@@ -629,7 +629,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 		if err != nil {
 			return nil, err
 		}
-		return func(s *Simulator) uint64 {
+		return func(s *Instance) uint64 {
 			msb, lsb := msbFn(s), lsbFn(s)
 			if msb < lsb {
 				msb, lsb = lsb, msb
@@ -655,7 +655,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 			}
 			parts[i] = part{fn: fn, w: w}
 		}
-		return func(s *Simulator) uint64 {
+		return func(s *Instance) uint64 {
 			var out uint64
 			for _, p := range parts {
 				out = (out << uint(p.w)) | (p.fn(s) & widthMask(p.w))
@@ -676,7 +676,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 		if err != nil {
 			return nil, err
 		}
-		return func(s *Simulator) uint64 {
+		return func(s *Instance) uint64 {
 			n := count(s)
 			pv := val(s)
 			var out uint64
@@ -703,13 +703,13 @@ func (c *compiler) compileBinary(v *verilog.Binary, sc *scope, ctxW int) (evalFn
 		}
 		switch v.Op {
 		case "+":
-			return func(s *Simulator) uint64 { return (x(s) + y(s)) & m }, nil
+			return func(s *Instance) uint64 { return (x(s) + y(s)) & m }, nil
 		case "-":
-			return func(s *Simulator) uint64 { return (x(s) - y(s)) & m }, nil
+			return func(s *Instance) uint64 { return (x(s) - y(s)) & m }, nil
 		case "*":
-			return func(s *Simulator) uint64 { return (x(s) * y(s)) & m }, nil
+			return func(s *Instance) uint64 { return (x(s) * y(s)) & m }, nil
 		case "/":
-			return func(s *Simulator) uint64 {
+			return func(s *Instance) uint64 {
 				yv := y(s)
 				if yv == 0 {
 					return 0
@@ -717,7 +717,7 @@ func (c *compiler) compileBinary(v *verilog.Binary, sc *scope, ctxW int) (evalFn
 				return (x(s) / yv) & m
 			}, nil
 		case "%":
-			return func(s *Simulator) uint64 {
+			return func(s *Instance) uint64 {
 				yv := y(s)
 				if yv == 0 {
 					return 0
@@ -725,13 +725,13 @@ func (c *compiler) compileBinary(v *verilog.Binary, sc *scope, ctxW int) (evalFn
 				return (x(s) % yv) & m
 			}, nil
 		case "&":
-			return func(s *Simulator) uint64 { return x(s) & y(s) & m }, nil
+			return func(s *Instance) uint64 { return x(s) & y(s) & m }, nil
 		case "|":
-			return func(s *Simulator) uint64 { return (x(s) | y(s)) & m }, nil
+			return func(s *Instance) uint64 { return (x(s) | y(s)) & m }, nil
 		case "^":
-			return func(s *Simulator) uint64 { return (x(s) ^ y(s)) & m }, nil
+			return func(s *Instance) uint64 { return (x(s) ^ y(s)) & m }, nil
 		default: // ~^ ^~ xnor
-			return func(s *Simulator) uint64 { return (^(x(s) ^ y(s))) & m }, nil
+			return func(s *Instance) uint64 { return (^(x(s) ^ y(s))) & m }, nil
 		}
 
 	case "==", "!=", "<", ">", "<=", ">=", "===", "!==":
@@ -756,17 +756,17 @@ func (c *compiler) compileBinary(v *verilog.Binary, sc *scope, ctxW int) (evalFn
 		}
 		switch v.Op {
 		case "==", "===":
-			return func(s *Simulator) uint64 { return b2u(x(s) == y(s)) }, nil
+			return func(s *Instance) uint64 { return b2u(x(s) == y(s)) }, nil
 		case "!=", "!==":
-			return func(s *Simulator) uint64 { return b2u(x(s) != y(s)) }, nil
+			return func(s *Instance) uint64 { return b2u(x(s) != y(s)) }, nil
 		case "<":
-			return func(s *Simulator) uint64 { return b2u(x(s) < y(s)) }, nil
+			return func(s *Instance) uint64 { return b2u(x(s) < y(s)) }, nil
 		case ">":
-			return func(s *Simulator) uint64 { return b2u(x(s) > y(s)) }, nil
+			return func(s *Instance) uint64 { return b2u(x(s) > y(s)) }, nil
 		case "<=":
-			return func(s *Simulator) uint64 { return b2u(x(s) <= y(s)) }, nil
+			return func(s *Instance) uint64 { return b2u(x(s) <= y(s)) }, nil
 		default:
-			return func(s *Simulator) uint64 { return b2u(x(s) >= y(s)) }, nil
+			return func(s *Instance) uint64 { return b2u(x(s) >= y(s)) }, nil
 		}
 
 	case "&&", "||":
@@ -781,9 +781,9 @@ func (c *compiler) compileBinary(v *verilog.Binary, sc *scope, ctxW int) (evalFn
 		// The interpreter evaluates both operands (no short circuit);
 		// expressions are side-effect free so only the value matters.
 		if v.Op == "&&" {
-			return func(s *Simulator) uint64 { return b2u(x(s) != 0 && y(s) != 0) }, nil
+			return func(s *Instance) uint64 { return b2u(x(s) != 0 && y(s) != 0) }, nil
 		}
-		return func(s *Simulator) uint64 { return b2u(x(s) != 0 || y(s) != 0) }, nil
+		return func(s *Instance) uint64 { return b2u(x(s) != 0 || y(s) != 0) }, nil
 
 	case "<<", "<<<":
 		x, err := c.compileExpr(v.X, sc, ctxW)
@@ -794,7 +794,7 @@ func (c *compiler) compileBinary(v *verilog.Binary, sc *scope, ctxW int) (evalFn
 		if err != nil {
 			return nil, err
 		}
-		return func(s *Simulator) uint64 {
+		return func(s *Instance) uint64 {
 			nv := n(s)
 			if nv >= 64 {
 				return 0
@@ -818,7 +818,7 @@ func (c *compiler) compileBinary(v *verilog.Binary, sc *scope, ctxW int) (evalFn
 		if err != nil {
 			return nil, err
 		}
-		return func(s *Simulator) uint64 {
+		return func(s *Instance) uint64 {
 			nv := n(s)
 			if nv >= 64 {
 				return 0

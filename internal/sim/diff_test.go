@@ -120,7 +120,7 @@ func diffBackends(t *testing.T, name, src, top, clock string, cycles int, seed i
 }
 
 // coveredHarness wraps s in a harness with full structural coverage on.
-func coveredHarness(t *testing.T, name string, s *sim.Simulator, clock string) *sim.Harness {
+func coveredHarness(t *testing.T, name string, s *sim.Instance, clock string) *sim.Harness {
 	t.Helper()
 	h := sim.NewHarness(s, clock)
 	if err := h.EnableCover(sim.CoverAll()); err != nil {
@@ -130,7 +130,7 @@ func coveredHarness(t *testing.T, name string, s *sim.Simulator, clock string) *
 }
 
 // freshInstance allocates a second instance of s's program.
-func freshInstance(t *testing.T, name string, s *sim.Simulator) *sim.Simulator {
+func freshInstance(t *testing.T, name string, s *sim.Instance) *sim.Instance {
 	t.Helper()
 	inst, err := s.Program().NewInstance()
 	if err != nil {

@@ -92,7 +92,7 @@ type portRef struct {
 // (CycleRow, the same layout as Batch) or as a map (Cycle); both run the
 // one cycle protocol after application.
 type Harness struct {
-	Sim   *Simulator
+	Sim   *Instance
 	Clock string // clock input name; empty for purely combinational DUTs
 	Wave  *Waveform
 	cycle int
@@ -129,7 +129,7 @@ func sortedExtraKeys(inputs map[string]uint64, inputSet map[string]bool, clock s
 
 // NewHarness wraps sim with the given clock input (may be ""). All
 // top-level ports are recorded in the waveform.
-func NewHarness(s *Simulator, clock string) *Harness {
+func NewHarness(s *Instance, clock string) *Harness {
 	var names []string
 	for _, p := range s.Design().Inputs() {
 		names = append(names, p.Name)

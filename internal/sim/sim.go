@@ -39,12 +39,6 @@ type Instance struct {
 	cov *instCover // structural coverage state; nil when not collecting
 }
 
-// Simulator is the historical name of Instance. It remains the type every
-// consumer-facing API uses, so code written against the pre-Program
-// simulator keeps compiling and the differential gates keep asserting
-// byte-identical behavior across the refactor.
-type Simulator = Instance
-
 type nbaWrite struct {
 	sig    int
 	isMem  bool
@@ -55,13 +49,13 @@ type nbaWrite struct {
 
 // New elaborates top in f and returns a simulator on the default compiled
 // backend with initial blocks executed and combinational logic settled.
-func New(f *verilog.SourceFile, top string) (*Simulator, error) {
+func New(f *verilog.SourceFile, top string) (*Instance, error) {
 	return NewBackend(f, top, BackendCompiled)
 }
 
 // NewBackend is New with an explicit backend selection: Compile followed
 // by NewInstance.
-func NewBackend(f *verilog.SourceFile, top string, backend Backend) (*Simulator, error) {
+func NewBackend(f *verilog.SourceFile, top string, backend Backend) (*Instance, error) {
 	p, err := Compile(f, top, backend)
 	if err != nil {
 		return nil, err
@@ -73,12 +67,12 @@ func NewBackend(f *verilog.SourceFile, top string, backend Backend) (*Simulator,
 // compiled backend. It returns an error for syntax errors, making it
 // usable as the pipeline's "does it compile" gate (the paper's synthesis
 // check after each patch).
-func CompileAndNew(src, top string) (*Simulator, error) {
+func CompileAndNew(src, top string) (*Instance, error) {
 	return CompileAndNewBackend(src, top, BackendCompiled)
 }
 
 // CompileAndNewBackend is CompileAndNew with an explicit backend.
-func CompileAndNewBackend(src, top string, backend Backend) (*Simulator, error) {
+func CompileAndNewBackend(src, top string, backend Backend) (*Instance, error) {
 	f, errs := verilog.Parse(src)
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("sim: %s", errs[0].Error())
@@ -87,16 +81,16 @@ func CompileAndNewBackend(src, top string, backend Backend) (*Simulator, error) 
 }
 
 // Backend returns the engine the simulator was constructed with.
-func (s *Simulator) Backend() Backend { return s.backend }
+func (s *Instance) Backend() Backend { return s.backend }
 
 // Levelized reports whether the compiled backend's levelized straight-line
 // sweep is active (false on the event-driven backend, and for compiled
 // designs that fell back to event scheduling).
-func (s *Simulator) Levelized() bool { return s.levelized }
+func (s *Instance) Levelized() bool { return s.levelized }
 
 // FallbackReason explains why a compiled simulator is not running the
 // levelized sweep ("" when it is, or on the event-driven backend).
-func (s *Simulator) FallbackReason() string {
+func (s *Instance) FallbackReason() string {
 	if s.code == nil {
 		return ""
 	}
@@ -104,14 +98,14 @@ func (s *Simulator) FallbackReason() string {
 }
 
 // Design returns the elaborated design.
-func (s *Simulator) Design() *Design { return s.d }
+func (s *Instance) Design() *Design { return s.d }
 
 // Program returns the immutable program this instance executes (nil only
 // for the compiler's internal scratch instance, which never simulates).
 func (s *Instance) Program() *Program { return s.program }
 
 // Reset zeroes all state, re-runs initial blocks and settles.
-func (s *Simulator) Reset() error {
+func (s *Instance) Reset() error {
 	for i := range s.vals {
 		s.vals[i] = 0
 	}
@@ -154,7 +148,7 @@ func (s *Simulator) Reset() error {
 
 // Set drives a signal by hierarchical name (normally a top-level input)
 // without settling. Returns an error for unknown names.
-func (s *Simulator) Set(name string, v uint64) error {
+func (s *Instance) Set(name string, v uint64) error {
 	idx, ok := s.d.byName[name]
 	if !ok {
 		return fmt.Errorf("sim: unknown signal %q", name)
@@ -164,7 +158,7 @@ func (s *Simulator) Set(name string, v uint64) error {
 }
 
 // Get reads a signal by hierarchical name. Unknown names read 0.
-func (s *Simulator) Get(name string) uint64 {
+func (s *Instance) Get(name string) uint64 {
 	idx, ok := s.d.byName[name]
 	if !ok {
 		return 0
@@ -173,13 +167,13 @@ func (s *Simulator) Get(name string) uint64 {
 }
 
 // Has reports whether the design has a signal with the given name.
-func (s *Simulator) Has(name string) bool {
+func (s *Instance) Has(name string) bool {
 	_, ok := s.d.byName[name]
 	return ok
 }
 
 // GetMem reads one word of a memory signal.
-func (s *Simulator) GetMem(name string, idx int) uint64 {
+func (s *Instance) GetMem(name string, idx int) uint64 {
 	i, ok := s.d.byName[name]
 	if !ok {
 		return 0
@@ -191,14 +185,14 @@ func (s *Simulator) GetMem(name string, idx int) uint64 {
 	return mem[idx]
 }
 
-func (s *Simulator) enqueueComb(proc int) {
+func (s *Instance) enqueueComb(proc int) {
 	if !s.inQueue[proc] {
 		s.inQueue[proc] = true
 		s.combQueue = append(s.combQueue, proc)
 	}
 }
 
-func (s *Simulator) enqueueSeq(proc int) {
+func (s *Instance) enqueueSeq(proc int) {
 	if !s.inSeq[proc] {
 		s.inSeq[proc] = true
 		s.seqQueue = append(s.seqQueue, proc)
@@ -206,7 +200,7 @@ func (s *Simulator) enqueueSeq(proc int) {
 }
 
 // set writes a raw signal value, detecting edges and scheduling dependents.
-func (s *Simulator) set(idx int, v uint64) {
+func (s *Instance) set(idx int, v uint64) {
 	w := s.d.sigs[idx].width
 	v &= widthMask(w)
 	old := s.vals[idx]
@@ -241,7 +235,7 @@ func (s *Simulator) set(idx int, v uint64) {
 
 // touchMem wakes the combinational readers of a memory after a word write
 // (memory contents are not part of the scalar change-detection in set).
-func (s *Simulator) touchMem(sig int) {
+func (s *Instance) touchMem(sig int) {
 	if s.levelized {
 		s.markDirty(sig)
 		return
@@ -265,7 +259,7 @@ func widthMask(w int) uint64 {
 // commits, then triggered sequential processes, looping. The levelized
 // compiled backend replaces the event-queue walk of the combinational
 // phase with straight-line sweeps; everything else is shared.
-func (s *Simulator) Settle() error {
+func (s *Instance) Settle() error {
 	if s.levelized {
 		return s.settleLevelized()
 	}
@@ -311,7 +305,7 @@ func (s *Simulator) Settle() error {
 // sweep only needs (re)scheduling when the write happens outside one: in
 // topological order every reader runs after its drivers, so in-sweep
 // writes only ever dirty processes later in the current pass.
-func (s *Simulator) markDirty(idx int) {
+func (s *Instance) markDirty(idx int) {
 	marked := false
 	for _, p := range s.d.combOf[idx] {
 		if p == s.running && s.d.procs[p].body != nil {
@@ -330,7 +324,7 @@ func (s *Simulator) markDirty(idx int) {
 // order (an acyclic, single-driver network reaches its unique fixpoint in
 // a single pass), then commits the batched NBA writes, then runs
 // edge-triggered processes, looping until quiet.
-func (s *Simulator) settleLevelized() error {
+func (s *Instance) settleLevelized() error {
 	steps := 0
 	for {
 		if s.needSweep {
@@ -391,7 +385,7 @@ func (s *Simulator) settleLevelized() error {
 	}
 }
 
-func (s *Simulator) commitNBA(w nbaWrite) {
+func (s *Instance) commitNBA(w nbaWrite) {
 	if w.isMem {
 		mem := s.mems[w.sig]
 		if w.memIdx >= 0 && w.memIdx < len(mem) {
@@ -407,7 +401,7 @@ func (s *Simulator) commitNBA(w nbaWrite) {
 	s.set(w.sig, (old&^w.mask)|(w.val&w.mask))
 }
 
-func (s *Simulator) runProc(p *process) error {
+func (s *Instance) runProc(p *process) error {
 	prev := s.running
 	s.running = p.idx
 	defer func() { s.running = prev }()
@@ -421,7 +415,7 @@ func (s *Simulator) runProc(p *process) error {
 
 // interpProc runs one process through the reference interpreter (the
 // caller manages s.running).
-func (s *Simulator) interpProc(p *process) error {
+func (s *Instance) interpProc(p *process) error {
 	if p.connRHS != nil {
 		w := s.widthOfLHS(p.connLHS, p.connLHSsc)
 		rw := s.widthOf(p.connRHS, p.connRHSsc)
@@ -438,7 +432,7 @@ func (s *Simulator) interpProc(p *process) error {
 }
 
 // execStmt interprets one statement within process p.
-func (s *Simulator) execStmt(p *process, st verilog.Stmt) error {
+func (s *Instance) execStmt(p *process, st verilog.Stmt) error {
 	switch v := st.(type) {
 	case nil, *verilog.NullStmt:
 		return nil
@@ -519,7 +513,7 @@ func (s *Simulator) execStmt(p *process, st verilog.Stmt) error {
 	return fmt.Errorf("sim: unsupported statement %T", st)
 }
 
-func (s *Simulator) execAssign(p *process, a *verilog.Assign) error {
+func (s *Instance) execAssign(p *process, a *verilog.Assign) error {
 	if a == nil {
 		return nil
 	}
@@ -538,7 +532,7 @@ func (s *Simulator) execAssign(p *process, a *verilog.Assign) error {
 // writeLHS stores v into the l-value. Blocking writes apply immediately;
 // non-blocking writes are deferred to the NBA phase with targets resolved
 // now, per the standard.
-func (s *Simulator) writeLHS(lhs verilog.Expr, sc *scope, v uint64, blocking bool) error {
+func (s *Instance) writeLHS(lhs verilog.Expr, sc *scope, v uint64, blocking bool) error {
 	switch l := lhs.(type) {
 	case *verilog.Ident:
 		idx, ok := sc.names[l.Name]
@@ -646,7 +640,7 @@ func (s *Simulator) writeLHS(lhs verilog.Expr, sc *scope, v uint64, blocking boo
 }
 
 // widthOfLHS is the declared width of an l-value.
-func (s *Simulator) widthOfLHS(lhs verilog.Expr, sc *scope) int {
+func (s *Instance) widthOfLHS(lhs verilog.Expr, sc *scope) int {
 	switch l := lhs.(type) {
 	case *verilog.Ident:
 		if idx, ok := sc.names[l.Name]; ok {
@@ -681,7 +675,7 @@ func (s *Simulator) widthOfLHS(lhs verilog.Expr, sc *scope) int {
 }
 
 // widthOf is the self-determined width of an expression.
-func (s *Simulator) widthOf(e verilog.Expr, sc *scope) int {
+func (s *Instance) widthOf(e verilog.Expr, sc *scope) int {
 	switch v := e.(type) {
 	case *verilog.Number:
 		if v.Width > 0 {
@@ -754,14 +748,14 @@ func (s *Simulator) widthOf(e verilog.Expr, sc *scope) int {
 }
 
 // evalSelf evaluates e at its self-determined width.
-func (s *Simulator) evalSelf(e verilog.Expr, sc *scope) (uint64, error) {
+func (s *Instance) evalSelf(e verilog.Expr, sc *scope) (uint64, error) {
 	return s.eval(e, sc, s.widthOf(e, sc))
 }
 
 // eval evaluates e in context width ctxW (context-determined operands are
 // evaluated at ctxW; self-determined ones at their own width). The result
 // is masked to ctxW bits.
-func (s *Simulator) eval(e verilog.Expr, sc *scope, ctxW int) (uint64, error) {
+func (s *Instance) eval(e verilog.Expr, sc *scope, ctxW int) (uint64, error) {
 	m := widthMask(ctxW)
 	switch v := e.(type) {
 	case *verilog.Number:
@@ -902,7 +896,7 @@ func (s *Simulator) eval(e verilog.Expr, sc *scope, ctxW int) (uint64, error) {
 	return 0, fmt.Errorf("sim: unsupported expression %T", e)
 }
 
-func (s *Simulator) evalBinary(v *verilog.Binary, sc *scope, ctxW int) (uint64, error) {
+func (s *Instance) evalBinary(v *verilog.Binary, sc *scope, ctxW int) (uint64, error) {
 	m := widthMask(ctxW)
 	switch v.Op {
 	case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":

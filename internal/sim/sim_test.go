@@ -6,7 +6,7 @@ import (
 	"uvllm/internal/verilog"
 )
 
-func mustSim(t *testing.T, src, top string) *Simulator {
+func mustSim(t *testing.T, src, top string) *Instance {
 	t.Helper()
 	s, err := CompileAndNew(src, top)
 	if err != nil {
@@ -15,7 +15,7 @@ func mustSim(t *testing.T, src, top string) *Simulator {
 	return s
 }
 
-func settle(t *testing.T, s *Simulator) {
+func settle(t *testing.T, s *Instance) {
 	t.Helper()
 	if err := s.Settle(); err != nil {
 		t.Fatalf("Settle: %v", err)

@@ -11,30 +11,24 @@ package uvm
 // ranks them by a toggle-activity novelty proxy (state bits a candidate
 // flipped that no committed cycle has flipped yet), and cfg.Cycles
 // counts exactly the replayed, coverage-collecting cycles — the merged
-// map's sample counts line up with CoverageRandom's, like the
-// sequential loop's.
+// map's sample counts line up with CoverageRandom's, like the one-lane
+// batch loop's.
 
 import (
 	"math/bits"
-	"math/rand"
 
 	"uvllm/internal/cover"
 	"uvllm/internal/psim"
 	"uvllm/internal/sim"
 )
 
-// CoverageDirectedBitLanes is the bit-parallel directed loop: each round
-// broadcasts the committed harness state into a psim engine, drives one
-// candidate snippet per lane in bit-sliced sweeps, scores every
-// candidate by toggle novelty, and replays only the best candidate on
-// the coverage harness — which is also the committed state the next
-// round speculates from. Designs outside the bit-parallel subset fall
-// back to CoverageDirectedBatch; cfg.Lanes bounds the per-round
-// candidate count (default and cap 64).
-func CoverageDirectedBitLanes(p *sim.Program, cfg StimConfig) (*cover.Map, *Corpus, error) {
-	if psim.Supported(p, cfg.Clock) != nil {
-		return CoverageDirectedBatch(p, cfg)
-	}
+// directedBits is the bit-parallel directed loop: each round broadcasts
+// the committed harness state into a psim engine, drives one candidate
+// snippet per lane in bit-sliced sweeps, scores every candidate by toggle
+// novelty, and replays only the best candidate on the coverage harness —
+// which is also the committed state the next round speculates from.
+// cfg.Lanes bounds the per-round candidate count (default and cap 64).
+func directedBits(p *sim.Program, cfg StimConfig) (*cover.Map, *Corpus, error) {
 	lanes := cfg.Lanes
 	if lanes < 2 || lanes > 64 {
 		lanes = 64
@@ -48,16 +42,8 @@ func CoverageDirectedBitLanes(p *sim.Program, cfg StimConfig) (*cover.Map, *Corp
 	if err != nil {
 		return nil, nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	d := p.Design()
-	ports := stimPorts(d, cfg.Clock)
-	rstName, activeLow := sim.FindReset(d)
-	var dict []uint64
-	for _, c := range d.Constants() {
-		if c != 0 {
-			dict = append(dict, c)
-		}
-	}
+	g := newSnippetGen(d, cfg)
 
 	m := h.Coverage()
 	corpus := &Corpus{}
@@ -67,24 +53,21 @@ func CoverageDirectedBitLanes(p *sim.Program, cfg StimConfig) (*cover.Map, *Corp
 	// beyond this.
 	seen01 := make([]uint64, d.NumSignals())
 	seen10 := make([]uint64, d.NumSignals())
-	ins := make([]map[string]uint64, lanes)
+	rows := make([][]uint64, lanes)
 	remaining := cfg.Cycles
 	for remaining > 0 {
-		k := cfg.snippetLen()
-		if k > remaining {
-			k = remaining
-		}
-		candidates := make([][]map[string]uint64, lanes)
+		k := min(cfg.snippetLen(), remaining)
+		candidates := make([][][]uint64, lanes)
 		for l := range candidates {
-			candidates[l] = nextCandidate(corpus, rng, ports, dict, rstName, activeLow, k)
+			candidates[l] = g.next(corpus, k)
 		}
 		eng.Broadcast(h.Sim)
 		eng.StartActivity()
 		for c := 0; c < k; c++ {
-			for l := range ins {
-				ins[l] = candidates[l][c]
+			for l := range rows {
+				rows[l] = candidates[l][c]
 			}
-			if err := eng.CycleMaps(ins); err != nil {
+			if err := eng.Cycle(rows); err != nil {
 				return m, corpus, err
 			}
 		}
@@ -104,8 +87,8 @@ func CoverageDirectedBitLanes(p *sim.Program, cfg StimConfig) (*cover.Map, *Corp
 		// for the map and the corpus, and the committed state the next
 		// round's broadcast starts from.
 		before := m.Hit()
-		for _, in := range candidates[best] {
-			if _, err := h.Cycle(in); err != nil {
+		for _, row := range candidates[best] {
+			if err := h.CycleRow(row); err != nil {
 				return m, corpus, err
 			}
 			remaining--

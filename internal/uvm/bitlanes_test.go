@@ -42,11 +42,11 @@ func TestCoverageDirectedBitLanesNeedle(t *testing.T) {
 func TestCoverageDirectedBitLanesDeterministic(t *testing.T) {
 	p := compileNeedle(t)
 	cfg := StimConfig{Clock: "clk", Cycles: 60, Seed: 9, BitLanes: true, Lanes: 16}
-	m1, c1, err := CoverageDirectedBitLanes(p, cfg)
+	m1, c1, err := CoverageDirected(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, c2, err := CoverageDirectedBitLanes(p, cfg)
+	m2, c2, err := CoverageDirected(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCoverageDirectedBitLanesBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, _, err := CoverageDirectedBitLanes(p, cfg)
+	md, _, err := CoverageDirected(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ endmodule`
 		t.Fatal("strobe design unexpectedly in the bit-parallel subset")
 	}
 	cfg := StimConfig{Clock: "clk", Cycles: 40, Seed: 3, BitLanes: true, Lanes: 4}
-	m, _, err := CoverageDirectedBitLanes(p, cfg)
+	m, _, err := CoverageDirected(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

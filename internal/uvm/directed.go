@@ -15,6 +15,7 @@ import (
 	"math/rand"
 
 	"uvllm/internal/cover"
+	"uvllm/internal/psim"
 	"uvllm/internal/sim"
 )
 
@@ -35,11 +36,11 @@ type StimConfig struct {
 	// snippet (default 5). Shorter snippets give finer gain attribution;
 	// longer ones reach deeper sequential behavior.
 	SnippetLen int
-	// Lanes selects the batched candidate scorer: values > 1 make
-	// CoverageDirected evaluate that many candidate snippets per round in
-	// one sim.Batch (fused sweeps, shared schedule decode) and continue
-	// from the best, under the same total cycle budget. 0 or 1 keeps the
-	// sequential loop.
+	// Lanes is the batched candidate scorer's width: CoverageDirected
+	// evaluates that many candidate snippets per round in one sim.Batch
+	// (fused sweeps, shared schedule decode) and continues from the best,
+	// under the same total cycle budget. 0 or 1 scores one candidate per
+	// round.
 	Lanes int
 	// BitLanes selects the bit-parallel candidate scorer instead: each
 	// round screens up to 64 candidate snippets one-bit-per-word on the
@@ -67,9 +68,11 @@ func (c StimConfig) snippetLen() int {
 }
 
 // CorpusEntry is one saved stimulus snippet and the new-coverage gain it
-// produced when first executed.
+// produced when first executed. Vectors holds one row per cycle, aligned
+// with the stimulus ports: the non-clock inputs in declaration order, the
+// layout of sim.Harness.Ports.
 type CorpusEntry struct {
-	Vectors []map[string]uint64
+	Vectors [][]uint64
 	Gain    int
 }
 
@@ -115,16 +118,11 @@ func CoverageRandom(p *sim.Program, cfg StimConfig) (*cover.Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	ports := stimPorts(p.Design(), cfg.Clock)
-	rstName, activeLow := sim.FindReset(p.Design())
+	g := newSnippetGen(p.Design(), cfg)
+	row := make([]uint64, len(g.ports))
 	for i := 0; i < cfg.Cycles; i++ {
-		in := map[string]uint64{}
-		for _, pt := range ports {
-			in[pt.Name] = rng.Uint64() & maskW(pt.Width)
-		}
-		holdResetInactive(in, rstName, activeLow)
-		if _, err := h.Cycle(in); err != nil {
+		g.uniform(row)
+		if err := h.CycleRow(row); err != nil {
 			return h.Coverage(), err
 		}
 	}
@@ -134,71 +132,34 @@ func CoverageRandom(p *sim.Program, cfg StimConfig) (*cover.Map, error) {
 // CoverageDirected measures the structural coverage the
 // coverage-directed loop reaches under the same cycle budget as
 // CoverageRandom, returning the final map and the corpus of
-// coverage-raising snippets. The loop runs snippet by snippet: each
-// candidate is either a mutation of a gain-weighted corpus seed or a
-// fresh snippet drawn from the boundary/constant-biased value
+// coverage-raising snippets. The loop runs round by round: each
+// candidate snippet is either a mutation of a gain-weighted corpus seed
+// or a fresh snippet drawn from the boundary/constant-biased value
 // distribution, and any snippet that hits new points joins the corpus.
+// cfg.Lanes candidates per round are scored on a sim.Batch; cfg.BitLanes
+// screens them on the bit-parallel engine instead, and designs outside
+// its subset fall back to the batch scorer at two lanes or more.
 func CoverageDirected(p *sim.Program, cfg StimConfig) (*cover.Map, *Corpus, error) {
+	lanes := max(cfg.Lanes, 1)
 	if cfg.BitLanes {
-		return CoverageDirectedBitLanes(p, cfg)
-	}
-	if cfg.Lanes > 1 {
-		return CoverageDirectedBatch(p, cfg)
-	}
-	h, err := coverHarness(p, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	d := p.Design()
-	ports := stimPorts(d, cfg.Clock)
-	rstName, activeLow := sim.FindReset(d)
-	// Zero is already a boundary draw; keeping it in the dictionary would
-	// only double its weight.
-	var dict []uint64
-	for _, c := range d.Constants() {
-		if c != 0 {
-			dict = append(dict, c)
+		if psim.Supported(p, cfg.Clock) == nil {
+			return directedBits(p, cfg)
 		}
+		lanes = max(cfg.Lanes, 2)
 	}
-
-	m := h.Coverage()
-	corpus := &Corpus{}
-	remaining := cfg.Cycles
-	for remaining > 0 {
-		k := cfg.snippetLen()
-		if k > remaining {
-			k = remaining
-		}
-		snippet := nextCandidate(corpus, rng, ports, dict, rstName, activeLow, k)
-		before := m.Hit()
-		for _, in := range snippet {
-			if _, err := h.Cycle(in); err != nil {
-				return m, corpus, err
-			}
-			remaining--
-		}
-		if gain := m.Hit() - before; gain > 0 {
-			corpus.Entries = append(corpus.Entries, CorpusEntry{Vectors: snippet, Gain: gain})
-		}
-	}
-	return m, corpus, nil
+	return directedBatch(p, cfg, lanes)
 }
 
-// CoverageDirectedBatch is the lane-parallel directed loop: each round
-// restores cfg.Lanes instances of one sim.Batch to the committed state,
-// drives one candidate snippet per lane in fused sweeps, scores every
+// directedBatch is the lane-parallel directed loop: each round restores
+// up to `lanes` instances of one sim.Batch to the committed state, drives
+// one candidate snippet per lane in fused sweeps, scores every
 // candidate's coverage gain against the accumulated map, and continues
 // from the best candidate's post-snippet state. All simulated cycles
 // count against cfg.Cycles (L lanes × k-cycle snippets consume L·k), so
-// runs stay budget-comparable with CoverageRandom and the sequential
-// CoverageDirected; every lane's observed coverage is merged — a losing
-// candidate's points were still genuinely exercised.
-func CoverageDirectedBatch(p *sim.Program, cfg StimConfig) (*cover.Map, *Corpus, error) {
-	lanes := cfg.Lanes
-	if lanes < 2 {
-		lanes = 2
-	}
+// runs stay budget-comparable with CoverageRandom; every lane's observed
+// coverage is merged — a losing candidate's points were still genuinely
+// exercised. At one lane this is the plain sequential loop.
+func directedBatch(p *sim.Program, cfg StimConfig, lanes int) (*cover.Map, *Corpus, error) {
 	b, err := sim.NewBatch(p, lanes, cfg.Clock)
 	if err != nil {
 		return nil, nil, err
@@ -206,40 +167,25 @@ func CoverageDirectedBatch(p *sim.Program, cfg StimConfig) (*cover.Map, *Corpus,
 	if err := b.EnableCover(cfg.cover()); err != nil {
 		return nil, nil, err
 	}
-	if err := b.ApplyReset(2); err != nil {
+	if err = b.ApplyReset(2); err == nil {
+		err = b.Err(0)
+	}
+	if err != nil {
 		return nil, nil, fmt.Errorf("uvm: cover reset: %w", err)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	d := p.Design()
-	ports := stimPorts(d, cfg.Clock)
-	rstName, activeLow := sim.FindReset(d)
-	var dict []uint64
-	for _, c := range d.Constants() {
-		if c != 0 {
-			dict = append(dict, c)
-		}
-	}
+	g := newSnippetGen(p.Design(), cfg)
 
 	m := b.Coverage(0).Clone() // reset-phase coverage, identical on every lane
 	cur := b.Lane(0).Snapshot()
 	corpus := &Corpus{}
-	ins := make([]map[string]uint64, lanes)
+	rows := make([][]uint64, lanes)
 	remaining := cfg.Cycles
 	for remaining > 0 {
-		k := cfg.snippetLen()
-		if k > remaining {
-			k = remaining
-		}
-		live := remaining / k // candidates this round within budget
-		if live < 1 {
-			live = 1
-		}
-		if live > lanes {
-			live = lanes
-		}
-		candidates := make([][]map[string]uint64, live)
+		k := min(cfg.snippetLen(), remaining)
+		live := min(max(remaining/k, 1), lanes) // candidates this round within budget
+		candidates := make([][][]uint64, live)
 		for l := range candidates {
-			candidates[l] = nextCandidate(corpus, rng, ports, dict, rstName, activeLow, k)
+			candidates[l] = g.next(corpus, k)
 		}
 		for l := 0; l < live; l++ {
 			// Fresh per-round map first, then restore: the rewind lands the
@@ -253,14 +199,13 @@ func CoverageDirectedBatch(p *sim.Program, cfg StimConfig) (*cover.Map, *Corpus,
 			}
 		}
 		for c := 0; c < k; c++ {
-			for l := range ins {
+			for l := range rows {
+				rows[l] = nil
 				if l < live {
-					ins[l] = candidates[l][c]
-				} else {
-					ins[l] = nil
+					rows[l] = candidates[l][c]
 				}
 			}
-			if err := b.CycleMaps(ins); err != nil {
+			if err := b.Cycle(rows); err != nil {
 				return m, corpus, err
 			}
 		}
@@ -320,101 +265,124 @@ func stimPorts(d *sim.Design, clock string) []sim.PortInfo {
 	return out
 }
 
-func holdResetInactive(in map[string]uint64, rstName string, activeLow bool) {
-	if rstName == "" {
-		return
+// snippetGen draws stimulus as rows aligned with the stimulus ports,
+// always with the reset held inactive: the initial reset phase already
+// exercises the reset branches, and mid-run resets would keep clearing
+// the accumulated state whose high bits are the hardest toggle points.
+type snippetGen struct {
+	rng     *rand.Rand
+	ports   []sim.PortInfo
+	dict    []uint64 // nonzero design constants
+	rst     int      // reset column, -1 when the design has none
+	hold    uint64   // the reset column's inactive value
+	mutable []int    // every column but the reset
+}
+
+func newSnippetGen(d *sim.Design, cfg StimConfig) *snippetGen {
+	g := &snippetGen{rng: rand.New(rand.NewSource(cfg.Seed)), ports: stimPorts(d, cfg.Clock), rst: -1}
+	var rstName string
+	rstName, g.hold = sim.FindResetDeassert(d)
+	for i, pt := range g.ports {
+		if pt.Name == rstName {
+			g.rst = i
+		} else {
+			g.mutable = append(g.mutable, i)
+		}
 	}
-	if activeLow {
-		in[rstName] = 1
-	} else {
-		in[rstName] = 0
+	// Zero is already a boundary draw; keeping it in the dictionary would
+	// only double its weight.
+	for _, c := range d.Constants() {
+		if c != 0 {
+			g.dict = append(g.dict, c)
+		}
+	}
+	return g
+}
+
+// rows allocates a k-cycle snippet over one slab.
+func (g *snippetGen) rows(k int) [][]uint64 {
+	n := len(g.ports)
+	slab := make([]uint64, k*n)
+	out := make([][]uint64, k)
+	for i := range out {
+		out[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	return out
+}
+
+func (g *snippetGen) holdReset(row []uint64) {
+	if g.rst >= 0 {
+		row[g.rst] = g.hold
 	}
 }
 
-// nextCandidate produces the next snippet to try. The mix matters: pure
-// uniform snippets keep the per-bit entropy (and with it the toggle
-// coverage rate) at the random baseline, biased snippets reach equality
-// branches and case arms uniform draws almost never hit, and mutations
-// of gain-weighted corpus seeds re-enter the rare states those snippets
+// uniform fills row with plain uniform values — the random baseline's
+// own distribution.
+func (g *snippetGen) uniform(row []uint64) {
+	for i, pt := range g.ports {
+		row[i] = g.rng.Uint64() & maskW(pt.Width)
+	}
+	g.holdReset(row)
+}
+
+// next produces the next snippet to try. The mix matters: pure uniform
+// snippets keep the per-bit entropy (and with it the toggle coverage
+// rate) at the random baseline, biased snippets reach equality branches
+// and case arms uniform draws almost never hit, and mutations of
+// gain-weighted corpus seeds re-enter the rare states those snippets
 // discovered.
-func nextCandidate(corpus *Corpus, rng *rand.Rand, ports []sim.PortInfo, dict []uint64, rstName string, activeLow bool, k int) []map[string]uint64 {
-	switch rng.Intn(5) {
+func (g *snippetGen) next(corpus *Corpus, k int) [][]uint64 {
+	switch g.rng.Intn(5) {
 	case 0:
-		if e := corpus.pick(rng); e != nil {
-			return mutateSnippet(rng, e.Vectors, ports, dict, rstName, activeLow, k)
+		if e := corpus.pick(g.rng); e != nil {
+			return g.mutate(e.Vectors, k)
 		}
 	case 1, 2:
-		return freshSnippet(rng, ports, dict, rstName, activeLow, k)
+		return g.fresh(k)
 	}
-	return uniformSnippet(rng, ports, rstName, activeLow, k)
-}
-
-// uniformSnippet draws k cycles of plain uniform vectors — the random
-// baseline's own distribution.
-func uniformSnippet(rng *rand.Rand, ports []sim.PortInfo, rstName string, activeLow bool, k int) []map[string]uint64 {
-	out := make([]map[string]uint64, k)
-	for i := range out {
-		in := map[string]uint64{}
-		for _, pt := range ports {
-			in[pt.Name] = rng.Uint64() & maskW(pt.Width)
-		}
-		holdResetInactive(in, rstName, activeLow)
-		out[i] = in
+	out := g.rows(k)
+	for _, row := range out {
+		g.uniform(row)
 	}
 	return out
 }
 
-// freshSnippet draws k cycles of boundary/constant-biased vectors with
-// the reset held inactive — the initial reset phase already exercises
-// the reset branches, and mid-run resets would keep clearing the
-// accumulated state whose high bits are the hardest toggle points.
-func freshSnippet(rng *rand.Rand, ports []sim.PortInfo, dict []uint64, rstName string, activeLow bool, k int) []map[string]uint64 {
-	out := make([]map[string]uint64, k)
-	for i := range out {
-		in := map[string]uint64{}
-		for _, pt := range ports {
-			in[pt.Name] = biasedValue(rng, pt.Width, dict)
+// fresh draws k cycles of boundary/constant-biased vectors.
+func (g *snippetGen) fresh(k int) [][]uint64 {
+	out := g.rows(k)
+	for _, row := range out {
+		for i, pt := range g.ports {
+			row[i] = biasedValue(g.rng, pt.Width, g.dict)
 		}
-		holdResetInactive(in, rstName, activeLow)
-		out[i] = in
+		g.holdReset(row)
 	}
 	return out
 }
 
-// mutateSnippet copies a corpus seed, resizes it to k cycles and rewrites
-// a few (cycle, port) positions with biased values or single-bit flips.
-// The reset port is never a mutation target: every snippet generator
-// holds reset inactive, and a flipped reset would re-clear exactly the
-// deep state the corpus seed was saved for reaching.
-func mutateSnippet(rng *rand.Rand, seed []map[string]uint64, ports []sim.PortInfo, dict []uint64, rstName string, activeLow bool, k int) []map[string]uint64 {
-	out := make([]map[string]uint64, k)
-	for i := range out {
-		src := seed[i%len(seed)]
-		in := make(map[string]uint64, len(src))
-		for kk, vv := range src {
-			in[kk] = vv
-		}
-		holdResetInactive(in, rstName, activeLow)
-		out[i] = in
+// mutate copies a corpus seed, resizes it to k cycles and rewrites a few
+// (cycle, port) positions with biased values or single-bit flips. The
+// reset column is never a mutation target: a flipped reset would
+// re-clear exactly the deep state the corpus seed was saved for
+// reaching.
+func (g *snippetGen) mutate(seed [][]uint64, k int) [][]uint64 {
+	out := g.rows(k)
+	for i, row := range out {
+		copy(row, seed[i%len(seed)])
+		g.holdReset(row)
 	}
-	var mutable []sim.PortInfo
-	for _, pt := range ports {
-		if pt.Name != rstName {
-			mutable = append(mutable, pt)
-		}
-	}
-	if len(mutable) == 0 {
+	if len(g.mutable) == 0 {
 		return out
 	}
-	muts := 1 + rng.Intn(3)
+	muts := 1 + g.rng.Intn(3)
 	for i := 0; i < muts; i++ {
-		cyc := rng.Intn(k)
-		pt := mutable[rng.Intn(len(mutable))]
-		if rng.Intn(2) == 0 {
-			out[cyc][pt.Name] = biasedValue(rng, pt.Width, dict)
+		cyc := g.rng.Intn(k)
+		j := g.mutable[g.rng.Intn(len(g.mutable))]
+		w := g.ports[j].Width
+		if g.rng.Intn(2) == 0 {
+			out[cyc][j] = biasedValue(g.rng, w, g.dict)
 		} else {
-			out[cyc][pt.Name] ^= 1 << uint(rng.Intn(pt.Width)) // bit flip
-			out[cyc][pt.Name] &= maskW(pt.Width)
+			out[cyc][j] ^= 1 << uint(g.rng.Intn(w)) // bit flip
+			out[cyc][j] &= maskW(w)
 		}
 	}
 	return out

@@ -156,11 +156,11 @@ func TestCoverageDirectedBatchNeedle(t *testing.T) {
 func TestCoverageDirectedBatchDeterministic(t *testing.T) {
 	p := compileNeedle(t)
 	cfg := StimConfig{Clock: "clk", Cycles: 60, Seed: 9, Lanes: 3}
-	m1, c1, err := CoverageDirectedBatch(p, cfg)
+	m1, c1, err := CoverageDirected(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, c2, err := CoverageDirectedBatch(p, cfg)
+	m2, c2, err := CoverageDirected(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCoverageDirectedBatchDeterministic(t *testing.T) {
 
 func TestCoverageDirectedBatchBudget(t *testing.T) {
 	p := compileNeedle(t)
-	// Same statement-sample accounting as the sequential loop: the merged
+	// Same statement-sample accounting as the one-lane loop: the merged
 	// map must carry exactly reset + Cycles samples of the always block's
 	// outer statement — L lanes of k-cycle snippets consume L·k budget.
 	cfg := StimConfig{Clock: "clk", Cycles: 37, Seed: 1, SnippetLen: 5, Lanes: 4}
@@ -182,7 +182,7 @@ func TestCoverageDirectedBatchBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, _, err := CoverageDirectedBatch(p, cfg)
+	md, _, err := CoverageDirected(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

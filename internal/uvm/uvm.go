@@ -258,7 +258,7 @@ type Config struct {
 // failures (syntax errors, unsupported constructs, oscillation at time 0)
 // are returned as errors; the caller treats them as simulation failures.
 func NewEnv(cfg Config) (*Env, error) {
-	var s *sim.Simulator
+	var s *sim.Instance
 	var err error
 	switch {
 	case cfg.Program != nil:
