@@ -53,7 +53,7 @@ func main() {
 	cfg := opts.Exp(exp.Config{})
 	sess := exp.SharedSession(cfg.Backend)
 	sess.Workers = cfg.Workers
-	lanes := opts.Lanes
+	lanes := knobs.Lanes
 	if !*fig5 && !*fig6 && !*fig7 && !*table2 && !*table3 && !*ablation && !*passk && !*cov && !*form && !*batch && !*bitlanes {
 		*all = true
 	}

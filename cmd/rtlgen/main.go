@@ -33,11 +33,10 @@ func main() {
 	)
 	knobs := service.Bind(flag.CommandLine, service.FlagLanes)
 	flag.Parse()
-	opts, err := knobs.Options()
-	if err != nil {
+	if _, err := knobs.Options(); err != nil {
 		fatal(err)
 	}
-	lanes := &opts.Lanes
+	lanes := knobs.Lanes
 	if *n < 1 {
 		fatal(fmt.Errorf("-n must be >= 1, got %d", *n))
 	}
@@ -46,7 +45,7 @@ func main() {
 	}
 
 	if *cov {
-		runs, cum, err := rtlgen.CoverSweep(*seed, *n, *cycles, *lanes)
+		runs, cum, err := rtlgen.CoverSweep(*seed, *n, *cycles, lanes)
 		if err != nil {
 			fatal(err)
 		}
@@ -77,8 +76,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "rtlgen: seed %d: %v\n", d.Seed, err)
 				os.Exit(1)
 			}
-			if *lanes > 1 {
-				if _, err := rtlgen.DiffLanes(d.Source, d.Top, d.Clock, *lanes, *cycles, d.Seed); err != nil {
+			if lanes > 1 {
+				if _, err := rtlgen.DiffLanes(d.Source, d.Top, d.Clock, lanes, *cycles, d.Seed); err != nil {
 					fmt.Fprintf(os.Stderr, "rtlgen: seed %d (%s): lane engines diverged: %v\n%s\n",
 						d.Seed, d.Flavor, err, d.Source)
 					os.Exit(1)

@@ -50,7 +50,7 @@ func main() {
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
 		slowSpan = flag.Duration("slowspan", 0, "trace every job and log spans at least this long (0 = off), e.g. -slowspan 250ms")
 	)
-	knobs := service.Bind(flag.CommandLine, service.FlagAll)
+	knobs := service.Bind(flag.CommandLine, service.FlagBackend|service.FlagCover|service.FlagFormal|service.FlagWorkers)
 	flag.Parse()
 	opts, err := knobs.Options()
 	if err != nil {

@@ -40,21 +40,21 @@ type Options struct {
 	// skip deterministically the rare miters (deep multiplier/divider
 	// cones) whose UNSAT proofs are out of a test budget's reach.
 	MaxConflicts int
-	// FreeReset, when set, leaves the conventional reset input free (a
+	// freeReset, when set, leaves the conventional reset input free (a
 	// per-cycle variable) instead of freezing it at its deasserted value.
 	// Sequential processes that trigger on a reset edge are then recorded
 	// as async procs: under the harness protocol the reset only changes at
 	// input-apply time, so the cycle-circuit replay (NewCircuit) fires them
 	// symbolically at the clock-low settle, guarded by the old-versus-new
 	// edge condition — exact async-reset semantics at every observation
-	// instant. The cycle-circuit consumers use FreeReset so every non-clock
+	// instant. The cycle-circuit consumers use freeReset so every non-clock
 	// input — the sim.Batch row layout — is a driven variable.
-	FreeReset bool
-	// LiteralClock, when set, takes Clock exactly as given — "" then means
+	freeReset bool
+	// literalClock, when set, takes Clock exactly as given — "" then means
 	// "no clock", suppressing the conventional-name guess. This mirrors
 	// the harness contract, where an empty clock name selects the
 	// combinational protocol even when the design has a clk input.
-	LiteralClock bool
+	literalClock bool
 	// MinimizeCex shrinks SAT counterexamples before returning them:
 	// re-solve under assumptions freezing the already-satisfying suffix
 	// and greedily zeroing input bits, so the directed sequences replayed
@@ -126,7 +126,7 @@ type Model struct {
 	procs     []sim.ProcView
 	sigs      []sim.SignalView
 
-	// Async-reset bookkeeping (FreeReset only): the conventional reset's
+	// Async-reset bookkeeping (freeReset only): the conventional reset's
 	// arena index and the sequential processes with an edge trigger on it,
 	// fired symbolically at the settle instant by the cycle-circuit replay.
 	rstIdx int
@@ -178,7 +178,7 @@ func newModelShared(g *AIG, prog *sim.Program, opts Options) (*Model, error) {
 	}
 	d := prog.Design()
 	clock := opts.Clock
-	if clock == "" && !opts.LiteralClock {
+	if clock == "" && !opts.literalClock {
 		clock = sim.FindClock(d)
 	}
 	m := &Model{
@@ -206,10 +206,10 @@ func newModelShared(g *AIG, prog *sim.Program, opts Options) (*Model, error) {
 
 	// The conventional reset: frozen at its deasserted value by default
 	// (the protocol runs the concrete preamble and explores post-reset
-	// behavior), a tracked free input under FreeReset.
+	// behavior), a tracked free input under freeReset.
 	if rst, v := sim.FindResetDeassert(d); rst != "" {
 		if idx, ok := d.SignalIndex(rst); ok {
-			if opts.FreeReset {
+			if opts.freeReset {
 				m.rstIdx = idx
 			} else {
 				m.frozen[idx] = v
@@ -378,7 +378,9 @@ func (m *Model) StateSignals() []int {
 		if pv.Kind != sim.ProcSeq {
 			continue
 		}
-		collectLHS(pv.Body, pv.Scope, set)
+		for _, i := range pv.Writes() {
+			set[i] = true
+		}
 	}
 	for i, sv := range m.sigs {
 		if sv.IsMem {
@@ -391,53 +393,6 @@ func (m *Model) StateSignals() []int {
 	}
 	sort.Ints(idxs)
 	return idxs
-}
-
-// collectLHS walks one statement tree recording every assigned signal's
-// arena index.
-func collectLHS(st verilog.Stmt, sc sim.ScopeView, set map[int]bool) {
-	switch v := st.(type) {
-	case nil, *verilog.NullStmt:
-	case *verilog.Block:
-		for _, sub := range v.Stmts {
-			collectLHS(sub, sc, set)
-		}
-	case *verilog.Assign:
-		collectLHSExpr(v.LHS, sc, set)
-	case *verilog.If:
-		collectLHS(v.Then, sc, set)
-		collectLHS(v.Else, sc, set)
-	case *verilog.Case:
-		for i := range v.Items {
-			collectLHS(v.Items[i].Body, sc, set)
-		}
-	case *verilog.For:
-		if v.Init != nil {
-			collectLHSExpr(v.Init.LHS, sc, set)
-		}
-		collectLHS(v.Body, sc, set)
-		if v.Step != nil {
-			collectLHSExpr(v.Step.LHS, sc, set)
-		}
-	}
-}
-
-// collectLHSExpr records the root identifiers of one l-value expression.
-func collectLHSExpr(lhs verilog.Expr, sc sim.ScopeView, set map[int]bool) {
-	switch l := lhs.(type) {
-	case *verilog.Ident:
-		if idx, ok := sc.Lookup(l.Name); ok {
-			set[idx] = true
-		}
-	case *verilog.Index:
-		collectLHSExpr(l.X, sc, set)
-	case *verilog.PartSelect:
-		collectLHSExpr(l.X, sc, set)
-	case *verilog.Concat:
-		for _, p := range l.Parts {
-			collectLHSExpr(p, sc, set)
-		}
-	}
 }
 
 // OutputVec reads an output port's symbolic value from a state.
@@ -890,9 +845,10 @@ func guardMask(g *AIG, guard Lit, w int) Vec {
 
 // constRange evaluates constant part-select bounds, normalized msb >= lsb.
 func (e *sexec) constRange(msbE, lsbE verilog.Expr, sc sim.ScopeView) (msb, lsb int64, ok bool) {
-	m, err1 := verilog.EvalConst(msbE, sc.Params())
-	l, err2 := verilog.EvalConst(lsbE, sc.Params())
-	if err1 != nil || err2 != nil || m < 0 || l < 0 {
+	bs := blastScope{e.m, sc}
+	m, ok1 := bs.Const(msbE)
+	l, ok2 := bs.Const(lsbE)
+	if !ok1 || !ok2 {
 		return 0, 0, false
 	}
 	if m < l {

@@ -59,9 +59,9 @@ type Circuit struct {
 
 // NewCircuit blasts prog's single-cycle transition function with fresh
 // input variables. The clock name is taken literally ("" = combinational
-// protocol) and every non-clock input is free: the circuit is built under
-// Options.FreeReset, so designs that need the frozen-reset protocol
-// (async-reset edge triggers) return ErrUnsupported.
+// protocol) and every non-clock input is free, the reset included, so
+// designs that need the frozen-reset protocol (async-reset edge triggers)
+// return ErrUnsupported.
 func NewCircuit(prog *sim.Program, clock string, opts Options) (*Circuit, error) {
 	return NewCircuitShared(NewAIG(), nil, prog, clock, opts)
 }
@@ -72,8 +72,8 @@ func NewCircuit(prog *sim.Program, clock string, opts Options) (*Circuit, error)
 // structure — the mechanism faultgen's bit-parallel classifier uses to
 // evaluate one golden and many mutants of it in a single sweep.
 func NewCircuitShared(g *AIG, in map[string]Vec, prog *sim.Program, clock string, opts Options) (*Circuit, error) {
-	opts.FreeReset = true
-	opts.LiteralClock = true
+	opts.freeReset = true
+	opts.literalClock = true
 	opts.Clock = clock
 	m, err := newModelShared(g, prog, opts)
 	if err != nil {

@@ -8,111 +8,50 @@ import (
 )
 
 // Symbolic expression evaluation, a literal-by-literal mirror of the
-// interpreter in internal/sim (eval, evalBinary, widthOf, widthOfLHS):
-// the same context-width rules, the same unsigned 64-bit arithmetic with
-// masking at each context boundary, the same out-of-range and
-// division-by-zero conventions. Any divergence between this file and
-// sim's evaluator is a bug the formal-vs-simulation agreement oracles
-// (rtlgen's fourth oracle, FuzzFormalAgreesWithSim) are built to catch.
+// interpreter's evaluator in internal/sim (eval, evalBinary): the same
+// unsigned 64-bit arithmetic with masking at each context boundary, the
+// same out-of-range and division-by-zero conventions. Widths come from
+// the one rule in internal/verilog (SelfWidth, TargetWidth), which the
+// interpreter uses too. Any divergence between this file and sim's
+// evaluator is a bug the formal-vs-simulation agreement oracles (rtlgen's
+// fourth oracle, FuzzFormalAgreesWithSim) are built to catch.
 
-// widthOf is the self-determined width of an expression (sim.widthOf).
-func (e *sexec) widthOf(x verilog.Expr, sc sim.ScopeView) int {
-	switch v := x.(type) {
-	case *verilog.Number:
-		if v.Width > 0 {
-			return v.Width
-		}
-		return 32
-	case *verilog.Ident:
-		if _, isParam := sc.Param(v.Name); isParam {
-			return 32
-		}
-		if idx, ok := sc.Lookup(v.Name); ok {
-			return e.m.sigs[idx].Width
-		}
-		return 1
-	case *verilog.Unary:
-		switch v.Op {
-		case "!", "&", "|", "^", "~&", "~|", "~^":
-			return 1
-		}
-		return e.widthOf(v.X, sc)
-	case *verilog.Binary:
-		switch v.Op {
-		case "==", "!=", "===", "!==", "<", ">", "<=", ">=", "&&", "||":
-			return 1
-		case "<<", ">>", "<<<", ">>>":
-			return e.widthOf(v.X, sc)
-		}
-		a, b := e.widthOf(v.X, sc), e.widthOf(v.Y, sc)
-		if a > b {
-			return a
-		}
-		return b
-	case *verilog.Ternary:
-		a, b := e.widthOf(v.Then, sc), e.widthOf(v.Else, sc)
-		if a > b {
-			return a
-		}
-		return b
-	case *verilog.Index:
-		if id, ok := v.X.(*verilog.Ident); ok {
-			if idx, ok := sc.Lookup(id.Name); ok && e.m.sigs[idx].IsMem {
-				return e.m.sigs[idx].Width
-			}
-		}
-		return 1
-	case *verilog.PartSelect:
-		msb, lsb, ok := e.constRange(v.MSB, v.LSB, sc)
-		if !ok {
-			return 1
-		}
-		return int(msb-lsb) + 1
-	case *verilog.Concat:
-		total := 0
-		for _, p := range v.Parts {
-			total += e.widthOf(p, sc)
-		}
-		return total
-	case *verilog.Repl:
-		n, err := verilog.EvalConst(v.Count, sc.Params())
-		if err != nil || n < 0 {
-			return 1
-		}
-		return int(n) * e.widthOf(v.Value, sc)
-	}
-	return 1
+// blastScope resolves names and constants for the width rule. Bounds and
+// counts must be non-negative elaboration-time constants: the bit-blaster
+// has no run-time values to evaluate them with.
+type blastScope struct {
+	m  *Model
+	sc sim.ScopeView
 }
 
-// widthOfLHS is the declared width of an l-value (sim.widthOfLHS).
-func (e *sexec) widthOfLHS(lhs verilog.Expr, sc sim.ScopeView) int {
-	switch l := lhs.(type) {
-	case *verilog.Ident:
-		if idx, ok := sc.Lookup(l.Name); ok {
-			return e.m.sigs[idx].Width
-		}
-		return 1
-	case *verilog.Index:
-		if id, ok := l.X.(*verilog.Ident); ok {
-			if idx, ok := sc.Lookup(id.Name); ok && e.m.sigs[idx].IsMem {
-				return e.m.sigs[idx].Width
-			}
-		}
-		return 1
-	case *verilog.PartSelect:
-		msb, lsb, ok := e.constRange(l.MSB, l.LSB, sc)
-		if !ok {
-			return 1
-		}
-		return int(msb-lsb) + 1
-	case *verilog.Concat:
-		total := 0
-		for _, p := range l.Parts {
-			total += e.widthOfLHS(p, sc)
-		}
-		return total
+func (v blastScope) IsParam(name string) bool {
+	_, ok := v.sc.Param(name)
+	return ok
+}
+
+func (v blastScope) Signal(name string) (int, bool, bool) {
+	idx, ok := v.sc.Lookup(name)
+	if !ok {
+		return 0, false, false
 	}
-	return 1
+	return v.m.sigs[idx].Width, v.m.sigs[idx].IsMem, true
+}
+
+func (v blastScope) Const(e verilog.Expr) (int64, bool) {
+	n, err := verilog.EvalConst(e, v.sc.Params())
+	return n, err == nil && n >= 0
+}
+
+// widthOf is the self-determined width of an expression.
+func (e *sexec) widthOf(x verilog.Expr, sc sim.ScopeView) int {
+	w, _ := verilog.SelfWidth(x, blastScope{e.m, sc})
+	return w
+}
+
+// widthOfLHS is the declared width of an l-value.
+func (e *sexec) widthOfLHS(lhs verilog.Expr, sc sim.ScopeView) int {
+	w, _ := verilog.TargetWidth(lhs, blastScope{e.m, sc})
+	return w
 }
 
 // evalSelf evaluates x at its self-determined width.
@@ -262,8 +201,8 @@ func (e *sexec) eval(x verilog.Expr, sc sim.ScopeView, ctxW int) Vec {
 		return g.Resize(acc, w)
 
 	case *verilog.Repl:
-		n, err := verilog.EvalConst(v.Count, sc.Params())
-		if err != nil || n < 0 {
+		n, ok := blastScope{e.m, sc}.Const(v.Count)
+		if !ok {
 			e.fail(unsupportedf("non-constant replication count (line %d)", v.Line))
 			return g.ConstVec(0, w)
 		}

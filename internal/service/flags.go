@@ -30,13 +30,18 @@ const (
 // Flags holds the bound flag targets between Bind (at init) and Options
 // (after fs.Parse). Unbound knobs resolve to their zero value.
 type Flags struct {
+	// Lanes is the -lanes value: batched lane simulation where a command
+	// supports it (the experiments batch study, rtlgen's lane oracle and
+	// coverage sweep); 0 or 1 keeps the sequential path. Options checks
+	// it against MaxLanes.
+	Lanes int
+
 	mask        FlagMask
 	backend     string
 	cover       bool
 	formalOn    bool
 	induction   bool
 	formalDepth int
-	lanes       int
 	workers     int
 }
 
@@ -57,7 +62,7 @@ func Bind(fs *flag.FlagSet, mask FlagMask) *Flags {
 		fs.IntVar(&f.formalDepth, "formal-depth", 0, fmt.Sprintf("formal unrolling depth in cycles (0 = default, at most %d)", MaxFormalDepth))
 	}
 	if mask&FlagLanes != 0 {
-		fs.IntVar(&f.lanes, "lanes", 0, fmt.Sprintf("batched simulation lanes where supported (0 or 1 = sequential, at most %d)", MaxLanes))
+		fs.IntVar(&f.Lanes, "lanes", 0, fmt.Sprintf("batched simulation lanes where supported (0 or 1 = sequential, at most %d)", MaxLanes))
 	}
 	if mask&FlagWorkers != 0 {
 		fs.IntVar(&f.workers, "workers", 0, fmt.Sprintf("worker pool size (0 = NumCPU, at most %d; results are identical for any value)", MaxWorkers))
@@ -66,7 +71,8 @@ func Bind(fs *flag.FlagSet, mask FlagMask) *Flags {
 }
 
 // Options validates the parsed flag values through the one shared path
-// and returns them as the unified options type.
+// and returns them as the unified options type. It also checks Lanes,
+// which is a command-line knob only.
 func (f *Flags) Options() (Options, error) {
 	o := Options{
 		Backend:     f.backend,
@@ -74,11 +80,13 @@ func (f *Flags) Options() (Options, error) {
 		Formal:      f.formalOn,
 		Induction:   f.induction,
 		FormalDepth: f.formalDepth,
-		Lanes:       f.lanes,
 		Workers:     f.workers,
 	}
 	if err := o.Validate(); err != nil {
 		return Options{}, err
+	}
+	if f.Lanes < 0 || f.Lanes > MaxLanes {
+		return Options{}, fmt.Errorf("lanes must be in [0, %d], got %d", MaxLanes, f.Lanes)
 	}
 	return o, nil
 }

@@ -2,6 +2,8 @@ package service
 
 import (
 	"flag"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -42,17 +44,23 @@ func TestBindMask(t *testing.T) {
 // TestFlagsOptions checks the parse-then-validate round trip: canonical
 // defaults, explicit values, and rejection with the offending flag named.
 func TestFlagsOptions(t *testing.T) {
+	compiled := Options{Backend: "compiled"}
 	cases := []struct {
-		name    string
-		args    []string
-		want    Options
-		wantErr string
+		name      string
+		args      []string
+		want      Options
+		wantLanes int
+		wantErr   string
 	}{
-		{"defaults", nil, Options{Backend: "compiled"}, ""},
+		{"defaults", nil, compiled, 0, ""},
 		{"full set", []string{"-backend=event", "-cover", "-formal", "-induction", "-formal-depth=32", "-lanes=8", "-workers=4"},
-			Options{Backend: "event", Cover: true, Formal: true, Induction: true, FormalDepth: 32, Lanes: 8, Workers: 4}, ""},
-		{"bad backend", []string{"-backend=ncsim"}, Options{}, "backend"},
-		{"bad depth", []string{"-formal-depth=-2"}, Options{}, "formal-depth"},
+			Options{Backend: "event", Cover: true, Formal: true, Induction: true, FormalDepth: 32, Workers: 4}, 8, ""},
+		{"bad backend", []string{"-backend=ncsim"}, Options{}, 0, "backend"},
+		{"bad depth", []string{"-formal-depth=-2"}, Options{}, 0, "formal-depth"},
+		{"negative lanes", []string{"-lanes=-3"}, Options{}, 0, "lanes"},
+		{"lanes at bound", []string{fmt.Sprintf("-lanes=%d", MaxLanes)}, compiled, MaxLanes, ""},
+		{"lanes above bound", []string{fmt.Sprintf("-lanes=%d", MaxLanes+1)}, Options{}, 0, "lanes"},
+		{"lanes max int", []string{fmt.Sprintf("-lanes=%d", math.MaxInt)}, Options{}, 0, "lanes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,8 +79,8 @@ func TestFlagsOptions(t *testing.T) {
 			if err != nil {
 				t.Fatalf("valid flags rejected: %v", err)
 			}
-			if got != tc.want {
-				t.Fatalf("Options = %+v, want %+v", got, tc.want)
+			if got != tc.want || f.Lanes != tc.wantLanes {
+				t.Fatalf("Options = %+v, lanes %d; want %+v, lanes %d", got, f.Lanes, tc.want, tc.wantLanes)
 			}
 		})
 	}
@@ -90,7 +98,7 @@ func TestUnboundKnobsZero(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Options: %v", err)
 	}
-	if o.Lanes != 2 || o.Cover || o.Formal || o.Workers != 0 {
+	if f.Lanes != 2 || o.Cover || o.Formal || o.Workers != 0 {
 		t.Fatalf("unbound knobs leaked values: %+v", o)
 	}
 	if o.SimBackend().String() != "compiled" {

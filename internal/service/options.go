@@ -19,17 +19,17 @@ import (
 )
 
 // Options is the one composable knob set of the verification stack: the
-// five settings that used to be re-declared (and re-validated, and
+// settings that used to be re-declared (and re-validated, and
 // allowed to drift) across uvm.Config, core.Options, exp.Config and
 // every command's flag block. The old structs keep their fields — they
 // are the thin adapter surface the Core/Exp methods fill in — so
 // existing call sites and the differential gates are byte-identical.
 //
 // The zero value is valid and means: compiled backend, coverage off,
-// formal off, sequential (no batch lanes), default worker count. Backend
-// is a string rather than a sim.Backend so the same struct is the wire
-// format of the server's JSON API and the target of CLI flag parsing;
-// Validate is the one place it is checked.
+// formal off, default worker count. Backend is a string rather than a
+// sim.Backend so the same struct is the wire format of the server's JSON
+// API and the target of CLI flag parsing; Validate is the one place it
+// is checked.
 type Options struct {
 	// Backend selects the simulation engine: "compiled" (default, also
 	// "") or "event".
@@ -48,10 +48,6 @@ type Options struct {
 	// FormalDepth is the proof unrolling depth in cycles (0 = the formal
 	// engine's default, at most MaxFormalDepth).
 	FormalDepth int `json:"formal_depth,omitempty"`
-	// Lanes selects batched lane simulation where a consumer supports it
-	// (coverage-directed candidate scoring, sweep oracles); 0 or 1 keeps
-	// the sequential path, and at most MaxLanes are allowed.
-	Lanes int `json:"lanes,omitempty"`
 	// Workers sizes the worker pool of whatever runs the job set — the
 	// evaluation harness or the server's runner (0 = NumCPU, at most
 	// MaxWorkers).
@@ -88,9 +84,6 @@ func (o Options) Validate() error {
 	}
 	if o.FormalDepth < 0 || o.FormalDepth > MaxFormalDepth {
 		return fmt.Errorf("formal-depth must be in [0, %d], got %d", MaxFormalDepth, o.FormalDepth)
-	}
-	if o.Lanes < 0 || o.Lanes > MaxLanes {
-		return fmt.Errorf("lanes must be in [0, %d], got %d", MaxLanes, o.Lanes)
 	}
 	if o.Workers < 0 || o.Workers > MaxWorkers {
 		return fmt.Errorf("workers must be in [0, %d], got %d", MaxWorkers, o.Workers)
@@ -154,9 +147,6 @@ func (o Options) merge(def Options) Options {
 	o.Trace = o.Trace || def.Trace
 	if o.FormalDepth == 0 {
 		o.FormalDepth = def.FormalDepth
-	}
-	if o.Lanes == 0 {
-		o.Lanes = def.Lanes
 	}
 	if o.Workers == 0 {
 		o.Workers = def.Workers

@@ -24,16 +24,12 @@ func TestOptionsValidate(t *testing.T) {
 		{"explicit compiled", Options{Backend: "compiled"}, ""},
 		{"event backend", Options{Backend: "event"}, ""},
 		{"event-driven alias", Options{Backend: "event-driven"}, ""},
-		{"everything on", Options{Backend: "event", Cover: true, Formal: true, FormalDepth: 40, Lanes: 8, Workers: 4}, ""},
+		{"everything on", Options{Backend: "event", Cover: true, Formal: true, FormalDepth: 40, Workers: 4}, ""},
 		{"unknown backend", Options{Backend: "verilator"}, "backend"},
 		{"negative formal depth", Options{FormalDepth: -1}, "formal-depth"},
 		{"formal depth at bound", Options{Formal: true, FormalDepth: MaxFormalDepth}, ""},
 		{"formal depth above bound", Options{FormalDepth: MaxFormalDepth + 1}, "formal-depth"},
 		{"formal depth max int", Options{FormalDepth: math.MaxInt}, "formal-depth"},
-		{"negative lanes", Options{Lanes: -3}, "lanes"},
-		{"lanes at bound", Options{Lanes: MaxLanes}, ""},
-		{"lanes above bound", Options{Lanes: MaxLanes + 1}, "lanes"},
-		{"lanes max int", Options{Lanes: math.MaxInt}, "lanes"},
 		{"negative workers", Options{Workers: -1}, "workers"},
 		{"workers at bound", Options{Workers: MaxWorkers}, ""},
 		{"workers above bound", Options{Workers: MaxWorkers + 1}, "workers"},
@@ -100,7 +96,7 @@ func TestJobSpecValidateBounds(t *testing.T) {
 // shared knobs into the legacy config structs and leave every
 // job-specific field of the base untouched.
 func TestOptionsAdapters(t *testing.T) {
-	o := Options{Backend: "event", Cover: true, Lanes: 8, Workers: 3}
+	o := Options{Backend: "event", Cover: true, Workers: 3}
 
 	co := o.Core(core.Options{Seed: 7, MaxIterations: 5})
 	if co.Backend != sim.BackendEventDriven || !co.Cover.Any() {
@@ -129,7 +125,7 @@ func TestOptionsBMCDepth(t *testing.T) {
 // TestOptionsMerge checks the server-default merging semantics: zero
 // knobs inherit, booleans or-combine, explicit values win.
 func TestOptionsMerge(t *testing.T) {
-	def := Options{Backend: "event", Cover: true, FormalDepth: 16, Lanes: 4, Workers: 2}
+	def := Options{Backend: "event", Cover: true, FormalDepth: 16, Workers: 2}
 
 	got := Options{}.merge(def)
 	if got != def {
@@ -143,7 +139,7 @@ func TestOptionsMerge(t *testing.T) {
 	if !got.Cover || !got.Formal {
 		t.Fatalf("boolean knobs must or-combine: %+v", got)
 	}
-	if got.Lanes != 4 || got.Workers != 2 {
+	if got.Workers != 2 {
 		t.Fatalf("zero knobs must inherit: %+v", got)
 	}
 }

@@ -836,14 +836,8 @@ func (c *compiler) compileBinary(v *verilog.Binary, sc *scope, ctxW int) (evalFn
 // operators over them) with the interpreter's own evaluator, so the value
 // is exactly what the reference engine would compute at runtime.
 func (c *compiler) staticEval(e verilog.Expr, sc *scope) (uint64, bool) {
-	if !constOnly(e, sc) {
-		return 0, false
-	}
-	v, err := c.s.evalSelf(e, sc)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
+	v, ok := staticScope{instScope{c.s, sc}}.Const(e)
+	return uint64(v), ok
 }
 
 // constOnly reports whether e references no signals (parameters and
@@ -866,133 +860,27 @@ func constOnly(e verilog.Expr, sc *scope) bool {
 	return ok
 }
 
-// staticWidthOf mirrors widthOf for expressions whose self-determined
-// width does not depend on signal values.
-func (c *compiler) staticWidthOf(e verilog.Expr, sc *scope) (int, bool) {
-	switch v := e.(type) {
-	case *verilog.Number:
-		if v.Width > 0 {
-			return v.Width, true
-		}
-		return 32, true
-	case *verilog.Ident:
-		if _, isParam := sc.env[v.Name]; isParam {
-			return 32, true
-		}
-		if idx, ok := sc.names[v.Name]; ok {
-			return c.s.d.sigs[idx].width, true
-		}
-		return 1, true
-	case *verilog.Unary:
-		switch v.Op {
-		case "!", "&", "|", "^", "~&", "~|", "~^":
-			return 1, true
-		}
-		return c.staticWidthOf(v.X, sc)
-	case *verilog.Binary:
-		switch v.Op {
-		case "==", "!=", "===", "!==", "<", ">", "<=", ">=", "&&", "||":
-			return 1, true
-		case "<<", ">>", "<<<", ">>>":
-			return c.staticWidthOf(v.X, sc)
-		}
-		a, ok1 := c.staticWidthOf(v.X, sc)
-		b, ok2 := c.staticWidthOf(v.Y, sc)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		if a > b {
-			return a, true
-		}
-		return b, true
-	case *verilog.Ternary:
-		a, ok1 := c.staticWidthOf(v.Then, sc)
-		b, ok2 := c.staticWidthOf(v.Else, sc)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		if a > b {
-			return a, true
-		}
-		return b, true
-	case *verilog.Index:
-		if id, ok := v.X.(*verilog.Ident); ok {
-			if idx, ok := sc.names[id.Name]; ok && c.s.d.sigs[idx].isMem {
-				return c.s.d.sigs[idx].width, true
-			}
-		}
-		return 1, true
-	case *verilog.PartSelect:
-		msb, ok1 := c.staticEval(v.MSB, sc)
-		lsb, ok2 := c.staticEval(v.LSB, sc)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		if msb < lsb {
-			msb, lsb = lsb, msb
-		}
-		return int(msb-lsb) + 1, true
-	case *verilog.Concat:
-		total := 0
-		for _, p := range v.Parts {
-			w, ok := c.staticWidthOf(p, sc)
-			if !ok {
-				return 0, false
-			}
-			total += w
-		}
-		return total, true
-	case *verilog.Repl:
-		n, ok := c.staticEval(v.Count, sc)
-		if !ok {
-			return 0, false
-		}
-		w, ok := c.staticWidthOf(v.Value, sc)
-		if !ok {
-			return 0, false
-		}
-		return int(n) * w, true
+// staticScope is the compiler's scope for the width rule: a bound or
+// count evaluates only when it reads no signal, so a width that depends
+// on signal values comes back not static.
+type staticScope struct{ instScope }
+
+func (v staticScope) Const(e verilog.Expr) (int64, bool) {
+	if !constOnly(e, v.sc) {
+		return 0, false
 	}
-	return 1, true
+	return v.instScope.Const(e)
 }
 
-// staticWidthOfLHS mirrors widthOfLHS for statically sized l-values.
+// staticWidthOf is widthOf for expressions whose self-determined width
+// does not depend on signal values; ok is false for the others.
+func (c *compiler) staticWidthOf(e verilog.Expr, sc *scope) (int, bool) {
+	return verilog.SelfWidth(e, staticScope{instScope{c.s, sc}})
+}
+
+// staticWidthOfLHS is widthOfLHS for statically sized l-values.
 func (c *compiler) staticWidthOfLHS(lhs verilog.Expr, sc *scope) (int, bool) {
-	switch l := lhs.(type) {
-	case *verilog.Ident:
-		if idx, ok := sc.names[l.Name]; ok {
-			return c.s.d.sigs[idx].width, true
-		}
-		return 1, true
-	case *verilog.Index:
-		if id, ok := l.X.(*verilog.Ident); ok {
-			if idx, ok := sc.names[id.Name]; ok && c.s.d.sigs[idx].isMem {
-				return c.s.d.sigs[idx].width, true
-			}
-		}
-		return 1, true
-	case *verilog.PartSelect:
-		msb, ok1 := c.staticEval(l.MSB, sc)
-		lsb, ok2 := c.staticEval(l.LSB, sc)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		if msb < lsb {
-			msb, lsb = lsb, msb
-		}
-		return int(msb-lsb) + 1, true
-	case *verilog.Concat:
-		total := 0
-		for _, p := range l.Parts {
-			w, ok := c.staticWidthOfLHS(p, sc)
-			if !ok {
-				return 0, false
-			}
-			total += w
-		}
-		return total, true
-	}
-	return 1, true
+	return verilog.TargetWidth(lhs, staticScope{instScope{c.s, sc}})
 }
 
 // ---------------------------------------------------------------------------

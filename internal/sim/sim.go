@@ -639,112 +639,43 @@ func (s *Instance) writeLHS(lhs verilog.Expr, sc *scope, v uint64, blocking bool
 	return fmt.Errorf("sim: unsupported l-value %T", lhs)
 }
 
+// instScope resolves names and constants for the width rule
+// (verilog.SelfWidth, verilog.TargetWidth) in the interpreter, which
+// evaluates part-select bounds and replication counts at run time.
+type instScope struct {
+	s  *Instance
+	sc *scope
+}
+
+func (v instScope) IsParam(name string) bool {
+	_, ok := v.sc.env[name]
+	return ok
+}
+
+func (v instScope) Signal(name string) (int, bool, bool) {
+	idx, ok := v.sc.names[name]
+	if !ok {
+		return 0, false, false
+	}
+	sig := &v.s.d.sigs[idx]
+	return sig.width, sig.isMem, true
+}
+
+func (v instScope) Const(e verilog.Expr) (int64, bool) {
+	x, err := v.s.evalSelf(e, v.sc)
+	return int64(x), err == nil
+}
+
 // widthOfLHS is the declared width of an l-value.
 func (s *Instance) widthOfLHS(lhs verilog.Expr, sc *scope) int {
-	switch l := lhs.(type) {
-	case *verilog.Ident:
-		if idx, ok := sc.names[l.Name]; ok {
-			return s.d.sigs[idx].width
-		}
-		return 1
-	case *verilog.Index:
-		if id, ok := l.X.(*verilog.Ident); ok {
-			if idx, ok := sc.names[id.Name]; ok && s.d.sigs[idx].isMem {
-				return s.d.sigs[idx].width
-			}
-		}
-		return 1
-	case *verilog.PartSelect:
-		msb, err1 := s.evalSelf(l.MSB, sc)
-		lsb, err2 := s.evalSelf(l.LSB, sc)
-		if err1 != nil || err2 != nil {
-			return 1
-		}
-		if msb < lsb {
-			msb, lsb = lsb, msb
-		}
-		return int(msb-lsb) + 1
-	case *verilog.Concat:
-		total := 0
-		for _, p := range l.Parts {
-			total += s.widthOfLHS(p, sc)
-		}
-		return total
-	}
-	return 1
+	w, _ := verilog.TargetWidth(lhs, instScope{s, sc})
+	return w
 }
 
 // widthOf is the self-determined width of an expression.
 func (s *Instance) widthOf(e verilog.Expr, sc *scope) int {
-	switch v := e.(type) {
-	case *verilog.Number:
-		if v.Width > 0 {
-			return v.Width
-		}
-		return 32
-	case *verilog.Ident:
-		if _, isParam := sc.env[v.Name]; isParam {
-			return 32
-		}
-		if idx, ok := sc.names[v.Name]; ok {
-			return s.d.sigs[idx].width
-		}
-		return 1
-	case *verilog.Unary:
-		switch v.Op {
-		case "!", "&", "|", "^", "~&", "~|", "~^":
-			return 1
-		}
-		return s.widthOf(v.X, sc)
-	case *verilog.Binary:
-		switch v.Op {
-		case "==", "!=", "===", "!==", "<", ">", "<=", ">=", "&&", "||":
-			return 1
-		case "<<", ">>", "<<<", ">>>":
-			return s.widthOf(v.X, sc)
-		}
-		a, b := s.widthOf(v.X, sc), s.widthOf(v.Y, sc)
-		if a > b {
-			return a
-		}
-		return b
-	case *verilog.Ternary:
-		a, b := s.widthOf(v.Then, sc), s.widthOf(v.Else, sc)
-		if a > b {
-			return a
-		}
-		return b
-	case *verilog.Index:
-		if id, ok := v.X.(*verilog.Ident); ok {
-			if idx, ok := sc.names[id.Name]; ok && s.d.sigs[idx].isMem {
-				return s.d.sigs[idx].width
-			}
-		}
-		return 1
-	case *verilog.PartSelect:
-		msb, err1 := s.evalSelf(v.MSB, sc)
-		lsb, err2 := s.evalSelf(v.LSB, sc)
-		if err1 != nil || err2 != nil {
-			return 1
-		}
-		if msb < lsb {
-			msb, lsb = lsb, msb
-		}
-		return int(msb-lsb) + 1
-	case *verilog.Concat:
-		total := 0
-		for _, p := range v.Parts {
-			total += s.widthOf(p, sc)
-		}
-		return total
-	case *verilog.Repl:
-		n, err := s.evalSelf(v.Count, sc)
-		if err != nil {
-			return 1
-		}
-		return int(n) * s.widthOf(v.Value, sc)
-	}
-	return 1
+	w, _ := verilog.SelfWidth(e, instScope{s, sc})
+	return w
 }
 
 // evalSelf evaluates e at its self-determined width.

@@ -108,7 +108,13 @@ type ProcView struct {
 	// level-sensitivity list of a non-star combinational block, with
 	// Pos=false).
 	Edges []EdgeView
+
+	p *process
 }
+
+// Writes returns the arena indices of every signal the process may write
+// (blocking or non-blocking, full or partial), each once.
+func (v ProcView) Writes() []int { return writeSet(v.p) }
 
 // NumSignals returns the arena size.
 func (d *Design) NumSignals() int { return len(d.sigs) }
@@ -132,6 +138,7 @@ func (d *Design) NumProcs() int { return len(d.procs) }
 func (d *Design) Proc(i int) ProcView {
 	p := d.procs[i]
 	v := ProcView{
+		p:            p,
 		Index:        p.idx,
 		Body:         p.body,
 		Scope:        ScopeView{sc: p.sc},

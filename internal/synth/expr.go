@@ -6,106 +6,43 @@ import (
 	"uvllm/internal/verilog"
 )
 
-// selfWidth mirrors the simulator's self-determined width rules so that
-// the netlist computes bit-identical results.
-func (b *builder) selfWidth(e verilog.Expr, env *symEnv) int {
-	switch v := e.(type) {
-	case *verilog.Number:
-		if v.Width > 0 {
-			return v.Width
-		}
-		return 32
-	case *verilog.Ident:
-		if _, ok := env.concrete[v.Name]; ok {
-			return 32
-		}
-		if _, ok := b.params[v.Name]; ok {
-			return 32
-		}
-		if w, ok := b.widths[v.Name]; ok {
-			return w
-		}
-		return 1
-	case *verilog.Unary:
-		switch v.Op {
-		case "!", "&", "|", "^", "~&", "~|", "~^":
-			return 1
-		}
-		return b.selfWidth(v.X, env)
-	case *verilog.Binary:
-		switch v.Op {
-		case "==", "!=", "===", "!==", "<", ">", "<=", ">=", "&&", "||":
-			return 1
-		case "<<", ">>", "<<<", ">>>":
-			return b.selfWidth(v.X, env)
-		}
-		a, c := b.selfWidth(v.X, env), b.selfWidth(v.Y, env)
-		if a > c {
-			return a
-		}
-		return c
-	case *verilog.Ternary:
-		a, c := b.selfWidth(v.Then, env), b.selfWidth(v.Else, env)
-		if a > c {
-			return a
-		}
-		return c
-	case *verilog.Index:
-		return 1
-	case *verilog.PartSelect:
-		msb, e1 := verilog.EvalConst(v.MSB, env.constEnv())
-		lsb, e2 := verilog.EvalConst(v.LSB, env.constEnv())
-		if e1 != nil || e2 != nil {
-			return 1
-		}
-		if msb < lsb {
-			msb, lsb = lsb, msb
-		}
-		return int(msb-lsb) + 1
-	case *verilog.Concat:
-		t := 0
-		for _, p := range v.Parts {
-			t += b.selfWidth(p, env)
-		}
-		return t
-	case *verilog.Repl:
-		n, err := verilog.EvalConst(v.Count, env.constEnv())
-		if err != nil {
-			return 1
-		}
-		return int(n) * b.selfWidth(v.Value, env)
+// synthScope resolves names and constants for the width rule shared with
+// the simulator (verilog.SelfWidth, verilog.TargetWidth), so the netlist
+// computes bit-identical results. Loop variables read as 32-bit
+// constants, like parameters, and there are no memories.
+type synthScope struct {
+	b   *builder
+	env *symEnv
+}
+
+func (v synthScope) IsParam(name string) bool {
+	if _, loop := v.env.concrete[name]; loop {
+		return true
 	}
-	return 1
+	_, param := v.b.params[name]
+	return param
+}
+
+func (v synthScope) Signal(name string) (int, bool, bool) {
+	w, ok := v.b.widths[name]
+	return w, false, ok
+}
+
+func (v synthScope) Const(e verilog.Expr) (int64, bool) {
+	n, err := verilog.EvalConst(e, v.env.constEnv())
+	return n, err == nil
+}
+
+// selfWidth is the self-determined width of an expression.
+func (b *builder) selfWidth(e verilog.Expr, env *symEnv) int {
+	w, _ := verilog.SelfWidth(e, synthScope{b, env})
+	return w
 }
 
 // lhsWidth is the declared width of an assignment target.
 func (b *builder) lhsWidth(lhs verilog.Expr, env *symEnv) int {
-	switch l := lhs.(type) {
-	case *verilog.Ident:
-		if w, ok := b.widths[l.Name]; ok {
-			return w
-		}
-		return 1
-	case *verilog.Index:
-		return 1
-	case *verilog.PartSelect:
-		msb, e1 := verilog.EvalConst(l.MSB, env.constEnv())
-		lsb, e2 := verilog.EvalConst(l.LSB, env.constEnv())
-		if e1 != nil || e2 != nil {
-			return 1
-		}
-		if msb < lsb {
-			msb, lsb = lsb, msb
-		}
-		return int(msb-lsb) + 1
-	case *verilog.Concat:
-		t := 0
-		for _, p := range l.Parts {
-			t += b.lhsWidth(p, env)
-		}
-		return t
-	}
-	return 1
+	w, _ := verilog.TargetWidth(lhs, synthScope{b, env})
+	return w
 }
 
 var binOpKinds = map[string]OpKind{
@@ -327,8 +264,10 @@ func (b *builder) synthExpr(e verilog.Expr, env *symEnv, ctxW int) (int, error) 
 			return 0, aerr
 		}
 		a = b.fitWidth(a, w)
+		// OpConcat keeps the low 64 bits, which the last 64 copies fill:
+		// more copies cannot change the value.
 		var args []int
-		for i := int64(0); i < n; i++ {
+		for i := int64(0); i < min(n, 64); i++ {
 			args = append(args, a)
 		}
 		return nl.add(&Node{Kind: OpConcat, Width: int(n) * w, Args: args}), nil

@@ -1,11 +1,17 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"uvllm/internal/dataset"
+	"uvllm/internal/faultgen"
+	"uvllm/internal/rtlgen"
 	"uvllm/internal/sim"
 )
 
@@ -266,5 +272,70 @@ func TestSynthesisDetectsFunctionalFaultViaEquivalence(t *testing.T) {
 	}
 	if !found {
 		t.Error("no distinguishing input found for a real fault")
+	}
+}
+
+// TestSynthReplicationBounded checks that a replication count far past
+// 64 builds at most 64 copies, the most that reach the concat's low 64
+// bits, and that the value is still the replicated one.
+func TestSynthReplicationBounded(t *testing.T) {
+	src := `module r(input [1:0] a, output [7:0] y); assign y = {1000000000{a}}; endmodule`
+	start := time.Now()
+	nl, err := SynthesizeSource(src, "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("synthesis took %v, want under 100ms", d)
+	}
+	out, err := nl.EvalComb(map[string]uint64{"a": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out["y"] != 0xaa {
+		t.Fatalf("y = %#x, want 0xaa", out["y"])
+	}
+}
+
+// TestSynthPinned pins the synthesizer's netlists, and with them every
+// width decision it makes, over the 27 goldens, the 331 benchmark faults
+// and rtlgen seeds 1-300: one line per design (the FormatStats report
+// before and after Optimize, or the error text), hashed. The digest was
+// recorded before the width rule moved into internal/verilog.
+func TestSynthPinned(t *testing.T) {
+	const (
+		wantDesigns = 658
+		wantOK      = 279
+		wantDigest  = "8d26f6fe4474b9aaff77998cc3ea06761e7df7c9644ecfc95bfbcf84b4a9f908"
+	)
+	type design struct{ name, src, top string }
+	var ds []design
+	for _, m := range dataset.All() {
+		ds = append(ds, design{m.Name, m.Source, m.Top})
+	}
+	for _, f := range faultgen.Benchmark() {
+		ds = append(ds, design{f.ID, f.Source, f.Meta().Top})
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		d := rtlgen.Generate(seed)
+		ds = append(ds, design{fmt.Sprintf("rtlgen/%d", seed), d.Source, d.Top})
+	}
+	h := sha256.New()
+	ok := 0
+	for _, d := range ds {
+		nl, err := SynthesizeSource(d.src, d.top)
+		if err != nil {
+			fmt.Fprintf(h, "%s: %v\n", d.name, err)
+			continue
+		}
+		ok++
+		before := nl.FormatStats()
+		nl.Optimize()
+		fmt.Fprintf(h, "%s:\n%s%s", d.name, before, nl.FormatStats())
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	if len(ds) != wantDesigns || ok != wantOK || got != wantDigest {
+		t.Fatalf("%d designs, %d synthesized, digest %s; want %d, %d, %s",
+			len(ds), ok, got, wantDesigns, wantOK, wantDigest)
 	}
 }

@@ -230,7 +230,6 @@ type Config struct {
 	Clock     string // clock input, "" for combinational
 	RefName   string // reference model name (dataset module name)
 	Seed      int64
-	ResetLen  int // reset cycles before the sequence (default 2)
 	MaxErrors int // mismatch record cap (default 64)
 	// Backend selects the simulation engine (zero value: compiled).
 	Backend sim.Backend

@@ -225,6 +225,122 @@ func LHSTargets(e Expr) []string {
 	return nil
 }
 
+// WidthScope is what SelfWidth and TargetWidth need from an engine: how
+// it resolves a name and how it evaluates a constant operand. Each
+// engine supplies its own; the width rule itself lives only here.
+type WidthScope interface {
+	// IsParam reports whether name reads as a 32-bit constant.
+	IsParam(name string) bool
+	// Signal returns the width of a declared signal (the word width of a
+	// memory) and whether it is a memory; ok is false for an unknown name.
+	Signal(name string) (width int, isMem, ok bool)
+	// Const evaluates a part-select bound or replication count; ok is
+	// false when the engine cannot evaluate it.
+	Const(e Expr) (v int64, ok bool)
+}
+
+// SelfWidth is the self-determined width of expression e: literals carry
+// their size (32 bits unsized), parameters are 32 bits, reductions,
+// comparisons and logical operators are 1 bit, a shift takes its left
+// operand's width, other operators the widest operand's, and a signal,
+// bit select or part-select reads at its TargetWidth. A part-select or
+// replication whose bound or count does not evaluate is 1 bit wide and
+// makes static false: the width then depends on values the scope could
+// not evaluate.
+func SelfWidth[S WidthScope](e Expr, sc S) (w int, static bool) {
+	switch v := e.(type) {
+	case *Number:
+		if v.Width > 0 {
+			return v.Width, true
+		}
+		return 32, true
+	case *Ident:
+		if sc.IsParam(v.Name) {
+			return 32, true
+		}
+		// TargetWidth's name case, inlined: names are the interpreter's
+		// most frequent width query.
+		if w, _, ok := sc.Signal(v.Name); ok {
+			return w, true
+		}
+		return 1, true
+	case *Unary:
+		switch v.Op {
+		case "!", "&", "|", "^", "~&", "~|", "~^":
+			return 1, true
+		}
+		return SelfWidth(v.X, sc)
+	case *Binary:
+		switch v.Op {
+		case "==", "!=", "===", "!==", "<", ">", "<=", ">=", "&&", "||":
+			return 1, true
+		case "<<", ">>", "<<<", ">>>":
+			return SelfWidth(v.X, sc)
+		}
+		wx, sx := SelfWidth(v.X, sc)
+		wy, sy := SelfWidth(v.Y, sc)
+		return max(wx, wy), sx && sy
+	case *Ternary:
+		wt, st := SelfWidth(v.Then, sc)
+		we, se := SelfWidth(v.Else, sc)
+		return max(wt, we), st && se
+	case *Index, *PartSelect:
+		return TargetWidth(e, sc)
+	case *Concat:
+		total, static := 0, true
+		for _, p := range v.Parts {
+			w, s := SelfWidth(p, sc)
+			total, static = total+w, static && s
+		}
+		return total, static
+	case *Repl:
+		n, ok := sc.Const(v.Count)
+		if !ok {
+			return 1, false
+		}
+		w, static := SelfWidth(v.Value, sc)
+		return int(n) * w, static
+	}
+	return 1, true
+}
+
+// TargetWidth is the declared width of assignment target lhs: a signal's
+// width, a memory word's width, 1 bit for a bit select, the span of a
+// part-select's bounds (in either order) and the sum over a
+// concatenation. Anything else is 1 bit. static is as for SelfWidth.
+func TargetWidth[S WidthScope](lhs Expr, sc S) (w int, static bool) {
+	switch l := lhs.(type) {
+	case *Ident:
+		if w, _, ok := sc.Signal(l.Name); ok {
+			return w, true
+		}
+	case *Index:
+		if id, ok := l.X.(*Ident); ok {
+			if w, isMem, ok := sc.Signal(id.Name); ok && isMem {
+				return w, true
+			}
+		}
+	case *PartSelect:
+		msb, ok1 := sc.Const(l.MSB)
+		lsb, ok2 := sc.Const(l.LSB)
+		if !ok1 || !ok2 {
+			return 1, false
+		}
+		if msb < lsb {
+			msb, lsb = lsb, msb
+		}
+		return int(msb-lsb) + 1, true
+	case *Concat:
+		total, static := 0, true
+		for _, p := range l.Parts {
+			w, s := TargetWidth(p, sc)
+			total, static = total+w, static && s
+		}
+		return total, static
+	}
+	return 1, true
+}
+
 // ModuleParams evaluates all parameter declarations of m in order,
 // returning the resulting constant environment.
 func ModuleParams(m *Module) (ConstEnv, error) {

@@ -436,3 +436,86 @@ func TestEvalConstErrors(t *testing.T) {
 		t.Error("EvalConst of non-constant should fail")
 	}
 }
+
+// widthScope is a fake WidthScope: parameter P = 5, signals a[7:0] and
+// b[3:0], and a memory mem of 16-bit words.
+type widthScope struct{}
+
+func (widthScope) IsParam(name string) bool { return name == "P" }
+
+func (widthScope) Signal(name string) (int, bool, bool) {
+	switch name {
+	case "a":
+		return 8, false, true
+	case "b":
+		return 4, false, true
+	case "mem":
+		return 16, true, true
+	}
+	return 0, false, false
+}
+
+func (widthScope) Const(e Expr) (int64, bool) {
+	v, err := EvalConst(e, ConstEnv{"P": 5})
+	return v, err == nil
+}
+
+// TestWidthRule checks SelfWidth and TargetWidth, one case per rule.
+func TestWidthRule(t *testing.T) {
+	cases := []struct {
+		name   string
+		src    string
+		target bool // src is an assignment target (TargetWidth)
+		want   int
+		static bool
+	}{
+		{"sized literal", "4'd3", false, 4, true},
+		{"unsized literal", "3", false, 32, true},
+		{"parameter", "P", false, 32, true},
+		{"unknown name", "nosuch", false, 1, true},
+		{"reduction", "&a", false, 1, true},
+		{"comparison", "a == b", false, 1, true},
+		{"shift takes left operand", "b << a", false, 4, true},
+		{"max rule", "b + a", false, 8, true},
+		{"ternary max rule", "a[0] ? b : a", false, 8, true},
+		{"memory word", "mem[1]", false, 16, true},
+		{"bit index", "a[1]", false, 1, true},
+		{"reversed part-select", "a[2:5]", false, 4, true},
+		{"parameter bound", "a[P:0]", false, 6, true},
+		{"non-constant bound", "a[b:0]", false, 1, false},
+		{"concatenation", "{a, b, 1'b1}", false, 13, true},
+		{"replication", "{P{a[1:0]}}", false, 10, true},
+		{"non-constant count", "{b{a}}", false, 1, false},
+		{"not static inside concat", "{a, a[b:0]}", false, 9, false},
+		{"target signal", "a", true, 8, true},
+		{"target unknown", "nosuch", true, 1, true},
+		{"target memory word", "mem[2]", true, 16, true},
+		{"target bit", "a[3]", true, 1, true},
+		{"target reversed part-select", "a[0:3]", true, 4, true},
+		{"target concatenation", "{a, b[1:0]}", true, 10, true},
+		{"target non-constant bound", "a[b:0]", true, 1, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			lhs, rhs := "y", c.src
+			if c.target {
+				lhs, rhs = c.src, "0"
+			}
+			f, errs := Parse("module m(output y); assign " + lhs + " = " + rhs + "; endmodule")
+			if len(errs) != 0 {
+				t.Fatalf("parse %q: %v", c.src, errs)
+			}
+			ca := f.Modules[0].Items[0].(*ContAssign)
+			var w int
+			var static bool
+			if c.target {
+				w, static = TargetWidth(ca.LHS, widthScope{})
+			} else {
+				w, static = SelfWidth(ca.RHS, widthScope{})
+			}
+			if w != c.want || static != c.static {
+				t.Errorf("width of %q = %d (static %v), want %d (static %v)", c.src, w, static, c.want, c.static)
+			}
+		})
+	}
+}
