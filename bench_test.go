@@ -602,22 +602,6 @@ func BenchmarkUVMRun(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultGeneration measures the paradigm error generator on one
-// module across all classes.
-func BenchmarkFaultGeneration(b *testing.B) {
-	m := dataset.ByName("traffic_light")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		for _, c := range faultgen.Classes() {
-			n += len(faultgen.Generate(m, c))
-		}
-		if n == 0 {
-			b.Fatal("no faults generated")
-		}
-	}
-}
-
 // BenchmarkBitBlast measures the formal engine's front half in
 // isolation: bit-blasting one representative sequential module (FIFO:
 // registers, a memory, symbolic-address muxes) and unrolling its

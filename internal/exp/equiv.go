@@ -14,8 +14,7 @@ import (
 )
 
 // DefaultEquivDepth is the unrolling depth of the bounded-equivalence
-// study and of ExpertPassFormal — the formal engine's conventional
-// depth (formal.DefaultBMCDepth).
+// study — the formal engine's conventional depth (formal.DefaultBMCDepth).
 const DefaultEquivDepth = formal.DefaultBMCDepth
 
 // equivBudget bounds each study solve (deterministic cutoff; miters that

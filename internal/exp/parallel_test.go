@@ -10,8 +10,10 @@ import (
 	"runtime"
 	"testing"
 
+	"uvllm/internal/baseline"
 	"uvllm/internal/faultgen"
 	"uvllm/internal/sim"
+	"uvllm/internal/uvm"
 )
 
 // TestRunParallelSmall exercises the parallel worker pool on a small
@@ -56,6 +58,42 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(serial[i], parallel[i]) {
 			t.Errorf("instance %s: records differ between Workers=1 and Workers=%d",
 				serial[i].Fault.ID, runtime.NumCPU())
+		}
+	}
+}
+
+// TestRunExpertVerdictsMatchDirect checks Run's per-run verdict memo:
+// over every instance of two modules, each record's Fix flag equals the
+// method's own verdict (Success for UVLLM, Hit for the baselines) and a
+// direct ExpertPass on its final source, with one worker and with four.
+func TestRunExpertVerdictsMatchDirect(t *testing.T) {
+	byModule := faultgen.BenchmarkByModule()
+	instances := append(byModule["adder_8bit"], byModule["counter_12bit"]...)
+	for _, workers := range []int{1, 4} {
+		svc := baseline.SimServices{Cache: sim.NewCache(), Memo: uvm.NewTraceMemo()}
+		recs := Run(Config{Seed: 1, Workers: workers, Instances: instances, Cache: svc.Cache, Memo: svc.Memo})
+		fixes := 0
+		for _, r := range recs {
+			m := r.Fault.Meta()
+			check := func(method string, fix, ok bool, final string) {
+				want := ok && ExpertPass(final, m, svc)
+				if fix != want {
+					t.Errorf("workers %d, %s, %s: Fix = %v, direct ExpertPass says %v", workers, r.Fault.ID, method, fix, want)
+				}
+				if fix {
+					fixes++
+				}
+			}
+			check("UVLLM", r.UVLLMFix, r.UVLLM.Success, r.UVLLM.Final)
+			check("MEIC", r.MEICFix, r.MEIC.Hit, r.MEIC.Final)
+			check("Raw", r.RawFix, r.Raw.Hit, r.Raw.Final)
+			if r.Strider != nil {
+				check("Strider", r.StriderFix, r.Strider.Hit, r.Strider.Final)
+				check("RTLRepair", r.RTLRepairFix, r.RTLRepair.Hit, r.RTLRepair.Final)
+			}
+		}
+		if fixes == 0 {
+			t.Fatalf("workers %d: no validated fix among %d instances; the check compared nothing", workers, len(instances))
 		}
 	}
 }

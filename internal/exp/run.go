@@ -13,6 +13,7 @@ import (
 	"uvllm/internal/dataset"
 	"uvllm/internal/faultgen"
 	"uvllm/internal/llm"
+	"uvllm/internal/memo"
 	"uvllm/internal/sim"
 	"uvllm/internal/uvm"
 )
@@ -95,6 +96,18 @@ func Run(cfg Config) []*Record {
 		workers = runtime.NumCPU()
 	}
 	svc := cfg.services()
+	// ExpertPass is a pure function of (module, candidate, backend), and
+	// most repairs restore the golden, so the run validates each distinct
+	// candidate once. The memo lives for this call only: a new Run starts
+	// cold, like the fresh caches a caller may pass in. Its bound covers
+	// the five validations an instance can make, so it never evicts.
+	verdicts := memo.New[verdictKey, bool](5*len(instances) + 1)
+	expert := func(src string, m *dataset.Module) bool {
+		ok, _ := verdicts.Do(verdictKey{m.Name, src}, func() (bool, error) {
+			return ExpertPass(src, m, svc), nil
+		})
+		return ok
+	}
 	recs := make([]*Record, len(instances))
 	var wg sync.WaitGroup
 	jobs := make(chan int)
@@ -103,7 +116,7 @@ func Run(cfg Config) []*Record {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				recs[i] = runOne(instances[i], cfg, prof, svc)
+				recs[i] = runOne(instances[i], cfg, prof, svc, expert)
 			}
 		}()
 	}
@@ -115,7 +128,10 @@ func Run(cfg Config) []*Record {
 	return recs
 }
 
-func runOne(f *faultgen.Fault, cfg Config, prof llm.Profile, svc baseline.SimServices) *Record {
+// verdictKey identifies one ExpertPass verdict within a Run.
+type verdictKey struct{ module, source string }
+
+func runOne(f *faultgen.Fault, cfg Config, prof llm.Profile, svc baseline.SimServices, expert func(string, *dataset.Module) bool) *Record {
 	m := f.Meta()
 	rec := &Record{Fault: f}
 
@@ -133,7 +149,7 @@ func runOne(f *faultgen.Fault, cfg Config, prof llm.Profile, svc baseline.SimSer
 			Memo:            svc.Memo,
 		},
 	})
-	rec.UVLLMFix = rec.UVLLM.Success && ExpertPass(rec.UVLLM.Final, m, svc)
+	rec.UVLLMFix = rec.UVLLM.Success && expert(rec.UVLLM.Final, m)
 
 	if cfg.SkipBaselines {
 		return rec
@@ -142,24 +158,24 @@ func runOne(f *faultgen.Fault, cfg Config, prof llm.Profile, svc baseline.SimSer
 	meic := baseline.NewMEIC(oracleFor(f, prof, cfg.Seed))
 	meic.Sim = svc
 	rec.MEIC = meic.Repair(f)
-	rec.MEICFix = rec.MEIC.Hit && ExpertPass(rec.MEIC.Final, m, svc)
+	rec.MEICFix = rec.MEIC.Hit && expert(rec.MEIC.Final, m)
 
 	raw := baseline.NewRawLLM(oracleFor(f, prof, cfg.Seed))
 	raw.Sim = svc
 	rec.Raw = raw.Repair(f)
-	rec.RawFix = rec.Raw.Hit && ExpertPass(rec.Raw.Final, m, svc)
+	rec.RawFix = rec.Raw.Hit && expert(rec.Raw.Final, m)
 
 	if !f.Class.IsSyntax() {
 		strider := baseline.NewStrider()
 		strider.Sim = svc
 		so := strider.Repair(f)
 		rec.Strider = &so
-		rec.StriderFix = so.Hit && ExpertPass(so.Final, m, svc)
+		rec.StriderFix = so.Hit && expert(so.Final, m)
 		rtlr := baseline.NewRTLRepair()
 		rtlr.Sim = svc
 		ro := rtlr.Repair(f)
 		rec.RTLRepair = &ro
-		rec.RTLRepairFix = ro.Hit && ExpertPass(ro.Final, m, svc)
+		rec.RTLRepairFix = ro.Hit && expert(ro.Final, m)
 	}
 	return rec
 }

@@ -1,13 +1,9 @@
 package exp
 
 import (
-	"errors"
-
 	"uvllm/internal/baseline"
 	"uvllm/internal/dataset"
-	"uvllm/internal/formal"
 	"uvllm/internal/lint"
-	"uvllm/internal/sim"
 )
 
 // ExpertPass is the independent validation behind the Fix Rate (paper
@@ -25,7 +21,8 @@ import (
 // The golden module compiles through the bundle's cache (once per
 // process, not once per validation) and the 800-vector golden trace
 // comes from the memo — the ~12 instances sharing a module replay the
-// identical reference stream.
+// identical reference stream. Run calls it once per distinct (module,
+// candidate) in the run; this function itself keeps no state.
 func ExpertPass(source string, m *dataset.Module, svc baseline.SimServices) bool {
 	if source == "" {
 		return false
@@ -44,42 +41,4 @@ func ExpertPass(source string, m *dataset.Module, svc baseline.SimServices) bool
 	}
 	ok, _, _ = baseline.RunOwnBench(source, m, baseline.WeakBench(m, golden.Design()), svc)
 	return ok
-}
-
-// ExpertPassFormal is ExpertPass's bounded-proof mode (the -formal flag
-// of cmd/uvllm): the simulation-based validation runs first, and when
-// the module is inside the formal engine's blastable subset the
-// candidate must additionally be *provably* equivalent to the golden for
-// every post-reset stimulus up to depth cycles — the expert stops
-// sampling scenarios and exhausts them. It returns the verdict and
-// whether a bounded proof actually contributed (false when the design is
-// outside the subset or the miter exhausted its budget, in which case
-// the verdict is ExpertPass's alone). A non-nil error is a genuine
-// formal-engine failure, never a subset/budget skip — the same
-// discrimination the other agreement gates apply. depth <= 0 uses
-// DefaultEquivDepth.
-func ExpertPassFormal(source string, m *dataset.Module, svc baseline.SimServices, depth int) (pass, proved bool, err error) {
-	if !ExpertPass(source, m, svc) {
-		return false, false, nil
-	}
-	if depth <= 0 {
-		depth = DefaultEquivDepth
-	}
-	golden, err := sim.SharedCache().Compile(m.Source, m.Top, sim.BackendCompiled)
-	if err != nil {
-		return true, false, nil // golden outside the sim subset: nothing to prove against
-	}
-	cand, err := sim.SharedCache().Compile(source, m.Top, sim.BackendCompiled)
-	if err != nil {
-		return true, false, nil
-	}
-	res, err := formal.BMCEquivOpts(golden, cand, m.Clock, depth,
-		formal.Options{MaxConflicts: equivBudget})
-	if err != nil {
-		if errors.Is(err, formal.ErrUnsupported) || errors.Is(err, formal.ErrBudget) {
-			return true, false, nil // outside the blastable subset (or over budget)
-		}
-		return false, false, err
-	}
-	return res.Equivalent, true, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"uvllm/internal/dataset"
 	"uvllm/internal/lint"
+	"uvllm/internal/memo"
 	"uvllm/internal/sim"
 	"uvllm/internal/uvm"
 )
@@ -32,7 +33,37 @@ const BenchmarkSize = 331
 // Generate injects one fault class into a module, returning every
 // applicable, validated variant. An empty result is an "×" cell of Fig. 7:
 // the module's structure cannot express the class.
+//
+// Generation is a pure function of (module name, module source, class),
+// so each cell is generated once per process and every caller shares the
+// result: the returned slice and the faults it points to are read-only.
+// The slice's capacity equals its length, so appending to it copies
+// instead of writing into the shared array.
 func Generate(m *dataset.Module, class Class) []*Fault {
+	fs, _ := generated.Do(cellKey{m.Name, m.Source, class}, func() ([]*Fault, error) {
+		return generate(m, class), nil
+	})
+	return fs
+}
+
+// cellKey identifies one (module, class) cell of the generator.
+type cellKey struct {
+	module, source string
+	class          Class
+}
+
+// generated memoizes Generate. Its bound is twice the dataset's cells
+// (27 modules × 9 classes), so the dataset never evicts (a module edited
+// by a test takes a slot of its own). Process-wide scope is safe because
+// the dataset is fixed and generation deterministic.
+var generated = memo.New[cellKey, []*Fault](2 * len(dataset.All()) * len(Classes()))
+
+// GenerateStats returns the Generate memo's counters: a miss is one
+// (module, class) cell generated, a hit is one served from the memo.
+func GenerateStats() memo.Stats { return generated.Stats() }
+
+// generate is Generate without the memo.
+func generate(m *dataset.Module, class Class) []*Fault {
 	var out []*Fault
 	seen := map[string]bool{m.Source: true}
 	for i, mu := range mutate(m.Source, class) {
@@ -53,7 +84,7 @@ func Generate(m *dataset.Module, class Class) []*Fault {
 			out = append(out, f)
 		}
 	}
-	return out
+	return out[:len(out):len(out)]
 }
 
 // Effective validates that the injected error is triggerable, enforcing

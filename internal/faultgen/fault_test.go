@@ -112,11 +112,11 @@ func TestBenchmarkDeterministic(t *testing.T) {
 	for i, f := range b {
 		ids1[i] = f.ID
 	}
-	// Regenerate from scratch (bypassing the cache) and compare.
+	// Regenerate every cell, bypassing the memo, and compare.
 	var ids2 []string
 	for _, m := range dataset.All() {
 		for _, c := range Classes() {
-			for _, f := range Generate(m, c) {
+			for _, f := range generate(m, c) {
 				ids2 = append(ids2, f.ID)
 			}
 		}
@@ -129,6 +129,37 @@ func TestBenchmarkDeterministic(t *testing.T) {
 		}
 		if j == len(ids2) {
 			t.Fatalf("benchmark order not a stable trim: %s out of order", id)
+		}
+	}
+}
+
+// TestGenerateMemoShared pins the memoized generator on every dataset
+// module and class: its faults equal the unmemoized generator's field by
+// field, a second call returns the same pointers, and the returned slice
+// is full (len == cap), so a caller's append copies instead of writing
+// into the memo.
+func TestGenerateMemoShared(t *testing.T) {
+	for _, m := range dataset.All() {
+		for _, c := range Classes() {
+			got, want := Generate(m, c), generate(m, c)
+			if len(got) != len(want) {
+				t.Errorf("%s/%s: memo has %d faults, generator %d", m.Name, c, len(got), len(want))
+				continue
+			}
+			for i := range got {
+				if *got[i] != *want[i] {
+					t.Errorf("%s/%s: fault %d differs from the generator's:\n%+v\n%+v", m.Name, c, i, *got[i], *want[i])
+				}
+			}
+			if cap(got) != len(got) {
+				t.Errorf("%s/%s: len %d, cap %d; a caller's append would write into the memo", m.Name, c, len(got), cap(got))
+			}
+			again := Generate(m, c)
+			for i := range again {
+				if again[i] != got[i] {
+					t.Errorf("%s/%s: second call returned a new fault %d", m.Name, c, i)
+				}
+			}
 		}
 	}
 }
@@ -243,6 +274,23 @@ func TestBenchmarkInstancesAllEffective(t *testing.T) {
 	for _, f := range Benchmark() {
 		if !Effective(f) {
 			t.Errorf("%s (%s) is not effective", f.ID, f.Descr)
+		}
+	}
+}
+
+// BenchmarkFaultGeneration measures the paradigm error generator on one
+// module across all classes: mutation, lint and the trigger check of
+// every variant, without the memo that serves repeat calls.
+func BenchmarkFaultGeneration(b *testing.B) {
+	m := dataset.ByName("traffic_light")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for _, c := range Classes() {
+			n += len(generate(m, c))
+		}
+		if n == 0 {
+			b.Fatal("no faults generated")
 		}
 	}
 }

@@ -48,12 +48,12 @@ func TestFaultsSingleRegion(t *testing.T) {
 	}
 }
 
-// TestMutationsDeterministic: regenerating a module's faults yields
-// byte-identical sources.
+// TestMutationsDeterministic: regenerating a module's faults (bypassing
+// the memo) yields byte-identical sources.
 func TestMutationsDeterministic(t *testing.T) {
 	b := Benchmark()
 	for _, f := range b[:25] {
-		again := Generate(f.Meta(), f.Class)
+		again := generate(f.Meta(), f.Class)
 		found := false
 		for _, g := range again {
 			if g.ID == f.ID {

@@ -1,9 +1,10 @@
 // Package memo provides the one bounded, single-flight, counter-bearing
 // memo table behind every content-addressed cache in the pipeline: the
-// compile cache (sim.Cache), the golden-trace memo (uvm.TraceMemo) and
-// the data-flow-graph memo (locate.DFGFor). Keeping the eviction,
-// single-flight and statistics semantics in one place means a fix to any
-// of them applies to all three.
+// compile cache (sim.Cache), the golden-trace memo (uvm.TraceMemo), the
+// data-flow-graph memo (locate.DFGFor), the fault generator's cells
+// (faultgen.Generate) and the expert verdicts of one exp.Run. Keeping the
+// eviction, single-flight and statistics semantics in one place means a
+// fix to any of them applies to all of them.
 package memo
 
 import "sync"

@@ -295,7 +295,7 @@ func ExecuteCtx(ctx context.Context, spec JobSpec, svc Services, emit func(Event
 		Iterations: res.Iterations, PassRate: res.PassRate,
 		FinalScore: res.FinalScore, Coverage: res.Coverage,
 		StructCoverage: res.StructCoverage, Descr: in.Descr,
-		Times: res.Times, Usage: res.Usage, Final: res.Final,
+		Times: res.Times, Usage: res.Usage, Final: sharedFinal(res.Final, in),
 		Cancelled: res.Cancelled, Log: res.Log,
 	}
 
@@ -306,6 +306,20 @@ func ExecuteCtx(ctx context.Context, spec JobSpec, svc Services, emit func(Event
 		emit(Event{Kind: EventFormal, Formal: out.Formal, Message: out.FormalDetail})
 	}
 	return out
+}
+
+// sharedFinal returns the delivered source as in.Golden or in.Source
+// when it equals one of them, so a kept result shares their storage
+// instead of holding its own copy: most repairs restore the golden, and
+// a clean design is delivered unchanged.
+func sharedFinal(final string, in Input) string {
+	switch final {
+	case in.Golden:
+		return in.Golden
+	case in.Source:
+		return in.Source
+	}
+	return final
 }
 
 // prove checks the delivered source against the golden — the

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"uvllm/internal/faultgen"
 	"uvllm/internal/obs"
 )
 
@@ -114,7 +115,7 @@ type Job struct {
 	ranFor   time.Duration
 	waited   time.Duration
 
-	ctx    context.Context // cancelled by Runner.Cancel; threaded into Execute
+	ctx    context.Context // threaded into Execute; cancelled by Runner.Cancel or at the terminal transition
 	cancel context.CancelFunc
 }
 
@@ -131,11 +132,31 @@ func newJob(id string, spec JobSpec, now time.Time) *Job {
 // append records one event, stamping Seq and waking stream readers.
 func (j *Job) append(ev Event) {
 	j.mu.Lock()
+	j.appendLocked(ev)
+	j.mu.Unlock()
+}
+
+func (j *Job) appendLocked(ev Event) {
 	ev.Seq = len(j.events)
 	j.events = append(j.events, ev)
 	close(j.notify)
 	j.notify = make(chan struct{})
-	j.mu.Unlock()
+}
+
+// terminateLocked lands the terminal transition: it sets the status,
+// appends the closing event and trims what a finished job keeps for the
+// rest of its life. The event history is copied to its exact length
+// (append leaves up to half of it spare), and the job's context is
+// cancelled, which releases it as the context package requires; the
+// work it bounded is over. Called with mu held on a live job.
+func (j *Job) terminateLocked(s Status, msg string, at time.Time) {
+	j.status = s
+	j.doneAt = at
+	j.appendLocked(Event{Kind: EventTerminal, Status: s, Message: msg})
+	kept := make([]Event, len(j.events))
+	copy(kept, j.events)
+	j.events = kept
+	j.cancel()
 }
 
 // Status returns the job's current lifecycle state.
@@ -207,15 +228,12 @@ func (j *Job) setStatus(s Status) bool {
 // performed the transition.
 func (j *Job) finish(s Status, res *Result, msg string, at time.Time) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.status.Terminal() {
-		j.mu.Unlock()
 		return false
 	}
-	j.status = s
 	j.result = res
-	j.doneAt = at
-	j.mu.Unlock()
-	j.append(Event{Kind: EventTerminal, Status: s, Message: msg})
+	j.terminateLocked(s, msg, at)
 	return true
 }
 
@@ -226,14 +244,11 @@ func (j *Job) finish(s Status, res *Result, msg string, at time.Time) bool {
 // the partial result).
 func (j *Job) cancelIfQueued(at time.Time) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.status != StatusQueued {
-		j.mu.Unlock()
 		return false
 	}
-	j.status = StatusCancelled
-	j.doneAt = at
-	j.mu.Unlock()
-	j.append(Event{Kind: EventTerminal, Status: StatusCancelled, Message: "cancelled by client before the job ran"})
+	j.terminateLocked(StatusCancelled, "cancelled by client before the job ran", at)
 	return true
 }
 
@@ -385,6 +400,8 @@ func (r *Runner) registerGauges(reg *obs.Registry) {
 	reg.GaugeFunc("cache_evictions", "disk cache evictions", func() float64 { return float64(cache.Stats().Disk.Evictions) }, obs.L("cache", "disk"))
 	reg.GaugeFunc("cache_hits", "cache hits", func() float64 { return float64(memo.Stats().Hits) }, obs.L("cache", "trace_memo"))
 	reg.GaugeFunc("cache_misses", "cache misses", func() float64 { return float64(memo.Stats().Misses) }, obs.L("cache", "trace_memo"))
+	reg.GaugeFunc("cache_hits", "cache hits", func() float64 { return float64(faultgen.GenerateStats().Hits) }, obs.L("cache", "faults"))
+	reg.GaugeFunc("cache_misses", "cache misses", func() float64 { return float64(faultgen.GenerateStats().Misses) }, obs.L("cache", "faults"))
 }
 
 // Workers returns the worker pool size.

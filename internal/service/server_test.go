@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -307,7 +308,9 @@ func TestServerEventsStream(t *testing.T) {
 
 // TestServerModulesAndMetrics checks the catalog endpoint and that a
 // completed job surfaces in the metrics scrape: status counts, stage
-// percentiles, endpoint accounting and non-zero cache counters.
+// percentiles, endpoint accounting and non-zero cache counters, and on
+// the Prometheus view the fault generator's memo (the inject job
+// generated or reused its cell, so the process has at least one miss).
 func TestServerModulesAndMetrics(t *testing.T) {
 	_, ts := testServer(t, RunnerConfig{Workers: 1, QueueLimit: 4}, nil)
 
@@ -343,6 +346,21 @@ func TestServerModulesAndMetrics(t *testing.T) {
 	}
 	if m.Caches.TraceMemoHitRate < 0 || m.Caches.TraceMemoHitRate > 100 {
 		t.Fatalf("trace memo hit rate %f out of range", m.Caches.TraceMemoHitRate)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	prom, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read /metrics: %v", err)
+	}
+	for _, re := range []string{`(?m)^cache_hits\{cache="faults"\} \d`, `(?m)^cache_misses\{cache="faults"\} [1-9]`} {
+		if !regexp.MustCompile(re).Match(prom) {
+			t.Errorf("/metrics has no line matching %s", re)
+		}
 	}
 }
 
