@@ -4,10 +4,11 @@ package faultgen
 // the faulty source under the golden testbench; one stimulus seed can
 // miss a fault another catches, and re-running the same compiled mutant
 // per seed pays the full per-instance cost each time. ObserveLanes
-// compiles the mutant once and drives K seeds as K lanes of one
-// sim.Batch — fused sweeps, one schedule decode — scoring each lane
-// against the memoized golden trace exactly as the sequential
-// environment would.
+// takes the mutant's program from the shared compile cache (the one
+// ClassifyBitParallel compiles it through) and drives K seeds as K
+// lanes of one sim.Batch — fused sweeps, one schedule decode — scoring
+// each lane against the memoized golden trace exactly as the
+// sequential environment would.
 
 import (
 	"fmt"
@@ -29,7 +30,7 @@ func ObserveLanes(f *Fault, seeds []int64, n int) ([]float64, error) {
 		return nil, fmt.Errorf("faultgen: ObserveLanes needs at least one seed")
 	}
 	m := f.Meta()
-	prog, err := sim.CompileSource(f.Source, m.Top, sim.BackendCompiled)
+	prog, err := sim.SharedCache().Compile(f.Source, m.Top, sim.BackendCompiled)
 	if err != nil {
 		return nil, err
 	}

@@ -3,13 +3,14 @@
 // (ErrChk), reads the input values at the mismatch time from the recorded
 // waveform, and — when mismatch signals alone have not been enough —
 // performs a dynamic slice over the design's data-flow graph to extract
-// suspicious code lines (ErrInfoFetch).
+// suspicious code lines (ErrInfoFetch). ErrChk matches the paper's
+// PAT_MS pattern with a hand-written linear scanner rather than a
+// regexp; the tests keep the regexp as its reference.
 package locate
 
 import (
 	"crypto/sha256"
 	"fmt"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,39 +20,125 @@ import (
 	"uvllm/internal/verilog"
 )
 
-// patMS is the PAT_MS pattern of Algorithm 2: it recognizes scoreboard
-// mismatch records in the UVM log.
-var patMS = regexp.MustCompile(`UVM_ERROR @ (\d+): \S+ \[SCBD\] mismatch signal=(\w+) expected=0x([0-9a-fA-F]+) actual=0x([0-9a-fA-F]+)`)
-
-// Mismatch is one parsed UVM_ERROR record.
-type Mismatch struct {
-	Time     int
-	Signal   string
-	Expected uint64
-	Actual   uint64
-}
-
 // ErrChk parses the UVM log (Algorithm 2, function ErrChk), returning the
 // mismatch timestamps MT, mismatch signals MS (deduplicated, first-seen
 // order) and the input values IV at the first mismatch time.
 func ErrChk(uvmLog string, wave *sim.Waveform) (mt []int, ms []string, iv map[string]uint64) {
 	seenT := map[int]bool{}
 	seenS := map[string]bool{}
-	for _, m := range patMS.FindAllStringSubmatch(uvmLog, -1) {
-		t, _ := strconv.Atoi(m[1])
+	for i := 0; ; {
+		ts, sig, end, ok := nextMS(uvmLog, i)
+		if !ok {
+			break
+		}
+		i = end
+		t, _ := strconv.Atoi(ts)
 		if !seenT[t] {
 			seenT[t] = true
 			mt = append(mt, t)
 		}
-		if !seenS[m[2]] {
-			seenS[m[2]] = true
-			ms = append(ms, m[2])
+		if !seenS[sig] {
+			seenS[sig] = true
+			ms = append(ms, sig)
 		}
 	}
 	if len(mt) > 0 && wave != nil {
 		iv = wave.ValuesAt(mt[0])
 	}
 	return mt, ms, iv
+}
+
+// PAT_MS, Algorithm 2's pattern for a scoreboard mismatch record, is
+//
+//	UVM_ERROR @ (\d+): \S+ \[SCBD\] mismatch signal=(\w+) expected=0x([0-9a-fA-F]+) actual=0x([0-9a-fA-F]+)
+//
+// with Go's ASCII classes (\s is [\t\n\f\r ], \w is [0-9A-Za-z_]).
+// nextMS recognizes exactly that language without a regexp. After the
+// head literal, every variable part is a run of one byte class, and the
+// literal that follows each run starts with a byte outside the class, so
+// the greedy run is the only way to match and one left-to-right pass
+// decides a candidate. \S works on bytes because the five space bytes
+// never occur inside a multi-byte UTF-8 sequence, and an invalid byte is
+// a non-space rune to a regexp.
+const msHead = "UVM_ERROR @ "
+
+// Byte classes of PAT_MS's runs.
+const (
+	clDigit = 1 << iota
+	clWord
+	clHex
+	clNonSpace
+)
+
+// msSteps is PAT_MS after msHead: each step is a run of one or more
+// bytes of class cl, then the literal lit.
+var msSteps = [...]struct {
+	cl  uint8
+	lit string
+}{
+	{clDigit, ": "},                          // timestamp
+	{clNonSpace, " [SCBD] mismatch signal="}, // component
+	{clWord, " expected=0x"},                 // signal
+	{clHex, " actual=0x"},                    // expected value
+	{clHex, ""},                              // actual value
+}
+
+var msClass = func() (t [256]uint8) {
+	for c := range t {
+		b := byte(c)
+		isDigit := '0' <= b && b <= '9'
+		isLetter := 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z'
+		if isDigit {
+			t[c] |= clDigit
+		}
+		if isDigit || isLetter || b == '_' {
+			t[c] |= clWord
+		}
+		if isDigit || 'a' <= b && b <= 'f' || 'A' <= b && b <= 'F' {
+			t[c] |= clHex
+		}
+		if !strings.ContainsRune("\t\n\f\r ", rune(b)) {
+			t[c] |= clNonSpace
+		}
+	}
+	return t
+}()
+
+// nextMS finds the leftmost PAT_MS record of log that starts at or after
+// byte i, as FindAllStringSubmatch would, and returns its timestamp
+// digits, its signal name and the offset just past it. ok is false when
+// no record remains.
+func nextMS(log string, i int) (ts, sig string, end int, ok bool) {
+	for {
+		k := strings.Index(log[i:], msHead)
+		if k < 0 {
+			return "", "", 0, false
+		}
+		start := i + k
+		if ts, sig, end, ok = matchMS(log, start+len(msHead)); ok {
+			return ts, sig, end, true
+		}
+		// msHead does not overlap itself, so the next candidate starts
+		// after this one's first byte at the earliest.
+		i = start + 1
+	}
+}
+
+// matchMS matches msSteps at byte p of s.
+func matchMS(s string, p int) (ts, sig string, end int, ok bool) {
+	var runs [len(msSteps)]string
+	for i, st := range msSteps {
+		q := p
+		for q < len(s) && msClass[s[q]]&st.cl != 0 {
+			q++
+		}
+		if q == p || !strings.HasPrefix(s[q:], st.lit) {
+			return "", "", 0, false
+		}
+		runs[i] = s[p:q]
+		p = q + len(st.lit)
+	}
+	return runs[0], runs[2], p, true
 }
 
 // DefSite is one assignment to a signal in the data-flow graph.

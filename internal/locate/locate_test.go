@@ -1,6 +1,9 @@
 package locate
 
 import (
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -30,6 +33,93 @@ func TestErrChk(t *testing.T) {
 	if iv["a"] != 12 || iv["b"] != 24 {
 		t.Errorf("IV = %v", iv)
 	}
+}
+
+// patMS is PAT_MS as the regexp it is written as in Algorithm 2: the
+// reference the hand-written scanner must agree with.
+var patMS = regexp.MustCompile(`UVM_ERROR @ (\d+): \S+ \[SCBD\] mismatch signal=(\w+) expected=0x([0-9a-fA-F]+) actual=0x([0-9a-fA-F]+)`)
+
+// msMatch is one PAT_MS record: its timestamp and signal captures and
+// the offset just past it.
+type msMatch struct {
+	ts, sig string
+	end     int
+}
+
+// scanAll collects every record nextMS finds, in order.
+func scanAll(log string) []msMatch {
+	var out []msMatch
+	for i := 0; ; {
+		ts, sig, end, ok := nextMS(log, i)
+		if !ok {
+			return out
+		}
+		out = append(out, msMatch{ts, sig, end})
+		i = end
+	}
+}
+
+// regexpAll collects every record patMS finds, in order.
+func regexpAll(log string) []msMatch {
+	var out []msMatch
+	for _, m := range patMS.FindAllStringSubmatchIndex(log, -1) {
+		out = append(out, msMatch{log[m[2]:m[3]], log[m[4]:m[5]], m[1]})
+	}
+	return out
+}
+
+// refErrChk is ErrChk's MT and MS computed with the regexp.
+func refErrChk(log string) (mt []int, ms []string) {
+	seenT := map[int]bool{}
+	seenS := map[string]bool{}
+	for _, m := range patMS.FindAllStringSubmatch(log, -1) {
+		t, _ := strconv.Atoi(m[1])
+		if !seenT[t] {
+			seenT[t] = true
+			mt = append(mt, t)
+		}
+		if !seenS[m[2]] {
+			seenS[m[2]] = true
+			ms = append(ms, m[2])
+		}
+	}
+	return mt, ms
+}
+
+// FuzzErrChkMatchesPattern checks the scanner against the PAT_MS regexp:
+// the same records at the same offsets with the same captures, and the
+// same ErrChk timestamps and signals. Run it longer with
+//
+//	go test ./internal/locate -run='^$' -fuzz=FuzzErrChkMatchesPattern -fuzztime=30s
+func FuzzErrChkMatchesPattern(f *testing.F) {
+	rec := func(ts, comp, sig, exp, act string) string {
+		return "UVM_ERROR @ " + ts + ": " + comp + " [SCBD] mismatch signal=" + sig + " expected=0x" + exp + " actual=0x" + act
+	}
+	whole := rec("13", "uvm_test_top.env.scoreboard", "q", "3", "4")
+	for _, s := range []string{
+		sampleLog,
+		rec("1", "a", "x", "1", "2") + rec("2", "b", "y", "3", "4"), // no newline between records
+		rec("5", "a", "x", "1", "2")[:40] + whole,                   // truncated, then whole
+		rec("7", "uvm\vtop", "s", "1", "0"),                         // \v is not \s in Go
+		rec("7", "top.\u00e9l\u00e8ve", "s", "1", "0"),              // non-ASCII
+		rec("7", "a\xffb\xc3", "s", "1", "0"),                       // invalid UTF-8
+		rec("99999999999999999999", "c", "s", "1", "0"),             // Atoi overflow
+		rec("8", "c", "sum_1", "aBcD", "Ef01") + "\n",               // mixed-case hex
+		rec("9", "c\td", "s", "1", "0") + "\n" + whole,              // \t ends the component
+		"UVM_ERROR @ UVM_ERROR @ 3: c [SCBD] mismatch signal=s expected=0x1 actual=0xg",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, log string) {
+		if got, want := scanAll(log), regexpAll(log); !reflect.DeepEqual(got, want) {
+			t.Fatalf("scanner records %q, regexp %q", got, want)
+		}
+		mt, ms, _ := ErrChk(log, nil)
+		wantT, wantS := refErrChk(log)
+		if !reflect.DeepEqual(mt, wantT) || !reflect.DeepEqual(ms, wantS) {
+			t.Fatalf("ErrChk = %v %q, regexp %v %q", mt, ms, wantT, wantS)
+		}
+	})
 }
 
 func TestErrChkNoMismatch(t *testing.T) {

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -105,19 +107,36 @@ type Job struct {
 	// Spec is the submitted job spec (post default-merging).
 	Spec JobSpec
 
-	mu       sync.Mutex
-	status   Status
-	events   []Event
-	notify   chan struct{} // closed and replaced on every append
+	mu     sync.Mutex
+	status Status
+	// hist is the event history as the events' JSON encodings, each
+	// followed by a newline (an encoding never contains one). It only
+	// grows while the job is live, so a slice of it stays valid after
+	// the lock is released, and it is copied to its exact length at the
+	// terminal transition.
+	hist     []byte
+	nEvents  int
+	notify   chan struct{} // closed and replaced on every append; closedNotify once terminal
 	result   *Result
 	queuedAt time.Time
 	doneAt   time.Time // terminal-transition instant; zero while live
 	ranFor   time.Duration
 	waited   time.Duration
 
-	ctx    context.Context // threaded into Execute; cancelled by Runner.Cancel or at the terminal transition
+	// ctx is threaded into Execute and cancelled by Runner.Cancel. The
+	// terminal transition cancels it and drops both fields: the work it
+	// bounded is over.
+	ctx    context.Context
 	cancel context.CancelFunc
 }
+
+// closedNotify is every finished job's notify channel: no event follows
+// the terminal one, so a reader never needs to wait.
+var closedNotify = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 func newJob(id string, spec JobSpec, now time.Time) *Job {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -137,26 +156,40 @@ func (j *Job) append(ev Event) {
 }
 
 func (j *Job) appendLocked(ev Event) {
-	ev.Seq = len(j.events)
-	j.events = append(j.events, ev)
+	if j.status.Terminal() {
+		return // the terminal event closes the history
+	}
+	j.record(ev)
 	close(j.notify)
 	j.notify = make(chan struct{})
 }
 
+// record stamps Seq and adds the event's encoding to the history. An
+// Event always encodes: its only floats are ratios and percents with
+// guarded denominators, and a span's start time is the wall clock.
+func (j *Job) record(ev Event) {
+	ev.Seq = j.nEvents
+	enc, _ := json.Marshal(ev)
+	j.hist = append(append(j.hist, enc...), '\n')
+	j.nEvents++
+}
+
 // terminateLocked lands the terminal transition: it sets the status,
-// appends the closing event and trims what a finished job keeps for the
-// rest of its life. The event history is copied to its exact length
-// (append leaves up to half of it spare), and the job's context is
-// cancelled, which releases it as the context package requires; the
-// work it bounded is over. Called with mu held on a live job.
+// records the closing event and trims what a finished job keeps for the
+// rest of its life. The history is copied to its exact length (append
+// leaves up to half of it spare); the context is cancelled, as the
+// context package requires, and released with its cancel func; the
+// notify channel is closed and replaced by the shared closedNotify.
+// Called with mu held on a live job.
 func (j *Job) terminateLocked(s Status, msg string, at time.Time) {
 	j.status = s
 	j.doneAt = at
-	j.appendLocked(Event{Kind: EventTerminal, Status: s, Message: msg})
-	kept := make([]Event, len(j.events))
-	copy(kept, j.events)
-	j.events = kept
+	j.record(Event{Kind: EventTerminal, Status: s, Message: msg})
+	j.hist = append(make([]byte, 0, len(j.hist)), j.hist...)
+	close(j.notify)
+	j.notify = closedNotify
 	j.cancel()
+	j.ctx, j.cancel = nil, nil
 }
 
 // Status returns the job's current lifecycle state.
@@ -176,28 +209,45 @@ func (j *Job) Result() (Result, bool) {
 	return *j.result, true
 }
 
-// EventsSince returns a copy of the events from seq onward, plus a
-// channel that is closed when more events arrive and whether the job has
-// reached a terminal state. The triple lets a streamer loop without
-// missing or duplicating events.
-func (j *Job) EventsSince(seq int) (evs []Event, more <-chan struct{}, terminal bool) {
+// encodedSince returns the JSON encodings of the events from seq onward,
+// one per line, sharing the history's storage (read-only), plus the
+// EventsSince wake-up channel and terminal flag.
+func (j *Job) encodedSince(seq int) (lines []byte, more <-chan struct{}, terminal bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if seq < len(j.events) {
-		evs = append(evs, j.events[seq:]...)
+	lines = j.hist
+	for ; seq > 0 && len(lines) > 0; seq-- {
+		lines = lines[bytes.IndexByte(lines, '\n')+1:]
 	}
-	return evs, j.notify, j.status.Terminal()
+	return lines, j.notify, j.status.Terminal()
+}
+
+// EventsSince returns the events from seq onward, decoded from the
+// history, plus a channel that is closed when more events arrive and
+// whether the job has reached a terminal state. The triple lets a
+// streamer loop without missing or duplicating events.
+func (j *Job) EventsSince(seq int) (evs []Event, more <-chan struct{}, terminal bool) {
+	lines, more, terminal := j.encodedSince(seq)
+	for len(lines) > 0 {
+		var line []byte
+		line, lines, _ = bytes.Cut(lines, []byte("\n"))
+		var ev Event
+		json.Unmarshal(line, &ev) // json.Marshal output: it decodes
+		evs = append(evs, ev)
+	}
+	return evs, more, terminal
 }
 
 // WaitTerminal blocks until the job reaches a terminal state or the
-// context is cancelled, returning the final status.
+// context is cancelled, returning the final status. It waits on the
+// notify channel, which every event closes, the terminal one included.
 func (j *Job) WaitTerminal(ctx context.Context) (Status, error) {
-	seq := 0
 	for {
-		evs, more, terminal := j.EventsSince(seq)
-		seq += len(evs)
-		if terminal {
-			return j.Status(), nil
+		j.mu.Lock()
+		s, more := j.status, j.notify
+		j.mu.Unlock()
+		if s.Terminal() {
+			return s, nil
 		}
 		select {
 		case <-more:
@@ -207,18 +257,20 @@ func (j *Job) WaitTerminal(ctx context.Context) (Status, error) {
 	}
 }
 
-// setStatus transitions the lifecycle state; it refuses to leave a
-// terminal state (a job cancelled while queued stays cancelled even if
-// a worker pops it concurrently) and reports whether the transition
-// happened.
-func (j *Job) setStatus(s Status) bool {
+// start moves a queued job to running, records its queue wait and the
+// started event, and returns the context Execute runs under. ok is false
+// when the job is already terminal (cancelled while queued, or drained):
+// a worker that pops it then skips it.
+func (j *Job) start(wait time.Duration) (ctx context.Context, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.waited = wait
 	if j.status.Terminal() {
-		return false
+		return nil, false
 	}
-	j.status = s
-	return true
+	j.status = StatusRunning
+	j.appendLocked(Event{Kind: EventStarted, Status: StatusRunning})
+	return j.ctx, true
 }
 
 // finish moves the job to a terminal state at the given instant and
@@ -237,19 +289,22 @@ func (j *Job) finish(s Status, res *Result, msg string, at time.Time) bool {
 	return true
 }
 
-// cancelIfQueued atomically finishes the job in the cancelled state if
-// no worker has picked it up yet, reporting whether it did. A running
-// job is left alone: its cancelled context stops Execute at the next
-// iteration boundary and the worker lands the terminal transition (with
-// the partial result).
-func (j *Job) cancelIfQueued(at time.Time) bool {
+// cancelRequested acts on a client's cancel. A queued job is finished
+// in the cancelled state at once, and the call reports true. A running
+// job has its context cancelled, so Execute stops at the next iteration
+// boundary and the worker lands the terminal transition (with the
+// partial result). A finished job is left alone.
+func (j *Job) cancelRequested(at time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusQueued {
-		return false
+	switch {
+	case j.status == StatusQueued:
+		j.terminateLocked(StatusCancelled, "cancelled by client before the job ran", at)
+		return true
+	case j.cancel != nil:
+		j.cancel()
 	}
-	j.terminateLocked(StatusCancelled, "cancelled by client before the job ran", at)
-	return true
+	return false
 }
 
 // doneSince returns the terminal instant, ok=false while the job is live.
@@ -452,8 +507,7 @@ func (r *Runner) Cancel(id string) (j *Job, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	j.cancel()
-	if j.cancelIfQueued(r.now()) {
+	if j.cancelRequested(r.now()) {
 		// The job was still queued: it is terminal now and the worker that
 		// eventually pops it will skip it.
 		r.jobsCancelled.Inc()
@@ -581,17 +635,10 @@ func (r *Runner) run(j *Job) {
 	start := r.now()
 	wait := start.Sub(j.queuedAt)
 	r.stageWait.Observe(wait.Seconds())
-	j.mu.Lock()
-	j.waited = wait
-	j.mu.Unlock()
-
-	if !j.setStatus(StatusRunning) {
-		// Cancelled while queued: the job is already terminal, skip it.
+	ctx, ok := j.start(wait)
+	if !ok {
 		return
 	}
-	j.append(Event{Kind: EventStarted, Status: StatusRunning})
-
-	ctx := j.ctx
 	var root *obs.Span
 	if j.Spec.Options.Trace || r.cfg.SlowSpan > 0 {
 		tracer := obs.NewTracer(j.ID)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -271,18 +272,21 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 
 	seq := 0
 	for {
-		evs, more, terminal := j.EventsSince(seq)
-		for _, ev := range evs {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
+		lines, more, terminal := j.encodedSince(seq)
+		if len(lines) > 0 {
+			for rest := lines; len(rest) > 0; seq++ {
+				var data []byte
+				data, rest, _ = bytes.Cut(rest, []byte("\n"))
+				// The frame is the stored encoding; only the kind is read
+				// back out of it.
+				var ev struct {
+					Kind string `json:"kind"`
+				}
+				json.Unmarshal(data, &ev)
+				fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, data)
 			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, data)
-		}
-		if len(evs) > 0 {
 			flusher.Flush()
 		}
-		seq += len(evs)
 		if terminal {
 			return
 		}

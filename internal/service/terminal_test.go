@@ -5,11 +5,13 @@ import (
 	"context"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"uvllm/internal/dataset"
+	"uvllm/internal/faultgen"
 )
 
 // sseData reads the data lines of an SSE stream until it closes.
@@ -24,10 +26,10 @@ func sseData(sc *bufio.Scanner) []string {
 }
 
 // TestTerminalJobCompact checks what a job keeps once it reaches each
-// terminal state: its event history is exactly as long as it needs to be
-// (len == cap), its context is cancelled, and an SSE replay from 0
-// reads the same frames as a stream that was attached while the job was
-// still live.
+// terminal state: its encoded event history is exactly as long as it
+// needs to be (len == cap), its context, cancel func and notify channel
+// are released, and an SSE replay from 0 reads the same frames as a
+// stream that was attached while the job was still live.
 func TestTerminalJobCompact(t *testing.T) {
 	for _, want := range []Status{StatusDone, StatusFailed, StatusCancelled, StatusDrained} {
 		t.Run(string(want), func(t *testing.T) {
@@ -88,15 +90,14 @@ func TestTerminalJobCompact(t *testing.T) {
 			waitStatus(t, blocker, StatusDone)
 
 			j.mu.Lock()
-			n, c := len(j.events), cap(j.events)
+			n, c := len(j.hist), cap(j.hist)
+			released := j.ctx == nil && j.cancel == nil && j.notify == closedNotify
 			j.mu.Unlock()
 			if n != c {
-				t.Errorf("finished job keeps %d events in a %d-event array", n, c)
+				t.Errorf("finished job keeps a %d-byte history in a %d-byte array", n, c)
 			}
-			select {
-			case <-j.ctx.Done():
-			default:
-				t.Error("finished job's context is not cancelled")
+			if !released {
+				t.Error("finished job still holds its context, cancel func or own notify channel")
 			}
 
 			liveFrames := <-live
@@ -131,5 +132,58 @@ func TestExecuteSharesRestoredGolden(t *testing.T) {
 	}
 	if unsafe.StringData(res.Final) != unsafe.StringData(m.Source) {
 		t.Error("Result.Final holds its own copy of the golden source")
+	}
+}
+
+// TestFinishedJobFootprint bounds the live heap a finished job keeps
+// while the runner keeps every finished job (ResultTTL 0, cmd/uvllmd's
+// default): at most 1.4 KB per job over the benchmark mix of inject
+// jobs. A warm-up round fills the compile cache, the trace memo and the
+// fault memo first; the measured rounds repeat its jobs, so they hit
+// every cache and what the heap gains is what the finished jobs keep.
+func TestFinishedJobFootprint(t *testing.T) {
+	var specs []JobSpec
+	variant := map[string]int{}
+	for _, f := range faultgen.Benchmark() {
+		cell := f.Module + "/" + string(f.Class)
+		specs = append(specs, JobSpec{Module: f.Module, Inject: string(f.Class), Variant: variant[cell]})
+		variant[cell]++
+	}
+	r := NewRunner(RunnerConfig{Workers: 2, QueueLimit: len(specs), Services: testServices()})
+	defer r.Drain(context.Background())
+	round := func() {
+		jobs := make([]*Job, len(specs))
+		for i, spec := range specs {
+			j, err := r.Submit(spec)
+			if err != nil {
+				t.Fatalf("submit %+v: %v", spec, err)
+			}
+			jobs[i] = j
+		}
+		for _, j := range jobs {
+			if s, _ := j.WaitTerminal(context.Background()); s != StatusDone && s != StatusFailed {
+				t.Fatalf("job %s ended %s", j.ID, s)
+			}
+		}
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	round()
+	before := liveHeap()
+	const rounds = 4 // 1324 measured jobs
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	after := liveHeap()
+	perJob := (float64(after) - float64(before)) / float64(rounds*len(specs))
+	t.Logf("%.0f B of live heap per finished job", perJob)
+	if perJob > 1400 {
+		t.Errorf("a finished job keeps %.0f B of live heap, want at most 1400", perJob)
 	}
 }

@@ -365,23 +365,13 @@ func (b *Batch) settleAll() {
 				continue
 			}
 			if len(s.nba) > 0 {
-				writes := s.nba
-				s.nba = nil
-				for _, w := range writes {
-					s.commitNBA(w)
-				}
+				s.commitNBAs()
 				work = true
 				continue
 			}
 			if len(s.seqQueue) > 0 {
-				procs := s.seqQueue
-				s.seqQueue = nil
-				for _, pi := range procs {
-					s.inSeq[pi] = false
-					if err := s.runProc(s.d.procs[pi]); err != nil {
-						b.errs[k] = err
-						break
-					}
+				if err := s.runSeqQueue(); err != nil {
+					b.errs[k] = err
 				}
 				work = true
 				continue

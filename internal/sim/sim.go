@@ -21,6 +21,7 @@ type Instance struct {
 	combQueue []int
 	inQueue   []bool
 	seqQueue  []int
+	seqSpare  []int // the drained seqQueue, reused as the next one
 	inSeq     []bool
 	nba       []nbaWrite
 	running   int // index of the currently executing process, or -1
@@ -278,21 +279,12 @@ func (s *Instance) Settle() error {
 			}
 		}
 		if len(s.nba) > 0 {
-			writes := s.nba
-			s.nba = nil
-			for _, w := range writes {
-				s.commitNBA(w)
-			}
+			s.commitNBAs()
 			continue
 		}
 		if len(s.seqQueue) > 0 {
-			procs := s.seqQueue
-			s.seqQueue = nil
-			for _, pi := range procs {
-				s.inSeq[pi] = false
-				if err := s.runProc(s.d.procs[pi]); err != nil {
-					return err
-				}
+			if err := s.runSeqQueue(); err != nil {
+				return err
 			}
 			continue
 		}
@@ -360,21 +352,12 @@ func (s *Instance) settleLevelized() error {
 			}
 		}
 		if len(s.nba) > 0 {
-			writes := s.nba
-			s.nba = nil
-			for _, w := range writes {
-				s.commitNBA(w)
-			}
+			s.commitNBAs()
 			continue
 		}
 		if len(s.seqQueue) > 0 {
-			procs := s.seqQueue
-			s.seqQueue = nil
-			for _, pi := range procs {
-				s.inSeq[pi] = false
-				if err := s.runProc(s.d.procs[pi]); err != nil {
-					return err
-				}
+			if err := s.runSeqQueue(); err != nil {
+				return err
 			}
 			continue
 		}
@@ -383,6 +366,31 @@ func (s *Instance) settleLevelized() error {
 		}
 		return nil
 	}
+}
+
+// commitNBAs commits the pending non-blocking writes in order and
+// empties the queue in place: a commit only sets values and schedules
+// processes, it never queues another write.
+func (s *Instance) commitNBAs() {
+	for _, w := range s.nba {
+		s.commitNBA(w)
+	}
+	s.nba = s.nba[:0]
+}
+
+// runSeqQueue runs the queued edge-triggered processes in order. A
+// process it runs may queue more, so the queue is swapped with the spare
+// first and the drained slice becomes the next spare.
+func (s *Instance) runSeqQueue() error {
+	procs := s.seqQueue
+	s.seqQueue, s.seqSpare = s.seqSpare[:0], procs
+	for _, pi := range procs {
+		s.inSeq[pi] = false
+		if err := s.runProc(s.d.procs[pi]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *Instance) commitNBA(w nbaWrite) {

@@ -22,21 +22,23 @@ import (
 	"uvllm/internal/sim"
 )
 
-// directedBits is the bit-parallel directed loop: each round broadcasts
-// the committed harness state into a psim engine, drives one candidate
-// snippet per lane in bit-sliced sweeps, scores every candidate by toggle
-// novelty, and replays only the best candidate on the coverage harness —
-// which is also the committed state the next round speculates from.
-// cfg.Lanes bounds the per-round candidate count (default and cap 64).
-func directedBits(p *sim.Program, cfg StimConfig) (*cover.Map, *Corpus, error) {
-	lanes := cfg.Lanes
-	if lanes < 2 || lanes > 64 {
-		lanes = 64
+// bitLanes is the bit scorer's per-round candidate count: cfg.Lanes,
+// with 64 as the default and the cap.
+func (cfg StimConfig) bitLanes() int {
+	if cfg.Lanes < 2 || cfg.Lanes > 64 {
+		return 64
 	}
-	eng, err := psim.NewEngine(p, lanes, cfg.Clock)
-	if err != nil {
-		return nil, nil, err
-	}
+	return cfg.Lanes
+}
+
+// directedBits is the bit-parallel directed loop on eng, a psim engine
+// of p with cfg.bitLanes() lanes: each round broadcasts the committed
+// harness state into the engine, drives one candidate snippet per lane
+// in bit-sliced sweeps, scores every candidate by toggle novelty, and
+// replays only the best candidate on the coverage harness — which is
+// also the committed state the next round speculates from.
+func directedBits(p *sim.Program, eng *psim.Engine, cfg StimConfig) (*cover.Map, *Corpus, error) {
+	lanes := eng.Lanes()
 	eng.SetRecord(false) // speculative lanes: no waveforms
 	h, err := coverHarness(p, cfg)
 	if err != nil {

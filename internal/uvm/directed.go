@@ -142,8 +142,10 @@ func CoverageRandom(p *sim.Program, cfg StimConfig) (*cover.Map, error) {
 func CoverageDirected(p *sim.Program, cfg StimConfig) (*cover.Map, *Corpus, error) {
 	lanes := max(cfg.Lanes, 1)
 	if cfg.BitLanes {
-		if psim.Supported(p, cfg.Clock) == nil {
-			return directedBits(p, cfg)
+		// Blasting is the subset check: a design the engine cannot be
+		// built for runs on the batch scorer.
+		if eng, err := psim.NewEngine(p, cfg.bitLanes(), cfg.Clock); err == nil {
+			return directedBits(p, eng, cfg)
 		}
 		lanes = max(cfg.Lanes, 2)
 	}
