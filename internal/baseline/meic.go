@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"uvllm/internal/faultgen"
@@ -54,10 +55,7 @@ func (x *MEIC) Repair(f *faultgen.Fault) Outcome {
 		// Fix agent: raw log as error information, plus the growing
 		// conversation history MEIC-style loops drag along — the token
 		// inefficiency UVLLM's localization engine eliminates.
-		errInfo := verboseLog(log)
-		if len(history) > 0 {
-			errInfo += "\nPrevious attempts:\n" + strings.Join(history, "\n---\n")
-		}
+		errInfo := verboseLog(log, history)
 		req := llm.BuildRepairRequest(llm.RepairContext{
 			ModuleName: m.Name,
 			Spec:       m.Spec,
@@ -110,21 +108,56 @@ func (x *MEIC) Repair(f *faultgen.Fault) Outcome {
 
 // verboseLog pads the raw UVM log the way MEIC feeds it to the model —
 // low information density, high token count (the inefficiency UVLLM's
-// localization engine removes).
-func verboseLog(log string) string {
-	var b strings.Builder
-	b.WriteString("Full simulation log follows.\n")
+// localization engine removes) — followed by the earlier attempts, if
+// any.
+func verboseLog(log string, history []string) string {
+	const prev, sep = "\nPrevious attempts:\n", "\n---\n"
+	const head, tailHead = "Full simulation log follows.\n", "Log tail (repeated):\n"
 	lines := strings.Split(log, "\n")
-	for i, ln := range lines {
-		fmt.Fprintf(&b, "[%04d] %s\n", i, ln)
-	}
-	// MEIC also repeats the tail of the log in its prompt template.
+	// MEIC also repeats the tail of the log in its prompt template: the
+	// last 20 lines, a suffix of log.
 	tail := lines
 	if len(tail) > 20 {
 		tail = tail[len(tail)-20:]
 	}
-	b.WriteString("Log tail (repeated):\n")
-	b.WriteString(strings.Join(tail, "\n"))
+	tailLen := len(tail) - 1
+	for _, ln := range tail {
+		tailLen += len(ln)
+	}
+	// Each line gains a "[%04d] " prefix and a newline: eight bytes below
+	// line 10000.
+	n := len(head) + len(log) + 8*len(lines) + len(tailHead) + tailLen
+	if len(history) > 0 {
+		n += len(prev) + len(sep)*(len(history)-1)
+		for _, h := range history {
+			n += len(h)
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(head)
+	var num [20]byte
+	for i, ln := range lines {
+		d := strconv.AppendInt(num[:0], int64(i), 10)
+		b.WriteByte('[')
+		for k := len(d); k < 4; k++ {
+			b.WriteByte('0')
+		}
+		b.Write(d)
+		b.WriteString("] ")
+		b.WriteString(ln)
+		b.WriteByte('\n')
+	}
+	b.WriteString(tailHead)
+	b.WriteString(log[len(log)-tailLen:])
+	for i, h := range history {
+		if i == 0 {
+			b.WriteString(prev)
+		} else {
+			b.WriteString(sep)
+		}
+		b.WriteString(h)
+	}
 	return b.String()
 }
 

@@ -30,7 +30,12 @@ type Request struct {
 // Text concatenates all message contents (used for marker detection and
 // token accounting).
 func (r Request) Text() string {
+	n := 0
+	for _, m := range r.Messages {
+		n += len(m.Content) + 1
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for _, m := range r.Messages {
 		b.WriteString(m.Content)
 		b.WriteString("\n")

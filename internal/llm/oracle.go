@@ -165,7 +165,7 @@ func NewOracle(k Knowledge, prof Profile, seed int64) *Oracle {
 // Complete implements Client.
 func (o *Oracle) Complete(req Request) (Response, error) {
 	text := req.Text()
-	stage := DetectStage(req)
+	stage := detectStage(text)
 	mode := ModePair
 	if strings.Contains(text, `"complete":`) && !strings.Contains(text, `"correct":`) {
 		mode = ModeComplete

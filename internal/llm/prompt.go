@@ -3,6 +3,7 @@ package llm
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -49,6 +50,34 @@ type RepairContext struct {
 	Mode          GenMode
 }
 
+// The error-information header of a repair prompt is stageMarkerHead,
+// the stage, then stageMarkerTail; DetectStage looks for it.
+const (
+	stageMarkerHead = "=== Error Information ("
+	stageMarkerTail = ") ==="
+)
+
+// stageMarkers are the error-information headers in DetectStage's order.
+var stageMarkers = [...]struct {
+	stage  Stage
+	marker string
+}{
+	{StageLint, stageMarkerHead + string(StageLint) + stageMarkerTail},
+	{StageMS, stageMarkerHead + string(StageMS) + stageMarkerTail},
+	{StageSL, stageMarkerHead + string(StageSL) + stageMarkerTail},
+	{StageMEIC, stageMarkerHead + string(StageMEIC) + stageMarkerTail},
+	{StageRaw, stageMarkerHead + string(StageRaw) + stageMarkerTail},
+}
+
+const damageHeader = "\n=== Damage Repairs (previously tried, made things worse; do NOT repeat) ===\n"
+
+const completeInstructions = `Respond with JSON only, following this schema:
+{"module name": "<name>", "analysis": "<root cause>", "complete": "<the full corrected Verilog source>"}`
+
+const pairInstructions = `Respond with JSON only, following this schema:
+{"module name": "<name>", "analysis": "<root cause>", "correct": [["<original code>", "<patched code>"], ...]}
+Each pair must quote the original code exactly as it appears in the DUT.`
+
 const systemPrompt = `You are an expert in Verilog verification and RTL
 repair. You analyze a design under test against its specification and the
 provided error information, and produce minimal, correct repairs.`
@@ -57,35 +86,49 @@ provided error information, and produce minimal, correct repairs.`
 // (Fig. 4): specification, DUT, error information, damage repairs to avoid,
 // and the Structured-Outputs instruction.
 func BuildRepairRequest(ctx RepairContext) Request {
+	spec, errInfo := strings.TrimSpace(ctx.Spec), strings.TrimSpace(ctx.ErrorInfo)
+	instructions := pairInstructions
+	if ctx.Mode == ModeComplete {
+		instructions = completeInstructions
+	}
+	// Size the builder from the inputs: the fixed text is under 256 bytes,
+	// and quoting a damage repair adds its quotes and escapes.
+	n := 256 + len(ctx.ModuleName) + len(spec) + len(ctx.Source) + len(ctx.Stage) + len(errInfo) + len(instructions)
+	if len(ctx.DamageRepairs) > 0 {
+		n += len(damageHeader)
+		for _, p := range ctx.DamageRepairs {
+			n += 32 + len(p.Original) + len(p.Patched)
+		}
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "Module under repair: %s (iteration %d)\n\n", ctx.ModuleName, ctx.Iteration)
-	b.WriteString("=== Specification ===\n")
-	b.WriteString(strings.TrimSpace(ctx.Spec))
+	b.Grow(n)
+	b.WriteString("Module under repair: ")
+	b.WriteString(ctx.ModuleName)
+	b.WriteString(" (iteration ")
+	b.WriteString(strconv.Itoa(ctx.Iteration))
+	b.WriteString(")\n\n=== Specification ===\n")
+	b.WriteString(spec)
 	b.WriteString("\n\n=== DUT ===\n")
 	b.WriteString(ctx.Source)
-	fmt.Fprintf(&b, "\n=== Error Information (%s) ===\n", ctx.Stage)
-	if strings.TrimSpace(ctx.ErrorInfo) == "" {
+	b.WriteString("\n")
+	b.WriteString(stageMarkerHead)
+	b.WriteString(string(ctx.Stage))
+	b.WriteString(stageMarkerTail)
+	b.WriteString("\n")
+	if errInfo == "" {
 		b.WriteString("(none provided)\n")
 	} else {
-		b.WriteString(strings.TrimSpace(ctx.ErrorInfo))
+		b.WriteString(errInfo)
 		b.WriteString("\n")
 	}
 	if len(ctx.DamageRepairs) > 0 {
-		b.WriteString("\n=== Damage Repairs (previously tried, made things worse; do NOT repeat) ===\n")
+		b.WriteString(damageHeader)
 		for _, p := range ctx.DamageRepairs {
 			fmt.Fprintf(&b, "- original: %q patched: %q\n", p.Original, p.Patched)
 		}
 	}
 	b.WriteString("\n=== Instructions ===\n")
-	switch ctx.Mode {
-	case ModeComplete:
-		b.WriteString(`Respond with JSON only, following this schema:
-{"module name": "<name>", "analysis": "<root cause>", "complete": "<the full corrected Verilog source>"}`)
-	default:
-		b.WriteString(`Respond with JSON only, following this schema:
-{"module name": "<name>", "analysis": "<root cause>", "correct": [["<original code>", "<patched code>"], ...]}
-Each pair must quote the original code exactly as it appears in the DUT.`)
-	}
+	b.WriteString(instructions)
 	return Request{
 		Model:          "gpt-4-turbo",
 		ResponseFormat: "json_object",
@@ -229,11 +272,13 @@ func BuildRefModelRequest(moduleName, spec string) Request {
 
 // DetectStage recovers the stage marker from a rendered request, which the
 // Oracle uses to decide how much the error information helps.
-func DetectStage(req Request) Stage {
-	text := req.Text()
-	for _, st := range []Stage{StageLint, StageMS, StageSL, StageMEIC, StageRaw} {
-		if strings.Contains(text, fmt.Sprintf("=== Error Information (%s) ===", st)) {
-			return st
+func DetectStage(req Request) Stage { return detectStage(req.Text()) }
+
+// detectStage is DetectStage over the request's rendered text.
+func detectStage(text string) Stage {
+	for _, sm := range stageMarkers {
+		if strings.Contains(text, sm.marker) {
+			return sm.stage
 		}
 	}
 	return StageRaw

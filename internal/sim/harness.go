@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"uvllm/internal/cover"
@@ -44,6 +45,17 @@ func (w *Waveform) Record(vals map[string]uint64) {
 		w.cols[i] = append(w.cols[i], vals[n])
 	}
 	w.cycles++
+}
+
+// Reserve gives every column room for n more cycles, so the next n
+// recorded rows append without growing: one allocation per column
+// instead of about log2(n) doublings. Each column gets its own
+// allocation rather than a share of one slab, which at a few hundred
+// cycles would cross Go's 32 KB large-object threshold.
+func (w *Waveform) Reserve(n int) {
+	for i, c := range w.cols {
+		w.cols[i] = slices.Grow(c, n)
+	}
 }
 
 // recordRow appends one cycle of values aligned with Names() order — the

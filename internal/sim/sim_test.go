@@ -471,6 +471,32 @@ endmodule`
 	}
 }
 
+// TestWaveformReserve: after Reserve(n), n recorded rows allocate
+// nothing, and the rows already recorded are kept.
+func TestWaveformReserve(t *testing.T) {
+	const n = 500
+	w := NewWaveform([]string{"b", "a", "c"})
+	w.RecordRow([]uint64{7, 8, 9})
+	w.Reserve(n)
+	row := []uint64{1, 2, 3}
+	// AllocsPerRun calls the function once to warm up, then once measured.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n/2; i++ {
+			row[0] = uint64(i)
+			w.RecordRow(row)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d rows after Reserve(%d) allocated %.0f times, want 0", n, n, allocs)
+	}
+	if w.Cycles() != n+1 {
+		t.Fatalf("cycles = %d, want %d", w.Cycles(), n+1)
+	}
+	if w.At("a", 0) != 7 || w.At("c", 0) != 9 || w.At("a", n) != n/2-1 || w.At("b", n) != 2 {
+		t.Errorf("values = %v at 0, %v at %d", w.ValuesAt(0), w.ValuesAt(n), n)
+	}
+}
+
 func TestFindClockAndReset(t *testing.T) {
 	f := verilog.MustParse(`module m(input clk, input rst_n, input d, output reg q);
 always @(posedge clk or negedge rst_n) begin

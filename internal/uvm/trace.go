@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"uvllm/internal/memo"
 	"uvllm/internal/refmodel"
@@ -28,13 +29,24 @@ type Stimulus struct {
 	n    int
 }
 
+// rngPool recycles Materialize's generators: a math/rand source is about
+// 5 KB, and Seed restarts exactly the stream rand.NewSource(seed) yields.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Materialize expands a Sequence into its concrete stimulus, laid out as
 // rows over ports, using the deterministic RNG the environment would
-// drive it with. A RandomSequence whose keys are exactly the layout's
-// names fills the rows straight from its RNG draws — the same draws in
-// the same order as Next, with no map per vector.
+// drive it with: rand.New(rand.NewSource(seed)), drawn from a pool and
+// re-seeded. A DirectedSequence never draws, so it gets no RNG. A
+// RandomSequence whose keys are exactly the layout's names fills the
+// rows straight from its RNG draws — the same draws in the same order as
+// Next, with no map per vector.
 func Materialize(seq Sequence, seed int64, ports []sim.PortInfo) *Stimulus {
-	rng := rand.New(rand.NewSource(seed))
+	var rng *rand.Rand
+	if _, directed := seq.(*DirectedSequence); !directed {
+		rng = rngPool.Get().(*rand.Rand)
+		rng.Seed(seed)
+		defer rngPool.Put(rng)
+	}
 	st := &Stimulus{Ports: ports, rows: make([]uint64, 0, seq.Len()*len(ports))}
 	col := make(map[string]int, len(ports))
 	for j, p := range ports {

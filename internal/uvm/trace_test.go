@@ -3,6 +3,7 @@ package uvm
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"uvllm/internal/dataset"
@@ -42,6 +43,47 @@ func TestMaterializeDeterministic(t *testing.T) {
 			t.Fatalf("vector %d: rows %v, Next %v", i, a.Vector(i), want)
 		}
 	}
+}
+
+// TestMaterializePooledRNG: Materialize's pooled generators leak no
+// state between calls. Concurrent calls over many seeds, random and
+// directed sequences interleaved, each yield the stream a fresh
+// rand.New(rand.NewSource(seed)) draws.
+func TestMaterializePooledRNG(t *testing.T) {
+	ports := aluPorts(t)
+	const seeds, n = 64, 9
+	want := make([][]map[string]uint64, seeds)
+	for s := range want {
+		seq := &RandomSequence{Ports: ports, N: n}
+		rng := rand.New(rand.NewSource(int64(s)))
+		for i := 0; i < n; i++ {
+			v, _ := seq.Next(rng)
+			want[s] = append(want[s], v)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 8; rep++ {
+				for s := (w + rep) % seeds; s < seeds; s += 3 {
+					for _, st := range []*Stimulus{
+						Materialize(&RandomSequence{Ports: ports, N: n}, int64(s), ports),
+						Materialize(&DirectedSequence{Vectors: want[s]}, int64(s+1), ports),
+					} {
+						for i := 0; i < n; i++ {
+							if got := st.Vector(i); !reflect.DeepEqual(got, want[s][i]) {
+								t.Errorf("seed %d vector %d = %v, want %v", s, i, got, want[s][i])
+								return
+							}
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // counterStim lays counter_12bit vectors out over its non-clock inputs.

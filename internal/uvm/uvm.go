@@ -9,6 +9,7 @@ package uvm
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"uvllm/internal/assert"
@@ -27,6 +28,7 @@ type Transaction struct {
 // (paper Fig. 3's "Case (Sequence)").
 type Sequence interface {
 	// Next returns the next stimulus vector, or ok=false when exhausted.
+	// It must not retain rng, which Materialize recycles.
 	Next(rng *rand.Rand) (map[string]uint64, bool)
 	// Len returns the total number of transactions the sequence produces.
 	Len() int
@@ -114,6 +116,7 @@ func (s *RandomSequence) fillRows(rng *rand.Rand, st *Stimulus, col map[string]i
 
 // DirectedSequence plays back a fixed vector list — the style of finite
 // testbench the MEIC baseline uses (and the source of its overfitting).
+// It draws no randomness: Materialize passes it a nil RNG.
 type DirectedSequence struct {
 	Vectors []map[string]uint64
 	pos     int
@@ -131,6 +134,9 @@ func (s *DirectedSequence) Next(_ *rand.Rand) (map[string]uint64, bool) {
 
 // Len implements Sequence.
 func (s *DirectedSequence) Len() int { return len(s.Vectors) }
+
+// resetCycles is the length of Run's reset phase.
+const resetCycles = 2
 
 func maskW(w int) uint64 {
 	if w >= 64 {
@@ -316,10 +322,15 @@ func NewEnv(cfg Config) (*Env, error) {
 func (e *Env) Run(seq Sequence) float64 {
 	stim := Materialize(seq, e.seed, e.DUT.Ports())
 	resetName, _ := sim.FindReset(e.DUT.Sim.Design())
+	cycles := stim.Len()
+	if resetName != "" {
+		cycles += resetCycles
+	}
+	e.DUT.Wave.Reserve(cycles)
 
 	// Reset phase.
 	if resetName != "" {
-		if err := e.DUT.ApplyReset(2); err != nil {
+		if err := e.DUT.ApplyReset(resetCycles); err != nil {
 			e.fatalf("reset phase: %v", err)
 			return 0
 		}
@@ -334,6 +345,7 @@ func (e *Env) Run(seq Sequence) float64 {
 	cols := golden.Columns(outputs)
 	inCols := e.Cov.inputColumns(stim.Ports)
 	var out []uint64
+	var line []byte
 	for i := 0; i < stim.Len(); i++ {
 		cycle := e.DUT.CycleCount()
 		row := stim.Row(i)
@@ -367,8 +379,8 @@ func (e *Env) Run(seq Sequence) float64 {
 		}
 		if !e.Score.CompareRow(cycle, golden, i, cols, out) {
 			for _, mm := range e.mismatchesAt(cycle) {
-				e.logf("UVM_ERROR @ %d: uvm_test_top.env.scoreboard [SCBD] mismatch signal=%s expected=0x%x actual=0x%x",
-					mm.Time, mm.Signal, mm.Expected, mm.Actual)
+				line = appendMismatchLine(line[:0], mm)
+				e.log.Write(line)
 			}
 		}
 	}
@@ -392,20 +404,39 @@ func (e *Env) golden(stim *Stimulus, reset bool) (*Trace, error) {
 	return computeTrace(e.Ref, reset, stim)
 }
 
+// mismatchesAt returns the recorded mismatches of cycle: the tail of
+// Score.Mismatches, which CompareRow appends in cycle order. The result
+// aliases the scoreboard.
 func (e *Env) mismatchesAt(cycle int) []Mismatch {
-	var out []Mismatch
-	for i := len(e.Score.Mismatches) - 1; i >= 0; i-- {
-		if e.Score.Mismatches[i].Time == cycle {
-			out = append([]Mismatch{e.Score.Mismatches[i]}, out...)
-		} else {
-			break
-		}
+	ms := e.Score.Mismatches
+	i := len(ms)
+	for i > 0 && ms[i-1].Time == cycle {
+		i--
 	}
-	return out
+	return ms[i:]
+}
+
+// appendMismatchLine appends the scoreboard's log line for mm, the bytes
+// of fmt's
+//
+//	"UVM_ERROR @ %d: uvm_test_top.env.scoreboard [SCBD] mismatch signal=%s expected=0x%x actual=0x%x\n"
+//
+// without fmt's boxing and formatting state.
+func appendMismatchLine(dst []byte, mm Mismatch) []byte {
+	dst = append(dst, "UVM_ERROR @ "...)
+	dst = strconv.AppendInt(dst, int64(mm.Time), 10)
+	dst = append(dst, ": uvm_test_top.env.scoreboard [SCBD] mismatch signal="...)
+	dst = append(dst, mm.Signal...)
+	dst = append(dst, " expected=0x"...)
+	dst = strconv.AppendUint(dst, mm.Expected, 16)
+	dst = append(dst, " actual=0x"...)
+	dst = strconv.AppendUint(dst, mm.Actual, 16)
+	return append(dst, '\n')
 }
 
 func (e *Env) logf(format string, args ...interface{}) {
-	fmt.Fprintf(&e.log, format+"\n", args...)
+	fmt.Fprintf(&e.log, format, args...)
+	e.log.WriteByte('\n')
 }
 
 func (e *Env) fatalf(format string, args ...interface{}) {

@@ -105,6 +105,28 @@ func TestMismatchOrderSorted(t *testing.T) {
 	}
 }
 
+// TestMismatchLineMatchesFmt: the scoreboard's appended log line is the
+// line fmt formatted before, byte for byte.
+func TestMismatchLineMatchesFmt(t *testing.T) {
+	const format = "UVM_ERROR @ %d: uvm_test_top.env.scoreboard [SCBD] mismatch signal=%s expected=0x%x actual=0x%x\n"
+	long := strings.Repeat("very_long_signal_name_", 12)
+	values := []uint64{0, 1, 0xa5, 1 << 63, ^uint64(0)}
+	var buf []byte
+	for _, cycle := range []int{0, 1, 9, 10, 123456789, 1 << 40} {
+		for _, sig := range []string{"q", "count", "data_out", long} {
+			for _, exp := range values {
+				for _, act := range values {
+					mm := Mismatch{Time: cycle, Signal: sig, Expected: exp, Actual: act}
+					buf = appendMismatchLine(buf[:0], mm)
+					if want := fmt.Sprintf(format, mm.Time, mm.Signal, mm.Expected, mm.Actual); string(buf) != want {
+						t.Fatalf("line %q, want %q", buf, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // mapPathRun replays vectors the way a map-only environment does: each
 // cycle goes through Harness.Cycle with its map, the reference model
 // steps on the same map and coverage samples the maps; outputs are

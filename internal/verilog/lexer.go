@@ -2,6 +2,7 @@ package verilog
 
 import (
 	"strings"
+	"unicode/utf8"
 )
 
 // Lexer converts Verilog source text into a token stream. It never fails
@@ -20,7 +21,8 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Lex tokenizes the whole input, appending a final TokEOF.
+// Lex tokenizes the whole input, appending a final TokEOF. The parser
+// does not use it: it pulls tokens from Next through a fixed window.
 func Lex(src string) []Token {
 	l := NewLexer(src)
 	var toks []Token
@@ -164,14 +166,24 @@ func (l *Lexer) Next() Token {
 				return Token{Kind: TokOp, Text: op, Line: line, Col: col}
 			}
 		}
-		l.advance()
+		kind, n := TokError, 1
 		switch c {
 		case '(', ')', '[', ']', '{', '}', ';', ',', '.', ':', '#', '@', '?':
-			return Token{Kind: TokPunct, Text: string(c), Line: line, Col: col}
+			kind = TokPunct
 		case '+', '-', '*', '/', '%', '=', '<', '>', '!', '&', '|', '^', '~':
-			return Token{Kind: TokOp, Text: string(c), Line: line, Col: col}
+			kind = TokOp
+		default:
+			if c >= utf8.RuneSelf {
+				// One whole UTF-8 sequence, so a diagnostic quotes the
+				// character as written; an invalid byte stays one byte.
+				_, n = utf8.DecodeRuneInString(rest)
+			}
 		}
-		return Token{Kind: TokError, Text: string(c), Line: line, Col: col}
+		start := l.pos
+		for ; n > 0; n-- {
+			l.advance()
+		}
+		return Token{Kind: kind, Text: l.src[start:l.pos], Line: line, Col: col}
 	}
 }
 

@@ -58,6 +58,43 @@ func TestLexNumbers(t *testing.T) {
 	}
 }
 
+// TestLexUnknownInput: a byte the grammar has no use for lexes as one
+// TokError quoting the input as written — a whole UTF-8 character, or a
+// single invalid byte — and lexing resumes right after it.
+func TestLexUnknownInput(t *testing.T) {
+	cases := []struct {
+		src   string
+		texts []string
+		cols  []int
+	}{
+		{"\\", []string{"\\"}, []int{1}},
+		{"é", []string{"é"}, []int{1}},
+		{"\xff", []string{"\xff"}, []int{1}},
+		{"aé;", []string{"a", "é", ";"}, []int{1, 2, 4}},
+		{"\xff\xfeb", []string{"\xff", "\xfe", "b"}, []int{1, 2, 3}},
+		{"\xc3", []string{"\xc3"}, []int{1}}, // truncated sequence
+	}
+	for _, c := range cases {
+		toks := lexKinds(t, c.src)
+		if len(toks) != len(c.texts) {
+			t.Errorf("Lex(%q) = %v, want texts %q", c.src, toks, c.texts)
+			continue
+		}
+		for i, tok := range toks {
+			if tok.Text != c.texts[i] || tok.Col != c.cols[i] {
+				t.Errorf("Lex(%q) token %d = %v, want %q at column %d", c.src, i, tok, c.texts[i], c.cols[i])
+			}
+			if wantErr := tok.Text[0] >= 0x80 || tok.Text == "\\"; wantErr != (tok.Kind == TokError) {
+				t.Errorf("Lex(%q) token %d = %v, want TokError: %v", c.src, i, tok, wantErr)
+			}
+		}
+	}
+	_, errs := Parse("module m;\nwire w; é\nendmodule\n")
+	if len(errs) != 1 || errs[0].Msg != `unexpected "é" at module level` {
+		t.Errorf("Parse errors = %v, want one: unexpected \"é\" at module level", errs)
+	}
+}
+
 func TestLexOperators(t *testing.T) {
 	toks := lexKinds(t, "a <= b == c != d && e || f << 2 >> 1 === g")
 	var ops []string

@@ -21,16 +21,23 @@ func (e SyntaxError) Error() string {
 // syntax error it records a SyntaxError and resynchronizes at the next
 // statement boundary so that one broken line does not hide the rest of the
 // module from the linter.
+//
+// Tokens stream from the lexer through a four-slot ring: the grammar looks
+// at most two tokens past the current one (peek) and pushes back at most
+// one (Parse's keyword-typo recovery), so the source is never lexed into a
+// slice. A rule that needs a deeper look must widen the ring.
 type Parser struct {
-	toks []Token
-	pos  int
+	lex  Lexer
+	win  [4]Token // win[head] is the current token; n tokens are lexed ahead
+	head int
+	n    int
 	errs []SyntaxError
 }
 
 // Parse parses src and returns the AST along with all syntax errors found.
 // The AST is best-effort when errors are present.
 func Parse(src string) (*SourceFile, []SyntaxError) {
-	p := &Parser{toks: Lex(src)}
+	p := &Parser{lex: *NewLexer(src)}
 	f := &SourceFile{}
 	for !p.at(TokEOF) {
 		if p.atKeyword("module") {
@@ -43,8 +50,7 @@ func Parse(src string) (*SourceFile, []SyntaxError) {
 		if t.Kind == TokIdent && looksLikeKeywordTypo(t.Text, "module") {
 			p.errorf(t, "expected 'module', found %q (possible keyword typo)", t.Text)
 			// Treat it as module and continue parsing.
-			p.pos--
-			p.toks[p.pos] = Token{Kind: TokKeyword, Text: "module", Line: t.Line, Col: t.Col}
+			p.pushBack(Token{Kind: TokKeyword, Text: "module", Line: t.Line, Col: t.Col})
 			continue
 		}
 		p.errorf(t, "expected 'module', found %q", t.Text)
@@ -62,13 +68,32 @@ func MustParse(src string) *SourceFile {
 	return f
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.advance(); return t }
-
-func (p *Parser) advance() {
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+// peek returns the token k places past the current one (k <= 2), lexing
+// into the window as needed. Past the end every token is TokEOF.
+func (p *Parser) peek(k int) Token {
+	for p.n <= k {
+		p.win[(p.head+p.n)&3] = p.lex.Next()
+		p.n++
 	}
+	return p.win[(p.head+k)&3]
+}
+
+func (p *Parser) cur() Token  { return p.peek(0) }
+func (p *Parser) next() Token { t := p.cur(); p.advance(); return t }
+
+// advance consumes the current token; TokEOF is never consumed.
+func (p *Parser) advance() {
+	if p.cur().Kind != TokEOF {
+		p.head = (p.head + 1) & 3
+		p.n--
+	}
+}
+
+// pushBack makes t the current token, ahead of the rest of the window.
+func (p *Parser) pushBack(t Token) {
+	p.head = (p.head - 1) & 3
+	p.n++
+	p.win[p.head] = t
 }
 
 func (p *Parser) at(k TokenKind) bool { return p.cur().Kind == k }
@@ -398,8 +423,7 @@ func (p *Parser) parseItem(m *Module) Item {
 	case t.Kind == TokIdent:
 		// Could be a module instantiation: Ident Ident ( ... ) ; or with
 		// a parameter override: Ident #( ... ) Ident ( ... ) ;
-		if (p.toks[p.pos+1].Kind == TokIdent && p.toks[p.pos+2].Text == "(") ||
-			p.toks[p.pos+1].Text == "#" {
+		if (p.peek(1).Kind == TokIdent && p.peek(2).Text == "(") || p.peek(1).Text == "#" {
 			return p.parseInstance()
 		}
 		if looksLikeTypoOfAny(t.Text, "assign", "always", "wire", "reg", "endmodule", "output", "input", "parameter", "initial") {
@@ -729,8 +753,7 @@ func (p *Parser) parseAssignNoSemi() *Assign {
 	lhs := p.parsePostfix()
 	blocking := true
 	switch {
-	case p.atOp("=") && p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "<" &&
-		p.toks[p.pos+1].Line == p.cur().Line && p.toks[p.pos+1].Col == p.cur().Col+1:
+	case p.atOp("=") && p.adjacentOp("<"):
 		// "=<" lexes as two adjacent tokens; report the fault-generator's
 		// malformed-operator class explicitly.
 		p.errorf(p.cur(), "malformed assignment operator '=<' (did you mean '<=')")
@@ -748,6 +771,13 @@ func (p *Parser) parseAssignNoSemi() *Assign {
 	}
 	rhs := p.parseExpr()
 	return &Assign{LHS: lhs, RHS: rhs, Blocking: blocking, Line: t.Line}
+}
+
+// adjacentOp reports whether the next token is operator op, starting in
+// the column right after the current token's first character.
+func (p *Parser) adjacentOp(op string) bool {
+	t, nx := p.cur(), p.peek(1)
+	return nx.Kind == TokOp && nx.Text == op && nx.Line == t.Line && nx.Col == t.Col+1
 }
 
 // ---------------------------------------------------------------------------

@@ -1,0 +1,80 @@
+package verilog_test
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"uvllm/internal/dataset"
+	"uvllm/internal/faultgen"
+	"uvllm/internal/lint"
+	"uvllm/internal/rtlgen"
+	"uvllm/internal/verilog"
+)
+
+// pinnedSources returns the front end's pinned corpus: the 27 golden
+// modules, the 331 benchmark sources (160 of them fail to parse, which
+// drive every recovery path) and rtlgen seeds 1-200.
+func pinnedSources() (names, srcs []string) {
+	for _, m := range dataset.All() {
+		names, srcs = append(names, m.Name), append(srcs, m.Source)
+	}
+	for _, f := range faultgen.Benchmark() {
+		names, srcs = append(names, f.ID), append(srcs, f.Source)
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		names, srcs = append(names, fmt.Sprintf("rtlgen/%d", seed)), append(srcs, rtlgen.Generate(seed).Source)
+	}
+	return names, srcs
+}
+
+// TestParsePinned pins what the parser and linter make of every pinned
+// source: the printed AST, each syntax error and the lint report, hashed.
+// The digest was recorded before the parser read its tokens through a
+// fixed window instead of a slice of the whole file; a change to the
+// lexer, the parser's recovery or the linter must not move it.
+func TestParsePinned(t *testing.T) {
+	const (
+		wantSources = 558
+		wantBroken  = 160
+		wantDigest  = "8debd902fad631640a3c469b68f1649e4a1f06c9834b5e34e920825d7fb376b9"
+	)
+	names, srcs := pinnedSources()
+	h := sha256.New()
+	broken := 0
+	for i, src := range srcs {
+		f, errs := verilog.Parse(src)
+		if len(errs) > 0 {
+			broken++
+		}
+		fmt.Fprintf(h, "== %s\n%s", names[i], verilog.Print(f))
+		for _, e := range errs {
+			fmt.Fprintf(h, "%v\n", e)
+		}
+		fmt.Fprintf(h, "-- lint\n%s", lint.Lint(src).Format())
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	if len(srcs) != wantSources || broken != wantBroken || got != wantDigest {
+		t.Fatalf("%d sources, %d with syntax errors, digest %s; want %d, %d, %s",
+			len(srcs), broken, got, wantSources, wantBroken, wantDigest)
+	}
+}
+
+// TestParseAllocs guards the front end's allocation count: tokens stream
+// through the parser's window instead of a slice of the whole source, and
+// punctuation and operator tokens are substrings of it. Parsing fifo_sync
+// took 243 allocations when the source was lexed into a slice first.
+func TestParseAllocs(t *testing.T) {
+	const limit = 160
+	src := dataset.ByName("fifo_sync").Source
+	got := testing.AllocsPerRun(20, func() {
+		if _, errs := verilog.Parse(src); len(errs) != 0 {
+			t.Fatal(errs[0])
+		}
+	})
+	if got > limit {
+		t.Fatalf("Parse(fifo_sync) allocates %.0f times, want at most %d", got, limit)
+	}
+	t.Logf("Parse(fifo_sync): %.0f allocations", got)
+}

@@ -3,6 +3,7 @@ package verilog
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -123,7 +124,8 @@ func fmtUint(v uint64) string {
 
 // TestQuickLexerTotal: the lexer terminates and produces position-monotonic
 // tokens for arbitrary byte strings (it must never panic on broken input —
-// UVLLM lints deliberately corrupted code).
+// UVLLM lints deliberately corrupted code), and every token's text occurs
+// in the input as written, non-ASCII bytes included.
 func TestQuickLexerTotal(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 500,
@@ -131,7 +133,7 @@ func TestQuickLexerTotal(t *testing.T) {
 			n := r.Intn(200)
 			b := make([]byte, n)
 			for i := range b {
-				b[i] = byte(r.Intn(128))
+				b[i] = byte(r.Intn(256))
 			}
 			vs[0] = reflect.ValueOf(string(b))
 		},
@@ -144,6 +146,9 @@ func TestQuickLexerTotal(t *testing.T) {
 		lastLine, lastCol := 0, 0
 		for _, tk := range toks {
 			if tk.Line < lastLine || (tk.Line == lastLine && tk.Col < lastCol) {
+				return false
+			}
+			if !strings.Contains(s, tk.Text) {
 				return false
 			}
 			lastLine, lastCol = tk.Line, tk.Col
