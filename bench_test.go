@@ -486,6 +486,25 @@ func BenchmarkBitSimTranspose(b *testing.B) {
 	}
 }
 
+// BenchmarkBitSimPack measures psim.BitSlice, the stimulus-side layout
+// conversion every port pays once per cycle: one 64-lane column for each
+// port width the dataset uses (1, 2, 3, 4, 8, 16 and 32 bits) per op.
+// Widths up to 16 go through 8x8 bit blocks, 32 through the transpose.
+func BenchmarkBitSimPack(b *testing.B) {
+	widths := []int{1, 2, 3, 4, 8, 16, 32}
+	var src [64]uint64
+	for k := range src {
+		src[k] = uint64(k) * 0x9e3779b97f4a7c15
+	}
+	dst := make([]uint64, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, w := range widths {
+			psim.BitSlice(dst[:w], src[:])
+		}
+	}
+}
+
 // BenchmarkCoverageDirected runs the coverage-directed stimulus loop
 // over the module mix with both lane scorers, configured as the
 // lane_screen workload runs them: uvm.CoverageDirected at 500 cycles

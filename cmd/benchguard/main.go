@@ -1,13 +1,15 @@
 // Command benchguard is the CI bench-regression gate for the hot paths:
 // the compiled simulation loop, the end-to-end verification pipeline, a
 // cold compile (parse, elaborate, lower), the front end (parse, lint),
-// one UVM testbench run, instance creation and the formal engine
-// (bit-blasting, SAT solving, bounded equivalence). It parses `go test
+// one UVM testbench run, instance creation, the lane engines with the
+// bit-parallel engine's layout conversions (transpose, stimulus
+// bit-slicing) and the formal engine (bit-blasting, SAT solving,
+// bounded equivalence). It parses `go test
 // -bench` output, reduces each benchmark to its best (minimum ns/op) run
 // across -count repetitions, and compares against the committed
 // BENCH_baseline.json:
 //
-//	go test -run XXX -bench 'Benchmark(Sim(EventDriven|Compiled|CompiledObs)|PipelineVerify|CompileCold|BitBlast|SATSolve|BMCEquivIncremental|Batch(Lanes|VsSequential)|BitSim(Lanes|Transpose)|CoverageDirected|VerilogParse|Lint|UVMRun|ProgramNewInstance)$' -count=5 . | tee bench.txt
+//	go test -run XXX -bench 'Benchmark(Sim(EventDriven|Compiled|CompiledObs)|PipelineVerify|CompileCold|BitBlast|SATSolve|BMCEquivIncremental|Batch(Lanes|VsSequential)|BitSim(Lanes|Transpose|Pack)|CoverageDirected|VerilogParse|Lint|UVMRun|ProgramNewInstance)$' -count=5 . | tee bench.txt
 //	go run ./cmd/benchguard -bench bench.txt -baseline BENCH_baseline.json
 //
 // Raw ns/op is machine-dependent, so every guarded quantity is a ratio

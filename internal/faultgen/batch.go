@@ -6,20 +6,25 @@ package faultgen
 // per seed pays the full per-instance cost each time. ObserveLanes
 // takes the mutant's program from the shared compile cache (the one
 // ClassifyBitParallel compiles it through) and drives K seeds as K
-// lanes of one sim.Batch — fused sweeps, one schedule decode — scoring
-// each lane against the memoized golden trace exactly as the
+// lanes of one lane engine — bit-parallel on psim.Engine when the design
+// blasts and K fits a word, fused sweeps of one sim.Batch otherwise —
+// scoring each lane against the memoized golden trace exactly as the
 // sequential environment would.
 
 import (
 	"fmt"
 
+	"uvllm/internal/psim"
 	"uvllm/internal/sim"
 	"uvllm/internal/uvm"
 )
 
 // ObserveLanes runs the faulty source under the golden UVM stimulus for
-// every seed at once, one batch lane per seed, and returns the per-seed
-// pass rates. Each lane replays the exact protocol of the sequential
+// every seed at once, one lane per seed, and returns the per-seed pass
+// rates. The lanes run on psim.Engine, recording off, whenever
+// psim.NewEngine accepts the design and the seed count (at most 64);
+// otherwise they run on sim.Batch. Both engines are byte-identical on
+// psim's subset. Each lane replays the exact protocol of the sequential
 // observe path: a 2-cycle reset phase when the design has a reset, then
 // n random vectors (ResetEvery 50) materialized from that lane's seed,
 // scored cycle by cycle against the reference model's memoized golden
@@ -34,11 +39,14 @@ func ObserveLanes(f *Fault, seeds []int64, n int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := sim.NewBatch(prog, len(seeds), m.Clock)
-	if err != nil {
+	var eng sim.LaneEngine
+	if e, perr := psim.NewEngine(prog, len(seeds), m.Clock); perr == nil {
+		e.SetRecord(false)
+		eng = e
+	} else if eng, err = sim.NewBatch(prog, len(seeds), m.Clock); err != nil {
 		return nil, err
 	}
-	ports := b.Ports()
+	ports := eng.Ports()
 	rstName, _ := sim.FindReset(prog.Design())
 	memo := uvm.SharedTraceMemo()
 	stims := make([]*uvm.Stimulus, len(seeds))
@@ -48,17 +56,19 @@ func ObserveLanes(f *Fault, seeds []int64, n int) ([]float64, error) {
 		seq := &uvm.RandomSequence{Ports: ports, N: n, ResetName: rstName, ResetEvery: 50}
 		stims[k] = uvm.Materialize(seq, seed, ports)
 		if n > 0 && stims[k].Row(0) == nil {
-			return nil, fmt.Errorf("faultgen: %s stimulus does not fit the batch row layout", m.Name)
+			return nil, fmt.Errorf("faultgen: %s stimulus does not fit the lane row layout", m.Name)
 		}
 		if golden[k], err = memo.Expected(m.Name, rstName != "", stims[k]); err != nil {
 			return nil, err
 		}
 		cols[k] = golden[k].Columns(prog.Design().Outputs())
 	}
+	resetLen := 0 // the harness clock reads resetLen+i at vector i
 	if rstName != "" {
-		if err := b.ApplyReset(2); err != nil {
+		if err := eng.ApplyReset(2); err != nil {
 			return nil, err
 		}
+		resetLen = 2
 	}
 	scores := make([]*uvm.Scoreboard, len(seeds))
 	for k := range scores {
@@ -67,22 +77,21 @@ func ObserveLanes(f *Fault, seeds []int64, n int) ([]float64, error) {
 	rows := make([][]uint64, len(seeds))
 	var out []uint64
 	for i := 0; i < n; i++ {
-		cycle := b.CycleCount()
 		for k := range rows {
 			rows[k] = nil
-			if b.Err(k) == nil {
+			if eng.Err(k) == nil {
 				rows[k] = stims[k].Row(i)
 			}
 		}
-		if err := b.Cycle(rows); err != nil {
+		if err := eng.Cycle(rows); err != nil {
 			return nil, err
 		}
 		for k := range rows {
-			if rows[k] == nil || b.Err(k) != nil {
+			if rows[k] == nil || eng.Err(k) != nil {
 				continue // dead lane: rate frozen where the simulation died
 			}
-			out = b.OutputRow(k, out)
-			scores[k].CompareRow(cycle, golden[k], i, cols[k], out)
+			out = eng.OutputRow(k, out)
+			scores[k].CompareRow(resetLen+i, golden[k], i, cols[k], out)
 		}
 	}
 	rates := make([]float64, len(seeds))

@@ -17,6 +17,7 @@ package faultgen
 
 import (
 	"math/rand"
+	"sync"
 
 	"uvllm/internal/formal"
 	"uvllm/internal/psim"
@@ -122,10 +123,16 @@ func ClassifyBitParallelSource(golden, mutant, top, clock string, lanes, cycles 
 	if activeLow {
 		assert, deassert = 0, 1
 	}
-	rngs := make([]*rand.Rand, lanes)
-	for k := range rngs {
-		rngs[k] = rand.New(rand.NewSource(seed + int64(k)))
+	var rngs [64]*rand.Rand
+	for k := range lanes {
+		rngs[k] = rngPool.Get().(*rand.Rand)
+		rngs[k].Seed(seed + int64(k))
 	}
+	defer func() {
+		for _, r := range rngs[:lanes] {
+			rngPool.Put(r)
+		}
+	}()
 	resetCycles := 0
 	if rstName != "" {
 		resetCycles = formal.ResetCycles
@@ -133,32 +140,31 @@ func ClassifyBitParallelSource(golden, mutant, top, clock string, lanes, cycles 
 
 	v := BitVerdict{Supported: true, Lanes: lanes, GateOps: eng.Ops(), Lane: -1, Cycle: -1}
 	var caught uint64
-	var col [64]uint64
+	var col, words [64]uint64 // one port's lane values, then its bit-sliced words
 	for cyc := 0; cyc < resetCycles+cycles; cyc++ {
 		sg.load(eng)
 		sm.load(eng)
 		for i, pt := range cg.Free {
-			for k := range col {
-				col[k] = 0
-			}
+			w := words[:len(cg.In[i])]
 			switch {
 			case pt.Name == rstName:
-				w := deassert
+				// Every lane drives the same reset level: a broadcast.
+				// Lanes at or above the count are never compared.
+				level := deassert
 				if cyc < resetCycles {
-					w = assert
+					level = assert
 				}
-				for k := 0; k < lanes; k++ {
-					col[k] = w
+				psim.Spread(w, level)
+			case cyc < resetCycles:
+				clear(w)
+			default:
+				for k := range lanes {
+					col[k] = rngs[k].Uint64()
 				}
-			case cyc >= resetCycles:
-				mask := bitMask(pt.Width)
-				for k := 0; k < lanes; k++ {
-					col[k] = rngs[k].Uint64() & mask
-				}
+				psim.BitSlice(w, col[:lanes])
 			}
-			psim.Transpose64(&col)
 			for b, l := range cg.In[i] {
-				eng.SetVar(l, col[b])
+				eng.SetVar(l, w[b])
 			}
 		}
 		eng.Sweep()
@@ -208,13 +214,9 @@ func ClassifyBitParallelSource(golden, mutant, top, clock string, lanes, cycles 
 	return v, nil
 }
 
-// bitMask is the low-w-bits mask (full word at 64 and beyond).
-func bitMask(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(w) - 1
-}
+// rngPool recycles the lanes' generators: a math/rand source is about
+// 5 KB, and Seed restarts exactly the stream rand.NewSource(seed) yields.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // pairState is one side's bit-sliced architectural state: the values the
 // circuit's previous-state variables take before each sweep.
@@ -235,24 +237,16 @@ func newPairState(c *formal.Circuit, p *sim.Program) *pairState {
 	s := &pairState{c: c, state: make([][]uint64, len(c.Sigs)), mems: make([][][]uint64, len(c.Sigs))}
 	for i, sv := range c.Sigs {
 		s.state[i] = make([]uint64, len(c.State[i]))
-		broadcastWord(s.state[i], inst.Get(sv.Name))
+		psim.Spread(s.state[i], inst.Get(sv.Name))
 		if sv.IsMem {
 			s.mems[i] = make([][]uint64, sv.Depth)
 			for dw := 0; dw < sv.Depth; dw++ {
 				s.mems[i][dw] = make([]uint64, len(c.StateMem[i][dw]))
-				broadcastWord(s.mems[i][dw], inst.GetMem(sv.Name, dw))
+				psim.Spread(s.mems[i][dw], inst.GetMem(sv.Name, dw))
 			}
 		}
 	}
 	return s
-}
-
-// broadcastWord spreads a concrete value across all 64 lanes, bit-sliced:
-// word b is all-ones iff bit b of v is set.
-func broadcastWord(dst []uint64, v uint64) {
-	for b := range dst {
-		dst[b] = -(v >> uint(b) & 1)
-	}
 }
 
 // load writes the side's previous state into its circuit variables.

@@ -3,6 +3,9 @@ package faultgen
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"uvllm/internal/dataset"
@@ -169,4 +172,74 @@ func TestClassifyBitParallelSettledIsFinal(t *testing.T) {
 		return
 	}
 	t.Fatal("no functional benchmark fault diverges on all 64 lanes within 200 cycles")
+}
+
+// TestClassifyBitParallelConcurrent: the lane generators come from one
+// shared pool, so classifications running at once must each still draw
+// their own lanes' streams and return the verdicts of a sequential run.
+func TestClassifyBitParallelConcurrent(t *testing.T) {
+	var faults []*Fault
+	for i, f := range Benchmark() {
+		if !f.Class.IsSyntax() && i%7 == 0 {
+			faults = append(faults, f)
+		}
+	}
+	want := make([]BitVerdict, len(faults))
+	for i, f := range faults {
+		want[i], _ = ClassifyBitParallel(f, 64, 200, int64(i))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range faults {
+				i := (w + n) % len(faults)
+				got, err := ClassifyBitParallel(faults[i], 64, 200, int64(i))
+				if err != nil || got != want[i] {
+					t.Errorf("%s concurrently: %+v, %v; sequentially %+v", faults[i].ID, got, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestClassifyBitParallelBytes guards the classifier's per-call heap
+// traffic on a fifo_sync fault at 64 lanes x 200 cycles. The lane
+// generators come from a pool and the stimulus is bit-sliced in place;
+// allocating 64 fresh math/rand sources per call read 771 KB.
+func TestClassifyBitParallelBytes(t *testing.T) {
+	const limit = 400 << 10
+	var f *Fault
+	for _, c := range Benchmark() {
+		if c.Module == "fifo_sync" && !c.Class.IsSyntax() {
+			f = c
+			break
+		}
+	}
+	if f == nil {
+		t.Fatal("no functional fifo_sync fault in the benchmark")
+	}
+	classify := func() {
+		if v, err := ClassifyBitParallel(f, 64, 200, 1); err != nil || !v.Supported {
+			t.Fatalf("%s: %+v, %v", f.ID, v, err)
+		}
+	}
+	classify() // warm the compile cache and the generator pool
+	// The least of several calls: a collection may empty the pool.
+	least := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for range 8 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		classify()
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	if least > limit {
+		t.Fatalf("ClassifyBitParallel(%s) allocates %d KB per call, want at most %d KB", f.ID, least>>10, limit>>10)
+	}
+	t.Logf("ClassifyBitParallel(%s): %d KB per call", f.ID, least>>10)
 }

@@ -12,8 +12,8 @@ import (
 // bit-sliced — word b of a signal holds bit b of all 64 lanes — and one
 // Machine sweep of the design's single-cycle circuit advances every lane
 // by one full harness cycle. Stimulus rows arrive lane-sliced and are
-// transposed on the way in; recorded waveform rows are transposed back on
-// the way out, once per port per cycle.
+// bit-sliced on the way in (BitSlice); recorded waveform rows are turned
+// back on the way out, once per port per cycle.
 //
 // The protocol is exactly the harness cycle contract (sim.LaneEngine's):
 // apply inputs, settle, pulse the clock, record a waveform row with the
@@ -140,20 +140,12 @@ func (e *Engine) SetRecord(on bool) { e.record = on }
 // from a fresh Instance, matching sim.NewBatch.
 func (e *Engine) Broadcast(inst *sim.Instance) {
 	for i, sv := range e.c.Sigs {
-		spread(e.state[i], inst.Get(sv.Name))
+		Spread(e.state[i], inst.Get(sv.Name))
 		if sv.IsMem {
 			for dw := 0; dw < sv.Depth; dw++ {
-				spread(e.mems[i][dw], inst.GetMem(sv.Name, dw))
+				Spread(e.mems[i][dw], inst.GetMem(sv.Name, dw))
 			}
 		}
-	}
-}
-
-// spread broadcasts one concrete value across all 64 lanes of a
-// bit-sliced word vector.
-func spread(dst []uint64, v uint64) {
-	for b := range dst {
-		dst[b] = -(v >> uint(b) & 1)
 	}
 }
 
@@ -175,43 +167,19 @@ func (e *Engine) Cycle(rows [][]uint64) error {
 		}
 		active |= 1 << uint(k)
 	}
+	var col [64]uint64
 	for i := range e.c.Free {
 		e.applyM[i] = active
-		var col [64]uint64
 		for k, row := range rows {
+			col[k] = 0
 			if row != nil {
 				col[k] = row[i]
 			}
 		}
-		packStim(&col, e.stim[i], e.lanes)
+		BitSlice(e.stim[i], col[:e.lanes])
 	}
 	e.cycleWords(active, false)
 	return nil
-}
-
-// packStim converts one port's lane-sliced column into bit-sliced
-// stimulus words. Wide ports use the full 64x64 transpose; narrow ports
-// (the common case: resets, enables, byte-wide data) gather their few
-// bit rows directly, which beats paying the transpose's fixed cost for
-// 64 rows when only a handful are live.
-func packStim(col *[64]uint64, dst []uint64, lanes int) {
-	if len(dst) >= 16 {
-		Transpose64(col)
-		copy(dst, col[:len(dst)])
-		return
-	}
-	for b := range dst {
-		dst[b] = 0
-	}
-	for k := 0; k < lanes; k++ {
-		v := col[k]
-		if v == 0 {
-			continue
-		}
-		for b := range dst {
-			dst[b] |= (v >> uint(b) & 1) << uint(k)
-		}
-	}
 }
 
 // ApplyReset drives the conventional reset sequence on every lane —
@@ -235,13 +203,9 @@ func (e *Engine) ApplyReset(cycles int) error {
 	}
 	all := allLanes(e.lanes)
 	drive := func(v uint64) {
-		for i := range e.applyM {
-			e.applyM[i] = 0
-		}
+		clear(e.applyM)
 		e.applyM[col] = all
-		for b := range e.stim[col] {
-			e.stim[col][b] = -(v >> uint(b) & 1) & all
-		}
+		Spread(e.stim[col], v)
 	}
 	drive(deassert ^ 1)
 	for i := 0; i < cycles; i++ {

@@ -2,13 +2,13 @@ package psim
 
 import "uvllm/internal/formal"
 
-// op is one compiled AND gate: vals[out] = (vals[a]^aNeg) & (vals[b]^bNeg).
-// Negations are pre-expanded to full-word XOR masks so the sweep loop is
-// two loads, two xors, one and, one store per gate — no branches.
+// op is one compiled AND gate over two fanin literals a and b (node index
+// shifted left, negation in bit 0, as formal.Lit encodes them):
+// vals[out] = (vals[a>>1] ^ -(a&1)) & (vals[b>>1] ^ -(b&1)). Twelve bytes
+// a gate keep the op list dense in cache, and the sweep loop stays
+// branch-free: the negation bit widens to a full-word XOR mask in place.
 type op struct {
-	a, b       uint32
-	aNeg, bNeg uint64
-	out        uint32
+	a, b, out uint32
 }
 
 // Machine is a word-level evaluator for a formal.AIG: each node holds one
@@ -33,11 +33,7 @@ func NewMachine(g *formal.AIG) *Machine {
 		if !isAnd {
 			continue
 		}
-		m.ops = append(m.ops, op{
-			a: a.Node(), b: b.Node(),
-			aNeg: negMask(a), bNeg: negMask(b),
-			out: i,
-		})
+		m.ops = append(m.ops, op{a: uint32(a), b: uint32(b), out: i})
 	}
 	return m
 }
@@ -66,7 +62,7 @@ func (m *Machine) SetVar(l formal.Lit, w uint64) {
 func (m *Machine) Sweep() {
 	vals := m.vals
 	for _, o := range m.ops {
-		vals[o.out] = (vals[o.a] ^ o.aNeg) & (vals[o.b] ^ o.bNeg)
+		vals[o.out] = (vals[o.a>>1] ^ -uint64(o.a&1)) & (vals[o.b>>1] ^ -uint64(o.b&1))
 	}
 }
 

@@ -6,9 +6,11 @@
 // into an and-inverter graph; psim compiles that graph into a
 // straight-line word evaluator (AND = &, inversion = ^) and keeps the
 // architectural state bit-sliced, so one sweep advances 64 lanes by one
-// full cycle. Lane stimulus and recorded waveform rows cross between the
-// lane-sliced and bit-sliced layouts through a 64x64 bit-matrix
-// transpose, once per port per cycle.
+// full cycle. Lane stimulus crosses from the lane-sliced to the
+// bit-sliced layout through BitSlice, once per port per cycle: 8x8 bit
+// blocks up to 16 bits, the 64x64 Transpose64 above. Recorded waveform
+// rows cross back per signal: Transpose64 from 16 bits, a per-lane bit
+// gather below.
 //
 // The subset discipline mirrors internal/formal: designs the bit-blaster
 // cannot model (event-scheduler fallback, oversized memories, edge

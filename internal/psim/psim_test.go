@@ -42,6 +42,37 @@ func TestTranspose64(t *testing.T) {
 	}
 }
 
+// TestBitSliceMatchesTranspose checks the stimulus converter against
+// the full transpose for every width 1-64 and lane count 1-64 on random
+// lane values: dst must equal the first w rows of Transpose64 over the
+// same lanes, with the lanes at or above the count zero. dst starts as
+// garbage, and the lanes past the count hold garbage the converter must
+// not read.
+func TestBitSliceMatchesTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var vals [64]uint64
+	dst := make([]uint64, 64)
+	for w := 1; w <= 64; w++ {
+		for lanes := 1; lanes <= 64; lanes++ {
+			for k := range vals {
+				vals[k] = rng.Uint64()
+			}
+			var want [64]uint64
+			copy(want[:], vals[:lanes])
+			Transpose64(&want)
+			for b := range dst {
+				dst[b] = rng.Uint64()
+			}
+			BitSlice(dst[:w], vals[:lanes])
+			for b := 0; b < w; b++ {
+				if dst[b] != want[b] {
+					t.Fatalf("width %d, %d lanes: word %d = %#x, want %#x", w, lanes, b, dst[b], want[b])
+				}
+			}
+		}
+	}
+}
+
 // TestMachineAgreesWithEval cross-checks the word evaluator against
 // AIG.Eval on a random circuit: 64 random assignments per sweep, every
 // lane must match the per-assignment reference evaluation.

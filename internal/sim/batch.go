@@ -67,7 +67,6 @@ type Batch struct {
 	inPorts  []portRef // non-clock inputs, declaration order — the row layout
 	outPorts []portRef
 	recIdx   []int // arena index per recorded name, in Waveform Names() order
-	cycle    int
 
 	recRow     []uint64 // scratch row shared by all lanes
 	sweepLanes []int    // scratch: lanes participating in the current fused sweep
@@ -140,9 +139,6 @@ func (b *Batch) Wave(k int) *Waveform { return b.waves[k] }
 
 // Err returns the error that made lane k inert, or nil while it is live.
 func (b *Batch) Err(k int) error { return b.errs[k] }
-
-// CycleCount returns the number of batch cycles driven so far.
-func (b *Batch) CycleCount() int { return b.cycle }
 
 // Ports returns the row stimulus layout: the non-clock inputs in
 // declaration order. Cycle rows must align with this slice.
@@ -278,7 +274,6 @@ func (b *Batch) finishCycle() {
 		}
 		b.waves[k].recordRow(b.recRow)
 	}
-	b.cycle++
 }
 
 // settleAll settles every live, unmasked lane. On levelized programs the

@@ -387,6 +387,9 @@ func (p *Parser) parseItem(m *Module) Item {
 		p.advance()
 		pd := p.parseParamAssign(local)
 		p.expectPunct(";")
+		if pd == nil {
+			return nil // a nil *ParamDecl would be a non-nil Item
+		}
 		return pd
 
 	case p.atKeyword("input"), p.atKeyword("output"), p.atKeyword("inout"):

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"uvllm/internal/dataset"
@@ -58,6 +60,34 @@ func TestParsePinned(t *testing.T) {
 	if len(srcs) != wantSources || broken != wantBroken || got != wantDigest {
 		t.Fatalf("%d sources, %d with syntax errors, digest %s; want %d, %d, %s",
 			len(srcs), broken, got, wantSources, wantBroken, wantDigest)
+	}
+}
+
+// TestPrintRecoveredAST: a parameter assignment that fails to parse
+// leaves no item behind, so Print, which dereferences every item, can
+// walk any recovered AST. A nil *ParamDecl stored as an Item is a
+// non-nil interface, so the check looks through it; every AST of the
+// pinned corpus must pass it too.
+func TestPrintRecoveredAST(t *testing.T) {
+	const repro = "module m; localparam A B = 1; endmodule"
+	f, errs := verilog.Parse(repro)
+	if len(errs) == 0 {
+		t.Fatalf("%q parsed without a syntax error", repro)
+	}
+	if got := verilog.Print(f); !strings.Contains(got, "module m") {
+		t.Fatalf("Print(%q) = %q", repro, got)
+	}
+	names, srcs := pinnedSources()
+	names, srcs = append(names, "repro"), append(srcs, repro)
+	for i, src := range srcs {
+		f, _ := verilog.Parse(src)
+		for _, m := range f.Modules {
+			for j, it := range m.Items {
+				if it == nil || reflect.ValueOf(it).IsNil() {
+					t.Fatalf("%s: module %s item %d is a nil %T", names[i], m.Name, j, it)
+				}
+			}
+		}
 	}
 }
 
