@@ -48,7 +48,7 @@ func main() {
 		drainSec = flag.Int("drain-timeout", 60, "seconds to wait for in-flight jobs on SIGTERM before exiting anyway")
 		ttlSec   = flag.Int("result-ttl", 0, "seconds a finished job's result stays addressable before GC (0 = forever)")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
-		slowSpan = flag.Duration("slowspan", 0, "trace every job and log spans at least this long (0 = off), e.g. -slowspan 250ms")
+		slowSpan = flag.Duration("slowspan", 0, "log every job's trace spans that last at least this long (0 = off), e.g. -slowspan 250ms")
 	)
 	knobs := service.Bind(flag.CommandLine, service.FlagBackend|service.FlagCover|service.FlagFormal|service.FlagWorkers)
 	flag.Parse()

@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"uvllm/internal/lint"
@@ -58,31 +59,6 @@ type Options struct {
 	// Memo serves the scoreboard's golden traces; nil gets a fresh
 	// per-job memo (the 5-iteration loop replays the same stimulus).
 	Memo *uvm.TraceMemo
-
-	// OnProgress, when set, is called synchronously from the verifying
-	// goroutine after every UVM evaluation of the repair loop (and once
-	// after pre-processing, with Iteration 0). It exists so a serving
-	// front-end can stream per-iteration verdicts; the callback must be
-	// fast, must not block, and must not retain the Progress value's
-	// maps past the call. It has no effect on the verdict.
-	OnProgress func(Progress)
-}
-
-// Progress is one repair-loop progress event, emitted through
-// Options.OnProgress. Iteration 0 reports the pre-processing outcome;
-// iterations 1..MaxIterations report each UVM evaluation.
-type Progress struct {
-	Iteration int     // 0 = pre-processing, then 1-based repair iterations
-	Stage     Stage   // pipeline segment active at this point
-	Score     float64 // scoreboard pass rate of this iteration's evaluation
-	Best      float64 // best pass rate seen so far in the job
-	Coverage  float64 // port-level coverage percent of this evaluation
-	// StructCoverage is the structural coverage percent of this
-	// evaluation (0 unless Options.Cover is set).
-	StructCoverage float64
-	// Rollback reports that the score register rejected this iteration's
-	// candidate and the loop reverted to the best source.
-	Rollback bool
 }
 
 func (o Options) withDefaults() Options {
@@ -164,8 +140,10 @@ type evalResult struct {
 // is honoured at iteration boundaries: the loop finishes the phase in
 // flight, then returns with Result.Cancelled set. If ctx carries an
 // obs.Span (obs.ContextWith), each pipeline phase is traced as a child
-// span; with no span in the context tracing costs one nil check per
-// phase.
+// span, and the spans are Verify's only progress report: "preprocess"
+// closes when pre-processing is done, and each "iteration" span closes
+// with that UVM evaluation's verdict as args (see endIteration). With
+// no span in the context tracing costs one nil check per phase.
 func Verify(ctx context.Context, in Input) Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -189,9 +167,6 @@ func Verify(ctx context.Context, in Input) Result {
 	if pres.Changed {
 		lastStage = StagePre
 	}
-	if opts.OnProgress != nil {
-		opts.OnProgress(Progress{Iteration: 0, Stage: StagePre})
-	}
 
 	reg := repair.ScoreRegister{Disabled: opts.DisableRollback}
 	var lastPairs []llm.PatchPair
@@ -210,8 +185,6 @@ func Verify(ctx context.Context, in Input) Result {
 			stage, llmStage = StageSL, llm.StageSL
 		}
 		iterSp := job.Child("iteration")
-		iterSp.SetArg("iter", fmt.Sprintf("%d", iter))
-		iterSp.SetArg("stage", string(stage))
 
 		// Step 2: UVM processing.
 		ev := evaluate(iterSp, cur, in, opts)
@@ -228,20 +201,12 @@ func Verify(ctx context.Context, in Input) Result {
 		if ev.score > res.PassRate {
 			res.PassRate = ev.score
 		}
-		prog := Progress{
-			Iteration: iter, Stage: stage, Score: ev.score,
-			Coverage: ev.cov, StructCoverage: ev.scov,
-		}
 		if ev.score == 1.0 {
 			res.Success = true
 			res.FixedStage = lastStage
 			res.Final = cur
 			res.FinalScore = 1.0
-			if opts.OnProgress != nil {
-				prog.Best = res.PassRate
-				opts.OnProgress(prog)
-			}
-			iterSp.End()
+			endIteration(iterSp, iter, stage, ev, res.PassRate, false)
 			return res
 		}
 
@@ -250,17 +215,12 @@ func Verify(ctx context.Context, in Input) Result {
 		if accepted || reg.Disabled {
 			bestEval = ev
 		}
+		endIteration(iterSp, iter, stage, ev, res.PassRate, !accepted)
 		if !accepted {
 			res.Log = append(res.Log, fmt.Sprintf("iter %d: rollback (score %.2f < best %.2f)", iter, ev.score, reg.Best().Score))
 			cur = next
 			ev = bestEval
-			prog.Rollback = true
 		}
-		if opts.OnProgress != nil {
-			prog.Best = res.PassRate
-			opts.OnProgress(prog)
-		}
-		iterSp.End()
 
 		if iter == opts.MaxIterations {
 			break
@@ -359,6 +319,27 @@ func Verify(ctx context.Context, in Input) Result {
 	return res
 }
 
+// endIteration closes an iteration span with the iteration's verdict as
+// args: iter and stage, the evaluation's score, coverage and
+// struct_coverage, the job's best score so far and whether the score
+// register rolled the candidate back. uvllmd turns the span into the
+// job's iteration event, so every float is formatted to parse back
+// bit-exact. Nothing is formatted when sp is nil.
+func endIteration(sp *obs.Span, iter int, stage Stage, ev evalResult, best float64, rollback bool) {
+	if sp == nil {
+		return
+	}
+	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	sp.SetArg("iter", strconv.Itoa(iter))
+	sp.SetArg("stage", string(stage))
+	sp.SetArg("score", f(ev.score))
+	sp.SetArg("best", f(best))
+	sp.SetArg("coverage", f(ev.cov))
+	sp.SetArg("struct_coverage", f(ev.scov))
+	sp.SetArg("rollback", strconv.FormatBool(rollback))
+	sp.End()
+}
+
 // bestSource is the source the pipeline delivers when it stops without
 // a pass: the score register's best, unless rollback is disabled (then
 // whatever the last iteration left behind).
@@ -398,7 +379,7 @@ func evaluate(sp *obs.Span, src string, in Input, opts Options) evalResult {
 		return evalResult{err: err, log: "UVM_FATAL @ 0: elaboration failed: " + err.Error()}
 	}
 	rSp := sp.Child("uvm_run")
-	score := env.Run(randomSeq(env, opts.UVMVectors))
+	score := env.Run(uvm.NewRandomSequence(env.DUT.Sim.Design(), env.DUT.Clock, opts.UVMVectors))
 	rSp.End()
 	ev := evalResult{
 		score: score,
@@ -411,18 +392,6 @@ func evaluate(sp *obs.Span, src string, in Input, opts Options) evalResult {
 		ev.scov = m.Percent()
 	}
 	return ev
-}
-
-func randomSeq(env *uvm.Env, n int) *uvm.RandomSequence {
-	var ports []sim.PortInfo
-	for _, p := range env.DUT.Sim.Design().Inputs() {
-		if p.Name == env.DUT.Clock {
-			continue
-		}
-		ports = append(ports, p)
-	}
-	name, _ := sim.FindReset(env.DUT.Sim.Design())
-	return &uvm.RandomSequence{Ports: ports, N: n, ResetName: name, ResetEvery: 50}
 }
 
 func llmTime(c metrics.CostModel, u llm.Usage) float64 {

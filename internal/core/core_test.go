@@ -48,8 +48,7 @@ func expertPass(t *testing.T, source, module string) bool {
 	if err != nil {
 		return false
 	}
-	seq := randomSeq(env, 600)
-	return env.Run(seq) == 1.0
+	return env.Run(uvm.NewRandomSequence(env.DUT.Sim.Design(), env.DUT.Clock, 600)) == 1.0
 }
 
 func TestVerifyFixesFunctionalFault(t *testing.T) {

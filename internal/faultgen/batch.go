@@ -47,14 +47,15 @@ func ObserveLanes(f *Fault, seeds []int64, n int) ([]float64, error) {
 		return nil, err
 	}
 	ports := eng.Ports()
-	rstName, _ := sim.FindReset(prog.Design())
+	random := uvm.NewRandomSequence(prog.Design(), m.Clock, n)
+	rstName := random.ResetName
 	memo := uvm.SharedTraceMemo()
 	stims := make([]*uvm.Stimulus, len(seeds))
 	golden := make([]*uvm.Trace, len(seeds))
 	cols := make([][]int, len(seeds))
 	for k, seed := range seeds {
-		seq := &uvm.RandomSequence{Ports: ports, N: n, ResetName: rstName, ResetEvery: 50}
-		stims[k] = uvm.Materialize(seq, seed, ports)
+		seq := *random // a sequence counts what it has emitted: one fresh copy per seed
+		stims[k] = uvm.Materialize(&seq, seed, ports)
 		if n > 0 && stims[k].Row(0) == nil {
 			return nil, fmt.Errorf("faultgen: %s stimulus does not fit the lane row layout", m.Name)
 		}

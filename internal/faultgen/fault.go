@@ -7,7 +7,6 @@ import (
 	"uvllm/internal/dataset"
 	"uvllm/internal/lint"
 	"uvllm/internal/memo"
-	"uvllm/internal/sim"
 	"uvllm/internal/uvm"
 )
 
@@ -122,19 +121,7 @@ func observe(f *Fault) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return env.Run(randomSeq(env, 300)), nil
-}
-
-func randomSeq(env *uvm.Env, n int) *uvm.RandomSequence {
-	var ports []sim.PortInfo
-	for _, p := range env.DUT.Sim.Design().Inputs() {
-		if p.Name == env.DUT.Clock {
-			continue
-		}
-		ports = append(ports, p)
-	}
-	name, _ := sim.FindReset(env.DUT.Sim.Design())
-	return &uvm.RandomSequence{Ports: ports, N: n, ResetName: name, ResetEvery: 50}
+	return env.Run(uvm.NewRandomSequence(env.DUT.Sim.Design(), env.DUT.Clock, 300)), nil
 }
 
 func hasSyntax(rep *lint.Report) bool {

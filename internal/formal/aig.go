@@ -158,12 +158,6 @@ func (g *AIG) Fanins(i uint32) (a, b Lit, isAnd bool) {
 	return n.a, n.b, true
 }
 
-// IsVar reports whether the literal points at an input variable node.
-func (g *AIG) IsVar(l Lit) bool {
-	n := g.nodes[l.Node()]
-	return l.Node() != 0 && n.a == varSentinel
-}
-
 // IsConst reports whether the literal is constant, and its value.
 func (g *AIG) IsConst(l Lit) (isConst, val bool) {
 	if l.Node() == 0 {

@@ -398,10 +398,10 @@ func (m *Model) StateSignals() []int {
 // OutputVec reads an output port's symbolic value from a state.
 func (m *Model) OutputVec(st *State, i int) Vec { return st.vals[m.outIdx[i]] }
 
-// OutputVecByName reads an output *port* by name. Unlike SignalVec it
-// matches only the port list — the set a harness scoreboard observes —
-// so a same-named internal signal can never stand in for a missing
-// output in an equivalence miter.
+// OutputVecByName reads an output *port* by name. It matches only the
+// port list — the set a harness scoreboard observes — so a same-named
+// internal signal can never stand in for a missing output in an
+// equivalence miter.
 func (m *Model) OutputVecByName(st *State, name string) (Vec, bool) {
 	for i, p := range m.outs {
 		if p.Name == name {
@@ -409,15 +409,6 @@ func (m *Model) OutputVecByName(st *State, name string) (Vec, bool) {
 		}
 	}
 	return nil, false
-}
-
-// SignalVec reads any signal's symbolic value from a state by name.
-func (m *Model) SignalVec(st *State, name string) (Vec, bool) {
-	idx, ok := m.d.SignalIndex(name)
-	if !ok {
-		return nil, false
-	}
-	return st.vals[idx], true
 }
 
 // Step advances the symbolic state by one harness cycle under the given

@@ -74,15 +74,10 @@ type Report struct {
 }
 
 // Errors returns the error-severity diagnostics.
-func (r *Report) Errors() []Diag { return r.filter(SevError) }
-
-// Warnings returns the warning-severity diagnostics.
-func (r *Report) Warnings() []Diag { return r.filter(SevWarning) }
-
-func (r *Report) filter(sev Severity) []Diag {
+func (r *Report) Errors() []Diag {
 	var out []Diag
 	for _, d := range r.Diags {
-		if d.Severity == sev {
+		if d.Severity == SevError {
 			out = append(out, d)
 		}
 	}

@@ -1,8 +1,8 @@
 // Package obs is the process-wide observability layer: a metrics
 // registry (counters, gauges, bounded histograms, all with label
-// support and Prometheus text exposition), hierarchical tracing
-// (obs.Span trees exportable as Chrome trace_event JSON) and the
-// slow-span sampling hook behind cmd/uvllmd's profiling flags. It is
+// support and Prometheus text exposition) and hierarchical tracing
+// (obs.Span trees exportable as Chrome trace_event JSON, with one
+// OnEnd hook per tracer that sees every finished span). It is
 // built from the standard library only, like every subsystem in this
 // repository, and it is designed to be provably free when disabled:
 // every handle type (*Counter, *Gauge, *Histogram, *Tracer, *Span) is
@@ -12,9 +12,11 @@
 //
 // The registry replaces the telemetry islands that grew per subsystem:
 // sim.Cache/sim.DiskCache counter snapshots, formal.Solver work stats,
-// and the service layer's bespoke latency samplers all surface through
-// one Registry, scraped as JSON on /v1/metrics (byte-compatible with
-// the pre-obs shape) and as Prometheus text on /metrics.
+// and the service layer's latency and per-span histograms all surface
+// through one Registry. Both of uvllmd's metrics endpoints render its
+// Snapshot: /v1/metrics as JSON (byte-compatible with the pre-obs
+// shape, percentiles from each histogram's sample window) and /metrics
+// as Prometheus text.
 package obs
 
 import (
@@ -95,10 +97,11 @@ func (g *Gauge) Value() float64 {
 
 // Histogram is a bounded distribution metric: fixed cumulative bucket
 // counts for Prometheus exposition plus a bounded ring of recent raw
-// samples for percentile computation (the service layer's p50/p95/p99
-// digests read the ring, so /v1/metrics keeps its exact-percentile
-// semantics instead of bucket interpolation). NaN observations are
-// rejected. A nil *Histogram is a valid no-op handle.
+// samples for percentile computation (Snapshot carries the ring, and
+// the service layer's p50/p95/p99 digests read it there, so /v1/metrics
+// keeps its exact-percentile semantics instead of bucket
+// interpolation). NaN observations are rejected. A nil *Histogram is a
+// valid no-op handle.
 type Histogram struct {
 	mu     sync.Mutex
 	bounds []float64 // ascending upper bounds; +Inf bucket is implicit
@@ -156,20 +159,8 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Samples returns a copy of the bounded recent-sample window, in no
-// particular order (nil on a nil receiver). Percentile digests are
-// computed from this window.
-func (h *Histogram) Samples() []float64 {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]float64(nil), h.samples...)
-}
-
-// buckets returns (bounds, cumulative counts, sum, count) under the lock.
-func (h *Histogram) buckets() ([]float64, []uint64, float64, uint64) {
+// snapshot fills ss's histogram fields under the lock.
+func (h *Histogram) snapshot(ss *SeriesSnapshot) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	cum := make([]uint64, len(h.counts))
@@ -178,7 +169,9 @@ func (h *Histogram) buckets() ([]float64, []uint64, float64, uint64) {
 		run += c
 		cum[i] = run
 	}
-	return append([]float64(nil), h.bounds...), cum, h.sum, h.count
+	ss.Bounds, ss.Cumulative = append([]float64(nil), h.bounds...), cum
+	ss.Sum, ss.Count = h.sum, h.count
+	ss.Samples = append([]float64(nil), h.samples...)
 }
 
 // ExpBuckets returns n exponentially spaced histogram bounds starting at
@@ -375,6 +368,10 @@ type SeriesSnapshot struct {
 	Sum float64
 	// Count is the histogram observation count.
 	Count uint64
+	// Samples is the histogram's bounded window of recent observations
+	// (at most DefaultSampleWindow), in no particular order: percentile
+	// digests are computed from it.
+	Samples []float64
 }
 
 // MetricSnapshot is one metric family in a Snapshot.
@@ -434,8 +431,7 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 					ss.Value = ref.s.fn()
 				}
 			case kindHistogram:
-				bounds, cum, sum, count := ref.s.h.buckets()
-				ss.Bounds, ss.Cumulative, ss.Sum, ss.Count = bounds, cum, sum, count
+				ref.s.h.snapshot(&ss)
 			}
 			ms.Series = append(ms.Series, ss)
 		}

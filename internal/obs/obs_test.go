@@ -75,7 +75,7 @@ func TestNilSafety(t *testing.T) {
 	r.GaugeFunc("gf", "h", func() float64 { return 1 })
 	h := r.Histogram("hi", "h", []float64{1})
 	h.Observe(2)
-	if h.Count() != 0 || h.Sum() != 0 || h.Samples() != nil {
+	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram recorded data")
 	}
 	if r.Snapshot() != nil {
@@ -118,13 +118,18 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 // TestHistogramSampleWindow checks the raw-sample ring stays bounded
-// and keeps recent observations.
+// and keeps recent observations, as a snapshot of it reads them.
 func TestHistogramSampleWindow(t *testing.T) {
 	h := &Histogram{bounds: []float64{1}, counts: make([]uint64, 2), window: 4}
 	for i := 0; i < 10; i++ {
 		h.Observe(float64(i))
 	}
-	got := h.Samples()
+	var ss SeriesSnapshot
+	h.snapshot(&ss)
+	got := ss.Samples
+	if ss.Count != 10 {
+		t.Fatalf("count = %d, want 10 (the window bounds the samples, not the count)", ss.Count)
+	}
 	if len(got) != 4 {
 		t.Fatalf("window len = %d, want 4", len(got))
 	}

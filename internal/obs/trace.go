@@ -38,14 +38,10 @@ type Tracer struct {
 	next  int64
 	done  []SpanInfo
 
-	// SlowSpan, when > 0, is the duration at or above which a finished
-	// span is reported through OnSlow — the sampling slow-span log.
-	SlowSpan time.Duration
-	// OnSlow is called synchronously for each finished span whose
-	// duration is >= SlowSpan (ignored when SlowSpan is 0).
-	OnSlow func(SpanInfo)
-	// OnEnd, when set, is called synchronously for every finished span;
-	// uvllmd uses it to stream spans over SSE as they close.
+	// OnEnd, when set, is called synchronously for every finished span.
+	// uvllmd's runner traces every job through it: per-span latency
+	// histograms, the job's iteration events, the SSE span stream and
+	// the slow-span log all come from this one hook.
 	OnEnd func(SpanInfo)
 }
 
@@ -114,8 +110,8 @@ func (s *Span) SetArg(key, value string) {
 }
 
 // End closes the span, recording it with its tracer and firing the
-// OnEnd / slow-span hooks. End is idempotent and safe on a nil
-// receiver, so `defer sp.End()` is always correct.
+// OnEnd hook. End is idempotent and safe on a nil receiver, so
+// `defer sp.End()` is always correct.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -142,13 +138,10 @@ func (s *Span) End() {
 	info := SpanInfo{ID: s.id, Parent: s.parent, Name: s.name, Start: s.start, Dur: now.Sub(s.start), Args: args}
 	t.mu.Lock()
 	t.done = append(t.done, info)
-	onEnd, onSlow, slow := t.OnEnd, t.OnSlow, t.SlowSpan
+	onEnd := t.OnEnd
 	t.mu.Unlock()
 	if onEnd != nil {
 		onEnd(info)
-	}
-	if slow > 0 && info.Dur >= slow && onSlow != nil {
-		onSlow(info)
 	}
 }
 

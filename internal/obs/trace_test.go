@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -120,26 +121,36 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-// TestSlowSpanHook checks the sampling slow-span log fires only for
-// spans at or above the threshold, and OnEnd fires for all.
+// TestSlowSpanHook checks OnEnd, the tracer's one hook (uvllmd's
+// slow-span log filters it by duration): it fires once for every
+// finished span, fast or slow, children first, with the span's record.
 func TestSlowSpanHook(t *testing.T) {
 	tr := NewTracer("r")
-	tr.SlowSpan = 5 * time.Millisecond
-	var slow, all []string
-	tr.OnSlow = func(s SpanInfo) { slow = append(slow, s.Name) }
-	tr.OnEnd = func(s SpanInfo) { all = append(all, s.Name) }
+	var ended []SpanInfo
+	tr.OnEnd = func(s SpanInfo) { ended = append(ended, s) }
 
-	fast := tr.Start("fast")
+	root := tr.Start("root")
+	fast := root.Child("fast")
 	fast.End()
-	slowSp := tr.Start("slow")
+	fast.End() // idempotent: no second record
+	slow := root.Child("slow")
+	slow.SetArg("k", "v")
 	time.Sleep(6 * time.Millisecond)
-	slowSp.End()
+	slow.End()
+	root.End()
 
-	if len(all) != 2 {
-		t.Fatalf("OnEnd fired %d times, want 2", len(all))
+	var names []string
+	for _, s := range ended {
+		names = append(names, s.Name)
 	}
-	if len(slow) != 1 || slow[0] != "slow" {
-		t.Fatalf("OnSlow fired for %v, want [slow]", slow)
+	if fmt.Sprint(names) != "[fast slow root]" {
+		t.Fatalf("OnEnd fired for %v, want [fast slow root]", names)
+	}
+	if s := ended[1]; s.Dur < 6*time.Millisecond || s.Parent != ended[2].ID || s.Args["k"] != "v" || s.Args["run_id"] != "r" {
+		t.Fatalf("slow span record %+v, want >= 6ms under the root with its args and run_id", s)
+	}
+	if got := tr.Spans(); len(got) != 3 {
+		t.Fatalf("tracer kept %d spans, want 3", len(got))
 	}
 }
 

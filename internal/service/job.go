@@ -231,20 +231,17 @@ func Execute(spec JobSpec, svc Services, emit func(Event)) Result {
 
 // ExecuteCtx runs one job synchronously: fault injection or source
 // intake, the full core.Verify pipeline, and the optional bounded
-// equivalence proof. Progress is streamed through emit (which may be
-// nil); the events carry per-iteration verdicts from
-// core.Options.OnProgress and a final formal status. Cancelling ctx
-// stops the repair loop at the next iteration boundary and the formal
-// check within a few hundred solver conflicts, returning a Result with
-// Cancelled set; a span carried by ctx (obs.ContextWith) roots the
-// job's phase trace. ExecuteCtx is safe for concurrent use — all mutable
+// equivalence proof, whose outcome is emitted as a formal event (emit
+// may be nil). Cancelling ctx stops the repair loop at the next
+// iteration boundary and the formal check within a few hundred solver
+// conflicts, returning a Result with Cancelled set. A span carried by
+// ctx (obs.ContextWith) roots the job's phase trace, and the trace is
+// the job's progress report: the Runner derives its iteration events
+// from the spans. ExecuteCtx is safe for concurrent use — all mutable
 // state is job-local or behind the Services' own synchronization.
 func ExecuteCtx(ctx context.Context, spec JobSpec, svc Services, emit func(Event)) Result {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if emit == nil {
-		emit = func(Event) {}
 	}
 	setupSp := obs.FromContext(ctx).Child("setup")
 	if err := spec.Validate(); err != nil {
@@ -278,14 +275,6 @@ func ExecuteCtx(ctx context.Context, spec JobSpec, svc Services, emit func(Event
 		MaxIterations: spec.MaxIterations,
 		Cache:         svc.Cache, Memo: svc.Memo,
 	})
-	opts.OnProgress = func(p core.Progress) {
-		emit(Event{
-			Kind: EventIteration, Iteration: p.Iteration, Stage: string(p.Stage),
-			Score: p.Score, Best: p.Best, Coverage: p.Coverage,
-			StructCoverage: p.StructCoverage, Rollback: p.Rollback,
-		})
-	}
-
 	res := core.Verify(ctx, core.Input{
 		Source: in.Source, Spec: m.Spec, Top: m.Top, Clock: m.Clock,
 		RefName: m.Name, ModuleName: m.Name, Client: client, Opts: opts,
@@ -303,7 +292,9 @@ func ExecuteCtx(ctx context.Context, spec JobSpec, svc Services, emit func(Event
 		var cancelled bool
 		out.Formal, out.FormalDetail, cancelled = prove(ctx, res.Final, in.Golden, m, spec.Options.BMCDepth(), spec.Options.Induction, svc)
 		out.Cancelled = out.Cancelled || cancelled
-		emit(Event{Kind: EventFormal, Formal: out.Formal, Message: out.FormalDetail})
+		if emit != nil {
+			emit(Event{Kind: EventFormal, Formal: out.Formal, Message: out.FormalDetail})
+		}
 	}
 	return out
 }

@@ -3,11 +3,13 @@ package service
 import (
 	"uvllm/internal/memo"
 	"uvllm/internal/metrics"
+	"uvllm/internal/obs"
 	"uvllm/internal/sim"
 )
 
 // LatencySummary is the percentile digest of one latency series, in
-// milliseconds, computed with metrics.Percentile at snapshot time.
+// milliseconds, computed with metrics.Percentile over the histogram's
+// sample window at snapshot time.
 type LatencySummary struct {
 	// Count is the number of samples observed.
 	Count int64 `json:"count"`
@@ -19,13 +21,13 @@ type LatencySummary struct {
 	P99 float64 `json:"p99_ms"`
 }
 
-func summarize(count int64, secs []float64) LatencySummary {
-	ms := make([]float64, len(secs))
-	for i, s := range secs {
+func summarize(h obs.SeriesSnapshot) LatencySummary {
+	ms := make([]float64, len(h.Samples))
+	for i, s := range h.Samples {
 		ms[i] = s * 1000
 	}
 	return LatencySummary{
-		Count: count,
+		Count: int64(h.Count),
 		P50:   metrics.Percentile(ms, 50),
 		P95:   metrics.Percentile(ms, 95),
 		P99:   metrics.Percentile(ms, 99),

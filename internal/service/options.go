@@ -52,11 +52,11 @@ type Options struct {
 	// evaluation harness or the server's runner (0 = NumCPU, at most
 	// MaxWorkers).
 	Workers int `json:"workers,omitempty"`
-	// Trace streams hierarchical trace spans for the job: the runner
-	// traces every pipeline phase (preprocess, iterations, uvm
-	// compile/run, formal depths) and emits each span as a "span" event
-	// on the job's SSE stream as it closes. Off (the default) costs one
-	// nil check per phase.
+	// Trace streams the job's hierarchical trace spans: each pipeline
+	// phase's span (preprocess, iterations, uvm compile/run, formal
+	// depths) is emitted as a "span" event on the job's SSE stream as it
+	// closes. The runner traces every job either way (the spans feed
+	// /metrics and the iteration events); off, it streams none.
 	Trace bool `json:"trace,omitempty"`
 }
 

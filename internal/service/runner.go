@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"time"
 
+	"uvllm/internal/core"
 	"uvllm/internal/faultgen"
 	"uvllm/internal/obs"
 )
@@ -44,9 +46,9 @@ func (s Status) Terminal() bool {
 }
 
 // Event is one progress record on a job's stream: the queue transitions,
-// core.Verify's per-iteration verdicts, the formal outcome and the
-// terminal state. Seq is assigned per job, densely from 0, so a stream
-// consumer can resume from any offset.
+// core.Verify's per-iteration verdicts (read off its trace spans), the
+// formal outcome and the terminal state. Seq is assigned per job,
+// densely from 0, so a stream consumer can resume from any offset.
 type Event struct {
 	// Seq is the dense per-job sequence number.
 	Seq int `json:"seq"`
@@ -86,7 +88,8 @@ const (
 	EventQueued = "queued"
 	// EventStarted is emitted when a worker picks the job up.
 	EventStarted = "started"
-	// EventIteration carries one core.Progress record.
+	// EventIteration carries one repair-loop verdict: iteration 0 when
+	// core.Verify's preprocess span ends, then one per iteration span.
 	EventIteration = "iteration"
 	// EventFormal carries the bounded-proof outcome.
 	EventFormal = "formal"
@@ -260,14 +263,14 @@ func (j *Job) WaitTerminal(ctx context.Context) (Status, error) {
 // start moves a queued job to running, records its queue wait and the
 // started event, and returns the context Execute runs under. ok is false
 // when the job is already terminal (cancelled while queued, or drained):
-// a worker that pops it then skips it.
+// a worker that pops it then skips it, and it keeps no queue wait.
 func (j *Job) start(wait time.Duration) (ctx context.Context, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.waited = wait
 	if j.status.Terminal() {
 		return nil, false
 	}
+	j.waited = wait
 	j.status = StatusRunning
 	j.appendLocked(Event{Kind: EventStarted, Status: StatusRunning})
 	return j.ctx, true
@@ -343,11 +346,11 @@ type RunnerConfig struct {
 	// a lookup past the TTL reports not-found (HTTP 404). 0 keeps
 	// terminal jobs forever — the pre-TTL behavior.
 	ResultTTL time.Duration
-	// SlowSpan, when > 0, samples slow trace spans: every job is traced
-	// and each span lasting at least this long is reported through
-	// OnSlowSpan. 0 traces only jobs that opt in with Options.Trace.
+	// SlowSpan, when > 0, is the duration at or above which a job's
+	// finished trace spans are passed to OnSlowSpan (every job is
+	// traced; 0 passes none).
 	SlowSpan time.Duration
-	// OnSlowSpan receives the sampled slow spans (nil discards them);
+	// OnSlowSpan receives the slow spans (nil discards them);
 	// cmd/uvllmd points it at the process log.
 	OnSlowSpan func(jobID string, sp obs.SpanInfo)
 }
@@ -381,13 +384,14 @@ type Runner struct {
 
 	stageWait     *obs.Histogram // queue_wait stage latencies
 	stageRun      *obs.Histogram // run stage latencies
+	spanSecs      sync.Map       // span name → its span_seconds *obs.Histogram
 	jobsTotal     *obs.Counter
 	jobsCancelled *obs.Counter
 	jobsPanicked  *obs.Counter
 }
 
-// stageBuckets bounds the stage/endpoint latency histograms: 1 ms to
-// ~65 s, doubling.
+// stageBuckets bounds the stage/endpoint/span latency histograms: 1 ms
+// to ~65 s, doubling.
 var stageBuckets = obs.ExpBuckets(0.001, 2, 17)
 
 // NewRunner starts the worker pool and returns the runner.
@@ -628,34 +632,21 @@ func (r *Runner) worker() {
 	}
 }
 
-// run executes one job end to end, recording queue-wait and run-time
-// stage samples and tracing the job when the trace knob (or the
-// slow-span sampler) is on.
+// run executes one job end to end: it records the queue-wait and
+// run-time stage samples of a job that starts, and traces the job
+// through spanEnded.
 func (r *Runner) run(j *Job) {
 	start := r.now()
 	wait := start.Sub(j.queuedAt)
-	r.stageWait.Observe(wait.Seconds())
 	ctx, ok := j.start(wait)
 	if !ok {
 		return
 	}
-	var root *obs.Span
-	if j.Spec.Options.Trace || r.cfg.SlowSpan > 0 {
-		tracer := obs.NewTracer(j.ID)
-		tracer.SlowSpan = r.cfg.SlowSpan
-		if r.cfg.OnSlowSpan != nil {
-			tracer.OnSlow = func(sp obs.SpanInfo) { r.cfg.OnSlowSpan(j.ID, sp) }
-		}
-		if j.Spec.Options.Trace {
-			tracer.OnEnd = func(sp obs.SpanInfo) {
-				s := sp
-				j.append(Event{Kind: EventSpan, Span: &s})
-			}
-		}
-		root = tracer.Start("job")
-		ctx = obs.ContextWith(ctx, root)
-	}
-	res := r.execute(ctx, j, root)
+	r.stageWait.Observe(wait.Seconds())
+	tracer := obs.NewTracer(j.ID)
+	tracer.OnEnd = func(sp obs.SpanInfo) { r.spanEnded(j, sp) }
+	root := tracer.Start("job")
+	res := r.execute(obs.ContextWith(ctx, root), j, root)
 	root.End()
 	ran := r.now().Sub(start)
 	r.stageRun.Observe(ran.Seconds())
@@ -685,11 +676,56 @@ func (r *Runner) run(j *Job) {
 	}
 }
 
+// spanEnded is the one hook of every job's tracer. It observes the span
+// into span_seconds, turns core.Verify's preprocess and iteration spans
+// into the job's iteration events, streams the span itself to a job
+// submitted with the trace option, and passes it to OnSlowSpan when it
+// lasted at least SlowSpan.
+func (r *Runner) spanEnded(j *Job, sp obs.SpanInfo) {
+	h, ok := r.spanSecs.Load(sp.Name)
+	if !ok {
+		h, _ = r.spanSecs.LoadOrStore(sp.Name, r.svc.Obs.Histogram("span_seconds",
+			"trace span latency in seconds by span name", stageBuckets, obs.L("span", sp.Name)))
+	}
+	h.(*obs.Histogram).Observe(sp.Dur.Seconds())
+	if ev, ok := iterationEvent(sp); ok {
+		j.append(ev)
+	}
+	if j.Spec.Options.Trace {
+		s := sp
+		j.append(Event{Kind: EventSpan, Span: &s})
+	}
+	if r.cfg.SlowSpan > 0 && sp.Dur >= r.cfg.SlowSpan && r.cfg.OnSlowSpan != nil {
+		r.cfg.OnSlowSpan(j.ID, sp)
+	}
+}
+
+// iterationEvent reads a job's iteration event off a finished span: the
+// preprocess span is iteration 0, and an iteration span carries its
+// verdict in the args core.Verify closes it with. ok is false for
+// every other span.
+func iterationEvent(sp obs.SpanInfo) (ev Event, ok bool) {
+	switch sp.Name {
+	case "preprocess":
+		return Event{Kind: EventIteration, Stage: string(core.StagePre)}, true
+	case "iteration":
+		a := sp.Args
+		ev = Event{Kind: EventIteration, Stage: a["stage"], Rollback: a["rollback"] == "true"}
+		ev.Iteration, _ = strconv.Atoi(a["iter"])
+		ev.Score, _ = strconv.ParseFloat(a["score"], 64)
+		ev.Best, _ = strconv.ParseFloat(a["best"], 64)
+		ev.Coverage, _ = strconv.ParseFloat(a["coverage"], 64)
+		ev.StructCoverage, _ = strconv.ParseFloat(a["struct_coverage"], 64)
+		return ev, true
+	}
+	return Event{}, false
+}
+
 // execute runs the job's pipeline and contains a panic in it. User
 // source reaches lint, compile, sim, blast and SAT, and a panic in any of
 // them fails this job with an internal error instead of unwinding the
 // worker and killing the server with every in-flight job. The stack goes
-// onto the job's root span (when traced) and into its event history.
+// onto the job's root span and into its event history.
 func (r *Runner) execute(ctx context.Context, j *Job, root *obs.Span) (res Result) {
 	defer func() {
 		p := recover()
@@ -737,29 +773,4 @@ func (r *Runner) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// StageStats returns the recorded per-stage latency samples (seconds),
-// keyed by stage name ("queue_wait", "run"). The samples come from the
-// registry histograms' bounded windows, so percentiles reflect recent
-// load exactly as the pre-registry sampler did.
-func (r *Runner) StageStats() map[string][]float64 {
-	out := map[string][]float64{}
-	for name, h := range map[string]*obs.Histogram{"queue_wait": r.stageWait, "run": r.stageRun} {
-		if xs := h.Samples(); len(xs) > 0 {
-			out[name] = xs
-		}
-	}
-	return out
-}
-
-// stageCount returns the total observation count of a stage histogram.
-func (r *Runner) stageCount(name string) int64 {
-	switch name {
-	case "queue_wait":
-		return int64(r.stageWait.Count())
-	case "run":
-		return int64(r.stageRun.Count())
-	}
-	return 0
 }

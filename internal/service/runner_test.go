@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"uvllm/internal/obs"
 )
 
 // stubExec is a controllable Runner.exec replacement: every invocation
@@ -271,7 +274,8 @@ func kinds(evs []Event) []string {
 }
 
 // TestRunnerStageStats checks that queue-wait and run samples are
-// recorded for executed jobs — the feed of the metrics percentiles.
+// recorded for executed jobs, read from the registry's snapshot: the
+// feed of the /v1/metrics percentiles.
 func TestRunnerStageStats(t *testing.T) {
 	stub := newStubExec(4, false)
 	r := NewRunner(RunnerConfig{Workers: 2, QueueLimit: 8})
@@ -286,10 +290,62 @@ func TestRunnerStageStats(t *testing.T) {
 		}
 	}
 	r.Drain(context.Background())
-	stats := r.StageStats()
-	if len(stats["queue_wait"]) != 3 || len(stats["run"]) != 3 {
-		t.Fatalf("stage samples = %d wait / %d run, want 3 / 3",
-			len(stats["queue_wait"]), len(stats["run"]))
+	wait, run := seriesOf(r, "stage_seconds", "queue_wait"), seriesOf(r, "stage_seconds", "run")
+	if len(wait.Samples) != 3 || len(run.Samples) != 3 || wait.Count != 3 || run.Count != 3 {
+		t.Fatalf("stage samples = %d wait / %d run (counts %d / %d), want 3 / 3",
+			len(wait.Samples), len(run.Samples), wait.Count, run.Count)
+	}
+}
+
+// seriesOf returns the series of the runner registry's family whose one
+// label has the given value (the zero series when there is none).
+func seriesOf(r *Runner, family, label string) obs.SeriesSnapshot {
+	for _, m := range r.svc.Obs.Snapshot() {
+		if m.Name != family {
+			continue
+		}
+		for _, s := range m.Series {
+			if len(s.Labels) == 1 && s.Labels[0].Value == label {
+				return s
+			}
+		}
+	}
+	return obs.SeriesSnapshot{}
+}
+
+// TestCancelledQueuedJobRecordsNoWait checks that a job cancelled while
+// queued never records a queue wait: the worker that pops it skips it
+// without a stage_seconds{stage="queue_wait"} sample, and its view
+// reports no wait, since it never ran.
+func TestCancelledQueuedJobRecordsNoWait(t *testing.T) {
+	stub := newStubExec(4, true)
+	r := NewRunner(RunnerConfig{Workers: 1, QueueLimit: 8})
+	r.exec = stub.exec
+	defer r.Drain(context.Background())
+
+	if _, err := r.Submit(testSpec("a")); err != nil {
+		t.Fatalf("submit blocker: %v", err)
+	}
+	<-stub.started
+	victim, err := r.Submit(testSpec("a"))
+	if err != nil {
+		t.Fatalf("submit victim: %v", err)
+	}
+	after, err := r.Submit(testSpec("a"))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	r.Cancel(victim.ID)
+	close(stub.release)
+	// One tenant's queue is FIFO: the worker popped the victim before
+	// the job behind it.
+	waitStatus(t, after, StatusDone)
+
+	if n := seriesOf(r, "stage_seconds", "queue_wait").Count; n != 2 {
+		t.Errorf("queue_wait samples = %d, want 2 (the two jobs that started)", n)
+	}
+	if v := viewOf(victim); v.Status != StatusCancelled || v.QueueWaitMS != 0 {
+		t.Errorf("cancelled-while-queued job: status %s, queue_wait_ms %v; want cancelled, 0", v.Status, v.QueueWaitMS)
 	}
 }
 
@@ -427,10 +483,18 @@ func TestRunnerCancel(t *testing.T) {
 
 // TestRunnerTraceSpans checks that a trace-enabled job streams span
 // events carrying a root "job" span, and that an untraced job streams
-// none.
+// none. Traced or not, every job's spans feed span_seconds and reach
+// OnSlowSpan once they last SlowSpan.
 func TestRunnerTraceSpans(t *testing.T) {
 	stub := newStubExec(2, false)
-	r := NewRunner(RunnerConfig{Workers: 1, QueueLimit: 4})
+	var mu sync.Mutex
+	var slow []string
+	r := NewRunner(RunnerConfig{Workers: 1, QueueLimit: 4, SlowSpan: time.Nanosecond,
+		OnSlowSpan: func(jobID string, sp obs.SpanInfo) {
+			mu.Lock()
+			slow = append(slow, jobID+"/"+sp.Name)
+			mu.Unlock()
+		}})
 	r.exec = stub.exec
 	defer r.Drain(context.Background())
 
@@ -465,6 +529,15 @@ func TestRunnerTraceSpans(t *testing.T) {
 		if ev.Kind == EventSpan {
 			t.Fatal("untraced job streamed a span event")
 		}
+	}
+
+	if n := seriesOf(r, "span_seconds", "job").Count; n != 2 {
+		t.Errorf(`span_seconds{span="job"} count = %d, want 2 (both jobs)`, n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{traced.ID + "/job", plain.ID + "/job"}; fmt.Sprint(slow) != fmt.Sprint(want) {
+		t.Errorf("OnSlowSpan saw %v, want %v", slow, want)
 	}
 }
 

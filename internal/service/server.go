@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"uvllm/internal/dataset"
@@ -36,25 +35,11 @@ const maxRequestBody = 4 << 20
 type Server struct {
 	runner *Runner
 	mux    *http.ServeMux
-
-	epMu sync.Mutex
-	eps  map[string]*endpointHandles
-}
-
-// endpointHandles are one route's registry handles, created at
-// registration so the request path only observes.
-type endpointHandles struct {
-	lat  *obs.Histogram
-	errs *obs.Counter
 }
 
 // NewServer builds the HTTP layer over a fresh Runner.
 func NewServer(cfg RunnerConfig) *Server {
-	s := &Server{
-		runner: NewRunner(cfg),
-		mux:    http.NewServeMux(),
-		eps:    map[string]*endpointHandles{},
-	}
+	s := &Server{runner: NewRunner(cfg), mux: http.NewServeMux()}
 	s.handle("POST /v1/jobs", s.submit)
 	s.handle("GET /v1/jobs/{id}", s.status)
 	s.handle("DELETE /v1/jobs/{id}", s.cancel)
@@ -85,42 +70,17 @@ func (s *Server) Drain(ctx context.Context) error {
 // the request path only observes.
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	reg := s.runner.Services().Obs
-	ep := &endpointHandles{
-		lat:  reg.Histogram("http_request_seconds", "request latency by endpoint", stageBuckets, obs.L("endpoint", pattern)),
-		errs: reg.Counter("http_request_errors_total", "responses with status >= 400 by endpoint", obs.L("endpoint", pattern)),
-	}
-	s.epMu.Lock()
-	s.eps[pattern] = ep
-	s.epMu.Unlock()
+	lat := reg.Histogram("http_request_seconds", "request latency by endpoint", stageBuckets, obs.L("endpoint", pattern))
+	errs := reg.Counter("http_request_errors_total", "responses with status >= 400 by endpoint", obs.L("endpoint", pattern))
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		cw := &codeWriter{ResponseWriter: w, code: http.StatusOK}
 		h(cw, r)
-		ep.lat.Observe(time.Since(start).Seconds())
+		lat.Observe(time.Since(start).Seconds())
 		if cw.code >= 400 {
-			ep.errs.Inc()
+			errs.Inc()
 		}
 	})
-}
-
-// endpointSnapshot renders the per-endpoint section of /v1/metrics from
-// the registry handles, omitting endpoints that have served nothing —
-// the same shape the bespoke recorder produced.
-func (s *Server) endpointSnapshot() map[string]EndpointStats {
-	s.epMu.Lock()
-	defer s.epMu.Unlock()
-	out := map[string]EndpointStats{}
-	for pattern, ep := range s.eps {
-		n := int64(ep.lat.Count())
-		if n == 0 {
-			continue
-		}
-		out[pattern] = EndpointStats{
-			Latency: summarize(n, ep.lat.Samples()),
-			Errors:  ep.errs.Value(),
-		}
-	}
-	return out
 }
 
 // codeWriter captures the response status for instrumentation.
@@ -323,11 +283,31 @@ func (s *Server) modules(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// metrics serves /v1/metrics. Its stage and endpoint digests come from
+// the registry's Snapshot, the source /metrics renders too; a series
+// that has observed nothing is left out.
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	tenants, byStatus, running := s.runner.Snapshot()
 	stages := map[string]LatencySummary{}
-	for name, secs := range s.runner.StageStats() {
-		stages[name] = summarize(s.runner.stageCount(name), secs)
+	endpoints := map[string]EndpointStats{}
+	errs := map[string]int64{}
+	// Families come sorted by name, so the error counts are read before
+	// the latencies. Each of the three families has one label.
+	for _, m := range s.runner.Services().Obs.Snapshot() {
+		for _, ser := range m.Series {
+			switch m.Name {
+			case "http_request_errors_total":
+				errs[ser.Labels[0].Value] = int64(ser.Value)
+			case "http_request_seconds":
+				if ep := ser.Labels[0].Value; ser.Count > 0 {
+					endpoints[ep] = EndpointStats{Latency: summarize(ser), Errors: errs[ep]}
+				}
+			case "stage_seconds":
+				if ser.Count > 0 {
+					stages[ser.Labels[0].Value] = summarize(ser)
+				}
+			}
+		}
 	}
 	cs := s.runner.Services().Cache.Stats()
 	ms := s.runner.Services().Memo.Stats()
@@ -339,7 +319,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		Draining:     s.runner.Draining(),
 		TenantQueues: tenants,
 		JobsByStatus: byStatus,
-		Endpoints:    s.endpointSnapshot(),
+		Endpoints:    endpoints,
 		Stages:       stages,
 		Caches: CacheMetrics{
 			Compile:          cs,

@@ -45,6 +45,22 @@ type RandomSequence struct {
 	emitted    int
 }
 
+// NewRandomSequence returns the pipeline's random stimulus for design d
+// clocked by clock: n vectors over every non-clock input, in
+// declaration order, with sim.FindReset's reset pulsed every 50
+// vectors. The repair loop's UVM evaluations, fault observation and the
+// lane observation all draw it.
+func NewRandomSequence(d *sim.Design, clock string, n int) *RandomSequence {
+	var ports []sim.PortInfo
+	for _, p := range d.Inputs() {
+		if p.Name != clock {
+			ports = append(ports, p)
+		}
+	}
+	name, _ := sim.FindReset(d)
+	return &RandomSequence{Ports: ports, N: n, ResetName: name, ResetEvery: 50}
+}
+
 // Next implements Sequence.
 func (s *RandomSequence) Next(rng *rand.Rand) (map[string]uint64, bool) {
 	if s.emitted >= s.N {

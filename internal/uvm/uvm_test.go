@@ -30,15 +30,7 @@ func newEnvFor(t *testing.T, name, source string) *Env {
 }
 
 func randomSeqFor(env *Env, n int) *RandomSequence {
-	var ports []sim.PortInfo
-	for _, p := range env.DUT.Sim.Design().Inputs() {
-		if p.Name == env.DUT.Clock {
-			continue
-		}
-		ports = append(ports, p)
-	}
-	name, _ := sim.FindReset(env.DUT.Sim.Design())
-	return &RandomSequence{Ports: ports, N: n, ResetName: name, ResetEvery: 50}
+	return NewRandomSequence(env.DUT.Sim.Design(), env.DUT.Clock, n)
 }
 
 func TestGoldenDUTPassesFully(t *testing.T) {

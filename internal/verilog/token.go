@@ -72,6 +72,3 @@ var keywords = map[string]bool{
 	"endgenerate": true, "genvar": true, "function": true,
 	"endfunction": true, "signed": true, "unsigned": true,
 }
-
-// IsKeyword reports whether s is a reserved Verilog word in our subset.
-func IsKeyword(s string) bool { return keywords[s] }
