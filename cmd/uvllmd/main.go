@@ -5,8 +5,7 @@
 // same service.Execute path as cmd/uvllm, so a job submitted over HTTP
 // produces exactly the verdict the CLI would print.
 //
-//	uvllmd -addr :8080                      # serve
-//	uvllmd -addr :8080 -cache-dir /var/cache/uvllm   # + persistent compile cache
+//	uvllmd -addr :8080                               # serve
 //
 //	curl -s localhost:8080/v1/modules                # catalog
 //	curl -s -X POST localhost:8080/v1/jobs \
@@ -36,15 +35,12 @@ import (
 
 	"uvllm/internal/obs"
 	"uvllm/internal/service"
-	"uvllm/internal/sim"
 )
 
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		queue    = flag.Int("queue", service.DefaultQueueLimit, "job queue bound: submissions beyond this get 429 + Retry-After")
-		cacheDir = flag.String("cache-dir", "", "directory for the persistent compile-cache tier (empty = memory only)")
-		cacheMB  = flag.Int64("cache-budget-mb", 0, "LRU byte budget for the disk cache tier in MiB (0 = unbounded)")
 		drainSec = flag.Int("drain-timeout", 60, "seconds to wait for in-flight jobs on SIGTERM before exiting anyway")
 		ttlSec   = flag.Int("result-ttl", 0, "seconds a finished job's result stays addressable before GC (0 = forever)")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
@@ -62,9 +58,6 @@ func main() {
 	if *drainSec < 0 {
 		fatalf("-drain-timeout must be >= 0, got %d", *drainSec)
 	}
-	if *cacheMB < 0 {
-		fatalf("-cache-budget-mb must be >= 0, got %d", *cacheMB)
-	}
 	if *ttlSec < 0 {
 		fatalf("-result-ttl must be >= 0, got %d", *ttlSec)
 	}
@@ -72,25 +65,10 @@ func main() {
 		fatalf("-slowspan must be >= 0, got %v", *slowSpan)
 	}
 
-	svc := service.DefaultServices()
-	if *cacheDir != "" {
-		disk, err := sim.NewDiskCache(*cacheDir)
-		if err != nil {
-			fatalf("open cache dir: %v", err)
-		}
-		if *cacheMB > 0 {
-			disk.SetBudget(*cacheMB << 20)
-		}
-		svc.Cache.AttachDisk(disk)
-		if n := svc.Cache.WarmFromDisk(); n > 0 {
-			log.Printf("uvllmd: warmed %d compiled designs from %s", n, *cacheDir)
-		}
-	}
-
 	srv := service.NewServer(service.RunnerConfig{
 		Workers:    opts.Workers,
 		QueueLimit: *queue,
-		Services:   svc,
+		Services:   service.DefaultServices(),
 		Defaults:   opts,
 		ResultTTL:  time.Duration(*ttlSec) * time.Second,
 		SlowSpan:   *slowSpan,

@@ -6,6 +6,7 @@ import (
 
 	"uvllm/internal/dataset"
 	"uvllm/internal/sim"
+	"uvllm/internal/verilog"
 )
 
 func TestOneHot(t *testing.T) {
@@ -156,7 +157,7 @@ func TestMinedAssertionsHoldOnGoldenDUT(t *testing.T) {
 				if p.Name == m.Clock {
 					continue
 				}
-				in[p.Name] = rng() & mask(p.Width)
+				in[p.Name] = rng() & verilog.Mask(p.Width)
 			}
 			if m.HasReset {
 				in["rst_n"] = 1

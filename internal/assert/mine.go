@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"uvllm/internal/refmodel"
+	"uvllm/internal/verilog"
 )
 
 // Miner proposes candidate assertions from observed golden behavior —
@@ -103,7 +104,7 @@ func (mn Miner) Mine(modelName string, ports []PortShape, hasReset bool, seed in
 			if !p.Input {
 				continue
 			}
-			in[p.Name] = rng.Uint64() & mask(p.Width)
+			in[p.Name] = rng.Uint64() & verilog.Mask(p.Width)
 		}
 		if hasReset {
 			if cyc < 2 || cyc%173 == 91 {
@@ -143,7 +144,7 @@ func (mn Miner) Mine(modelName string, ports []PortShape, hasReset bool, seed in
 	// information), with headroom doubled to avoid overfitting the trace.
 	for _, o := range outputs {
 		m := maxSeen[o.Name]
-		full := mask(o.Width)
+		full := verilog.Mask(o.Width)
 		if m < full/2 && o.Width >= 3 {
 			limit := m*2 + 1
 			if limit < full {
@@ -153,13 +154,6 @@ func (mn Miner) Mine(modelName string, ports []PortShape, hasReset bool, seed in
 	}
 	sort.Slice(mined, func(i, j int) bool { return mined[i].Name() < mined[j].Name() })
 	return mined, nil
-}
-
-func mask(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(w)) - 1
 }
 
 // Describe renders a mined assertion set as an SVA-flavored block.

@@ -24,6 +24,7 @@ import (
 	"uvllm/internal/metrics"
 	"uvllm/internal/sim"
 	"uvllm/internal/uvm"
+	"uvllm/internal/verilog"
 )
 
 // Outcome is one baseline run on one benchmark instance.
@@ -60,11 +61,11 @@ func (svc SimServices) Compile(src, top string) (*sim.Program, error) {
 func WeakBench(m *dataset.Module, d *sim.Design) []map[string]uint64 {
 	patterns := []func(w int) uint64{
 		func(w int) uint64 { return 0 },
-		func(w int) uint64 { return maskW(w) },
-		func(w int) uint64 { return 0xAAAAAAAAAAAAAAAA & maskW(w) },
+		func(w int) uint64 { return verilog.Mask(w) },
+		func(w int) uint64 { return 0xAAAAAAAAAAAAAAAA & verilog.Mask(w) },
 		func(w int) uint64 { return 1 },
-		func(w int) uint64 { return 0x5555555555555555 & maskW(w) },
-		func(w int) uint64 { return maskW(w) >> 1 },
+		func(w int) uint64 { return 0x5555555555555555 & verilog.Mask(w) },
+		func(w int) uint64 { return verilog.Mask(w) >> 1 },
 		func(w int) uint64 { return 2 },
 		func(w int) uint64 { return 3 },
 	}
@@ -75,7 +76,7 @@ func WeakBench(m *dataset.Module, d *sim.Design) []map[string]uint64 {
 			if p.Name == m.Clock {
 				continue
 			}
-			in[p.Name] = pat(p.Width) & maskW(p.Width)
+			in[p.Name] = pat(p.Width) & verilog.Mask(p.Width)
 		}
 		if m.HasReset {
 			in["rst_n"] = 1
@@ -96,7 +97,7 @@ func WeakBench(m *dataset.Module, d *sim.Design) []map[string]uint64 {
 			if p.Name == m.Clock {
 				continue
 			}
-			in[p.Name] = next() & maskW(p.Width)
+			in[p.Name] = next() & verilog.Mask(p.Width)
 		}
 		if m.HasReset {
 			in["rst_n"] = 1
@@ -104,13 +105,6 @@ func WeakBench(m *dataset.Module, d *sim.Design) []map[string]uint64 {
 		vectors = append(vectors, in)
 	}
 	return vectors
-}
-
-func maskW(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(w)) - 1
 }
 
 // RunOwnBench executes the method's own testbench on source, returning

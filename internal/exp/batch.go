@@ -15,6 +15,7 @@ import (
 
 	"uvllm/internal/dataset"
 	"uvllm/internal/sim"
+	"uvllm/internal/verilog"
 )
 
 // BatchAmortRow is one module's batch-vs-sequential timing comparison.
@@ -74,14 +75,7 @@ func (s *Session) BatchAmortizationStudy(lanes, cycles int) ([]BatchAmortRow, er
 // amortStim is the benchmark driver's stimulus value for one (lane,
 // cycle, port) triple — deterministic, cheap, per-lane distinct.
 func amortStim(lane, cycle int, pt sim.PortInfo) uint64 {
-	return uint64(cycle*31+lane*7+len(pt.Name)) & amortMask(pt.Width)
-}
-
-func amortMask(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(w)) - 1
+	return uint64(cycle*31+lane*7+len(pt.Name)) & verilog.Mask(pt.Width)
 }
 
 // timeSequentialLanes runs `lanes` standalone harness instances of p for

@@ -11,6 +11,7 @@ import (
 	"uvllm/internal/formal"
 	"uvllm/internal/metrics"
 	"uvllm/internal/sim"
+	"uvllm/internal/verilog"
 )
 
 // DefaultEquivDepth is the unrolling depth of the bounded-equivalence
@@ -188,19 +189,12 @@ func randomProtocolStimulus(d *sim.Design, clock string, cycles int, seed int64)
 			case rstName:
 				in[p.Name] = rstVal
 			default:
-				in[p.Name] = rng.Uint64() & maskOf(p.Width)
+				in[p.Name] = rng.Uint64() & verilog.Mask(p.Width)
 			}
 		}
 		cex.Inputs = append(cex.Inputs, in)
 	}
 	return cex
-}
-
-func maskOf(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(w)) - 1
 }
 
 func trimReason(err error) string {

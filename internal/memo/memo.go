@@ -7,7 +7,10 @@
 // fix to any of them applies to all of them.
 package memo
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // M is a bounded single-flight memo: Do computes each key's value at
 // most once (concurrent callers on one key share the result, including
@@ -44,7 +47,9 @@ func New[K comparable, V any](limit int) *M[K, V] {
 
 // Do returns the memoized value for k, running compute on first use.
 // Errors are memoized too: deterministic failures are part of a key's
-// identity and replays share them.
+// identity and replays share them. A panic is not: the panicking caller
+// sees it unchanged, callers already waiting on the key get an error,
+// and the key is dropped so the next Do recomputes.
 func (m *M[K, V]) Do(k K, compute func() (V, error)) (V, error) {
 	m.mu.Lock()
 	e, ok := m.entries[k]
@@ -62,9 +67,37 @@ func (m *M[K, V]) Do(k K, compute func() (V, error)) (V, error) {
 	}
 	m.mu.Unlock()
 	e.once.Do(func() {
+		returned := false
+		defer func() {
+			if !returned {
+				e.err = errPanicked
+				m.drop(k, e)
+			}
+		}()
 		e.val, e.err = compute()
+		returned = true
 	})
 	return e.val, e.err
+}
+
+// errPanicked is what Do returns to the callers that were waiting on a
+// key whose computation panicked.
+var errPanicked = errors.New("memo: computation panicked")
+
+// drop removes k if e is still its resident entry.
+func (m *M[K, V]) drop(k K, e *entry[V]) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.entries[k] != e {
+		return
+	}
+	delete(m.entries, k)
+	for i, o := range m.order {
+		if o == k {
+			m.order = append(m.order[:i], m.order[i+1:]...)
+			break
+		}
+	}
 }
 
 // evictLocked drops the oldest half of the entries. Called with mu held.

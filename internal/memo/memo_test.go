@@ -2,6 +2,7 @@ package memo
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -72,5 +73,57 @@ func TestEviction(t *testing.T) {
 	}
 	if _, ok := m.EntryHits(0); ok {
 		t.Fatal("oldest entry survived eviction")
+	}
+}
+
+// TestDoPanicDoesNotPoison: a panicking compute reaches its caller
+// unchanged and is not memoized. A caller already waiting on the key
+// gets an error instead of a zero value, and the next Do recomputes.
+func TestDoPanicDoesNotPoison(t *testing.T) {
+	m := New[string, *int](8)
+	release := make(chan struct{})
+	recovered := make(chan any)
+	go func() {
+		defer func() { recovered <- recover() }()
+		m.Do("k", func() (*int, error) {
+			<-release
+			panic("boom")
+		})
+	}()
+	for m.Stats().Misses == 0 {
+		runtime.Gosched()
+	}
+	waiter := make(chan error)
+	go func() {
+		v, err := m.Do("k", func() (*int, error) {
+			t.Error("waiter ran its own compute")
+			return nil, nil
+		})
+		if v != nil {
+			t.Errorf("waiter got value %v", v)
+		}
+		waiter <- err
+	}()
+	for m.Stats().Hits == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("panicking caller recovered %v, want boom", r)
+	}
+	if err := <-waiter; err == nil {
+		t.Fatal("waiter got no error from a panicked compute")
+	}
+
+	one := 1
+	v, err := m.Do("k", func() (*int, error) { return &one, nil })
+	if err != nil || v != &one {
+		t.Fatalf("Do after panic = (%v, %v), want a fresh compute", v, err)
+	}
+	if st := m.Stats(); st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 2 misses and 1 entry", st)
+	}
+	if v, err := m.Do("k", func() (*int, error) { return nil, errors.New("recomputed") }); err != nil || v != &one {
+		t.Fatalf("recomputed value not memoized: (%v, %v)", v, err)
 	}
 }

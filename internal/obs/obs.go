@@ -11,9 +11,9 @@
 // BenchmarkSimCompiled / BenchmarkSimCompiledObs benchguard pair.
 //
 // The registry replaces the telemetry islands that grew per subsystem:
-// sim.Cache/sim.DiskCache counter snapshots, formal.Solver work stats,
-// and the service layer's latency and per-span histograms all surface
-// through one Registry. Both of uvllmd's metrics endpoints render its
+// sim.Cache counter snapshots, formal.Solver work stats, and the
+// service layer's latency and per-span histograms all surface through
+// one Registry. Both of uvllmd's metrics endpoints render its
 // Snapshot: /v1/metrics as JSON (byte-compatible with the pre-obs
 // shape, percentiles from each histogram's sample window) and /metrics
 // as Prometheus text.

@@ -8,14 +8,8 @@ import (
 	"uvllm/internal/dataset"
 	"uvllm/internal/formal"
 	"uvllm/internal/sim"
+	"uvllm/internal/verilog"
 )
-
-func maskW(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(w) - 1
-}
 
 // TestTranspose64 checks the block transpose against the naive bit-by-bit
 // definition and the involution property.
@@ -173,7 +167,7 @@ func TestEngineMatchesHarness(t *testing.T) {
 			for k := range rows {
 				row := make([]uint64, len(ports))
 				for i, pt := range ports {
-					row[i] = rngs[k].Uint64() & maskW(pt.Width)
+					row[i] = rngs[k].Uint64() & verilog.Mask(pt.Width)
 				}
 				rows[k] = row
 			}

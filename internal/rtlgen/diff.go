@@ -90,7 +90,7 @@ func DiffBackends(src, top, clock string, cycles int, seed int64) (DiffReport, e
 			if p.Name == clock {
 				continue
 			}
-			in[p.Name] = rng.Uint64() & maskW(p.Width)
+			in[p.Name] = rng.Uint64() & verilog.Mask(p.Width)
 		}
 		outE, cerrE := hE.Cycle(in)
 		outC, cerrC := hC.Cycle(in)
@@ -248,7 +248,7 @@ func tracesDivergeOn(golden, mutant, top, clock string, cycles int, seed int64, 
 				in[p.Name] = v
 				continue
 			}
-			in[p.Name] = rng.Uint64() & maskW(p.Width)
+			in[p.Name] = rng.Uint64() & verilog.Mask(p.Width)
 		}
 		outG, cerrG := hG.Cycle(in)
 		outM, cerrM := hM.Cycle(copyIn(in, sM))
@@ -515,11 +515,4 @@ func errEqual(a, b error) bool {
 		return false
 	}
 	return a == nil || a.Error() == b.Error()
-}
-
-func maskW(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(w)) - 1
 }

@@ -22,6 +22,7 @@ import (
 	"uvllm/internal/formal"
 	"uvllm/internal/psim"
 	"uvllm/internal/sim"
+	"uvllm/internal/verilog"
 )
 
 // DiffLanes runs `lanes` lanes of src, lane k for max(cycles-k%3, 1)
@@ -104,7 +105,7 @@ func DiffLanes(src, top, clock string, lanes, cycles int, seed int64) (bool, err
 			}
 			row := make([]uint64, len(ports))
 			for i, pt := range ports {
-				row[i] = rngs[k].Uint64() & maskW(pt.Width)
+				row[i] = rngs[k].Uint64() & verilog.Mask(pt.Width)
 			}
 			rows[k] = row
 		}

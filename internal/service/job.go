@@ -145,9 +145,9 @@ func (s JobSpec) Resolve() (Input, error) {
 }
 
 // Services is the process-wide simulation state a job executes against:
-// the compile cache (with its optional disk tier), the golden-trace
-// memo and the metrics registry. The zero value is not usable; resolve
-// with DefaultServices or supply test-local instances.
+// the compile cache, the golden-trace memo and the metrics registry. The
+// zero value is not usable; resolve with DefaultServices or supply
+// test-local instances.
 type Services struct {
 	// Cache is the content-addressed compile cache.
 	Cache *sim.Cache

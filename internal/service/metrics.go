@@ -46,7 +46,7 @@ type EndpointStats struct {
 // copies taken through the Stats() snapshot methods (never raw field
 // reads) plus derived hit rates.
 type CacheMetrics struct {
-	// Compile is the sim.Cache snapshot (memory + disk tiers).
+	// Compile is the sim.Cache snapshot.
 	Compile sim.CacheStats `json:"compile"`
 	// CompileHitRate is hits/(hits+misses) of the compile cache, percent.
 	CompileHitRate float64 `json:"compile_hit_rate"`

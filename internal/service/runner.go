@@ -453,10 +453,6 @@ func (r *Runner) registerGauges(reg *obs.Registry) {
 	cache, memo := r.svc.Cache, r.svc.Memo
 	reg.GaugeFunc("cache_hits", "cache hits", func() float64 { return float64(cache.Stats().Hits) }, obs.L("cache", "compile"))
 	reg.GaugeFunc("cache_misses", "cache misses", func() float64 { return float64(cache.Stats().Misses) }, obs.L("cache", "compile"))
-	reg.GaugeFunc("cache_hits", "cache hits", func() float64 { return float64(cache.Stats().Disk.Hits) }, obs.L("cache", "disk"))
-	reg.GaugeFunc("cache_misses", "cache misses", func() float64 { return float64(cache.Stats().Disk.Misses) }, obs.L("cache", "disk"))
-	reg.GaugeFunc("cache_writes", "disk cache entries written", func() float64 { return float64(cache.Stats().Disk.Writes) }, obs.L("cache", "disk"))
-	reg.GaugeFunc("cache_evictions", "disk cache evictions", func() float64 { return float64(cache.Stats().Disk.Evictions) }, obs.L("cache", "disk"))
 	reg.GaugeFunc("cache_hits", "cache hits", func() float64 { return float64(memo.Stats().Hits) }, obs.L("cache", "trace_memo"))
 	reg.GaugeFunc("cache_misses", "cache misses", func() float64 { return float64(memo.Stats().Misses) }, obs.L("cache", "trace_memo"))
 	reg.GaugeFunc("cache_hits", "cache hits", func() float64 { return float64(faultgen.GenerateStats().Hits) }, obs.L("cache", "faults"))

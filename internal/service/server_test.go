@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -360,6 +361,51 @@ func TestServerModulesAndMetrics(t *testing.T) {
 	for _, re := range []string{`(?m)^cache_hits\{cache="faults"\} \d`, `(?m)^cache_misses\{cache="faults"\} [1-9]`} {
 		if !regexp.MustCompile(re).Match(prom) {
 			t.Errorf("/metrics has no line matching %s", re)
+		}
+	}
+}
+
+// TestMetricsJSONShape pins the key paths of /v1/metrics. It decodes
+// into generic maps, so a renamed, added or dropped key fails here even
+// where decoding into MetricsSnapshot would silently ignore it.
+// tenant_queues is omitted while no job is queued.
+func TestMetricsJSONShape(t *testing.T) {
+	_, ts := testServer(t, RunnerConfig{Workers: 1, QueueLimit: 4}, newStubExec(1, false))
+	_, sub := postJob(t, ts, testSpec("a"))
+	pollTerminal(t, ts, sub.ID)
+
+	var m map[string]any
+	if code := getJSON(t, ts.URL+"/v1/metrics", &m); code != http.StatusOK {
+		t.Fatalf("metrics: HTTP %d", code)
+	}
+	object := func(path string) map[string]any {
+		t.Helper()
+		v := any(m)
+		for _, k := range strings.Split(path, ".")[1:] {
+			parent, _ := v.(map[string]any)
+			v = parent[k]
+		}
+		o, ok := v.(map[string]any)
+		if !ok {
+			t.Fatalf("%s is %T, want an object", path, v)
+		}
+		return o
+	}
+	counters := []string{"Entries", "Evictions", "Hits", "Misses"}
+	for path, want := range map[string][]string{
+		"$":                   {"caches", "draining", "endpoints", "jobs_by_status", "queue_depth", "queue_limit", "running", "stages", "workers"},
+		"$.caches":            {"compile", "compile_hit_rate", "trace_memo", "trace_memo_hit_rate"},
+		"$.caches.compile":    counters,
+		"$.caches.trace_memo": counters,
+		"$.stages.run":        {"count", "p50_ms", "p95_ms", "p99_ms"},
+	} {
+		var got []string
+		for k := range object(path) {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s keys = %q, want %q", path, got, want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"crypto/sha256"
-	"errors"
 
 	"uvllm/internal/memo"
 )
@@ -21,8 +20,7 @@ import (
 // deterministic properties of the source, and negative hits are exactly
 // what the repair loop's re-checks of a broken candidate need.
 type Cache struct {
-	m    *memo.M[cacheKey, *Program]
-	disk *DiskCache // optional persistent tier; nil = memory only
+	m *memo.M[cacheKey, *Program]
 }
 
 type cacheKey struct {
@@ -59,62 +57,12 @@ func (c *Cache) key(src, top string, backend Backend) cacheKey {
 	return cacheKey{sum: sha256.Sum256([]byte(src)), top: top, backend: backend}
 }
 
-// AttachDisk adds a persistent tier under the in-memory cache: every
-// compile outcome is written through to disk, and a miss in memory
-// consults disk before compiling (negative entries short-circuit with the
-// persisted error; positive entries rehydrate by one compile of the
-// persisted source). Attach before the first Compile — the field is not
-// synchronized against in-flight calls.
-func (c *Cache) AttachDisk(d *DiskCache) { c.disk = d }
-
-// Disk returns the attached persistent tier, or nil.
-func (c *Cache) Disk() *DiskCache { return c.disk }
-
-// WarmFromDisk compiles every intact entry of the attached disk tier into
-// the in-memory cache, so a restarted server serves its first request for
-// a previously-seen design as a pure memory hit instead of a request-path
-// compile. It returns the number of entries warmed (corrupt files are
-// skipped and counted in DiskStats.Corrupt). No-op without a disk tier.
-func (c *Cache) WarmFromDisk() int {
-	if c.disk == nil {
-		return 0
-	}
-	warmed := 0
-	for _, e := range c.disk.entries() {
-		b, err := ParseBackend(e.Backend)
-		if err != nil {
-			continue
-		}
-		c.m.Do(c.key(e.Source, e.Top, b), func() (*Program, error) {
-			if e.Error != "" {
-				return nil, errors.New(e.Error)
-			}
-			return CompileSource(e.Source, e.Top, b)
-		})
-		c.disk.count(func(st *DiskStats) { st.Hits++ })
-		warmed++
-	}
-	return warmed
-}
-
 // Compile returns the cached Program for (src, top, backend), compiling
 // on first use. The returned Program is shared: treat it as immutable and
 // create Instances for simulation.
 func (c *Cache) Compile(src, top string, backend Backend) (*Program, error) {
 	return c.m.Do(c.key(src, top, backend), func() (*Program, error) {
-		if c.disk != nil {
-			if e, ok := c.disk.load(src, top, backend); ok {
-				if e.Error != "" {
-					return nil, errors.New(e.Error)
-				}
-				return CompileSource(src, top, backend)
-			}
-		}
-		p, err := CompileSource(src, top, backend)
-		if c.disk != nil {
-			c.disk.store(src, top, backend, err)
-		}
-		return p, err
+		return CompileSource(src, top, backend)
 	})
 }
 
@@ -128,15 +76,9 @@ func (c *Cache) Instance(src, top string, backend Backend) (*Instance, error) {
 	return p.NewInstance()
 }
 
-// CacheStats is a point-in-time counter snapshot: the in-memory tier's
-// hit/miss/eviction/occupancy counters plus, when a disk tier is
-// attached, its persistence counters.
-type CacheStats struct {
-	memo.Stats
-	// Disk holds the persistent-tier counters; all zero when no disk
-	// tier is attached.
-	Disk DiskStats
-}
+// CacheStats is a point-in-time counter snapshot of the cache: hits,
+// misses, evictions and resident entries.
+type CacheStats = memo.Stats
 
 // Stats returns a copy of the cache counters, taken under the cache's
 // internal locks. This snapshot is the only supported way to read the
@@ -145,13 +87,7 @@ type CacheStats struct {
 // number of Compile calls that had reached the counter at that point) and
 // immediately stale afterwards — callers such as the server's metrics
 // endpoint must re-call Stats per scrape rather than retain references.
-func (c *Cache) Stats() CacheStats {
-	s := CacheStats{Stats: c.m.Stats()}
-	if c.disk != nil {
-		s.Disk = c.disk.Stats()
-	}
-	return s
-}
+func (c *Cache) Stats() CacheStats { return c.m.Stats() }
 
 // EntryStats reports whether (src, top, backend) is resident and how many
 // hits it has served — the observability hook the evaluation tests use to

@@ -352,7 +352,7 @@ func (c *compiler) compileWrite(lhs verilog.Expr, sc *scope, blocking bool) (wri
 		if !ok {
 			return nil, errDynamic
 		}
-		wm := widthMask(c.s.d.sigs[idx].width)
+		wm := verilog.Mask(c.s.d.sigs[idx].width)
 		if blocking {
 			return func(s *Instance, v uint64) { s.set(idx, v) }, nil
 		}
@@ -375,7 +375,7 @@ func (c *compiler) compileWrite(lhs verilog.Expr, sc *scope, blocking bool) (wri
 		}
 		si := c.s.d.sigs[idx]
 		if si.isMem {
-			wm := widthMask(si.width)
+			wm := verilog.Mask(si.width)
 			if blocking {
 				return func(s *Instance, v uint64) {
 					sv := sel(s)
@@ -430,8 +430,8 @@ func (c *compiler) compileWrite(lhs verilog.Expr, sc *scope, blocking bool) (wri
 			msb, lsb = lsb, msb
 		}
 		w := int(msb-lsb) + 1
-		mask := widthMask(w) << uint(lsb)
-		wm := widthMask(w)
+		mask := verilog.Mask(w) << uint(lsb)
+		wm := verilog.Mask(w)
 		shift := uint(lsb)
 		if blocking {
 			return func(s *Instance, v uint64) {
@@ -463,7 +463,7 @@ func (c *compiler) compileWrite(lhs verilog.Expr, sc *scope, blocking bool) (wri
 			shift := total
 			for i, wfn := range parts {
 				shift -= widths[i]
-				wfn(s, (v>>uint(shift))&widthMask(widths[i]))
+				wfn(s, (v>>uint(shift))&verilog.Mask(widths[i]))
 			}
 		}, nil
 	}
@@ -492,7 +492,7 @@ func (c *compiler) compileSelf(e verilog.Expr, sc *scope) (evalFn, error) {
 // case (context-determined operands at ctxW, self-determined ones at their
 // own width, result masked to ctxW).
 func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, error) {
-	m := widthMask(ctxW)
+	m := verilog.Mask(ctxW)
 	switch v := e.(type) {
 	case *verilog.Number:
 		k := v.Value & m
@@ -616,7 +616,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 					msb, lsb = lsb, msb
 				}
 				w := int(msb-lsb) + 1
-				k := widthMask(w) & m
+				k := verilog.Mask(w) & m
 				shift := uint(lsb)
 				return func(s *Instance) uint64 { return (s.vals[idx] >> shift) & k }, nil
 			}
@@ -635,7 +635,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 				msb, lsb = lsb, msb
 			}
 			w := int(msb-lsb) + 1
-			return (s.vals[idx] >> uint(lsb)) & widthMask(w) & m
+			return (s.vals[idx] >> uint(lsb)) & verilog.Mask(w) & m
 		}, nil
 
 	case *verilog.Concat:
@@ -658,7 +658,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 		return func(s *Instance) uint64 {
 			var out uint64
 			for _, p := range parts {
-				out = (out << uint(p.w)) | (p.fn(s) & widthMask(p.w))
+				out = (out << uint(p.w)) | (p.fn(s) & verilog.Mask(p.w))
 			}
 			return out & m
 		}, nil
@@ -681,7 +681,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 			pv := val(s)
 			var out uint64
 			for i := uint64(0); i < n && i < 64; i++ {
-				out = (out << uint(w)) | (pv & widthMask(w))
+				out = (out << uint(w)) | (pv & verilog.Mask(w))
 			}
 			return out & m
 		}, nil
@@ -690,7 +690,7 @@ func (c *compiler) compileExpr(e verilog.Expr, sc *scope, ctxW int) (evalFn, err
 }
 
 func (c *compiler) compileBinary(v *verilog.Binary, sc *scope, ctxW int) (evalFn, error) {
-	m := widthMask(ctxW)
+	m := verilog.Mask(ctxW)
 	switch v.Op {
 	case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
 		x, err := c.compileExpr(v.X, sc, ctxW)
@@ -1048,7 +1048,7 @@ func (c *compiler) maskedWriteSet(p *process) []sigMask {
 		switch l := e.(type) {
 		case *verilog.Ident:
 			if idx, ok := sc.names[l.Name]; ok {
-				out = append(out, sigMask{idx, widthMask(c.s.d.sigs[idx].width)})
+				out = append(out, sigMask{idx, verilog.Mask(c.s.d.sigs[idx].width)})
 			}
 		case *verilog.Index:
 			id, ok := l.X.(*verilog.Ident)
@@ -1070,7 +1070,7 @@ func (c *compiler) maskedWriteSet(p *process) []sigMask {
 				}
 				return // constant out-of-range bit writes are dropped
 			}
-			out = append(out, sigMask{idx, widthMask(si.width)})
+			out = append(out, sigMask{idx, verilog.Mask(si.width)})
 		case *verilog.PartSelect:
 			id, ok := l.X.(*verilog.Ident)
 			if !ok {
@@ -1087,10 +1087,10 @@ func (c *compiler) maskedWriteSet(p *process) []sigMask {
 					msb, lsb = lsb, msb
 				}
 				w := int(msb-lsb) + 1
-				out = append(out, sigMask{idx, widthMask(w) << uint(lsb)})
+				out = append(out, sigMask{idx, verilog.Mask(w) << uint(lsb)})
 				return
 			}
-			out = append(out, sigMask{idx, widthMask(c.s.d.sigs[idx].width)})
+			out = append(out, sigMask{idx, verilog.Mask(c.s.d.sigs[idx].width)})
 		case *verilog.Concat:
 			for _, part := range l.Parts {
 				addLHS(part, sc)

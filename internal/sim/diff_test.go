@@ -17,6 +17,7 @@ import (
 	"uvllm/internal/faultgen"
 	"uvllm/internal/sim"
 	"uvllm/internal/uvm"
+	"uvllm/internal/verilog"
 )
 
 // diffBackends simulates src on both backends with an identical random
@@ -69,7 +70,7 @@ func diffBackends(t *testing.T, name, src, top, clock string, cycles int, seed i
 	for cyc := 0; cyc < cycles; cyc++ {
 		in := map[string]uint64{}
 		for i, p := range ports {
-			row[i] = rng.Uint64() & maskW(p.Width)
+			row[i] = rng.Uint64() & verilog.Mask(p.Width)
 			in[p.Name] = row[i]
 		}
 		outE, cerrE := hE.Cycle(in)
@@ -179,13 +180,6 @@ func errEqual(a, b error) bool {
 		return false
 	}
 	return a == nil || a.Error() == b.Error()
-}
-
-func maskW(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(w)) - 1
 }
 
 // TestDifferentialDatasetModules diffs every golden benchmark module over

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+
+	"uvllm/internal/verilog"
 )
 
 // Property-based cross-checks of the simulator's arithmetic against Go's:
@@ -122,7 +124,7 @@ endmodule`, "m")
 func TestQuickWidthMask(t *testing.T) {
 	prop := func(w8 uint8) bool {
 		w := int(w8 % 65)
-		m := widthMask(w)
+		m := verilog.Mask(w)
 		if w >= 64 {
 			return m == ^uint64(0)
 		}

@@ -11,7 +11,7 @@ import (
 // Instances are cheap to create (Program.NewInstance), Reset, Snapshot
 // and Restore; the immutable design tables and compiled closures they
 // execute live in the shared Program. The zero value is not usable;
-// construct with Program.NewInstance or the New/CompileAndNew wrappers.
+// construct with Program.NewInstance or the CompileAndNew wrappers.
 type Instance struct {
 	program *Program // owning program (immutable, shared)
 	d       *Design  // == program.Design(), cached for the hot path
@@ -48,22 +48,6 @@ type nbaWrite struct {
 	val    uint64
 }
 
-// New elaborates top in f and returns a simulator on the default compiled
-// backend with initial blocks executed and combinational logic settled.
-func New(f *verilog.SourceFile, top string) (*Instance, error) {
-	return NewBackend(f, top, BackendCompiled)
-}
-
-// NewBackend is New with an explicit backend selection: Compile followed
-// by NewInstance.
-func NewBackend(f *verilog.SourceFile, top string, backend Backend) (*Instance, error) {
-	p, err := Compile(f, top, backend)
-	if err != nil {
-		return nil, err
-	}
-	return p.NewInstance()
-}
-
 // CompileAndNew parses src and simulates module top on the default
 // compiled backend. It returns an error for syntax errors, making it
 // usable as the pipeline's "does it compile" gate (the paper's synthesis
@@ -72,13 +56,14 @@ func CompileAndNew(src, top string) (*Instance, error) {
 	return CompileAndNewBackend(src, top, BackendCompiled)
 }
 
-// CompileAndNewBackend is CompileAndNew with an explicit backend.
+// CompileAndNewBackend is CompileAndNew with an explicit backend:
+// CompileSource followed by NewInstance.
 func CompileAndNewBackend(src, top string, backend Backend) (*Instance, error) {
-	f, errs := verilog.Parse(src)
-	if len(errs) > 0 {
-		return nil, fmt.Errorf("sim: %s", errs[0].Error())
+	p, err := CompileSource(src, top, backend)
+	if err != nil {
+		return nil, err
 	}
-	return NewBackend(f, top, backend)
+	return p.NewInstance()
 }
 
 // Backend returns the engine the simulator was constructed with.
@@ -203,7 +188,7 @@ func (s *Instance) enqueueSeq(proc int) {
 // set writes a raw signal value, detecting edges and scheduling dependents.
 func (s *Instance) set(idx int, v uint64) {
 	w := s.d.sigs[idx].width
-	v &= widthMask(w)
+	v &= verilog.Mask(w)
 	old := s.vals[idx]
 	if old == v {
 		return
@@ -247,13 +232,6 @@ func (s *Instance) touchMem(sig int) {
 		}
 		s.enqueueComb(p)
 	}
-}
-
-func widthMask(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(w)) - 1
 }
 
 // Settle runs until no activity remains: combinational fixpoint, then NBA
@@ -551,7 +529,7 @@ func (s *Instance) writeLHS(lhs verilog.Expr, sc *scope, v uint64, blocking bool
 		if blocking {
 			s.set(idx, v)
 		} else {
-			s.nba = append(s.nba, nbaWrite{sig: idx, mask: widthMask(w), val: v & widthMask(w)})
+			s.nba = append(s.nba, nbaWrite{sig: idx, mask: verilog.Mask(w), val: v & verilog.Mask(w)})
 		}
 		return nil
 
@@ -570,7 +548,7 @@ func (s *Instance) writeLHS(lhs verilog.Expr, sc *scope, v uint64, blocking bool
 		}
 		si := s.d.sigs[idx]
 		if si.isMem {
-			w := widthMask(si.width)
+			w := verilog.Mask(si.width)
 			if blocking {
 				mem := s.mems[idx]
 				// Unsigned compare: an index with bit 63 set must fall out
@@ -616,8 +594,8 @@ func (s *Instance) writeLHS(lhs verilog.Expr, sc *scope, v uint64, blocking bool
 			msb, lsb = lsb, msb
 		}
 		w := int(msb-lsb) + 1
-		mask := widthMask(w) << uint(lsb)
-		val := (v & widthMask(w)) << uint(lsb)
+		mask := verilog.Mask(w) << uint(lsb)
+		val := (v & verilog.Mask(w)) << uint(lsb)
 		if blocking {
 			s.set(idx, (s.vals[idx]&^mask)|val)
 		} else {
@@ -637,7 +615,7 @@ func (s *Instance) writeLHS(lhs verilog.Expr, sc *scope, v uint64, blocking bool
 		shift := total
 		for i, part := range l.Parts {
 			shift -= widths[i]
-			pv := (v >> uint(shift)) & widthMask(widths[i])
+			pv := (v >> uint(shift)) & verilog.Mask(widths[i])
 			if err := s.writeLHS(part, sc, pv, blocking); err != nil {
 				return err
 			}
@@ -695,7 +673,7 @@ func (s *Instance) evalSelf(e verilog.Expr, sc *scope) (uint64, error) {
 // evaluated at ctxW; self-determined ones at their own width). The result
 // is masked to ctxW bits.
 func (s *Instance) eval(e verilog.Expr, sc *scope, ctxW int) (uint64, error) {
-	m := widthMask(ctxW)
+	m := verilog.Mask(ctxW)
 	switch v := e.(type) {
 	case *verilog.Number:
 		return v.Value & m, nil
@@ -802,7 +780,7 @@ func (s *Instance) eval(e verilog.Expr, sc *scope, ctxW int) (uint64, error) {
 			msb, lsb = lsb, msb
 		}
 		w := int(msb-lsb) + 1
-		return (s.vals[idx] >> uint(lsb)) & widthMask(w) & m, nil
+		return (s.vals[idx] >> uint(lsb)) & verilog.Mask(w) & m, nil
 
 	case *verilog.Concat:
 		var out uint64
@@ -812,7 +790,7 @@ func (s *Instance) eval(e verilog.Expr, sc *scope, ctxW int) (uint64, error) {
 			if err != nil {
 				return 0, err
 			}
-			out = (out << uint(w)) | (pv & widthMask(w))
+			out = (out << uint(w)) | (pv & verilog.Mask(w))
 		}
 		return out & m, nil
 
@@ -828,7 +806,7 @@ func (s *Instance) eval(e verilog.Expr, sc *scope, ctxW int) (uint64, error) {
 		}
 		var out uint64
 		for i := uint64(0); i < n && i < 64; i++ {
-			out = (out << uint(w)) | (pv & widthMask(w))
+			out = (out << uint(w)) | (pv & verilog.Mask(w))
 		}
 		return out & m, nil
 	}
@@ -836,7 +814,7 @@ func (s *Instance) eval(e verilog.Expr, sc *scope, ctxW int) (uint64, error) {
 }
 
 func (s *Instance) evalBinary(v *verilog.Binary, sc *scope, ctxW int) (uint64, error) {
-	m := widthMask(ctxW)
+	m := verilog.Mask(ctxW)
 	switch v.Op {
 	case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
 		x, err := s.eval(v.X, sc, ctxW)
@@ -954,7 +932,7 @@ func (s *Instance) evalBinary(v *verilog.Binary, sc *scope, ctxW int) (uint64, e
 }
 
 func reduce(op string, x uint64, w int) uint64 {
-	x &= widthMask(w)
+	x &= verilog.Mask(w)
 	var and, or, xor uint64
 	and = 1
 	for i := 0; i < w; i++ {

@@ -1,6 +1,10 @@
 package synth
 
-import "fmt"
+import (
+	"fmt"
+
+	"uvllm/internal/verilog"
+)
 
 // State is the register file of a synthesized design.
 type State map[string]uint64
@@ -29,7 +33,7 @@ func (n *Netlist) evalAll(st State, in map[string]uint64) ([]uint64, error) {
 }
 
 func (n *Netlist) evalNode(nd *Node, vals []uint64, st State, in map[string]uint64) (uint64, error) {
-	m := maskW(nd.Width)
+	m := verilog.Mask(nd.Width)
 	arg := func(i int) uint64 { return vals[nd.Args[i]] }
 	switch nd.Kind {
 	case OpConst:
@@ -68,7 +72,7 @@ func (n *Netlist) evalNode(nd *Node, vals []uint64, st State, in map[string]uint
 		return (-arg(0)) & m, nil
 	case OpRedAnd:
 		w := n.Nodes[nd.Args[0]].Width
-		return b2u(arg(0) == maskW(w)), nil
+		return b2u(arg(0) == verilog.Mask(w)), nil
 	case OpRedOr:
 		return b2u(arg(0) != 0), nil
 	case OpRedXor:
@@ -112,12 +116,12 @@ func (n *Netlist) evalNode(nd *Node, vals []uint64, st State, in map[string]uint
 		var out uint64
 		for i, a := range nd.Args {
 			w := n.Nodes[a].Width
-			out = (out << uint(w)) | (vals[a] & maskW(w))
+			out = (out << uint(w)) | (vals[a] & verilog.Mask(w))
 			_ = i
 		}
 		return out & m, nil
 	case OpSlice:
-		return (arg(0) >> uint(nd.Lo)) & maskW(nd.Hi-nd.Lo+1), nil
+		return (arg(0) >> uint(nd.Lo)) & verilog.Mask(nd.Hi-nd.Lo+1), nil
 	}
 	return 0, fmt.Errorf("synth: cannot evaluate node kind %v", nd.Kind)
 }
@@ -134,7 +138,7 @@ func (n *Netlist) Step(st State, in map[string]uint64) (map[string]uint64, State
 	next := State{}
 	for _, r := range n.Regs {
 		w := n.Nodes[r.Node].Width
-		next[r.Name] = vals[r.Next] & maskW(w)
+		next[r.Name] = vals[r.Next] & verilog.Mask(w)
 	}
 	// Post-edge combinational settle.
 	vals2, err := n.evalAll(next, in)

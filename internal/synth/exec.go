@@ -436,8 +436,8 @@ func (b *builder) readModifyWrite(base verilog.Expr, env *symEnv, val int,
 			return perr
 		}
 	}
-	mask := maskW(fieldW) << uint(lsb)
-	notMask := b.nl.konst(^mask&maskW(w), w)
+	mask := verilog.Mask(fieldW) << uint(lsb)
+	notMask := b.nl.konst(^mask&verilog.Mask(w), w)
 	cleared := b.nl.add(&Node{Kind: OpAnd, Width: w, Args: []int{prev, notMask}})
 	valMasked := b.fitWidth(val, fieldW)
 	shifted := valMasked

@@ -1,6 +1,10 @@
 package synth
 
-import "fmt"
+import (
+	"fmt"
+
+	"uvllm/internal/verilog"
+)
 
 // Optimize runs constant folding, common subexpression elimination and
 // dead code elimination to a (bounded) fixpoint, returning the number of
@@ -41,7 +45,7 @@ func (n *Netlist) ConstFold() int {
 		}
 		switch nd.Kind {
 		case OpConst:
-			vals[nd.ID] = nd.Value & maskW(nd.Width)
+			vals[nd.ID] = nd.Value & verilog.Mask(nd.Width)
 			continue
 		case OpInput, OpReg:
 			continue

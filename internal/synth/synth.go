@@ -110,7 +110,7 @@ func (n *Netlist) add(node *Node) int {
 }
 
 func (n *Netlist) konst(v uint64, w int) int {
-	return n.add(&Node{Kind: OpConst, Width: w, Value: v & maskW(w)})
+	return n.add(&Node{Kind: OpConst, Width: w, Value: v & verilog.Mask(w)})
 }
 
 // Stats counts cells by kind name (constants, inputs and regs included).
@@ -150,13 +150,6 @@ func (n *Netlist) FormatStats() string {
 		out += fmt.Sprintf("  %-8s %d\n", k, st[k])
 	}
 	return out
-}
-
-func maskW(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(w)) - 1
 }
 
 // Synthesize builds a netlist for module top in f. Instances and memories

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"uvllm/internal/sim"
+	"uvllm/internal/verilog"
 )
 
 // Coverage collects the two coverage models the paper's UVM stage relies
@@ -89,7 +90,7 @@ func (c *Coverage) sampleOutputs(out []uint64) {
 }
 
 func (c *Coverage) bin(k int, v uint64) {
-	max := maskW(c.inputs[k].Width)
+	max := verilog.Mask(c.inputs[k].Width)
 	b := &c.bins[k]
 	switch {
 	case v == 0:
@@ -105,7 +106,7 @@ func (c *Coverage) bin(k int, v uint64) {
 }
 
 func (c *Coverage) toggle(k int, v uint64) {
-	m := maskW(c.outputs[k].Width)
+	m := verilog.Mask(c.outputs[k].Width)
 	c.seen1[k] |= v & m
 	c.seen0[k] |= ^v & m
 }
@@ -129,7 +130,7 @@ func (c *Coverage) Percent() float64 {
 	togTotal, togHit := 0, 0
 	for k, p := range c.outputs {
 		togTotal += 2 * p.Width
-		m := maskW(p.Width)
+		m := verilog.Mask(p.Width)
 		togHit += popcount(c.seen0[k]&m) + popcount(c.seen1[k]&m)
 	}
 	total := binTotal + togTotal

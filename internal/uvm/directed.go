@@ -17,6 +17,7 @@ import (
 	"uvllm/internal/cover"
 	"uvllm/internal/psim"
 	"uvllm/internal/sim"
+	"uvllm/internal/verilog"
 )
 
 // StimConfig configures one coverage measurement run (random or
@@ -322,7 +323,7 @@ func (g *snippetGen) holdReset(row []uint64) {
 // own distribution.
 func (g *snippetGen) uniform(row []uint64) {
 	for i, pt := range g.ports {
-		row[i] = g.rng.Uint64() & maskW(pt.Width)
+		row[i] = g.rng.Uint64() & verilog.Mask(pt.Width)
 	}
 	g.holdReset(row)
 }
@@ -384,7 +385,7 @@ func (g *snippetGen) mutate(seed [][]uint64, k int) [][]uint64 {
 			out[cyc][j] = biasedValue(g.rng, w, g.dict)
 		} else {
 			out[cyc][j] ^= 1 << uint(g.rng.Intn(w)) // bit flip
-			out[cyc][j] &= maskW(w)
+			out[cyc][j] &= verilog.Mask(w)
 		}
 	}
 	return out
@@ -397,7 +398,7 @@ func (g *snippetGen) mutate(seed [][]uint64, k int) [][]uint64 {
 // the biased half reaches the equality branches and case arms uniform
 // draws almost never hit.
 func biasedValue(rng *rand.Rand, width int, dict []uint64) uint64 {
-	max := maskW(width)
+	max := verilog.Mask(width)
 	// Narrow ports: uniform draws already cover the value space densely;
 	// biasing them only skews duty cycles (a slower enable, a stickier
 	// select) without reaching anything new.

@@ -187,20 +187,17 @@ func TestTraceMemoMutationCannotPoison(t *testing.T) {
 }
 
 // TestRunWithMemoIsByteIdentical runs the same environment configuration
-// with and without the golden-trace memo (and with a shared compiled
-// Program) and requires identical pass rates, scoreboards and logs — the
+// with and without the golden-trace memo (and with a shared compile
+// cache) and requires identical pass rates, scoreboards and logs — the
 // memo is an amortization, never a semantic change.
 func TestRunWithMemoIsByteIdentical(t *testing.T) {
+	cache := sim.NewCache()
 	for _, name := range []string{"counter_12bit", "alu", "fifo_sync"} {
 		m := dataset.ByName(name)
-		prog, err := sim.CompileSource(m.Source, m.Top, sim.BackendCompiled)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		runOnce := func(memo *TraceMemo) (float64, string, *Scoreboard) {
 			env, err := NewEnv(Config{
 				Source: m.Source, Top: m.Top, Clock: m.Clock, RefName: m.Name,
-				Seed: 42, Program: prog, Memo: memo,
+				Seed: 42, Cache: cache, Memo: memo,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -231,5 +228,8 @@ func TestRunWithMemoIsByteIdentical(t *testing.T) {
 		if st := memo.Stats(); st.Hits == 0 {
 			t.Errorf("%s: second run did not hit the memo (%+v)", name, st)
 		}
+	}
+	if st := cache.Stats(); st.Misses != 3 || st.Hits != 6 {
+		t.Errorf("each DUT should compile once and serve its other two runs from the cache: %+v", st)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"uvllm/internal/cover"
 	"uvllm/internal/refmodel"
 	"uvllm/internal/sim"
+	"uvllm/internal/verilog"
 )
 
 // Transaction is one cycle of stimulus at the DUT boundary.
@@ -69,7 +70,7 @@ func (s *RandomSequence) Next(rng *rand.Rand) (map[string]uint64, bool) {
 	s.emitted++
 	in := map[string]uint64{}
 	for _, p := range s.Ports {
-		in[p.Name] = rng.Uint64() & maskW(p.Width)
+		in[p.Name] = rng.Uint64() & verilog.Mask(p.Width)
 	}
 	if s.ResetName != "" {
 		if s.ResetEvery > 0 && s.emitted%s.ResetEvery == 0 {
@@ -97,7 +98,7 @@ func (s *RandomSequence) fillRows(rng *rand.Rand, st *Stimulus, col map[string]i
 		if !ok {
 			return false
 		}
-		pos[j], masks[j] = c, maskW(p.Width)
+		pos[j], masks[j] = c, verilog.Mask(p.Width)
 		keys[p.Name] = true
 	}
 	rpos := -1
@@ -153,13 +154,6 @@ func (s *DirectedSequence) Len() int { return len(s.Vectors) }
 
 // resetCycles is the length of Run's reset phase.
 const resetCycles = 2
-
-func maskW(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << uint(w)) - 1
-}
 
 // Mismatch is one scoreboard discrepancy: the UVM_ERROR record that the
 // localization engine consumes (mismatch timestamp MT, signal MS).
@@ -263,12 +257,8 @@ type Config struct {
 	// Assertions are checked against the DUT's port values each cycle.
 	Assertions []assert.Assertion
 
-	// Program, when set, is the pre-compiled DUT: Source/Top/Backend are
-	// not consulted for compilation and the environment only allocates an
-	// Instance. One testbench run per DUT compiles once this way.
-	Program *sim.Program
-	// Cache, when set (and Program is not), routes compilation through the
-	// content-addressed compile cache.
+	// Cache, when set, routes compilation through the content-addressed
+	// compile cache.
 	Cache *sim.Cache
 	// Memo, when set, serves the scoreboard's expected outputs from the
 	// golden-trace memo instead of stepping a fresh reference model.
@@ -281,12 +271,9 @@ type Config struct {
 func NewEnv(cfg Config) (*Env, error) {
 	var s *sim.Instance
 	var err error
-	switch {
-	case cfg.Program != nil:
-		s, err = cfg.Program.NewInstance()
-	case cfg.Cache != nil:
+	if cfg.Cache != nil {
 		s, err = cfg.Cache.Instance(cfg.Source, cfg.Top, cfg.Backend)
-	default:
+	} else {
 		s, err = sim.CompileAndNewBackend(cfg.Source, cfg.Top, cfg.Backend)
 	}
 	if err != nil {

@@ -225,6 +225,16 @@ func LHSTargets(e Expr) []string {
 	return nil
 }
 
+// Mask is the value mask of a w-bit vector: its low w bits set, all 64
+// when w >= 64. It stays small enough to inline, since the interpreter
+// masks every operation's result with it.
+func Mask(w int) uint64 {
+	if w >= 64 {
+		return ^uint64(0)
+	}
+	return 1<<uint(w) - 1
+}
+
 // WidthScope is what SelfWidth and TargetWidth need from an engine: how
 // it resolves a name and how it evaluates a constant operand. Each
 // engine supplies its own; the width rule itself lives only here.
