@@ -2,6 +2,7 @@ package faultgen
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -97,7 +98,8 @@ func TestClassifyBitParallelSharing(t *testing.T) {
 
 // TestClassifyBitParallelAgreesWithBounded: a concrete divergence
 // witness at cycle c is a satisfying assignment of the depth-(c+1)
-// miter, so the SAT classifier must call the same fault detectable.
+// miter, so bounded equivalence must refute the same fault, no later
+// than the witness.
 func TestClassifyBitParallelAgreesWithBounded(t *testing.T) {
 	f := functionalFault(t)
 	v, err := ClassifyBitParallel(f, 64, 300, 1)
@@ -107,15 +109,27 @@ func TestClassifyBitParallelAgreesWithBounded(t *testing.T) {
 	if !v.Detected || v.Cycle >= formal.DefaultBMCDepth {
 		t.Skipf("no witness within BMC depth (detected=%v cycle=%d)", v.Detected, v.Cycle)
 	}
-	verdict, cex := ClassifyBounded(f, formal.DefaultBMCDepth)
-	if verdict == FormalUnsupported {
-		t.Skip("bounded classifier out of budget on this fault")
+	m := f.Meta()
+	golden, err := sim.SharedCache().Compile(f.Golden, m.Top, sim.BackendCompiled)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if verdict != FormalDetectable {
-		t.Fatalf("bit-parallel witness at cycle %d but bounded verdict %s", v.Cycle, verdict)
+	mutant, err := sim.SharedCache().Compile(f.Source, m.Top, sim.BackendCompiled)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cex == nil || cex.Cycle > v.Cycle {
-		t.Fatalf("bounded counterexample at cycle %v, bit-parallel witnessed cycle %d", cex, v.Cycle)
+	res, err := formal.BMCEquivOpts(golden, mutant, m.Clock, formal.DefaultBMCDepth, formal.Options{MaxConflicts: 20000})
+	if errors.Is(err, formal.ErrBudget) || errors.Is(err, formal.ErrUnsupported) {
+		t.Skipf("bounded check cannot decide this fault: %v", err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Equivalent {
+		t.Fatalf("bit-parallel witness at cycle %d but the pair is equivalent to depth %d", v.Cycle, res.Depth)
+	}
+	if res.Cex == nil || res.Cex.Cycle > v.Cycle {
+		t.Fatalf("bounded counterexample at cycle %v, bit-parallel witnessed cycle %d", res.Cex, v.Cycle)
 	}
 }
 

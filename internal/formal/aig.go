@@ -1,9 +1,10 @@
 // Package formal is the repository's third verification oracle, and the
 // first exhaustive one: where the UVM testbench (internal/uvm) and the
 // differential backends (internal/rtlgen) can only report "no divergence on
-// the stimulus we ran", this package proves properties of the design over
-// *all* stimulus up to a bounded depth. It is built from scratch on the
-// standard library, like everything else here, in three layers:
+// the stimulus we ran", this package proves two designs equivalent over
+// *all* stimulus up to a bounded depth, or for all time. It is built
+// from scratch on the standard library, like everything else here, in
+// three layers:
 //
 //   - a bit-blaster (blast.go) that lowers a compiled, cleanly levelized
 //     sim.Program — combinational closures, sequential next-state
@@ -13,13 +14,13 @@
 //   - Tseitin CNF conversion (cnf.go) and a CDCL SAT solver (sat.go) with
 //     two-watched-literal propagation, VSIDS-lite decision ordering, phase
 //     saving and Luby restarts;
-//   - on top of those, bounded model checking (equiv.go): combinational
-//     and k-depth sequential equivalence of two designs via a miter over
-//     their unrolled transition relations, and bounded assertion proof /
-//     refutation (prove.go) for the structural forms mined by
-//     internal/assert. Refutations come back as concrete per-cycle input
-//     vectors convertible into a uvm stimulus sequence, so every SAT
-//     verdict is replayable on both simulation backends.
+//   - on top of those, bounded and inductive equivalence checking
+//     (equiv.go, check.go): combinational and k-depth sequential
+//     equivalence of two designs via a miter over their unrolled
+//     transition relations, which k-induction upgrades to an all-time
+//     proof when its step closes. Refutations come back as concrete
+//     per-cycle input vectors convertible into a uvm stimulus sequence,
+//     so every SAT verdict is replayable on both simulation backends.
 package formal
 
 // Lit is an AIG literal: a node index shifted left once, with the low bit

@@ -2,32 +2,8 @@ package formal
 
 import "fmt"
 
-// property is one safety property over an unrolled design, in the two
-// unrollings of k-induction: the base path, started from the concrete
-// post-reset state, and the window, started from a free state (which
-// the property allocates when it is built for an inductive check). The
-// two-design miter and one assertion over one design implement it.
-type property interface {
-	// advance steps the base path (window=false) or the window one
-	// cycle under fresh inputs and returns the literal "the property
-	// fails at this cycle".
-	advance(window bool) (Lit, error)
-	// strengthen runs once, before the window's first cycle: it may
-	// constrain the window's free start by invariants it proves itself
-	// and returns its solver calls. Its only error is cancellation.
-	strengthen(opts Options) ([]SolveStats, error)
-	// distinct is the literal "window states i and j differ" over the
-	// sequential state (state 0 is the free start).
-	distinct(i, j int) Lit
-	// cex decodes a satisfying base-path model into a counterexample
-	// that fails at cycle t.
-	cex(s *Solver, vars map[uint32]int, t int) *Counterexample
-	// inputs returns the base path's per-cycle input variables, the
-	// bits counterexample minimization drives toward zero.
-	inputs() []map[string]Vec
-}
-
-// check is the one unrolling loop behind every formal check. The base
+// check is the one unrolling loop behind every formal check: it asks
+// whether some output of the miter's two designs can differ. The base
 // case is incremental BMC by iterative deepening: one retained solver,
 // each depth t solved under the single assumption bad_t and, on UNSAT,
 // strengthened into the permanent fact ¬bad_t, so deeper solves reuse
@@ -38,26 +14,27 @@ type property interface {
 //
 // With induct, each depth also runs one round of Sheeran-style
 // k-induction on a second solver: window round r = t+1 asks whether the
-// property can first fail at the r-th cycle of the free-state window.
-// Before the first round the property may strengthen the window with
-// invariants it proves itself (the miter's signal correspondence, see
-// corr.go); refutations at depth 0 end before that and never pay for
-// it. The hypotheses — ¬bad at window cycles 1..r-1 and pairwise
-// distinctness of the window states (the loop-free path constraint that
-// makes k-induction complete) — grow monotonically with r, so each is
-// committed as a permanent clause. An UNSAT step at round r, together
-// with the base answers at depths 0..r-1, proves the property for all
-// time (Unbounded, Depth = r): any reachable failure would embed a
-// loop-free window satisfying the round-r query, and every reachable
-// state satisfies the proved invariants. A window that leaves the
-// blastable subset, fails structurally, or exhausts its conflict budget
-// degrades the check to plain bounded BMC.
+// outputs can first differ at the r-th cycle of the free-state window.
+// Before the first round the miter strengthens the window with the
+// signal correspondence it proves (see corr.go); refutations at depth 0
+// end before that and never pay for it. The hypotheses — ¬bad at window
+// cycles 1..r-1 and pairwise distinctness of the window states (the
+// loop-free path constraint that makes k-induction complete) — grow
+// monotonically with r, so each is committed as a permanent clause. An
+// UNSAT step at round r, together with the base answers at depths
+// 0..r-1, proves the equivalence for all time (Unbounded, Depth = r):
+// any reachable failure would embed a loop-free window satisfying the
+// round-r query, and every reachable state satisfies the proved
+// invariants. A window that leaves the blastable subset, fails
+// structurally, or exhausts its conflict budget degrades the check to
+// plain bounded BMC.
 //
 // A base-side exhaustion is ErrBudget. Options.Ctx is checked before
 // every depth and interrupts a solve in flight; either way the check
 // reports ErrCancelled. Stats.AIGNodes is the graph size at whichever
 // exit the check takes.
-func check(g *AIG, p property, k int, opts Options, induct bool) (res EquivResult, err error) {
+func check(u *miter, k int, opts Options, induct bool) (res EquivResult, err error) {
+	g := u.g
 	defer func() { res.Stats.AIGNodes = g.NumNodes() }()
 	sBase := opts.solver()
 	tiB := NewIncTseitin(g, sBase)
@@ -77,7 +54,7 @@ func check(g *AIG, p property, k int, opts Options, induct bool) (res EquivResul
 			return res, err
 		}
 		// ---- base case, depth t ----
-		bad, err := p.advance(false)
+		bad, err := u.advance(false)
 		if err != nil {
 			return res, err
 		}
@@ -96,14 +73,14 @@ func check(g *AIG, p property, k int, opts Options, induct bool) (res EquivResul
 			}
 			if sat {
 				res.Depth = t
-				res.Cex = p.cex(sBase, tiB.Vars(), t)
+				res.Cex = u.cex(sBase, tiB.Vars(), t)
 				if opts.MinimizeCex {
 					res.RawCex = res.Cex
-					minimizeModel(sBase, tiB, badLit, p.inputs())
+					minimizeModel(sBase, tiB, badLit, u.in)
 					if err := opts.cancelled(t); err != nil {
 						return res, err
 					}
-					res.Cex = p.cex(sBase, tiB.Vars(), t)
+					res.Cex = u.cex(sBase, tiB.Vars(), t)
 				}
 				return res, nil
 			}
@@ -115,7 +92,7 @@ func check(g *AIG, p property, k int, opts Options, induct bool) (res EquivResul
 			continue
 		}
 		if t == 0 {
-			solves, err := p.strengthen(opts)
+			solves, err := u.strengthen(opts)
 			res.Stats.Solves = append(res.Stats.Solves, solves...)
 			if err != nil {
 				return res, err
@@ -128,10 +105,10 @@ func check(g *AIG, p property, k int, opts Options, induct bool) (res EquivResul
 				sInd.AddClause(-tiI.Lit(prevIndBad))
 			}
 			for i := 0; i < t; i++ {
-				sInd.AddClause(tiI.Lit(p.distinct(i, t)))
+				sInd.AddClause(tiI.Lit(u.distinct(i, t)))
 			}
 		}
-		indBad, err := p.advance(true)
+		indBad, err := u.advance(true)
 		if err != nil {
 			// Free-start execution outside the supported subset (e.g. a
 			// loop bound that is only constant from the reset state).
@@ -140,9 +117,9 @@ func check(g *AIG, p property, k int, opts Options, induct bool) (res EquivResul
 		}
 		if c, v := g.IsConst(indBad); c {
 			if v {
-				// Structurally failing from an arbitrary state: the step
+				// Structurally differing from an arbitrary state: the step
 				// can never soundly close. (The base case refutes such a
-				// property at this very depth anyway.)
+				// pair at this very depth anyway.)
 				inductionAlive = false
 				continue
 			}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"uvllm/internal/assert"
 	"uvllm/internal/sim"
 )
 
@@ -250,49 +249,5 @@ func TestMinimizeCex(t *testing.T) {
 		if !div || cyc != res.Cex.Cycle {
 			t.Fatalf("backend %v: minimized cex diverged=%v at cycle %d, predicted %d", backend, div, cyc, res.Cex.Cycle)
 		}
-	}
-}
-
-// TestInductionAssertions covers induction over assertions: the
-// saturating counter's true bound is 1-inductive (q<=9 is preserved by
-// the transition), so it must come back proved *unbounded*, while the
-// too-tight bound still refutes and opaque forms still skip. Promotion
-// must carry the DepthUnbounded certificate.
-func TestInductionAssertions(t *testing.T) {
-	prog := mustCompile(t, modSaturate, "sat9")
-	as := []assert.Assertion{
-		assert.Bound{Signal: "q", Limit: 9},
-		assert.Bound{Signal: "q", Limit: 4},
-		assert.OneHot{Signal: "phase"},
-		assert.Mutex{A: "lo", B: "hi"},
-		assert.Invariant{Label: "opaque", Pred: func(map[string]uint64) bool { return true }},
-	}
-	results, err := InductionAssertions(prog, "clk", as, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantVerdicts := []AssertVerdict{AssertProved, AssertRefuted, AssertProved, AssertProved, AssertSkipped}
-	for i, r := range results {
-		if r.Verdict != wantVerdicts[i] {
-			t.Fatalf("assertion %s: verdict %v, want %v", r.Assertion.Name(), r.Verdict, wantVerdicts[i])
-		}
-	}
-	if !results[0].Unbounded {
-		t.Fatalf("bound q<=9 is inductive and must prove unbounded: %+v", results[0])
-	}
-	if results[1].Unbounded {
-		t.Fatal("a refuted assertion cannot be unbounded")
-	}
-
-	promoted, refuted, skipped := PromoteAssertions(results)
-	if len(promoted) != len(as) || len(refuted) != 1 || skipped != 1 {
-		t.Fatalf("promotion shape: %d promoted, %d refuted, %d skipped", len(promoted), len(refuted), skipped)
-	}
-	p, ok := promoted[0].(assert.Promoted)
-	if !ok || !p.Unbounded() {
-		t.Fatalf("inductively proved bound must carry the DepthUnbounded certificate: %#v", promoted[0])
-	}
-	if p.Describe() == assert.Promote(p.Assertion, 8).Describe() {
-		t.Fatal("unbounded certificate must be visible in the description")
 	}
 }

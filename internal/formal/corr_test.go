@@ -22,7 +22,7 @@ endmodule
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := check(g, u, DefaultBMCDepth, Options{}, true)
+	res, err := check(u, DefaultBMCDepth, Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

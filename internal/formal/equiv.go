@@ -9,7 +9,7 @@ import (
 
 // Counterexample is a refutation witness: the per-cycle stimulus (every
 // driven input, frozen reset included) that makes two designs' outputs
-// diverge, or an assertion fail, at cycle Cycle of the post-reset run.
+// diverge at cycle Cycle of the post-reset run.
 // Vectors converts it into replayable per-cycle stimulus — the bridge
 // from a SAT model back into the simulation world (wrap the result in a
 // uvm.DirectedSequence to play it through a testbench; formal cannot
@@ -17,8 +17,8 @@ import (
 // bit-blaster both).
 type Counterexample struct {
 	Inputs []map[string]uint64 // one map per harness cycle, in order
-	Cycle  int                 // 0-based cycle of the divergence/violation
-	Signal string              // a diverging output (or the asserted signal)
+	Cycle  int                 // 0-based cycle of the divergence
+	Signal string              // a diverging output
 }
 
 // Weight is the total number of set stimulus bits across the whole
@@ -134,7 +134,7 @@ func equiv(a, b *sim.Program, clock string, k int, opts Options, induct bool) (E
 	if err != nil {
 		return EquivResult{}, err
 	}
-	return check(g, u, k, opts, induct)
+	return check(u, k, opts, induct)
 }
 
 // miter is the equivalence property of two models over one shared AIG:
@@ -247,14 +247,6 @@ func (u *miter) distinct(i, j int) Lit {
 	)
 }
 
-// cex decodes the base-path stimulus and names a diverging output.
-func (u *miter) cex(s *Solver, vars map[uint32]int, t int) *Counterexample {
-	return extractCex(u.ma, u.in, vars, s, u.diffs, t)
-}
-
-// inputs returns the base-path stimulus variables.
-func (u *miter) inputs() []map[string]Vec { return u.in }
-
 // stateDiff is the "these two window snapshots differ" literal over one
 // model's sequential state: some register or memory word among sigs
 // differs between si and sj.
@@ -272,14 +264,14 @@ func stateDiff(g *AIG, m *Model, si, sj *State, sigs []int) Lit {
 	return d
 }
 
-// extractCex decodes the SAT model into concrete per-cycle stimulus and
-// names one diverging output.
-func extractCex(m *Model, inputs []map[string]Vec, vars map[uint32]int, s *Solver, diffs []Lit, cycle int) *Counterexample {
-	g := m.g
+// cex decodes the SAT model of a base-path failure at cycle t into
+// concrete per-cycle stimulus and names one diverging output.
+func (u *miter) cex(s *Solver, vars map[uint32]int, t int) *Counterexample {
+	g := u.g
 	assign := func(n uint32) bool { return s.Value(vars[n]) }
-	cex := &Counterexample{Cycle: cycle}
-	frozen := m.FrozenInputs()
-	for _, in := range inputs {
+	cex := &Counterexample{Cycle: t}
+	frozen := u.ma.FrozenInputs()
+	for _, in := range u.in {
 		vals := map[string]uint64{}
 		for name, vec := range in {
 			bits := g.Eval(assign, vec)
@@ -296,9 +288,9 @@ func extractCex(m *Model, inputs []map[string]Vec, vars map[uint32]int, s *Solve
 		}
 		cex.Inputs = append(cex.Inputs, vals)
 	}
-	for i, d := range diffs {
+	for i, d := range u.diffs {
 		if got := g.Eval(assign, []Lit{d}); got[0] {
-			cex.Signal = m.Outputs()[i].Name
+			cex.Signal = u.ma.Outputs()[i].Name
 			break
 		}
 	}

@@ -3,7 +3,6 @@ package formal
 import (
 	"testing"
 
-	"uvllm/internal/assert"
 	"uvllm/internal/sim"
 )
 
@@ -16,15 +15,21 @@ func mustCompile(t *testing.T, src, top string) *sim.Program {
 	return p
 }
 
-// TestCombEquivStructurallyDifferent proves two structurally different
-// adder implementations equivalent — a genuinely non-trivial UNSAT the
-// structural hashing cannot collapse.
+// TestCombEquivStructurallyDifferent proves structurally different
+// implementations of the dataset's adder_8bit equivalent to it — a
+// gate-level ripple adder at depth 1 and the reassociated sum at depth
+// 3 — each a genuinely non-trivial UNSAT the structural hashing cannot
+// collapse.
 func TestCombEquivStructurallyDifferent(t *testing.T) {
 	flat := `module add(input [7:0] a, input [7:0] b, input cin, output [7:0] sum, output cout);
     assign {cout, sum} = a + b + {7'd0, cin};
 endmodule
 `
-	ripple := `module fa(input x, input y, input ci, output s, output co);
+	for _, tc := range []struct {
+		name, src string
+		k         int
+	}{
+		{"ripple", `module fa(input x, input y, input ci, output s, output co);
     assign s = x ^ y ^ ci;
     assign co = (x & y) | (ci & (x ^ y));
 endmodule
@@ -39,16 +44,22 @@ module add(input [7:0] a, input [7:0] b, input cin, output [7:0] sum, output cou
     fa f6(.x(a[6]), .y(b[6]), .ci(c6), .s(sum[6]), .co(c7));
     fa f7(.x(a[7]), .y(b[7]), .ci(c7), .s(sum[7]), .co(cout));
 endmodule
-`
-	res, err := BMCEquivOpts(mustCompile(t, flat, "add"), mustCompile(t, ripple, "add"), "", 1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Equivalent {
-		t.Fatalf("flat and ripple adders must be equivalent; cex at cycle %d on %s", res.Cex.Cycle, res.Cex.Signal)
-	}
-	if len(res.Stats.Solves) == 0 {
-		t.Fatal("equivalence was established without a SAT solve: the miter collapsed, so the UNSAT path went untested")
+`, 1},
+		{"reassociated", `module add(input [7:0] a, input [7:0] b, input cin, output [7:0] sum, output cout);
+    assign {cout, sum} = {7'd0, cin} + b + a;
+endmodule
+`, 3},
+	} {
+		res, err := BMCEquivOpts(mustCompile(t, flat, "add"), mustCompile(t, tc.src, "add"), "", tc.k, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !res.Equivalent || res.Depth != tc.k {
+			t.Fatalf("%s: must be equivalent to depth %d: %+v", tc.name, tc.k, res)
+		}
+		if len(res.Stats.Solves) == 0 {
+			t.Fatalf("%s: equivalence was established without a SAT solve: the miter collapsed, so the UNSAT path went untested", tc.name)
+		}
 	}
 }
 
@@ -254,25 +265,6 @@ endmodule
 	div, _, err := ReplayCex(golden, bug, "rf", "clk", res.Cex, sim.BackendCompiled)
 	if err != nil || !div {
 		t.Fatalf("memory cex replay: diverged=%v err=%v", div, err)
-	}
-}
-
-// TestPromotedAssertionWrapper pins the assert-package promotion wrapper
-// the prover emits.
-func TestPromotedAssertionWrapper(t *testing.T) {
-	base := assert.Bound{Signal: "q", Limit: 9}
-	p := assert.Promote(base, 12)
-	if p.Name() != base.Name() {
-		t.Fatalf("promotion must keep the assertion name, got %q", p.Name())
-	}
-	if p.Depth != 12 {
-		t.Fatalf("depth = %d", p.Depth)
-	}
-	if !p.Check(nil, map[string]uint64{"q": 5}) || p.Check(nil, map[string]uint64{"q": 10}) {
-		t.Fatal("promoted assertion must delegate Check")
-	}
-	if got := p.Describe(); got == base.Describe() {
-		t.Fatal("promoted description should record the proof depth")
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 
 // Fixture sources shared with the external test package.
 const (
-	AccAdd      = accAdd
-	AccSub      = accSub
-	ModSaturate = modSaturate
+	AccAdd = accAdd
+	AccSub = accSub
 )
 
 // Correspondence runs the equivalence miter's signal correspondence on

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"uvllm/internal/assert"
 	"uvllm/internal/dataset"
 	"uvllm/internal/faultgen"
 	"uvllm/internal/formal"
@@ -126,10 +125,6 @@ solve c=223 d=898 p=42083 r=2 l=219 vars=1400 clauses=3939
 solve c=370 d=1491 p=96904 r=4 l=370 vars=2122 clauses=6003
 raw cycle=4 signal=dout weight=18 | 0: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 1: din=0x10 pop=0x0 push=0x1 rst_n=0x1 | 2: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 3: din=0x9d pop=0x1 push=0x1 rst_n=0x1 | 4: din=0x40 pop=0x0 push=0x1 rst_n=0x1
 cex cycle=4 signal=dout weight=11 | 0: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 1: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 2: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 3: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 4: din=0x80 pop=0x0 push=0x1 rst_n=0x1`},
-		{"assert-sat9-unbounded", pinAssertion(formal.ModSaturate, "sat9", assert.Bound{Signal: "q", Limit: 9}), `
-bound_q proved unbounded=true depth=2 nodes=142
-solve c=0 d=4 p=33 r=0 l=0 vars=33 clauses=84
-solve c=4 d=6 p=117 r=0 l=3 vars=80 clauses=224`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -258,27 +253,6 @@ func pinBMCSources(srcA, srcB, top string, opts formal.Options) func(t *testing.
 	return func(t *testing.T) string {
 		return equivRecord(formal.BMCEquivOpts(compile(t, srcA, top), compile(t, srcB, top), "clk",
 			formal.DefaultBMCDepth, opts))
-	}
-}
-
-// pinAssertion runs one assertion through InductionAssertions at the
-// conventional depth and records its verdict and every solve.
-func pinAssertion(src, top string, a assert.Assertion) func(t *testing.T) string {
-	return func(t *testing.T) string {
-		rs, err := formal.InductionAssertions(compile(t, src, top), "clk", []assert.Assertion{a}, formal.DefaultBMCDepth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := rs[0]
-		lines := []string{fmt.Sprintf("%s %v unbounded=%v depth=%d nodes=%d",
-			r.Assertion.Name(), r.Verdict, r.Unbounded, r.Depth, r.Stats.AIGNodes)}
-		for _, cs := range r.Stats.Solves {
-			lines = append(lines, statsLine("solve", cs))
-		}
-		if r.Cex != nil {
-			lines = append(lines, "cex "+cexLine(r.Cex))
-		}
-		return strings.Join(lines, "\n")
 	}
 }
 

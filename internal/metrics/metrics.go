@@ -1,9 +1,11 @@
-// Package metrics implements the evaluation metrics of paper Sec. IV-A —
-// Hit Rate (Eq. 1), Fix Rate (Eq. 2), pass@k — and the deterministic
-// execution-time cost model that stands in for wall-clock Texec. The
-// paper's times are dominated by OpenAI API latency on their testbed; the
-// cost model preserves the structure (per-stage split, method ratios)
-// rather than absolute seconds.
+// Package metrics implements pass@k (paper Sec. IV-A), the deterministic
+// execution-time cost model that stands in for wall-clock Texec, and the
+// median, percentile and histogram summaries of the studies and the
+// benchmark. The paper's times are dominated by OpenAI API latency on
+// their testbed; the cost model preserves the structure (per-stage split,
+// method ratios) rather than absolute seconds. Hit Rate (Eq. 1) and Fix
+// Rate (Eq. 2) are computed in one place, internal/exp's computeRates,
+// from the evaluation records.
 package metrics
 
 import (
@@ -48,40 +50,6 @@ func (c CostModel) Lint(n int) float64 { return c.LintSeconds * float64(n) }
 // Sim returns the modeled latency of simulating n UVM transactions.
 func (c CostModel) Sim(n int) float64 { return c.SimSecondsPerVector * float64(n) }
 
-// Outcome is one benchmark instance's evaluation result.
-type Outcome struct {
-	Hit bool // passed the method's own testbench (HR, Eq. 1)
-	Fix bool // passed the independent expert validation suite (FR, Eq. 2)
-}
-
-// HitRate computes HR over a set of outcomes, in percent.
-func HitRate(outs []Outcome) float64 {
-	if len(outs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, o := range outs {
-		if o.Hit {
-			n++
-		}
-	}
-	return 100 * float64(n) / float64(len(outs))
-}
-
-// FixRate computes FR over a set of outcomes, in percent.
-func FixRate(outs []Outcome) float64 {
-	if len(outs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, o := range outs {
-		if o.Fix {
-			n++
-		}
-	}
-	return 100 * float64(n) / float64(len(outs))
-}
-
 // PassAtK estimates pass@k (Chen et al. 2021) given n samples per problem
 // of which c passed, using the unbiased estimator 1 - C(n-c,k)/C(n,k).
 func PassAtK(n, c, k int) float64 {
@@ -94,18 +62,6 @@ func PassAtK(n, c, k int) float64 {
 		p *= 1 - float64(k)/float64(i)
 	}
 	return 1 - p
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // Median returns the median of xs (0 for empty; the mean of the two

@@ -24,39 +24,6 @@ func TestCostModelLLMCall(t *testing.T) {
 	}
 }
 
-func TestHitFixRates(t *testing.T) {
-	outs := []Outcome{
-		{Hit: true, Fix: true},
-		{Hit: true, Fix: false},
-		{Hit: false, Fix: false},
-		{Hit: true, Fix: true},
-	}
-	if hr := HitRate(outs); hr != 75 {
-		t.Errorf("HR = %f", hr)
-	}
-	if fr := FixRate(outs); fr != 50 {
-		t.Errorf("FR = %f", fr)
-	}
-	if HitRate(nil) != 0 || FixRate(nil) != 0 {
-		t.Error("empty set must score 0")
-	}
-}
-
-func TestQuickRatesBounded(t *testing.T) {
-	prop := func(bits []bool) bool {
-		outs := make([]Outcome, len(bits))
-		for i, b := range bits {
-			outs[i] = Outcome{Hit: b, Fix: b && i%2 == 0}
-		}
-		hr, fr := HitRate(outs), FixRate(outs)
-		// Bounds and dominance: FR counts a subset of HR's instances here.
-		return hr >= 0 && hr <= 100 && fr >= 0 && fr <= 100 && fr <= hr
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPassAtK(t *testing.T) {
 	// k == n means guaranteed inclusion when any sample passed.
 	if got := PassAtK(5, 1, 5); got != 1 {
@@ -97,15 +64,6 @@ func TestQuickPassAtKMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("mean of empty should be 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("mean = %f", got)
 	}
 }
 

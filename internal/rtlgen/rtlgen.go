@@ -54,42 +54,25 @@ type Design struct {
 	Flavor Flavor
 }
 
-// Config bounds the size and shape of generated designs.
-type Config struct {
-	MaxInputs    int     // extra data inputs beyond clk/rst_n (>=1)
-	MaxWires     int     // combinational assign network size
-	MaxRegs      int     // sequential state registers
-	MaxCombRegs  int     // @(*) always-block targets
-	MaxOutputs   int     // top-level outputs
-	MaxExprDepth int     // expression tree depth
-	MemProb      float64 // probability of a memory (write port + comb read)
-	ResetProb    float64 // probability of an active-low rst_n
-	FallbackBias float64 // probability of injecting an event-fallback construct
-}
+// The size and shape of generated designs, chosen so a design elaborates
+// and simulates in well under a millisecond while still mixing every
+// supported construct class.
+const (
+	maxInputs    = 4    // extra data inputs beyond clk/rst_n (>=1)
+	maxWires     = 7    // combinational assign network size
+	maxRegs      = 4    // sequential state registers
+	maxCombRegs  = 2    // @(*) always-block targets
+	maxOutputs   = 3    // top-level outputs
+	maxExprDepth = 3    // expression tree depth
+	memProb      = 0.45 // probability of a memory (write port + comb read)
+	resetProb    = 0.6  // probability of an active-low rst_n
+	fallbackBias = 0.35 // probability of injecting an event-fallback construct
+)
 
-// DefaultConfig is sized so a design elaborates and simulates in well under
-// a millisecond while still mixing every supported construct class.
-func DefaultConfig() Config {
-	return Config{
-		MaxInputs:    4,
-		MaxWires:     7,
-		MaxRegs:      4,
-		MaxCombRegs:  2,
-		MaxOutputs:   3,
-		MaxExprDepth: 3,
-		MemProb:      0.45,
-		ResetProb:    0.6,
-		FallbackBias: 0.35,
-	}
-}
-
-// Generate builds the design for one seed under DefaultConfig.
-func Generate(seed int64) *Design { return GenerateCfg(DefaultConfig(), seed) }
-
-// GenerateCfg builds the design for one seed. The same (cfg, seed) pair
-// always yields byte-identical source.
-func GenerateCfg(cfg Config, seed int64) *Design {
-	g := &gen{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+// Generate builds the design for one seed. The same seed always yields
+// byte-identical source.
+func Generate(seed int64) *Design {
+	g := &gen{rng: rand.New(rand.NewSource(seed))}
 	name := fmt.Sprintf("gen_%x", uint64(seed))
 	mod := g.module(name)
 	return &Design{
@@ -109,7 +92,6 @@ type sig struct {
 }
 
 type gen struct {
-	cfg    Config
 	rng    *rand.Rand
 	flavor Flavor
 
@@ -169,17 +151,17 @@ func (g *gen) module(name string) *verilog.Module {
 
 	// Decide the scheduling flavor up front so the seed fully determines it.
 	g.flavor = FlavorLevelized
-	if g.rng.Float64() < g.cfg.FallbackBias {
+	if g.rng.Float64() < fallbackBias {
 		g.flavor = fallbackFlavors[g.intn(len(fallbackFlavors))]
 	}
-	hasReset := g.rng.Float64() < g.cfg.ResetProb
+	hasReset := g.rng.Float64() < resetProb
 
 	// Ports: clk, optional rst_n, then data inputs.
 	m.Ports = append(m.Ports, &verilog.Port{Dir: verilog.DirInput, Name: "clk"})
 	if hasReset {
 		m.Ports = append(m.Ports, &verilog.Port{Dir: verilog.DirInput, Name: "rst_n"})
 	}
-	nIn := 2 + g.intn(g.cfg.MaxInputs)
+	nIn := 2 + g.intn(maxInputs)
 	for i := 0; i < nIn; i++ {
 		w := g.width()
 		p := &verilog.Port{Dir: verilog.DirInput, Name: fmt.Sprintf("in%d", i)}
@@ -192,19 +174,19 @@ func (g *gen) module(name string) *verilog.Module {
 
 	// Combinational wire network: each wire reads only earlier signals, so
 	// the network is acyclic and single-driver by construction.
-	nW := 2 + g.intn(g.cfg.MaxWires)
+	nW := 2 + g.intn(maxWires)
 	for i := 0; i < nW; i++ {
 		w := g.width()
 		nm := g.fresh("w")
 		m.Items = append(m.Items,
 			&verilog.NetDecl{Kind: verilog.KindWire, Range: vecRange(w), Names: []verilog.DeclName{{Name: nm}}},
-			&verilog.ContAssign{LHS: ident(nm), RHS: g.expr(g.cfg.MaxExprDepth, w)},
+			&verilog.ContAssign{LHS: ident(nm), RHS: g.expr(maxExprDepth, w)},
 		)
 		g.pool = append(g.pool, sig{nm, w})
 	}
 
 	// Optional memory: sequential write port, combinational read port.
-	if g.rng.Float64() < g.cfg.MemProb {
+	if g.rng.Float64() < memProb {
 		g.memory(m, hasReset)
 	}
 
@@ -213,7 +195,7 @@ func (g *gen) module(name string) *verilog.Module {
 
 	// Combinational always blocks: full default assignment first, then
 	// if/case refinement — definitely assigned, so they levelize.
-	nC := g.intn(g.cfg.MaxCombRegs + 1)
+	nC := g.intn(maxCombRegs + 1)
 	for i := 0; i < nC; i++ {
 		g.combAlways(m)
 	}
@@ -231,7 +213,7 @@ func (g *gen) module(name string) *verilog.Module {
 	}
 
 	// Outputs: wires assigned from the final signal pool.
-	nOut := 1 + g.intn(g.cfg.MaxOutputs)
+	nOut := 1 + g.intn(maxOutputs)
 	for i := 0; i < nOut; i++ {
 		w := g.width()
 		p := &verilog.Port{Dir: verilog.DirOutput, Name: fmt.Sprintf("out%d", i)}
@@ -239,7 +221,7 @@ func (g *gen) module(name string) *verilog.Module {
 			p.Range = rng(w)
 		}
 		m.Ports = append(m.Ports, p)
-		m.Items = append(m.Items, &verilog.ContAssign{LHS: ident(p.Name), RHS: g.expr(g.cfg.MaxExprDepth, w)})
+		m.Items = append(m.Items, &verilog.ContAssign{LHS: ident(p.Name), RHS: g.expr(maxExprDepth, w)})
 	}
 
 	// Checksum output: XOR-reduce every pool signal so the whole design is
@@ -311,7 +293,7 @@ func bitsFor(depth int) int {
 // registers with NBAs. Registers may read themselves (accumulator
 // feedback), which is legal state, not a combinational hazard.
 func (g *gen) sequential(m *verilog.Module, hasReset bool) {
-	nR := 1 + g.intn(g.cfg.MaxRegs)
+	nR := 1 + g.intn(maxRegs)
 	type regInfo struct {
 		name  string
 		width int
@@ -345,7 +327,7 @@ func (g *gen) sequential(m *verilog.Module, hasReset bool) {
 		}
 		var updates []verilog.Stmt
 		for _, r := range regs[lo:hi] {
-			up := verilog.Stmt(&verilog.Assign{LHS: ident(r.name), RHS: g.expr(g.cfg.MaxExprDepth, r.width)})
+			up := verilog.Stmt(&verilog.Assign{LHS: ident(r.name), RHS: g.expr(maxExprDepth, r.width)})
 			// Sometimes guard the update (enable-style) or branch it.
 			switch g.intn(4) {
 			case 0:
@@ -402,7 +384,7 @@ func (g *gen) combAlways(m *verilog.Module) {
 	if g.intn(2) == 0 {
 		stmts = append(stmts, &verilog.If{
 			Cond: g.expr(2, 1),
-			Then: &verilog.Assign{LHS: ident(nm), RHS: g.expr(g.cfg.MaxExprDepth, w), Blocking: true},
+			Then: &verilog.Assign{LHS: ident(nm), RHS: g.expr(maxExprDepth, w), Blocking: true},
 		})
 	} else {
 		selW := 2
@@ -464,7 +446,7 @@ func (g *gen) explicitSens(m *verilog.Module) {
 			Sens: &verilog.SensList{Items: []verilog.SensItem{{Signal: a.name}, {Signal: b.name}}},
 			// The RHS may read signals missing from the list — that staleness
 			// is the point; the event queue must emulate it on both backends.
-			Body: &verilog.Assign{LHS: ident(y), RHS: g.expr(g.cfg.MaxExprDepth, w), Blocking: true},
+			Body: &verilog.Assign{LHS: ident(y), RHS: g.expr(maxExprDepth, w), Blocking: true},
 		},
 	)
 	g.pool = append(g.pool, sig{y, w})
@@ -479,7 +461,7 @@ func (g *gen) combNBA(m *verilog.Module) {
 		&verilog.NetDecl{Kind: verilog.KindReg, Range: vecRange(w), Names: []verilog.DeclName{{Name: y}}},
 		&verilog.AlwaysBlock{
 			Sens: &verilog.SensList{Star: true},
-			Body: &verilog.Assign{LHS: ident(y), RHS: g.expr(g.cfg.MaxExprDepth, w), Blocking: false},
+			Body: &verilog.Assign{LHS: ident(y), RHS: g.expr(maxExprDepth, w), Blocking: false},
 		},
 	)
 	g.pool = append(g.pool, sig{y, w})

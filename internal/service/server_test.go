@@ -161,6 +161,34 @@ func TestServerRejections(t *testing.T) {
 	}
 }
 
+// TestServerHostileNesting sends two nestings that, without the
+// parser's nesting cap, overflow the parser's or the compiler's stack, a
+// fatal error no recover can catch, each as a source near the body
+// limit: a unary chain (one parser call per level) and a left-leaning
+// operator chain (one AST level per operator). The cap turns each into
+// one syntax error, so both jobs reach a terminal state and the server
+// stays healthy.
+func TestServerHostileNesting(t *testing.T) {
+	_, ts := testServer(t, RunnerConfig{Workers: 1, QueueLimit: 4}, nil)
+	head := "module adder_8bit(input [7:0] a, input [7:0] b, input cin, output [7:0] sum, output cout);\n    assign {cout, sum} = "
+	tail := ";\nendmodule\n"
+	n := maxRequestBody - len(head) - len(tail) - 256 // room for the JSON around the source
+	for name, expr := range map[string]string{
+		"unary": strings.Repeat("~", n-1) + "a",
+		"chain": "a" + strings.Repeat("+a", n/2-1),
+	} {
+		resp, sub := postJob(t, ts, JobSpec{Module: "adder_8bit", Source: head + expr + tail})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: HTTP %d, want 202", name, resp.StatusCode)
+		}
+		view := pollTerminal(t, ts, sub.ID)
+		t.Logf("%s: %d-byte source ended %s", name, len(head+expr+tail), view.Status)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz after the hostile jobs: HTTP %d", code)
+	}
+}
+
 // TestServerBackpressure checks the 429 + Retry-After contract and that
 // the server accepts submissions again after the queue drains.
 func TestServerBackpressure(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"uvllm/internal/assert"
 	"uvllm/internal/dataset"
 	"uvllm/internal/sim"
 )
@@ -58,42 +57,5 @@ func TestCoverageReportFormat(t *testing.T) {
 	rep := c.Report()
 	if !strings.Contains(rep, "coverage:") || !strings.Contains(rep, "input sel") {
 		t.Errorf("report malformed:\n%s", rep)
-	}
-}
-
-func TestEnvWithAssertions(t *testing.T) {
-	m := dataset.ByName("ring_counter")
-	env, err := NewEnv(Config{
-		Source: m.Source, Top: m.Top, Clock: m.Clock, RefName: m.Name, Seed: 3,
-		Assertions: []assert.Assertion{assert.OneHot{Signal: "q"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rate := env.Run(&RandomSequence{N: 60, ResetName: "rst_n"})
-	if rate != 1.0 {
-		t.Fatalf("golden ring counter failed: %.2f", rate)
-	}
-	if env.Asserts == nil || !env.Asserts.Passed() {
-		t.Errorf("assertion failed on golden DUT: %v", env.Asserts.Failed())
-	}
-}
-
-func TestEnvAssertionViolationInLog(t *testing.T) {
-	m := dataset.ByName("ring_counter")
-	buggy := strings.Replace(m.Source, "4'b0001", "4'b0101", 1)
-	env, err := NewEnv(Config{
-		Source: buggy, Top: m.Top, Clock: m.Clock, RefName: m.Name, Seed: 3,
-		Assertions: []assert.Assertion{assert.OneHot{Signal: "q"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.Run(&RandomSequence{N: 30, ResetName: "rst_n"})
-	if env.Asserts.Passed() {
-		t.Fatal("one-hot violation missed")
-	}
-	if !strings.Contains(env.Log(), "[ASRT] violation onehot_q") {
-		t.Errorf("assertion violation not logged:\n%s", env.Log())
 	}
 }

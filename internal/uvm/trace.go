@@ -115,18 +115,6 @@ func (s *Stimulus) mapAt(i int) map[string]uint64 {
 	return s.maps[i]
 }
 
-// Vector returns vector i as a fresh map, whichever form it is stored in.
-func (s *Stimulus) Vector(i int) map[string]uint64 {
-	out := make(map[string]uint64, len(s.Ports))
-	if m := s.mapAt(i); m != nil {
-		for k, v := range m {
-			out[k] = v
-		}
-		return out
-	}
-	return s.vectorInto(i, out)
-}
-
 // vectorInto returns vector i as a map: the sequence's own map for a
 // vector off the layout, else scratch filled from the row. Scratch only
 // ever holds layout names, so filling overwrites every key it has.
@@ -283,19 +271,13 @@ type TraceMemo struct {
 	m *memo.M[[sha256.Size]byte, *Trace]
 }
 
-// DefaultTraceMemoLimit bounds a memo built with NewTraceMemo.
-const DefaultTraceMemoLimit = 4096
+// traceMemoLimit bounds the traces one memo holds.
+const traceMemoLimit = 4096
 
-// NewTraceMemo returns an empty memo with the default entry limit.
-func NewTraceMemo() *TraceMemo { return NewTraceMemoLimit(DefaultTraceMemoLimit) }
-
-// NewTraceMemoLimit returns an empty memo holding at most limit traces
-// (limit <= 0 means the default).
-func NewTraceMemoLimit(limit int) *TraceMemo {
-	if limit <= 0 {
-		limit = DefaultTraceMemoLimit
-	}
-	return &TraceMemo{m: memo.New[[sha256.Size]byte, *Trace](limit)}
+// NewTraceMemo returns an empty memo holding at most traceMemoLimit
+// traces.
+func NewTraceMemo() *TraceMemo {
+	return &TraceMemo{m: memo.New[[sha256.Size]byte, *Trace](traceMemoLimit)}
 }
 
 var sharedMemo = NewTraceMemo()

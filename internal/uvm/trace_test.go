@@ -39,8 +39,8 @@ func TestMaterializeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < a.Len(); i++ {
 		want, _ := seq.Next(rng)
-		if a.Row(i) == nil || !reflect.DeepEqual(a.Vector(i), want) {
-			t.Fatalf("vector %d: rows %v, Next %v", i, a.Vector(i), want)
+		if got := a.vectorInto(i, map[string]uint64{}); a.Row(i) == nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("vector %d: rows %v, Next %v", i, got, want)
 		}
 	}
 }
@@ -73,7 +73,7 @@ func TestMaterializePooledRNG(t *testing.T) {
 						Materialize(&DirectedSequence{Vectors: want[s]}, int64(s+1), ports),
 					} {
 						for i := 0; i < n; i++ {
-							if got := st.Vector(i); !reflect.DeepEqual(got, want[s][i]) {
+							if got := st.vectorInto(i, map[string]uint64{}); !reflect.DeepEqual(got, want[s][i]) {
 								t.Errorf("seed %d vector %d = %v, want %v", s, i, got, want[s][i])
 								return
 							}

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 
-	"uvllm/internal/assert"
 	"uvllm/internal/cover"
 	"uvllm/internal/refmodel"
 	"uvllm/internal/sim"
@@ -221,8 +220,7 @@ type Agent struct {
 }
 
 // Env is the UVM environment: DUT harness, reference model, scoreboard and
-// coverage collector. An optional assertion checker (the paper's
-// extensibility hook, Sec. III-B) is sampled on every transaction.
+// coverage collector.
 type Env struct {
 	DUT      *sim.Harness
 	Ref      refmodel.Model
@@ -230,7 +228,6 @@ type Env struct {
 	Cov      *Coverage
 	InAgent  *Agent
 	OutAgent *Agent
-	Asserts  *assert.Checker // nil when no assertions attached
 
 	log     strings.Builder
 	fatal   error
@@ -254,8 +251,6 @@ type Config struct {
 	// sim.CoverOptions). The zero value keeps coverage off, which costs
 	// nothing on the simulation hot path.
 	Cover sim.CoverOptions
-	// Assertions are checked against the DUT's port values each cycle.
-	Assertions []assert.Assertion
 
 	// Cache, when set, routes compilation through the content-addressed
 	// compile cache.
@@ -303,9 +298,6 @@ func NewEnv(cfg Config) (*Env, error) {
 			return nil, err
 		}
 	}
-	if len(cfg.Assertions) > 0 {
-		env.Asserts = assert.NewChecker(cfg.Assertions)
-	}
 	env.logf("UVM_INFO @ 0: uvm_test_top.env [RNTST] running test on %s (seed %d)", cfg.Top, cfg.Seed)
 	return env, nil
 }
@@ -344,8 +336,7 @@ func (e *Env) Run(seq Sequence) float64 {
 		return 0
 	}
 
-	outputs := e.DUT.Sim.Design().Outputs()
-	cols := golden.Columns(outputs)
+	cols := golden.Columns(e.DUT.Sim.Design().Outputs())
 	inCols := e.Cov.inputColumns(stim.Ports)
 	var out []uint64
 	var line []byte
@@ -368,18 +359,6 @@ func (e *Env) Run(seq Sequence) float64 {
 			e.Cov.sampleInputs(stim.mapAt(i))
 		}
 		e.Cov.sampleOutputs(out)
-		if e.Asserts != nil {
-			all := stim.Vector(i)
-			for k, p := range outputs {
-				all[p.Name] = out[k]
-			}
-			before := len(e.Asserts.Violations)
-			e.Asserts.Sample(all)
-			for _, v := range e.Asserts.Violations[before:] {
-				e.logf("UVM_ERROR @ %d: uvm_test_top.env.assert [ASRT] violation %s: %s",
-					cycle, v.Assertion, v.Detail)
-			}
-		}
 		if !e.Score.CompareRow(cycle, golden, i, cols, out) {
 			for _, mm := range e.mismatchesAt(cycle) {
 				line = appendMismatchLine(line[:0], mm)

@@ -26,13 +26,28 @@ func (e SyntaxError) Error() string {
 // at most two tokens past the current one (peek) and pushes back at most
 // one (Parse's keyword-typo recovery), so the source is never lexed into a
 // slice. A rule that needs a deeper look must widen the ring.
+// The AST it builds is at most maxDepth levels deep.
 type Parser struct {
-	lex  Lexer
-	win  [4]Token // win[head] is the current token; n tokens are lexed ahead
-	head int
-	n    int
-	errs []SyntaxError
+	lex    Lexer
+	win    [4]Token // win[head] is the current token; n tokens are lexed ahead
+	head   int
+	n      int
+	errs   []SyntaxError
+	depth  int // statement and expression nodes above the one being parsed
+	parens int // parentheses open around it
 }
+
+// maxDepth bounds the nesting of the AST below a module item, so neither
+// the parser's recursion nor any walker of its AST can exhaust the stack,
+// whatever the input. It counts the statements and expressions on a
+// root-to-leaf path: a left-leaning chain such as a+a+a is one level per
+// operator, and parentheses, which add no node, add none but nest at
+// most maxDepth deep themselves. A statement needs room for the
+// expressions it holds, so it sits at most maxDepth-2 levels deep. Past
+// the cap the parser records one syntax error and skips the construct,
+// so a printed AST always reparses. The deepest of the 558 sources
+// TestParsePinned parses is 21 levels deep.
+const maxDepth = 1000
 
 // Parse parses src and returns the AST along with all syntax errors found.
 // The AST is best-effort when errors are present.
@@ -628,8 +643,22 @@ func (p *Parser) parseConnList() []PortConn {
 // ---------------------------------------------------------------------------
 // Statements
 
+// parseStmt parses one statement a level below the current one; past the
+// nesting cap it skips the statement instead (see maxDepth).
 func (p *Parser) parseStmt() Stmt {
 	t := p.cur()
+	if p.depth+3 > maxDepth {
+		p.errorf(t, nestingMsg, maxDepth)
+		p.skipStmt()
+		return &NullStmt{Line: t.Line}
+	}
+	p.depth++
+	s := p.stmt(t)
+	p.depth--
+	return s
+}
+
+func (p *Parser) stmt(t Token) Stmt {
 	switch {
 	case p.atKeyword("begin"):
 		p.advance()
@@ -700,11 +729,15 @@ func (p *Parser) parseStmt() Stmt {
 	case p.atKeyword("for"):
 		p.advance()
 		p.expectPunct("(")
+		p.depth++ // the header assignments' operands sit a level below them
 		init := p.parseAssignNoSemi()
+		p.depth--
 		p.expectPunct(";")
 		cond := p.parseExpr()
 		p.expectPunct(";")
+		p.depth++
 		step := p.parseAssignNoSemi()
+		p.depth--
 		p.expectPunct(")")
 		body := p.parseStmt()
 		return &For{Init: init, Cond: cond, Step: step, Body: body, Line: t.Line}
@@ -753,7 +786,7 @@ func (p *Parser) parseStmt() Stmt {
 // assignment rather than a comparison expression.
 func (p *Parser) parseAssignNoSemi() *Assign {
 	t := p.cur()
-	lhs := p.parsePostfix()
+	lhs, _ := p.parsePostfix()
 	blocking := true
 	switch {
 	case p.atOp("=") && p.adjacentOp("<"):
@@ -799,68 +832,86 @@ var binaryPrec = map[string]int{
 	"*": 10, "/": 10, "%": 10,
 }
 
-func (p *Parser) parseExpr() Expr { return p.parseTernary() }
-
-func (p *Parser) parseTernary() Expr {
-	cond := p.parseBinary(1)
-	if p.atPunct("?") {
-		t := p.next()
-		then := p.parseTernary()
-		p.expectPunct(":")
-		els := p.parseTernary()
-		return &Ternary{Cond: cond, Then: then, Else: els, Line: t.Line}
-	}
-	return cond
+func (p *Parser) parseExpr() Expr {
+	e, _ := p.parseTernary()
+	return e
 }
 
-func (p *Parser) parseBinary(minPrec int) Expr {
-	lhs := p.parseUnary()
+// The expression rules return the height of the tree they built: a node
+// that wraps an operand parsed before it (an operator chain, a ternary's
+// condition, a select's base) checks the cap with it.
+
+func (p *Parser) parseTernary() (Expr, int) {
+	cond, h := p.parseBinary(1)
+	if !p.atPunct("?") || p.tooDeep(p.depth+h+1, p.cur()) {
+		return cond, h
+	}
+	t := p.next()
+	p.depth++
+	then, ht := p.parseTernary()
+	p.expectPunct(":")
+	els, he := p.parseTernary()
+	p.depth--
+	return &Ternary{Cond: cond, Then: then, Else: els, Line: t.Line}, 1 + max(h, ht, he)
+}
+
+func (p *Parser) parseBinary(minPrec int) (Expr, int) {
+	lhs, h := p.parseUnary()
 	for {
 		t := p.cur()
 		if t.Kind != TokOp {
-			return lhs
+			return lhs, h
 		}
 		prec, ok := binaryPrec[t.Text]
-		if !ok || prec < minPrec {
-			return lhs
+		if !ok || prec < minPrec || p.tooDeep(p.depth+h+1, t) {
+			return lhs, h
 		}
 		p.advance()
-		rhs := p.parseBinary(prec + 1)
-		lhs = &Binary{Op: t.Text, X: lhs, Y: rhs, Line: t.Line}
+		p.depth++
+		rhs, hr := p.parseBinary(prec + 1)
+		p.depth--
+		lhs, h = &Binary{Op: t.Text, X: lhs, Y: rhs, Line: t.Line}, 1+max(h, hr)
 	}
 }
 
-func (p *Parser) parseUnary() Expr {
+func (p *Parser) parseUnary() (Expr, int) {
 	t := p.cur()
 	if t.Kind == TokOp {
 		switch t.Text {
 		case "!", "~", "-", "+", "&", "|", "^", "~&", "~|", "~^":
+			if p.tooDeep(p.depth+2, t) {
+				return &Number{Text: "0", Line: t.Line}, 1
+			}
 			p.advance()
-			x := p.parseUnary()
-			return &Unary{Op: t.Text, X: x, Line: t.Line}
+			p.depth++
+			x, h := p.parseUnary()
+			p.depth--
+			return &Unary{Op: t.Text, X: x, Line: t.Line}, 1 + h
 		}
 	}
 	return p.parsePostfix()
 }
 
-func (p *Parser) parsePostfix() Expr {
-	e := p.parsePrimary()
-	for p.atPunct("[") {
+func (p *Parser) parsePostfix() (Expr, int) {
+	e, h := p.parsePrimary()
+	for p.atPunct("[") && !p.tooDeep(p.depth+h+1, p.cur()) {
 		open := p.next()
-		idx := p.parseExpr()
+		p.depth++
+		idx, hi := p.parseTernary()
 		if p.acceptPunct(":") {
-			lsb := p.parseExpr()
+			lsb, hl := p.parseTernary()
 			p.expectPunct("]")
-			e = &PartSelect{X: e, MSB: idx, LSB: lsb, Line: open.Line}
+			e, h = &PartSelect{X: e, MSB: idx, LSB: lsb, Line: open.Line}, 1+max(h, hi, hl)
 		} else {
 			p.expectPunct("]")
-			e = &Index{X: e, Index: idx, Line: open.Line}
+			e, h = &Index{X: e, Index: idx, Line: open.Line}, 1+max(h, hi)
 		}
+		p.depth--
 	}
-	return e
+	return e, h
 }
 
-func (p *Parser) parsePrimary() Expr {
+func (p *Parser) parsePrimary() (Expr, int) {
 	t := p.cur()
 	switch {
 	case t.Kind == TokNumber:
@@ -869,48 +920,37 @@ func (p *Parser) parsePrimary() Expr {
 		if err != nil {
 			p.errorf(t, "malformed number literal %q", t.Text)
 		}
-		return &Number{Text: t.Text, Width: w, Value: v, HasXZ: xz, Line: t.Line}
+		return &Number{Text: t.Text, Width: w, Value: v, HasXZ: xz, Line: t.Line}, 1
 
 	case t.Kind == TokIdent:
 		p.advance()
-		return &Ident{Name: t.Text, Line: t.Line}
+		return &Ident{Name: t.Text, Line: t.Line}, 1
 
 	case p.atPunct("("):
+		if p.tooDeep(p.parens+1, t) {
+			return &Number{Text: "0", Line: t.Line}, 1
+		}
 		p.advance()
-		e := p.parseExpr()
+		p.parens++
+		e, h := p.parseTernary()
+		p.parens--
 		p.expectPunct(")")
-		return e
+		return e, h
 
 	case p.atPunct("{"):
+		if p.tooDeep(p.depth+2, t) {
+			return &Number{Text: "0", Line: t.Line}, 1
+		}
 		p.advance()
-		first := p.parseExpr()
-		// Replication: { N { expr } }
-		if p.atPunct("{") {
-			p.advance()
-			val := p.parseExpr()
-			// Replication may contain a concatenation list.
-			if p.atPunct(",") {
-				parts := []Expr{val}
-				for p.acceptPunct(",") {
-					parts = append(parts, p.parseExpr())
-				}
-				val = &Concat{Parts: parts, Line: t.Line}
-			}
-			p.expectPunct("}")
-			p.expectPunct("}")
-			return &Repl{Count: first, Value: val, Line: t.Line}
-		}
-		parts := []Expr{first}
-		for p.acceptPunct(",") {
-			parts = append(parts, p.parseExpr())
-		}
-		p.expectPunct("}")
-		return &Concat{Parts: parts, Line: t.Line}
+		p.depth++
+		e, h := p.parseBraces(t)
+		p.depth--
+		return e, h
 
 	case t.Kind == TokError:
 		p.advance()
 		p.errorf(t, "malformed token %q", t.Text)
-		return &Number{Text: t.Text, Line: t.Line}
+		return &Number{Text: t.Text, Line: t.Line}, 1
 
 	default:
 		p.errorf(t, "expected expression, found %q", tokenDesc(t))
@@ -918,6 +958,105 @@ func (p *Parser) parsePrimary() Expr {
 		if t.Kind == TokOp {
 			p.advance()
 		}
-		return &Number{Text: "0", Line: t.Line}
+		return &Number{Text: "0", Line: t.Line}, 1
+	}
+}
+
+// parseBraces parses a concatenation or replication after its '{', one
+// level below it, and returns the node and its height.
+func (p *Parser) parseBraces(t Token) (Expr, int) {
+	first, h := p.parseTernary()
+	// Replication: { N { expr } }. Its value may be a concatenation list,
+	// whose elements sit a level lower, so it is parsed there either way.
+	if p.atPunct("{") && !p.tooDeep(p.depth+2, p.cur()) {
+		p.advance()
+		p.depth++
+		vals, hv := p.parseList(p.parseTernary())
+		p.depth--
+		val := vals[0]
+		if len(vals) > 1 {
+			val = &Concat{Parts: vals, Line: t.Line}
+		}
+		p.expectPunct("}")
+		p.expectPunct("}")
+		return &Repl{Count: first, Value: val, Line: t.Line}, 1 + max(h, hv+1)
+	}
+	parts, h := p.parseList(first, h)
+	p.expectPunct("}")
+	return &Concat{Parts: parts, Line: t.Line}, 1 + h
+}
+
+// parseList continues a comma-separated expression list after its first
+// element, returning the elements and the tallest one's height.
+func (p *Parser) parseList(first Expr, h int) ([]Expr, int) {
+	parts := []Expr{first}
+	for p.acceptPunct(",") {
+		e, he := p.parseTernary()
+		parts, h = append(parts, e), max(h, he)
+	}
+	return parts, h
+}
+
+// nestingMsg is the syntax error past the nesting cap.
+const nestingMsg = "nesting deeper than %d levels"
+
+// tooDeep reports whether a construct reaching nesting level level, at
+// the current token t, passes maxDepth. If so it records the nesting
+// error and skips the rest of the expression, so the caller builds
+// nothing deeper.
+func (p *Parser) tooDeep(level int, t Token) bool {
+	if level <= maxDepth {
+		return false
+	}
+	p.errorf(t, nestingMsg, maxDepth)
+	p.skipExpr()
+	return true
+}
+
+// skipExpr drops the rest of an expression without recursing, as sync
+// does for statements: it stops before a ';', a keyword or the end of
+// the file, and before a ',', ':' or closing bracket that closes nothing
+// it skipped, so the enclosing rule resumes at the token it expects.
+func (p *Parser) skipExpr() {
+	open, ternaries := 0, 0
+	for t := p.cur(); t.Kind != TokEOF && t.Kind != TokKeyword && !p.atPunct(";"); t = p.cur() {
+		switch {
+		case t.Kind != TokPunct:
+		case t.Text == "(" || t.Text == "[" || t.Text == "{":
+			open++
+		case open > 0:
+			if t.Text == ")" || t.Text == "]" || t.Text == "}" {
+				open--
+			}
+		case t.Text == "?":
+			ternaries++
+		case t.Text == ":" && ternaries > 0:
+			ternaries--
+		case t.Text == ")" || t.Text == "]" || t.Text == "}" || t.Text == "," || t.Text == ":":
+			return
+		}
+		p.advance()
+	}
+}
+
+// skipStmt drops the statement at the cursor without recursing: through
+// its ';', or through the 'end' or 'endcase' that closes the 'begin' or
+// 'case' it opens with, and through any 'else' branches that follow. It
+// stops early before 'endmodule' or the end of the file.
+func (p *Parser) skipStmt() {
+	open := 0
+	for !p.at(TokEOF) && !p.atKeyword("endmodule") {
+		t := p.next()
+		switch {
+		case t.Kind == TokKeyword && (t.Text == "begin" || t.Text == "case" || t.Text == "casez" || t.Text == "casex"):
+			open++
+		case t.Kind == TokKeyword && (t.Text == "end" || t.Text == "endcase"):
+			open--
+			if open <= 0 && !p.atKeyword("else") {
+				return
+			}
+		case t.Kind == TokPunct && t.Text == ";" && open <= 0 && !p.atKeyword("else"):
+			return
+		}
 	}
 }

@@ -108,3 +108,21 @@ func TestParseAllocs(t *testing.T) {
 	}
 	t.Logf("Parse(fifo_sync): %.0f allocations", got)
 }
+
+// TestNestingHeadroom reads the nesting cap's headroom off the pinned
+// corpus: no source comes near the cap, so the cap rejects none of
+// them, and the deepest one stays a small fraction of it.
+func TestNestingHeadroom(t *testing.T) {
+	names, srcs := pinnedSources()
+	deepest, at := 0, ""
+	for i, src := range srcs {
+		f, _ := verilog.Parse(src)
+		if d := verilog.ASTDepth(f); d > deepest {
+			deepest, at = d, names[i]
+		}
+	}
+	if deepest*10 > verilog.MaxDepth {
+		t.Fatalf("%s is %d levels deep: less than 10x headroom under the cap of %d", at, deepest, verilog.MaxDepth)
+	}
+	t.Logf("deepest pinned source: %s, %d levels (cap %d)", at, deepest, verilog.MaxDepth)
+}
