@@ -290,7 +290,8 @@ func BenchmarkSimCompiledObs(b *testing.B) {
 
 // batchBenchLanes is K for the batch-vs-sequential benchmark pair; the
 // acceptance bar (guarded by cmd/benchguard) is a per-lane cost at least
-// 1.5x cheaper batched than K standalone instances.
+// 1.5x cheaper for K row-driven batch lanes than for K map-driven
+// standalone instances.
 const batchBenchLanes = 8
 
 // benchBatchPrograms compiles the hot-loop module mix once.
@@ -318,9 +319,9 @@ func benchBatchPrograms(b *testing.B) []struct {
 }
 
 // BenchmarkBatchLanes drives the per-cycle hot loop as one 8-lane
-// sim.Batch per module (row stimulus API, fused levelized sweeps,
-// pooled arena) — the batched side of the pair. One iteration = 8 lanes
-// x 500 cycles over the module mix, including batch construction.
+// sim.Batch per module — 8 harnesses under row stimulus
+// (Harness.CycleRow), the row-driven side of the pair. One iteration = 8
+// lanes x 500 cycles over the module mix, including batch construction.
 func BenchmarkBatchLanes(b *testing.B) {
 	progs := benchBatchPrograms(b)
 	b.ReportAllocs()
@@ -367,12 +368,12 @@ func BenchmarkBatchLanes(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchVsSequential is the sequential side of the pair: the
+// BenchmarkBatchVsSequential is the map-driven side of the pair: the
 // identical total work — 8 lanes x 500 cycles per module, same per-lane
-// stimulus — run as 8 standalone instances the way every consumer did
-// before sim.Batch (fresh Instance + Harness + map stimulus per lane).
-// benchguard requires BenchmarkBatchLanes to stay at least 1.5x below
-// this number.
+// stimulus — run as 8 standalone instances under map stimulus (fresh
+// Instance + Harness + Harness.Cycle per lane). The pair measures
+// row-driven lanes against map-driven standalone harnesses: benchguard
+// requires BenchmarkBatchLanes to stay at least 1.5x below this number.
 func BenchmarkBatchVsSequential(b *testing.B) {
 	progs := benchBatchPrograms(b)
 	b.ReportAllocs()

@@ -23,10 +23,10 @@
 // paths roll out by adding a baseline line.
 //
 // Pair rules hold architectural claims independent of the baseline:
-// batch lane amortization, the bit-parallel per-lane floor, and the
-// observability layer's zero-overhead claim: BenchmarkSimCompiledObs
-// (hot loop with a live registry counter) must stay within 15% of
-// BenchmarkSimCompiled in the same run.
+// row-driven batch lanes against map-driven harnesses, the bit-parallel
+// per-lane floor, and the observability layer's zero-overhead claim:
+// BenchmarkSimCompiledObs (hot loop with a live registry counter) must
+// stay within 15% of BenchmarkSimCompiled in the same run.
 package main
 
 import (
@@ -57,11 +57,11 @@ const (
 	benchBitSim      = "BenchmarkBitSimLanes"
 )
 
-// batchMinSpeedup is the acceptance bar for the batch scheduler: the
-// same K-lane hot-loop work must be at least this factor cheaper inside
-// one sim.Batch than as K standalone instances. The two benchmarks do
-// identical total work, so their within-run ns/op ratio is the per-lane
-// amortization factor directly.
+// batchMinSpeedup is the acceptance bar for row-driven lanes: the same
+// K-lane hot-loop work must be at least this factor cheaper in one
+// sim.Batch (K harnesses under row stimulus) than as K standalone
+// harnesses under map stimulus. The two benchmarks do identical total
+// work, so their within-run ns/op ratio is the per-lane factor directly.
 const batchMinSpeedup = 1.5
 
 // Lane counts of the per-lane normalized pair: BenchmarkBatchLanes runs
@@ -161,8 +161,9 @@ func main() {
 		}
 	}
 	// Pair rule: whenever both batch benchmarks are in the run, the
-	// per-lane speedup of the fused batch over K standalone instances
-	// must hold the acceptance bar, regardless of the baseline's ratios.
+	// per-lane speedup of row-driven batch lanes over K map-driven
+	// standalone instances must hold the acceptance bar, regardless of
+	// the baseline's ratios.
 	if bl, ok := best[benchBatch]; ok {
 		if sq, ok := best[benchBatchSeq]; ok {
 			speedup := sq / bl
@@ -176,8 +177,8 @@ func main() {
 		}
 	}
 	// Pair rule: whenever both lane benchmarks are in the run, the
-	// bit-parallel engine's per-lane cost must beat the batch scheduler's
-	// per-lane cost by the acceptance bar. The benchmarks run different
+	// bit-parallel engine's per-lane cost must beat sim.Batch's per-lane
+	// cost by the acceptance bar. The benchmarks run different
 	// lane counts, so each side is normalized to ns per lane first.
 	if bl, ok := best[benchBatch]; ok {
 		if bp, ok := best[benchBitSim]; ok {

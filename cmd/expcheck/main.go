@@ -9,8 +9,11 @@
 // present in both sources must match to the printed precision. When the
 // report carries the equivalence study (-formal), its summary line must
 // also appear in EXPERIMENTS.md, compared after collapsing whitespace
-// and dropping markdown bold markers. Exit 1 on any mismatch or when the
-// sources share no metrics (format drift).
+// and dropping markdown bold markers. When it carries the coverage study
+// (-cover), every module row's points, random% and directed% must equal
+// that module's row of the "Structural coverage: random vs directed
+// stimulus" table. Exit 1 on any mismatch or when the sources share no
+// metrics (format drift).
 package main
 
 import (
@@ -80,6 +83,9 @@ func main() {
 			failed++
 		}
 	}
+	if rows := reportCoverage(repLines); rows != nil {
+		failed += checkCoverage(rows, mdCoverage(mdLines), *md)
+	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "expcheck: %d check(s) diverged from %s — rerun cmd/experiments and update the tables\n",
 			failed, *md)
@@ -110,6 +116,123 @@ func studySummary(lines []string) string {
 // prose still matches.
 func flatten(lines []string) string {
 	return strings.Join(strings.Fields(strings.ReplaceAll(strings.Join(lines, " "), "**", "")), " ")
+}
+
+// coverRow is one module's row of the coverage study: structural point
+// count, random% and directed%.
+type coverRow struct {
+	module           string
+	points           int
+	random, directed float64
+}
+
+// coverHeadRe matches the coverage study's title line (exp.FormatCoverage):
+//
+//	"Structural coverage, random vs directed stimulus (64 cycles each)"
+var coverHeadRe = regexp.MustCompile(`^Structural coverage, random vs directed stimulus `)
+
+// reportCoverage returns the report's coverage study rows in report
+// order, or nil when the report has no coverage study. The rows follow
+// the title and column header and end at the "mean" line:
+//
+//	"accu                    60      95.0      93.3    -1.7       4"
+func reportCoverage(lines []string) []coverRow {
+	for i, ln := range lines {
+		if !coverHeadRe.MatchString(ln) {
+			continue
+		}
+		rows := []coverRow{}
+		for _, r := range lines[i+1:] {
+			f := strings.Fields(r)
+			if len(f) > 0 && f[0] == "module" {
+				continue
+			}
+			if len(f) < 4 || f[0] == "mean" {
+				break
+			}
+			if row, ok := parseCoverRow(f[0], f[1], f[2], f[3]); ok {
+				rows = append(rows, row)
+			}
+		}
+		return rows
+	}
+	return nil
+}
+
+// coverSection is the EXPERIMENTS.md heading of the coverage table.
+const coverSection = "## Structural coverage: random vs directed stimulus"
+
+// mdCoverage returns the module rows of EXPERIMENTS.md's coverage table
+// by module:
+//
+//	"| accu | 60 | 95.0 | 93.3 | −1.7 |"
+//
+// The header, separator and mean rows carry no point count and are
+// skipped.
+func mdCoverage(lines []string) map[string]coverRow {
+	rows := map[string]coverRow{}
+	in := false
+	for _, ln := range lines {
+		if strings.HasPrefix(ln, "## ") {
+			in = strings.TrimSpace(ln) == coverSection
+			continue
+		}
+		if !in {
+			continue
+		}
+		cells := strings.Split(strings.Trim(strings.TrimSpace(ln), "|"), "|")
+		if len(cells) != 5 {
+			continue
+		}
+		if row, ok := parseCoverRow(cells[0], cells[1], cells[2], cells[3]); ok {
+			rows[row.module] = row
+		}
+	}
+	return rows
+}
+
+// parseCoverRow parses one row's module, points, random% and directed%
+// cells.
+func parseCoverRow(module, points, random, directed string) (coverRow, bool) {
+	row := coverRow{module: strings.TrimSpace(module)}
+	var err error
+	if row.points, err = strconv.Atoi(strings.TrimSpace(points)); err != nil {
+		return row, false
+	}
+	if row.random, err = strconv.ParseFloat(strings.TrimSpace(random), 64); err != nil {
+		return row, false
+	}
+	if row.directed, err = strconv.ParseFloat(strings.TrimSpace(directed), 64); err != nil {
+		return row, false
+	}
+	return row, true
+}
+
+// checkCoverage compares every study row with its recorded row and
+// returns the number of mismatches (a module missing from the table
+// counts as one, and so does a study with no rows: format drift).
+func checkCoverage(got []coverRow, want map[string]coverRow, md string) int {
+	if len(got) == 0 {
+		fmt.Fprintln(os.Stderr, "expcheck: MISMATCH coverage study printed no module rows (parser drift?)")
+		return 1
+	}
+	failed := 0
+	for _, g := range got {
+		w, ok := want[g.module]
+		switch {
+		case !ok:
+			fmt.Fprintf(os.Stderr, "expcheck: MISMATCH coverage study row %s not recorded in %s\n", g.module, md)
+			failed++
+		case g.points != w.points || math.Abs(g.random-w.random) > 0.005 || math.Abs(g.directed-w.directed) > 0.005:
+			fmt.Fprintf(os.Stderr, "expcheck: MISMATCH coverage %-18s recorded %d points %.1f%% / %.1f%%  measured %d points %.1f%% / %.1f%%\n",
+				g.module, w.points, w.random, w.directed, g.points, g.random, g.directed)
+			failed++
+		}
+	}
+	if failed == 0 {
+		fmt.Printf("expcheck: ok coverage study (%d modules)\n", len(got))
+	}
+	return failed
 }
 
 // reportLineRe matches FormatHeadline rows:

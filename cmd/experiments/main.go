@@ -38,23 +38,20 @@ func main() {
 		passk    = flag.Bool("passk", false, "print the pass@k multi-seed study")
 		cov      = flag.Bool("cover", false, "print the random-vs-directed structural coverage study")
 		form     = flag.Bool("formal", false, "print the bounded-equivalence study (formal engine over the 27 modules)")
-		batch    = flag.Bool("batch", false, "print the batch-vs-sequential per-lane amortization study")
 		bitlanes = flag.Bool("bitlanes", false, "print the 64-lane bit-parallel amortization study (psim vs batch vs sequential)")
 		all      = flag.Bool("all", false, "print everything")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON of the study sections to this file (load at chrome://tracing)")
 	)
-	knobs := service.Bind(flag.CommandLine, service.FlagBackend|service.FlagWorkers|service.FlagLanes)
+	knobs := service.Bind(flag.CommandLine, service.FlagBackend|service.FlagWorkers)
 	flag.Parse()
 	opts, err := knobs.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	cfg := opts.Exp(exp.Config{})
-	sess := exp.SharedSession(cfg.Backend)
-	sess.Workers = cfg.Workers
-	lanes := knobs.Lanes
-	if !*fig5 && !*fig6 && !*fig7 && !*table2 && !*table3 && !*ablation && !*passk && !*cov && !*form && !*batch && !*bitlanes {
+	sess := exp.SharedSession(opts.SimBackend())
+	sess.Workers = knobs.Workers
+	if !*fig5 && !*fig6 && !*fig7 && !*table2 && !*table3 && !*ablation && !*passk && !*cov && !*form && !*bitlanes {
 		*all = true
 	}
 
@@ -73,7 +70,6 @@ func main() {
 		section(root, "full_report", func() { fmt.Print(sess.FullReport()) })
 		section(root, "ablations", func() { printAblations(sess) })
 		section(root, "coverage", func() { printCoverage(sess) })
-		section(root, "batch", func() { printBatch(sess, lanes) })
 		section(root, "bitlanes", func() { printBitLanes(sess) })
 		section(root, "formal", func() { printFormal(sess, *verbose) })
 		printStats(sess, *verbose)
@@ -108,9 +104,6 @@ func main() {
 	}
 	if *cov {
 		section(root, "coverage", func() { printCoverage(sess) })
-	}
-	if *batch {
-		section(root, "batch", func() { printBatch(sess, lanes) })
 	}
 	if *bitlanes {
 		section(root, "bitlanes", func() { printBitLanes(sess) })
@@ -152,16 +145,6 @@ func finishTrace(path string, tracer *obs.Tracer, root *obs.Span) {
 		os.Exit(1)
 	}
 	fmt.Printf("trace: %d spans written to %s\n", len(tracer.Spans()), path)
-}
-
-func printBatch(sess *exp.Session, lanes int) {
-	fmt.Println()
-	rows, err := sess.BatchAmortizationStudy(lanes, 0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: batch study:", err)
-		os.Exit(1)
-	}
-	fmt.Print(exp.FormatBatchAmortization(rows))
 }
 
 func printBitLanes(sess *exp.Session) {

@@ -10,7 +10,7 @@ import (
 
 // TestSharedFlagValidation is the table test for the experiments CLI's
 // up-front flag validation, which now lives in the shared service layer
-// (service.Bind + Options.Validate) used identically by cmd/uvllm and
+// (service.Bind + Flags.Options) used identically by cmd/uvllm and
 // cmd/uvllmd.
 func TestSharedFlagValidation(t *testing.T) {
 	cases := []struct {
@@ -19,17 +19,15 @@ func TestSharedFlagValidation(t *testing.T) {
 		wantErr string // "" = valid
 	}{
 		{"defaults", nil, ""},
-		{"explicit workers and lanes", []string{"-workers=4", "-lanes=8", "-backend=event"}, ""},
+		{"explicit workers and backend", []string{"-workers=4", "-backend=event"}, ""},
 		{"negative workers", []string{"-workers=-2"}, "workers"},
-		{"negative lanes", []string{"-lanes=-1"}, "lanes"},
 		{"workers above bound", []string{"-workers=1000000000"}, "workers"},
-		{"lanes above bound", []string{"-lanes=1025"}, "lanes"},
 		{"unknown backend", []string{"-backend=verilator"}, "backend"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
-			knobs := service.Bind(fs, service.FlagBackend|service.FlagWorkers|service.FlagLanes)
+			knobs := service.Bind(fs, service.FlagBackend|service.FlagWorkers)
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatalf("parse flags: %v", err)
 			}

@@ -66,7 +66,7 @@ func main() {
 	}
 
 	srv := service.NewServer(service.RunnerConfig{
-		Workers:    opts.Workers,
+		Workers:    knobs.Workers,
 		QueueLimit: *queue,
 		Services:   service.DefaultServices(),
 		Defaults:   opts,

@@ -7,7 +7,8 @@ package faultgen
 // takes the mutant's program from the shared compile cache (the one
 // ClassifyBitParallel compiles it through) and drives K seeds as K
 // lanes of one lane engine — bit-parallel on psim.Engine when the design
-// blasts and K fits a word, fused sweeps of one sim.Batch otherwise —
+// blasts and K fits a word, one sim.Batch (a row-driven harness per
+// lane) otherwise —
 // scoring each lane against the memoized golden trace exactly as the
 // sequential environment would.
 

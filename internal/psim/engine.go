@@ -185,8 +185,8 @@ func (e *Engine) Cycle(rows [][]uint64) error {
 // ApplyReset drives the conventional reset sequence on every lane —
 // assert for cycles clock edges (recorded, other inputs holding), then
 // deassert and settle without a waveform row — mirroring
-// Harness.ApplyReset and sim.Batch.ApplyReset. Designs without a
-// recognized reset input are untouched.
+// Harness.ApplyReset, which sim.Batch.ApplyReset runs per lane. Designs
+// without a recognized reset input are untouched.
 func (e *Engine) ApplyReset(cycles int) error {
 	name, deassert := sim.FindResetDeassert(e.d)
 	if name == "" {

@@ -16,9 +16,10 @@
 // cannot model (event-scheduler fallback, oversized memories, edge
 // triggers on signals other than the clock and the conventional reset)
 // are reported via formal.ErrUnsupported, and the lane consumers run
-// them on sim.Batch, the other sim.LaneEngine. On the supported subset
-// the traces are byte-identical to sim.Batch and the standalone Harness
-// (enforced by rtlgen's DiffLanes differential gate and fuzz target).
+// them on sim.Batch, the other sim.LaneEngine, whose lanes are standalone
+// Harnesses. On the supported subset the traces are byte-identical to
+// the standalone Harness, and so to sim.Batch (enforced by rtlgen's
+// DiffLanes differential gate and fuzz target).
 package psim
 
 import (

@@ -2,8 +2,8 @@ package rtlgen
 
 // Lane-engine differential gate, the fifth oracle. DiffBackends pins the
 // two scalar engines to each other; DiffLanes pins both lane engines
-// (sim.LaneEngine) to standalone harnesses. K lanes of one Program fused
-// into a coverage-collecting sim.Batch and — when the design is in the
+// (sim.LaneEngine) to standalone harnesses. K lanes of one Program in a
+// coverage-collecting sim.Batch and — when the design is in the
 // bit-parallel subset — the first min(K, 64) of them evaluated
 // one-bit-per-word by a psim.Engine must be byte-identical to K
 // standalone Harness runs under the same per-lane stimulus rows:

@@ -10,7 +10,7 @@ import (
 // over generated designs: a strided subset of the rtlgen seed space
 // (hitting every generator flavor mix) must produce identical traces,
 // VCD bytes, coverage encodings, error surfaces and final state whether
-// the lanes run fused in a sim.Batch, one-bit-per-word over the blasted
+// the lanes run in a sim.Batch, one-bit-per-word over the blasted
 // AIG, or as standalone harnesses. Both sides of the psim leg must be
 // exercised: levelized designs take it, event-fallback flavors run on the
 // batch alone.

@@ -31,10 +31,13 @@ const (
 // (after fs.Parse). Unbound knobs resolve to their zero value.
 type Flags struct {
 	// Lanes is the -lanes value: batched lane simulation where a command
-	// supports it (the experiments batch study, rtlgen's lane oracle and
-	// coverage sweep); 0 or 1 keeps the sequential path. Options checks
-	// it against MaxLanes.
+	// supports it (rtlgen's lane oracle and coverage sweep); 0 or 1 keeps
+	// the sequential path. Options checks it against MaxLanes.
 	Lanes int
+	// Workers is the -workers value: the worker pool of whatever runs
+	// the job set — the evaluation harness or the server's runner (0 =
+	// NumCPU). Options checks it against MaxWorkers.
+	Workers int
 
 	mask        FlagMask
 	backend     string
@@ -42,7 +45,6 @@ type Flags struct {
 	formalOn    bool
 	induction   bool
 	formalDepth int
-	workers     int
 }
 
 // Bind registers the selected shared knobs on fs with their canonical
@@ -65,14 +67,14 @@ func Bind(fs *flag.FlagSet, mask FlagMask) *Flags {
 		fs.IntVar(&f.Lanes, "lanes", 0, fmt.Sprintf("batched simulation lanes where supported (0 or 1 = sequential, at most %d)", MaxLanes))
 	}
 	if mask&FlagWorkers != 0 {
-		fs.IntVar(&f.workers, "workers", 0, fmt.Sprintf("worker pool size (0 = NumCPU, at most %d; results are identical for any value)", MaxWorkers))
+		fs.IntVar(&f.Workers, "workers", 0, fmt.Sprintf("worker pool size (0 = NumCPU, at most %d; results are identical for any value)", MaxWorkers))
 	}
 	return f
 }
 
 // Options validates the parsed flag values through the one shared path
-// and returns them as the unified options type. It also checks Lanes,
-// which is a command-line knob only.
+// and returns them as the unified options type. It also checks Lanes and
+// Workers, which are command-line knobs only.
 func (f *Flags) Options() (Options, error) {
 	o := Options{
 		Backend:     f.backend,
@@ -80,13 +82,15 @@ func (f *Flags) Options() (Options, error) {
 		Formal:      f.formalOn,
 		Induction:   f.induction,
 		FormalDepth: f.formalDepth,
-		Workers:     f.workers,
 	}
 	if err := o.Validate(); err != nil {
 		return Options{}, err
 	}
 	if f.Lanes < 0 || f.Lanes > MaxLanes {
 		return Options{}, fmt.Errorf("lanes must be in [0, %d], got %d", MaxLanes, f.Lanes)
+	}
+	if f.Workers < 0 || f.Workers > MaxWorkers {
+		return Options{}, fmt.Errorf("workers must be in [0, %d], got %d", MaxWorkers, f.Workers)
 	}
 	return o, nil
 }

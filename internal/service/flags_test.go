@@ -46,21 +46,26 @@ func TestBindMask(t *testing.T) {
 func TestFlagsOptions(t *testing.T) {
 	compiled := Options{Backend: "compiled"}
 	cases := []struct {
-		name      string
-		args      []string
-		want      Options
-		wantLanes int
-		wantErr   string
+		name        string
+		args        []string
+		want        Options
+		wantLanes   int
+		wantWorkers int
+		wantErr     string
 	}{
-		{"defaults", nil, compiled, 0, ""},
+		{"defaults", nil, compiled, 0, 0, ""},
 		{"full set", []string{"-backend=event", "-cover", "-formal", "-induction", "-formal-depth=32", "-lanes=8", "-workers=4"},
-			Options{Backend: "event", Cover: true, Formal: true, Induction: true, FormalDepth: 32, Workers: 4}, 8, ""},
-		{"bad backend", []string{"-backend=ncsim"}, Options{}, 0, "backend"},
-		{"bad depth", []string{"-formal-depth=-2"}, Options{}, 0, "formal-depth"},
-		{"negative lanes", []string{"-lanes=-3"}, Options{}, 0, "lanes"},
-		{"lanes at bound", []string{fmt.Sprintf("-lanes=%d", MaxLanes)}, compiled, MaxLanes, ""},
-		{"lanes above bound", []string{fmt.Sprintf("-lanes=%d", MaxLanes+1)}, Options{}, 0, "lanes"},
-		{"lanes max int", []string{fmt.Sprintf("-lanes=%d", math.MaxInt)}, Options{}, 0, "lanes"},
+			Options{Backend: "event", Cover: true, Formal: true, Induction: true, FormalDepth: 32}, 8, 4, ""},
+		{"bad backend", []string{"-backend=ncsim"}, Options{}, 0, 0, "backend"},
+		{"bad depth", []string{"-formal-depth=-2"}, Options{}, 0, 0, "formal-depth"},
+		{"negative lanes", []string{"-lanes=-3"}, Options{}, 0, 0, "lanes"},
+		{"lanes at bound", []string{fmt.Sprintf("-lanes=%d", MaxLanes)}, compiled, MaxLanes, 0, ""},
+		{"lanes above bound", []string{fmt.Sprintf("-lanes=%d", MaxLanes+1)}, Options{}, 0, 0, "lanes"},
+		{"lanes max int", []string{fmt.Sprintf("-lanes=%d", math.MaxInt)}, Options{}, 0, 0, "lanes"},
+		{"negative workers", []string{"-workers=-1"}, Options{}, 0, 0, "workers"},
+		{"workers at bound", []string{fmt.Sprintf("-workers=%d", MaxWorkers)}, compiled, 0, MaxWorkers, ""},
+		{"workers above bound", []string{fmt.Sprintf("-workers=%d", MaxWorkers+1)}, Options{}, 0, 0, "workers"},
+		{"workers max int", []string{fmt.Sprintf("-workers=%d", math.MaxInt)}, Options{}, 0, 0, "workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,8 +84,9 @@ func TestFlagsOptions(t *testing.T) {
 			if err != nil {
 				t.Fatalf("valid flags rejected: %v", err)
 			}
-			if got != tc.want || f.Lanes != tc.wantLanes {
-				t.Fatalf("Options = %+v, lanes %d; want %+v, lanes %d", got, f.Lanes, tc.want, tc.wantLanes)
+			if got != tc.want || f.Lanes != tc.wantLanes || f.Workers != tc.wantWorkers {
+				t.Fatalf("Options = %+v, lanes %d, workers %d; want %+v, lanes %d, workers %d",
+					got, f.Lanes, f.Workers, tc.want, tc.wantLanes, tc.wantWorkers)
 			}
 		})
 	}
@@ -98,7 +104,7 @@ func TestUnboundKnobsZero(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Options: %v", err)
 	}
-	if f.Lanes != 2 || o.Cover || o.Formal || o.Workers != 0 {
+	if f.Lanes != 2 || o.Cover || o.Formal || f.Workers != 0 {
 		t.Fatalf("unbound knobs leaked values: %+v", o)
 	}
 	if o.SimBackend().String() != "compiled" {

@@ -313,13 +313,13 @@ func sharedFinal(final string, in Input) string {
 	return final
 }
 
-// prove checks the delivered source against the golden — the
-// service-layer twin of cmd/uvllm's formal gate: plain BMC, or
-// k-induction when the induction knob is on (a closed inductive step
-// upgrades the detail to "for all time"; the status strings stay the
-// same three values either way). Designs outside the blastable subset
-// report "unsupported": the simulation verdict stands alone, exactly as
-// in the CLI. The check honours ctx down to a solve in flight, traces
+// prove checks the delivered source against the golden — the one formal
+// gate, which cmd/uvllm and cmd/uvllmd both reach through ExecuteCtx:
+// plain BMC, or k-induction when the induction knob is on (a closed
+// inductive step upgrades the detail to "for all time"; the status
+// strings stay the same three values either way). Designs outside the
+// blastable subset report "unsupported": the simulation verdict stands
+// alone. The check honours ctx down to a solve in flight, traces
 // under the ctx span, and records per-call solver work into the
 // registry's histograms; cancelled reports that the check stopped on
 // ctx.

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"uvllm/internal/core"
-	"uvllm/internal/exp"
 	"uvllm/internal/formal"
 	"uvllm/internal/sim"
 )
@@ -22,14 +21,15 @@ import (
 // settings that used to be re-declared (and re-validated, and
 // allowed to drift) across uvm.Config, core.Options, exp.Config and
 // every command's flag block. The old structs keep their fields — they
-// are the thin adapter surface the Core/Exp methods fill in — so
-// existing call sites and the differential gates are byte-identical.
+// are the thin adapter surface the Core method fills in — so existing
+// call sites and the differential gates are byte-identical. The
+// command-line-only knobs (lanes, workers) live on Flags: a job runs on
+// whatever pool the server was started with.
 //
 // The zero value is valid and means: compiled backend, coverage off,
-// formal off, default worker count. Backend is a string rather than a
-// sim.Backend so the same struct is the wire format of the server's JSON
-// API and the target of CLI flag parsing; Validate is the one place it
-// is checked.
+// formal off. Backend is a string rather than a sim.Backend so the same
+// struct is the wire format of the server's JSON API and the target of
+// CLI flag parsing; Validate is the one place it is checked.
 type Options struct {
 	// Backend selects the simulation engine: "compiled" (default, also
 	// "") or "event".
@@ -48,10 +48,6 @@ type Options struct {
 	// FormalDepth is the proof unrolling depth in cycles (0 = the formal
 	// engine's default, at most MaxFormalDepth).
 	FormalDepth int `json:"formal_depth,omitempty"`
-	// Workers sizes the worker pool of whatever runs the job set — the
-	// evaluation harness or the server's runner (0 = NumCPU, at most
-	// MaxWorkers).
-	Workers int `json:"workers,omitempty"`
 	// Trace streams the job's hierarchical trace spans: each pipeline
 	// phase's span (preprocess, iterations, uvm compile/run, formal
 	// depths) is emitted as a "span" event on the job's SSE stream as it
@@ -84,9 +80,6 @@ func (o Options) Validate() error {
 	}
 	if o.FormalDepth < 0 || o.FormalDepth > MaxFormalDepth {
 		return fmt.Errorf("formal-depth must be in [0, %d], got %d", MaxFormalDepth, o.FormalDepth)
-	}
-	if o.Workers < 0 || o.Workers > MaxWorkers {
-		return fmt.Errorf("workers must be in [0, %d], got %d", MaxWorkers, o.Workers)
 	}
 	return nil
 }
@@ -126,14 +119,6 @@ func (o Options) Core(base core.Options) core.Options {
 	return base
 }
 
-// Exp fills the shared knobs into an exp.Config, leaving every
-// study-specific field of base untouched.
-func (o Options) Exp(base exp.Config) exp.Config {
-	base.Backend = o.SimBackend()
-	base.Workers = o.Workers
-	return base
-}
-
 // merge fills zero-valued knobs from the server-level defaults; booleans
 // combine with or-semantics (a server started with -cover collects
 // coverage for every job, and a job can still opt in on its own).
@@ -147,9 +132,6 @@ func (o Options) merge(def Options) Options {
 	o.Trace = o.Trace || def.Trace
 	if o.FormalDepth == 0 {
 		o.FormalDepth = def.FormalDepth
-	}
-	if o.Workers == 0 {
-		o.Workers = def.Workers
 	}
 	return o
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"uvllm/internal/core"
-	"uvllm/internal/exp"
 	"uvllm/internal/formal"
 	"uvllm/internal/sim"
 )
@@ -24,16 +23,12 @@ func TestOptionsValidate(t *testing.T) {
 		{"explicit compiled", Options{Backend: "compiled"}, ""},
 		{"event backend", Options{Backend: "event"}, ""},
 		{"event-driven alias", Options{Backend: "event-driven"}, ""},
-		{"everything on", Options{Backend: "event", Cover: true, Formal: true, FormalDepth: 40, Workers: 4}, ""},
+		{"everything on", Options{Backend: "event", Cover: true, Formal: true, FormalDepth: 40}, ""},
 		{"unknown backend", Options{Backend: "verilator"}, "backend"},
 		{"negative formal depth", Options{FormalDepth: -1}, "formal-depth"},
 		{"formal depth at bound", Options{Formal: true, FormalDepth: MaxFormalDepth}, ""},
 		{"formal depth above bound", Options{FormalDepth: MaxFormalDepth + 1}, "formal-depth"},
 		{"formal depth max int", Options{FormalDepth: math.MaxInt}, "formal-depth"},
-		{"negative workers", Options{Workers: -1}, "workers"},
-		{"workers at bound", Options{Workers: MaxWorkers}, ""},
-		{"workers above bound", Options{Workers: MaxWorkers + 1}, "workers"},
-		{"workers max int", Options{Workers: math.MaxInt}, "workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,11 +87,11 @@ func TestJobSpecValidateBounds(t *testing.T) {
 	}
 }
 
-// TestOptionsAdapters checks that the thin adapters fill exactly the
-// shared knobs into the legacy config structs and leave every
-// job-specific field of the base untouched.
+// TestOptionsAdapters checks that the thin adapter fills exactly the
+// shared knobs into core.Options and leaves every job-specific field of
+// the base untouched.
 func TestOptionsAdapters(t *testing.T) {
-	o := Options{Backend: "event", Cover: true, Workers: 3}
+	o := Options{Backend: "event", Cover: true}
 
 	co := o.Core(core.Options{Seed: 7, MaxIterations: 5})
 	if co.Backend != sim.BackendEventDriven || !co.Cover.Any() {
@@ -104,11 +99,6 @@ func TestOptionsAdapters(t *testing.T) {
 	}
 	if co.Seed != 7 || co.MaxIterations != 5 {
 		t.Fatalf("Core adapter clobbered base fields: %+v", co)
-	}
-
-	ec := o.Exp(exp.Config{Seed: 9})
-	if ec.Backend != sim.BackendEventDriven || ec.Workers != 3 || ec.Seed != 9 {
-		t.Fatalf("Exp adapter wrong: %+v", ec)
 	}
 }
 
@@ -125,7 +115,7 @@ func TestOptionsBMCDepth(t *testing.T) {
 // TestOptionsMerge checks the server-default merging semantics: zero
 // knobs inherit, booleans or-combine, explicit values win.
 func TestOptionsMerge(t *testing.T) {
-	def := Options{Backend: "event", Cover: true, FormalDepth: 16, Workers: 2}
+	def := Options{Backend: "event", Cover: true, FormalDepth: 16}
 
 	got := Options{}.merge(def)
 	if got != def {
@@ -138,8 +128,5 @@ func TestOptionsMerge(t *testing.T) {
 	}
 	if !got.Cover || !got.Formal {
 		t.Fatalf("boolean knobs must or-combine: %+v", got)
-	}
-	if got.Workers != 2 {
-		t.Fatalf("zero knobs must inherit: %+v", got)
 	}
 }

@@ -223,7 +223,7 @@ func TestRunnerRejectsInvalidSpec(t *testing.T) {
 	if _, err := r.Submit(JobSpec{Module: "warp_core"}); err == nil {
 		t.Fatal("unknown module accepted")
 	}
-	if _, err := r.Submit(JobSpec{Module: "adder_8bit", Options: Options{Workers: -1}}); err == nil {
+	if _, err := r.Submit(JobSpec{Module: "adder_8bit", Options: Options{FormalDepth: -1}}); err == nil {
 		t.Fatal("invalid options accepted")
 	}
 	if depth := r.QueueDepth(); depth != 0 {

@@ -141,12 +141,6 @@ func TestServerRejections(t *testing.T) {
 		t.Fatalf("formal depth above MaxFormalDepth: HTTP %d, want 400", resp.StatusCode)
 	}
 
-	wide := JobSpec{Module: "adder_8bit", Options: Options{Workers: 1000000000}}
-	resp, _ = postJob(t, ts, wide)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("workers above MaxWorkers: HTTP %d, want 400", resp.StatusCode)
-	}
-
 	huge := JobSpec{Module: "adder_8bit", Source: strings.Repeat("x", maxRequestBody+1)}
 	resp, _ = postJob(t, ts, huge)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {

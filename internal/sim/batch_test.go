@@ -407,6 +407,45 @@ func TestBatchRejectsBadShapes(t *testing.T) {
 	if err := b.Cycle([][]uint64{{1}, {2}}); err == nil {
 		t.Fatal("short row accepted")
 	}
+
+	// Only the last lane's row is short: the call must fail before any
+	// lane moves, not after lanes 0..k-1 have run their cycle.
+	const lanes = 3
+	b, err = NewBatch(p, lanes, "clk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runBatch(t, b, 4)
+	ports := b.Ports()
+	rows := make([][]uint64, lanes)
+	for k := range rows {
+		in := batchStim(k, 4)
+		rows[k] = make([]uint64, len(ports))
+		for i, pt := range ports {
+			rows[k][i] = in[pt.Name]
+		}
+	}
+	rows[lanes-1] = rows[lanes-1][:len(ports)-1]
+	var cycles []int
+	var states []string
+	for k := 0; k < lanes; k++ {
+		cycles = append(cycles, b.Wave(k).Cycles())
+		states = append(states, stateFingerprint(b.Lane(k)))
+	}
+	if err := b.Cycle(rows); err == nil {
+		t.Fatal("short last row accepted")
+	}
+	for k := 0; k < lanes; k++ {
+		if got := b.Wave(k).Cycles(); got != cycles[k] {
+			t.Fatalf("lane %d recorded %d cycles after a rejected call, want %d", k, got, cycles[k])
+		}
+		if stateFingerprint(b.Lane(k)) != states[k] {
+			t.Fatalf("lane %d advanced on a rejected call", k)
+		}
+		if err := b.Err(k); err != nil {
+			t.Fatalf("lane %d parked %v on a rejected call", k, err)
+		}
+	}
 }
 
 // TestBatchRandomizedAgainstHarness fuzzes the identity over random

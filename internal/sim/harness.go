@@ -380,23 +380,22 @@ func FindReset(d *Design) (string, bool) {
 }
 
 // ApplyReset drives the reset sequence: assert reset for cycles clock
-// edges, then deassert.
+// edges with the other inputs holding, then deassert and settle. The
+// reset column is written through its arena index, as CycleRow writes a
+// row, so no stimulus or output map is built per cycle. A failure inside
+// the reset cycles is wrapped "sim: reset:".
 func (h *Harness) ApplyReset(cycles int) error {
-	name, activeLow := FindReset(h.Sim.Design())
+	name, deassert := FindResetDeassert(h.Sim.Design())
 	if name == "" {
 		return nil
 	}
-	assert, deassert := uint64(1), uint64(0)
-	if activeLow {
-		assert, deassert = 0, 1
-	}
+	idx := h.Sim.d.byName[name]
 	for i := 0; i < cycles; i++ {
-		if _, err := h.Cycle(map[string]uint64{name: assert}); err != nil {
+		h.Sim.set(idx, deassert^1)
+		if err := h.step(); err != nil {
 			return fmt.Errorf("sim: reset: %w", err)
 		}
 	}
-	if err := h.Sim.Set(name, deassert); err != nil {
-		return err
-	}
+	h.Sim.set(idx, deassert)
 	return h.Sim.Settle()
 }

@@ -78,22 +78,13 @@ func (p *Program) FallbackReason() string {
 // settles. Instances of one Program are independent: any number may run
 // concurrently on separate goroutines.
 func (p *Program) NewInstance() (*Instance, error) {
-	return p.newInstanceArena(make([]uint64, len(p.d.sigs)))
-}
-
-// newInstanceArena is NewInstance over a caller-provided signal arena
-// (len(vals) must equal the design's signal count). Batch passes per-lane
-// sub-slices of one contiguous pooled slab so K lanes share allocation
-// and cache locality; the zeroed slab is ready to use because Reset
-// rewrites every word anyway.
-func (p *Program) newInstanceArena(vals []uint64) (*Instance, error) {
 	s := &Instance{
 		program:    p,
 		d:          p.d,
 		code:       p.code,
 		levelized:  p.levelized,
 		backend:    p.backend,
-		vals:       vals,
+		vals:       make([]uint64, len(p.d.sigs)),
 		mems:       make([][]uint64, len(p.d.sigs)),
 		inQueue:    make([]bool, len(p.d.procs)),
 		inSeq:      make([]bool, len(p.d.procs)),

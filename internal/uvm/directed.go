@@ -39,9 +39,9 @@ type StimConfig struct {
 	SnippetLen int
 	// Lanes is the batched candidate scorer's width: CoverageDirected
 	// evaluates that many candidate snippets per round in one sim.Batch
-	// (fused sweeps, shared schedule decode) and continues from the best,
-	// under the same total cycle budget. 0 or 1 scores one candidate per
-	// round.
+	// (one harness per candidate, each restored to the committed state)
+	// and continues from the best, under the same total cycle budget. 0
+	// or 1 scores one candidate per round.
 	Lanes int
 	// BitLanes selects the bit-parallel candidate scorer instead: each
 	// round screens up to 64 candidate snippets one-bit-per-word on the
@@ -155,7 +155,7 @@ func CoverageDirected(p *sim.Program, cfg StimConfig) (*cover.Map, *Corpus, erro
 
 // directedBatch is the lane-parallel directed loop: each round restores
 // up to `lanes` instances of one sim.Batch to the committed state, drives
-// one candidate snippet per lane in fused sweeps, scores every
+// one candidate snippet per lane, scores every
 // candidate's coverage gain against the accumulated map, and continues
 // from the best candidate's post-snippet state. All simulated cycles
 // count against cfg.Cycles (L lanes × k-cycle snippets consume L·k), so
