@@ -13,6 +13,7 @@ package uvllm
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"uvllm/internal/baseline"
@@ -717,6 +718,49 @@ func BenchmarkBMCEquivIncremental(b *testing.B) {
 		}
 		if !res.Equivalent {
 			b.Fatal("accumulator pair unexpectedly refuted")
+		}
+	}
+}
+
+// BenchmarkInductionDataset measures one pass of the formal_mix
+// benchmark's op mix per iteration: InductionEquivOpts at the
+// conventional depth under a 50,000-conflict budget over every (golden,
+// functional mutant) dataset pair whose mutant compiles (173 checks),
+// all compiled before the timer starts. Most of those checks refute or
+// close within a few conflicts, so loading CNF into the solvers weighs
+// here as it does in formal_mix, where the deep-UNSAT
+// BenchmarkBMCEquivIncremental barely sees it. No BENCH_baseline.json
+// entry guards it.
+func BenchmarkInductionDataset(b *testing.B) {
+	type pair struct {
+		golden, mutant *sim.Program
+		clock          string
+	}
+	var pairs []pair
+	for _, m := range dataset.All() {
+		golden, err := sim.CompileSource(m.Source, m.Top, sim.BackendCompiled)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range faultgen.FunctionalClasses() {
+			for _, f := range faultgen.Generate(m, c) {
+				mutant, err := sim.CompileSource(f.Source, m.Top, sim.BackendCompiled)
+				if err != nil {
+					continue // a functional fault the linter catches before elaboration
+				}
+				pairs = append(pairs, pair{golden, mutant, m.Clock})
+			}
+		}
+	}
+	opts := formal.Options{MaxConflicts: 50000}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pairs {
+			_, err := formal.InductionEquivOpts(p.golden, p.mutant, p.clock, formal.DefaultBMCDepth, opts)
+			if err != nil && !errors.Is(err, formal.ErrBudget) && !errors.Is(err, formal.ErrUnsupported) {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -73,14 +73,14 @@ func check(u *miter, k int, opts Options, induct bool) (res EquivResult, err err
 			}
 			if sat {
 				res.Depth = t
-				res.Cex = u.cex(sBase, tiB.Vars(), t)
+				res.Cex = u.cex(sBase, tiB, t)
 				if opts.MinimizeCex {
 					res.RawCex = res.Cex
 					minimizeModel(sBase, tiB, badLit, u.in)
 					if err := opts.cancelled(t); err != nil {
 						return res, err
 					}
-					res.Cex = u.cex(sBase, tiB.Vars(), t)
+					res.Cex = u.cex(sBase, tiB, t)
 				}
 				return res, nil
 			}

@@ -20,22 +20,46 @@ func (c *CNF) AddClause(lits ...int) {
 // what lets the unrolling loop's iterative deepening extend one retained unrolling
 // (frame variables of earlier depths stay allocated and constrained)
 // instead of re-Tseitin-ing from scratch at every depth.
+//
+// Storage is dense, MiniSat-style: the graph numbers its nodes densely,
+// so the node-to-variable mapping is a slice indexed by node that grows
+// with the graph. A load first collects its cone's unloaded nodes, then
+// reserves solver room for exactly that many variables and their
+// clauses (Solver.reserve) and only then emits them, so NewVar and the
+// clause arena extend within capacity instead of growing an element at
+// a time. Variables are numbered, and clauses emitted, in the same
+// bottom-up order as a node-at-a-time load, so no search decision moves.
 type IncTseitin struct {
 	g       *AIG
 	s       *Solver
-	vars    map[uint32]int
-	trueVar int // lazily pinned true variable for constant literals
+	vars    []int32  // per AIG node: its solver variable, 0 while not loaded
+	stack   []uint32 // load's DFS stack, reused across loads
+	order   []uint32 // load's cone nodes in emission order, reused across loads
+	trueVar int      // lazily pinned true variable for constant literals
 }
+
+// pending marks a node a load has queued but not yet numbered.
+const pending int32 = -1
+
+// andClauseWords is the arena room one AND gate's definition takes: a
+// length word plus the literals of each of its two binary clauses and
+// its one ternary clause.
+const andClauseWords = 3 + 3 + 4
 
 // NewIncTseitin binds an incremental loader to a graph/solver pair.
 func NewIncTseitin(g *AIG, s *Solver) *IncTseitin {
-	return &IncTseitin{g: g, s: s, vars: map[uint32]int{}}
+	return &IncTseitin{g: g, s: s}
 }
 
-// Vars returns the live AIG-node-to-solver-variable mapping (grown by
-// every Lit call) — the decode map for SAT models, in the same form
-// Tseitin returns.
-func (t *IncTseitin) Vars() map[uint32]int { return t.vars }
+// Var returns the solver variable of AIG node n — the decode map for SAT
+// models — or 0 when no cone loaded so far contains n, which Solver.Value
+// reads as false.
+func (t *IncTseitin) Var(n uint32) int {
+	if int(n) < len(t.vars) {
+		return int(t.vars[n])
+	}
+	return 0
+}
 
 // Lit returns the solver literal equivalent to the AIG literal l, loading
 // the defining clauses of any cone nodes the solver has not seen yet.
@@ -52,51 +76,64 @@ func (t *IncTseitin) Lit(l Lit) int {
 		}
 		return -t.trueVar
 	}
-	t.load(l.Node())
-	v := t.vars[l.Node()]
+	n := l.Node()
+	if t.Var(n) == 0 {
+		t.load(n)
+	}
+	v := int(t.vars[n])
 	if l.Neg() {
 		return -v
 	}
 	return v
 }
 
-// load emits defining clauses for every unvisited node in n's cone,
-// bottom-up.
+// load emits defining clauses for every unloaded node in n's cone,
+// bottom-up: a depth-first walk queues each node once both its fanins
+// are loaded or queued, then the queued nodes get their variables and
+// clauses in queue order.
 func (t *IncTseitin) load(n uint32) {
-	if _, ok := t.vars[n]; ok {
-		return
-	}
 	g, s := t.g, t.s
-	stack := []uint32{n}
+	if len(t.vars) < len(g.nodes) {
+		t.vars = append(t.vars, make([]int32, len(g.nodes)-len(t.vars))...)
+	}
+	order, ands := t.order[:0], 0
+	stack := append(t.stack[:0], n)
 	for len(stack) > 0 {
 		nd := stack[len(stack)-1]
-		if _, ok := t.vars[nd]; ok {
+		if t.vars[nd] != 0 {
 			stack = stack[:len(stack)-1]
 			continue
 		}
 		node := g.nodes[nd]
-		if node.a == varSentinel {
-			t.vars[nd] = s.NewVar()
-			stack = stack[:len(stack)-1]
-			continue
+		if node.a != varSentinel {
+			if an := node.a.Node(); an != 0 && t.vars[an] == 0 {
+				stack = append(stack, an)
+				continue
+			}
+			if bn := node.b.Node(); bn != 0 && t.vars[bn] == 0 {
+				stack = append(stack, bn)
+				continue
+			}
+			ands++
 		}
-		an, bn := node.a.Node(), node.b.Node()
-		if _, ok := t.vars[an]; !ok && an != 0 {
-			stack = append(stack, an)
-			continue
-		}
-		if _, ok := t.vars[bn]; !ok && bn != 0 {
-			stack = append(stack, bn)
-			continue
-		}
+		t.vars[nd] = pending
+		order = append(order, nd)
+		stack = stack[:len(stack)-1]
+	}
+	t.stack, t.order = stack, order
+	s.reserve(len(order), ands*andClauseWords)
+	for _, nd := range order {
 		v := s.NewVar()
-		t.vars[nd] = v
+		t.vars[nd] = int32(v)
+		node := g.nodes[nd]
+		if node.a == varSentinel {
+			continue
+		}
 		a, b := t.Lit(node.a), t.Lit(node.b)
 		// v <-> a AND b
 		s.AddClause(-v, a)
 		s.AddClause(-v, b)
 		s.AddClause(v, -a, -b)
-		stack = stack[:len(stack)-1]
 	}
 }
 

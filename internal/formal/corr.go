@@ -137,9 +137,8 @@ func (u *miter) refine(cs []corrWord, in map[string]Vec, opts Options) ([]corrWo
 		if !sat {
 			return cs, solves, nil
 		}
-		vars := ti.Vars()
 		model := func(n uint32) uint64 {
-			if s.Value(vars[n]) {
+			if s.Value(ti.Var(n)) {
 				return ^uint64(0)
 			}
 			return 0

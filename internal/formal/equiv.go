@@ -266,9 +266,9 @@ func stateDiff(g *AIG, m *Model, si, sj *State, sigs []int) Lit {
 
 // cex decodes the SAT model of a base-path failure at cycle t into
 // concrete per-cycle stimulus and names one diverging output.
-func (u *miter) cex(s *Solver, vars map[uint32]int, t int) *Counterexample {
+func (u *miter) cex(s *Solver, ti *IncTseitin, t int) *Counterexample {
 	g := u.g
-	assign := func(n uint32) bool { return s.Value(vars[n]) }
+	assign := func(n uint32) bool { return s.Value(ti.Var(n)) }
 	cex := &Counterexample{Cycle: t}
 	frozen := u.ma.FrozenInputs()
 	for _, in := range u.in {

@@ -32,8 +32,8 @@ func minimizeModel(s *Solver, ti *IncTseitin, badLit int, inputs []map[string]Ve
 				if c, _ := ti.g.IsConst(bit); c {
 					continue
 				}
-				v, ok := ti.vars[bit.Node()]
-				if !ok {
+				v := ti.Var(bit.Node())
+				if v == 0 {
 					continue // outside every solved cone: decodes to zero already
 				}
 				lit := v

@@ -1,6 +1,8 @@
 package formal_test
 
 import (
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -125,6 +127,8 @@ solve c=223 d=898 p=42083 r=2 l=219 vars=1400 clauses=3939
 solve c=370 d=1491 p=96904 r=4 l=370 vars=2122 clauses=6003
 raw cycle=4 signal=dout weight=18 | 0: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 1: din=0x10 pop=0x0 push=0x1 rst_n=0x1 | 2: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 3: din=0x9d pop=0x1 push=0x1 rst_n=0x1 | 4: din=0x40 pop=0x0 push=0x1 rst_n=0x1
 cex cycle=4 signal=dout weight=11 | 0: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 1: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 2: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 3: din=0x0 pop=0x0 push=0x1 rst_n=0x1 | 4: din=0x80 pop=0x0 push=0x1 rst_n=0x1`},
+		{"dataset", pinDataset, `
+pairs=173 sat=115 unsat=46 unbounded=46 budget=0 unsupported=12 error=0 digest=a4e8e92989f5d93484754d79`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -237,6 +241,76 @@ func pinInduction(id string, opts formal.Options) func(t *testing.T) string {
 		a, b, clock := datasetPair(t, id)
 		return equivRecord(formal.InductionEquivOpts(a, b, clock, formal.DefaultBMCDepth, opts))
 	}
+}
+
+// pinDataset runs the formal_mix benchmark's op mix: every functional
+// fault faultgen.Generate yields for the dataset modules whose mutant
+// compiles, in generation order, through InductionEquivOpts at the
+// conventional depth under the workload's 50,000-conflict budget. Every
+// pair's equivRecord goes into one digest, printed after the verdict
+// counts.
+func pinDataset(t *testing.T) string {
+	h := sha256.New()
+	counts := map[string]int{}
+	for _, m := range dataset.All() {
+		golden := compile(t, m.Source, m.Top)
+		for _, c := range faultgen.FunctionalClasses() {
+			for _, f := range faultgen.Generate(m, c) {
+				mutant, err := sim.CompileSource(f.Source, m.Top, sim.BackendCompiled)
+				if err != nil {
+					continue // a functional fault the linter catches before elaboration
+				}
+				res, err := formal.InductionEquivOpts(golden, mutant, m.Clock, formal.DefaultBMCDepth,
+					formal.Options{MaxConflicts: 50000})
+				counts["pairs"]++
+				counts[verdictOf(res, err)]++
+				if res.Unbounded {
+					counts["unbounded"]++
+				}
+				fmt.Fprintf(h, "%s\n%s\n", f.ID, equivRecord(res, err))
+			}
+		}
+	}
+	return fmt.Sprintf("pairs=%d sat=%d unsat=%d unbounded=%d budget=%d unsupported=%d error=%d digest=%x",
+		counts["pairs"], counts["sat"], counts["unsat"], counts["unbounded"], counts["budget"],
+		counts["unsupported"], counts["error"], h.Sum(nil)[:12])
+}
+
+// verdictOf classifies one equivalence check the way the formal_mix
+// benchmark counts it.
+func verdictOf(res formal.EquivResult, err error) string {
+	switch {
+	case errors.Is(err, formal.ErrBudget):
+		return "budget"
+	case errors.Is(err, formal.ErrUnsupported):
+		return "unsupported"
+	case err != nil:
+		return "error"
+	case res.Equivalent:
+		return "unsat"
+	}
+	return "sat"
+}
+
+// TestInductionAllocs guards the incremental loader's allocation count
+// on a refuting check: seq_detector/FuncDeclType-0, the seq-refine row
+// of TestSearchPinned, refutes at depth 3 after six solves. It takes
+// about 4,400 allocations (4,500 under -race). A loader that keeps its
+// node-to-variable mapping in a Go map and grows the solver one
+// variable, arena word or watch at a time took about 10,560.
+func TestInductionAllocs(t *testing.T) {
+	const limit = 5500
+	a, b, clock := datasetPair(t, "seq_detector/FuncDeclType-0")
+	got := testing.AllocsPerRun(5, func() {
+		res, err := formal.InductionEquivOpts(a, b, clock, formal.DefaultBMCDepth, formal.Options{})
+		if err != nil || res.Equivalent {
+			t.Fatalf("seq_detector/FuncDeclType-0: equivalent=%v err=%v, want a refutation", res.Equivalent, err)
+		}
+	})
+	if got > limit {
+		t.Fatalf("InductionEquivOpts(seq_detector/FuncDeclType-0) allocates %.0f times, want at most %d", got, limit)
+	}
+	t.Logf("InductionEquivOpts(seq_detector/FuncDeclType-0): %.0f allocations", got)
 }
 
 // pinBMC is pinInduction through BMCEquivOpts: the base path alone.

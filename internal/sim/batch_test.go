@@ -448,6 +448,52 @@ func TestBatchRejectsBadShapes(t *testing.T) {
 	}
 }
 
+// TestUnknownClockFailsFirstCycle drives a harness and a 2-lane batch
+// whose clock names no signal: each fails its first cycle with the
+// unknown-signal error, the batch lanes go inert there, and nothing
+// records a cycle.
+func TestUnknownClockFailsFirstCycle(t *testing.T) {
+	const want = `sim: unknown signal "nope"`
+	for _, be := range backends() {
+		t.Run(be.String(), func(t *testing.T) {
+			p, err := CompileSource(memDUT, "memdut", be)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst, err := p.NewInstance()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := NewHarness(inst, "nope")
+			if _, err := h.Cycle(batchStim(0, 0)); err == nil || err.Error() != want {
+				t.Fatalf("harness first cycle: err %v, want %s", err, want)
+			}
+			if got := h.Wave.Cycles(); got != 0 {
+				t.Fatalf("harness recorded %d cycles, want 0", got)
+			}
+
+			b, err := NewBatch(p, 2, "nope")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := [][]uint64{make([]uint64, len(b.Ports())), make([]uint64, len(b.Ports()))}
+			for c := 0; c < 2; c++ {
+				if err := b.Cycle(rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k := 0; k < 2; k++ {
+				if err := b.Err(k); err == nil || err.Error() != want {
+					t.Fatalf("lane %d: err %v, want %s", k, err, want)
+				}
+				if got := b.Wave(k).Cycles(); got != 0 {
+					t.Fatalf("lane %d recorded %d cycles, want 0", k, got)
+				}
+			}
+		})
+	}
+}
+
 // TestBatchRandomizedAgainstHarness fuzzes the identity over random
 // per-lane streams on both backends (short, deterministic): batch rows
 // against the same stimulus as harness maps.

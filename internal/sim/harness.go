@@ -99,16 +99,17 @@ type portRef struct {
 // Harness drives a simulator with a cycle-based protocol: apply inputs,
 // let combinational logic settle, pulse the clock, sample outputs. It is
 // the glue between the Go UVM components and the RTL simulator. Port
-// arena indices are resolved at construction so per-cycle sampling does
-// no name lookups. Stimulus enters either as a row aligned with Ports()
+// and clock arena indices are resolved at construction, so per-cycle
+// clocking and sampling do no name lookups. Stimulus enters either as a row aligned with Ports()
 // (CycleRow, the same layout as Batch) or as a map (Cycle); both run the
 // one cycle protocol after application.
 type Harness struct {
 	Sim   *Instance
-	Clock string // clock input name; empty for purely combinational DUTs
+	Clock string // clock input name, fixed by NewHarness; empty for purely combinational DUTs
 	Wave  *Waveform
 	cycle int
 
+	clockIdx int             // arena index of Clock, -1 when it names no signal
 	inPorts  []portRef       // non-clock inputs, declaration order — the row layout
 	outPorts []portRef       // top-level outputs
 	recIdx   []int           // arena index per recorded port, in Wave.Names() order (-1 = unknown)
@@ -149,7 +150,10 @@ func NewHarness(s *Instance, clock string) *Harness {
 	for _, p := range s.Design().Outputs() {
 		names = append(names, p.Name)
 	}
-	h := &Harness{Sim: s, Clock: clock, Wave: NewWaveform(names), inputSet: map[string]bool{}}
+	h := &Harness{Sim: s, Clock: clock, Wave: NewWaveform(names), inputSet: map[string]bool{}, clockIdx: -1}
+	if idx, ok := s.d.byName[clock]; ok {
+		h.clockIdx = idx
+	}
 	for _, p := range s.Design().Inputs() {
 		h.inputSet[p.Name] = true
 		if idx, ok := s.d.byName[p.Name]; ok && p.Name != clock {
@@ -264,15 +268,14 @@ func (h *Harness) step() error {
 		h.Sim.coverSampleExec()
 	}
 	if h.Clock != "" {
-		if err := h.Sim.Set(h.Clock, 1); err != nil {
-			return err
+		if h.clockIdx < 0 {
+			return h.Sim.Set(h.Clock, 1) // the unknown-signal error
 		}
+		h.Sim.set(h.clockIdx, 1)
 		if err := h.Sim.Settle(); err != nil {
 			return err
 		}
-		if err := h.Sim.Set(h.Clock, 0); err != nil {
-			return err
-		}
+		h.Sim.set(h.clockIdx, 0)
 		if err := h.Sim.Settle(); err != nil {
 			return err
 		}
