@@ -29,8 +29,10 @@ import (
 // observe path: a 2-cycle reset phase when the design has a reset, then
 // n random vectors (ResetEvery 50) materialized from that lane's seed,
 // scored cycle by cycle against the reference model's memoized golden
-// trace. A lane whose simulation dies keeps the pass rate accumulated up
-// to the failing cycle, like Env.Run.
+// trace. The stimuli come from the shared memo's Materialize, so the
+// faults of one module draw and hash each seed's stream once. A lane
+// whose simulation dies keeps the pass rate accumulated up to the
+// failing cycle, like Env.Run.
 func ObserveLanes(f *Fault, seeds []int64, n int) ([]float64, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("faultgen: ObserveLanes needs at least one seed")
@@ -56,7 +58,7 @@ func ObserveLanes(f *Fault, seeds []int64, n int) ([]float64, error) {
 	cols := make([][]int, len(seeds))
 	for k, seed := range seeds {
 		seq := *random // a sequence counts what it has emitted: one fresh copy per seed
-		stims[k] = uvm.Materialize(&seq, seed, ports)
+		stims[k] = memo.Materialize(&seq, seed, ports)
 		if n > 0 && stims[k].Row(0) == nil {
 			return nil, fmt.Errorf("faultgen: %s stimulus does not fit the lane row layout", m.Name)
 		}

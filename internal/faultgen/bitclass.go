@@ -16,9 +16,6 @@ package faultgen
 // verdicts.
 
 import (
-	"math/rand"
-	"sync"
-
 	"uvllm/internal/formal"
 	"uvllm/internal/psim"
 	"uvllm/internal/sim"
@@ -62,9 +59,13 @@ func ClassifyBitParallel(f *Fault, lanes, cycles int, seed int64) (BitVerdict, e
 // designs see the same stimulus: formal.ResetCycles cycles with the
 // conventional reset asserted and every other input zero, then `cycles`
 // cycles of per-lane random vectors (lane k draws from seed+k) with the
-// reset held deasserted. The run stops early once every lane has
-// diverged, since no later cycle can change the verdict. Supported=false
-// with a nil error means the pair is outside the bit-parallel subset.
+// reset held deasserted. The random words are a memoized value: calls
+// that share the seed, the lane count and the golden's non-reset input
+// widths, such as the faults of one module, read one set of columns from
+// a one-entry table, drawn once, for up to maxMemoCycles cycles. The
+// run stops early once every lane has diverged, since no later cycle can
+// change the verdict. Supported=false with a nil error means the pair is
+// outside the bit-parallel subset.
 func ClassifyBitParallelSource(golden, mutant, top, clock string, lanes, cycles int, seed int64) (BitVerdict, error) {
 	if lanes < 1 || lanes > 64 {
 		lanes = 64
@@ -123,27 +124,29 @@ func ClassifyBitParallelSource(golden, mutant, top, clock string, lanes, cycles 
 	if activeLow {
 		assert, deassert = 0, 1
 	}
-	var rngs [64]*rand.Rand
-	for k := range lanes {
-		rngs[k] = rngPool.Get().(*rand.Rand)
-		rngs[k].Seed(seed + int64(k))
-	}
-	defer func() {
-		for _, r := range rngs[:lanes] {
-			rngPool.Put(r)
-		}
-	}()
 	resetCycles := 0
 	if rstName != "" {
 		resetCycles = formal.ResetCycles
 	}
+	var widths []int
+	for i, pt := range cg.Free {
+		if pt.Name != rstName {
+			widths = append(widths, len(cg.In[i]))
+		}
+	}
+	cols := columnsFor(seed, lanes, widths, cycles)
+	defer cols.release()
 
 	v := BitVerdict{Supported: true, Lanes: lanes, GateOps: eng.Ops(), Lane: -1, Cycle: -1}
 	var caught uint64
-	var col, words [64]uint64 // one port's lane values, then its bit-sliced words
+	var words [64]uint64 // the reset's broadcast, or a port's zeros
 	for cyc := 0; cyc < resetCycles+cycles; cyc++ {
 		sg.load(eng)
 		sm.load(eng)
+		var random []uint64 // this cycle's random words, ports back to back
+		if cyc >= resetCycles {
+			random = cols.cycle(cyc - resetCycles)
+		}
 		for i, pt := range cg.Free {
 			w := words[:len(cg.In[i])]
 			switch {
@@ -158,10 +161,7 @@ func ClassifyBitParallelSource(golden, mutant, top, clock string, lanes, cycles 
 			case cyc < resetCycles:
 				clear(w)
 			default:
-				for k := range lanes {
-					col[k] = rngs[k].Uint64()
-				}
-				psim.BitSlice(w, col[:lanes])
+				w, random = random[:len(w)], random[len(w):]
 			}
 			for b, l := range cg.In[i] {
 				eng.SetVar(l, w[b])
@@ -201,8 +201,8 @@ func ClassifyBitParallelSource(golden, mutant, top, clock string, lanes, cycles 
 		}
 		if caught == active {
 			// Every lane has diverged: the first hit fixed Detected, Lane,
-			// Cycle and Signal, DetectedLanes cannot grow, and the lane
-			// rngs die with this call, so no later cycle can change v.
+			// Cycle and Signal and DetectedLanes cannot grow, so no later
+			// cycle can change v.
 			break
 		}
 	}
@@ -213,10 +213,6 @@ func ClassifyBitParallelSource(golden, mutant, top, clock string, lanes, cycles 
 	}
 	return v, nil
 }
-
-// rngPool recycles the lanes' generators: a math/rand source is about
-// 5 KB, and Seed restarts exactly the stream rand.NewSource(seed) yields.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // pairState is one side's bit-sliced architectural state: the values the
 // circuit's previous-state variables take before each sweep.

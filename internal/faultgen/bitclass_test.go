@@ -137,31 +137,169 @@ func TestClassifyBitParallelAgreesWithBounded(t *testing.T) {
 // screen verdict, error included, to digests recorded before the screen
 // learned to stop once every lane has diverged: the stop may save
 // cycles but never change a verdict. The second run's 7 lanes cover an
-// active mask below a full word.
+// active mask below a full word. The interleaved pass makes both runs'
+// calls again in one sequence that alternates modules and lane counts,
+// so consecutive calls change the memoized columns' key, and must reach
+// the same digests.
 func TestClassifyBitParallelPinned(t *testing.T) {
-	for _, tc := range []struct {
+	type run struct {
 		lanes, cycles int
 		seed          int64
 		want          string
-	}{
+	}
+	runs := []run{
 		{64, 500, 1, "8355c1a96b663a9a39a3d0c1"},
 		{7, 500, 3, "4c431835ccf6ff29fd2d9977"},
-	} {
-		h := sha256.New()
-		n := 0
-		for _, f := range Benchmark() {
-			if f.Class.IsSyntax() {
-				continue
-			}
-			v, err := ClassifyBitParallel(f, tc.lanes, tc.cycles, tc.seed)
-			fmt.Fprintf(h, "%s|%+v|%v\n", f.ID, v, err)
-			n++
-		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)[:12]); got != tc.want {
-			t.Errorf("lanes=%d cycles=%d seed=%d: %d verdicts digest %s, want %s",
-				tc.lanes, tc.cycles, tc.seed, n, got, tc.want)
+	}
+	var faults []*Fault
+	for _, f := range Benchmark() {
+		if !f.Class.IsSyntax() {
+			faults = append(faults, f)
 		}
 	}
+	classify := func(f *Fault, r run) string {
+		v, err := ClassifyBitParallel(f, r.lanes, r.cycles, r.seed)
+		return fmt.Sprintf("%s|%+v|%v\n", f.ID, v, err)
+	}
+	check := func(pass string, r run, lines []string) {
+		h := sha256.New()
+		for _, l := range lines {
+			h.Write([]byte(l))
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:12]); got != r.want {
+			t.Errorf("%s lanes=%d cycles=%d seed=%d: %d verdicts digest %s, want %s",
+				pass, r.lanes, r.cycles, r.seed, len(lines), got, r.want)
+		}
+	}
+	for _, r := range runs {
+		colTable.Lock()
+		misses := colTable.misses
+		colTable.Unlock()
+		lines := make([]string, len(faults))
+		for i, f := range faults {
+			lines[i] = classify(f, r)
+		}
+		check("in order:", r, lines)
+		// The faults of a module are listed together and share one entry.
+		colTable.Lock()
+		if n := colTable.misses - misses; n > int64(len(dataset.All())) {
+			t.Errorf("lanes=%d: %d column misses over %d faults of %d modules", r.lanes, n, len(faults), len(dataset.All()))
+		}
+		colTable.Unlock()
+	}
+
+	// Faults i and half+i sit in different modules; each step runs both
+	// lane counts, flipping which goes first.
+	lines := [2][]string{make([]string, len(faults)), make([]string, len(faults))}
+	half := (len(faults) + 1) / 2
+	step := 0
+	for i := 0; i < half; i++ {
+		for _, fi := range []int{i, half + i} {
+			if fi >= len(faults) {
+				continue
+			}
+			for k := range runs {
+				r := (step + k) % len(runs)
+				lines[r][fi] = classify(faults[fi], runs[r])
+			}
+			step++
+		}
+	}
+	for r := range runs {
+		check("interleaved:", runs[r], lines[r])
+	}
+}
+
+// TestClassifyColumnsShared: calls running at once on one key read and
+// grow one entry, and calls on another key replace it under them; each
+// still returns its sequential verdict.
+func TestClassifyColumnsShared(t *testing.T) {
+	var faults []*Fault
+	for _, f := range Benchmark() {
+		if (f.Module == "fifo_sync" || f.Module == "alu") && !f.Class.IsSyntax() {
+			faults = append(faults, f)
+		}
+	}
+	want := make([]BitVerdict, len(faults))
+	for i, f := range faults {
+		want[i], _ = ClassifyBitParallel(f, 64, 300, 5)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range faults {
+				i := (w + n) % len(faults)
+				got, err := ClassifyBitParallel(faults[i], 64, 300, 5)
+				if err != nil || got != want[i] {
+					t.Errorf("%s concurrently: %+v, %v; sequentially %+v", faults[i].ID, got, err, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestClassifyColumnsBounded: the column table holds one entry, which
+// never covers more than maxMemoCycles cycles; a longer call draws
+// private columns and leaves the entry in place; and an entry's
+// generators go back to the pool once it is fully drawn, or once it is
+// replaced and its last call has finished.
+func TestClassifyColumnsBounded(t *testing.T) {
+	m := dataset.ByName("alu")
+	classify := func(cycles int, seed int64) {
+		t.Helper()
+		// Golden against itself never diverges, so every cycle runs.
+		v, err := ClassifyBitParallelSource(m.Source, m.Source, m.Top, m.Clock, 64, cycles, seed)
+		if err != nil || !v.Supported || v.Detected {
+			t.Fatalf("alu vs itself, %d cycles: %+v, %v", cycles, v, err)
+		}
+	}
+	current := func() *laneColumns {
+		colTable.Lock()
+		defer colTable.Unlock()
+		return colTable.cur
+	}
+	classify(maxMemoCycles, 11)
+	full := current()
+	if full == nil || full.seed != 11 {
+		t.Fatalf("a %d-cycle call did not publish its columns", maxMemoCycles)
+	}
+	full.mu.Lock()
+	n, rngs, refs := int(full.published.Load()), full.rngs, full.refs
+	full.mu.Unlock()
+	if n*chunkCycles != maxMemoCycles || rngs != nil || refs != 1 {
+		t.Fatalf("full entry: %d cycles drawn, %d generators kept, %d refs; want %d, 0, 1 (the slot)",
+			n*chunkCycles, len(rngs), refs, maxMemoCycles)
+	}
+
+	colTable.Lock()
+	bypassed := colTable.bypassed
+	colTable.Unlock()
+	classify(maxMemoCycles+1, 12)
+	colTable.Lock()
+	if colTable.cur != full || colTable.bypassed != bypassed+1 {
+		t.Errorf("a call past the cap replaced the entry or was not counted as bypassed")
+	}
+	colTable.Unlock()
+
+	classify(40, 13)
+	part := current()
+	if part == full {
+		t.Fatal("a new key kept the old entry")
+	}
+	full.mu.Lock()
+	if full.refs != 0 || full.rngs != nil {
+		t.Errorf("replaced entry: %d refs, %d generators; want none", full.refs, len(full.rngs))
+	}
+	full.mu.Unlock()
+	part.mu.Lock()
+	if got := int(part.published.Load()) * chunkCycles; got < 40 || got >= 40+chunkCycles || len(part.rngs) != 64 {
+		t.Errorf("40-cycle entry: %d cycles drawn, %d generators; want the chunks covering 40 and 64", got, len(part.rngs))
+	}
+	part.mu.Unlock()
 }
 
 // TestClassifyBitParallelSettledIsFinal: once all 64 lanes have

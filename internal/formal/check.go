@@ -10,7 +10,7 @@ import "fmt"
 // everything learned at shallower ones. A depth whose bad literal
 // collapses structurally to false needs no solve; a SAT answer is a
 // genuine counterexample at the earliest failing cycle (minimized under
-// Options.MinimizeCex).
+// Options.MinimizeCex, never heavier than the raw one).
 //
 // With induct, each depth also runs one round of Sheeran-style
 // k-induction on a second solver: window round r = t+1 asks whether the
@@ -80,7 +80,11 @@ func check(u *miter, k int, opts Options, induct bool) (res EquivResult, err err
 					if err := opts.cancelled(t); err != nil {
 						return res, err
 					}
-					res.Cex = u.cex(sBase, tiB, t)
+					// The greedy pass can end heavier than it began; both
+					// traces fail at cycle t, so keep the lighter.
+					if small := u.cex(sBase, tiB, t); small.Weight() <= res.RawCex.Weight() {
+						res.Cex = small
+					}
 				}
 				return res, nil
 			}

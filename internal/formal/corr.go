@@ -239,34 +239,45 @@ func (u *miter) simulate(cs []corrWord) []corrWord {
 	if ha.ApplyReset(ResetCycles) != nil || hb.ApplyReset(ResetCycles) != nil {
 		return cs
 	}
-	freeB := map[string]bool{}
-	for _, p := range u.mb.free {
-		freeB[p.Name] = true
+	// Each harness takes a row in its Ports() order. a's free and frozen
+	// inputs are all of its non-clock inputs, so a holds nothing. b takes
+	// a's value for each free input both have and its own frozen values;
+	// any other input of b keeps the value it holds, as it would with no
+	// stimulus at all.
+	freeA := map[string]bool{}
+	for _, p := range u.ma.free {
+		freeA[p.Name] = true
 	}
-	frozenA, frozenB := u.ma.FrozenInputs(), u.mb.FrozenInputs()
+	shared := map[string]bool{} // b's free inputs, true where a drives them too
+	for _, p := range u.mb.free {
+		shared[p.Name] = freeA[p.Name]
+	}
+	rowA, posA, _ := simRow(ha, u.ma.FrozenInputs(), freeA)
+	rowB, posB, holdB := simRow(hb, u.mb.FrozenInputs(), shared)
+	colA, colB := make([]int, len(u.ma.free)), make([]int, len(u.ma.free))
+	for i, p := range u.ma.free {
+		colA[i], colB[i] = posA[p.Name], -1
+		if shared[p.Name] {
+			colB[i] = posB[p.Name]
+		}
+	}
+	portsB := hb.Ports()
 	rng := rand.New(rand.NewSource(1))
 	for cyc := 0; cyc < corrSimCycles && len(cs) > 0; cyc++ {
-		inA, inB := map[string]uint64{}, map[string]uint64{}
-		for _, p := range u.ma.free {
+		for i, p := range u.ma.free {
 			v := rng.Uint64()
 			if w := vecW(p.Width); w < 64 {
 				v &= 1<<w - 1
 			}
-			inA[p.Name] = v
-			if freeB[p.Name] {
-				inB[p.Name] = v
+			rowA[colA[i]] = v
+			if c := colB[i]; c >= 0 {
+				rowB[c] = v
 			}
 		}
-		for n, v := range frozenA {
-			inA[n] = v
+		for _, j := range holdB {
+			rowB[j] = ib.Get(portsB[j].Name)
 		}
-		for n, v := range frozenB {
-			inB[n] = v
-		}
-		if _, err := ha.Cycle(inA); err != nil {
-			break
-		}
-		if _, err := hb.Cycle(inB); err != nil {
+		if ha.CycleRow(rowA) != nil || hb.CycleRow(rowB) != nil {
 			break
 		}
 		for j := range cs {
@@ -281,6 +292,24 @@ func (u *miter) simulate(cs []corrWord) []corrWord {
 		cs = keepNonzero(cs)
 	}
 	return cs
+}
+
+// simRow lays out a stimulus row over h's Ports(): frozen inputs at their
+// values, the position of every input by name, and hold, the positions
+// of inputs neither frozen nor driven, which must keep the instance's
+// value.
+func simRow(h *sim.Harness, frozen map[string]uint64, driven map[string]bool) (row []uint64, pos map[string]int, hold []int) {
+	ports := h.Ports()
+	row, pos = make([]uint64, len(ports)), make(map[string]int, len(ports))
+	for j, p := range ports {
+		pos[p.Name] = j
+		if v, ok := frozen[p.Name]; ok {
+			row[j] = v
+		} else if !driven[p.Name] {
+			hold = append(hold, j)
+		}
+	}
+	return row, pos, hold
 }
 
 // keepNonzero drops the words with no bit left in correspondence.

@@ -4,8 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+
+	"uvllm/internal/dataset"
+	"uvllm/internal/sim"
 )
 
 // TestCheckAIGNodesAfterStructuralClose pins the graph size reported by
@@ -166,4 +171,100 @@ func TestCorrespondenceCancelled(t *testing.T) {
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("want ErrCancelled from the refinement, got err=%v res=%+v", err, res)
 	}
+}
+
+// TestSimulateRowsMatchMaps: the correspondence's random run, driven by
+// rows, prunes exactly what the per-cycle input maps it replaced did —
+// on the goldens paired with themselves, on a refutable pair, and on
+// pairs whose input lists differ, where b keeps any input a does not
+// drive at the value it holds.
+func TestSimulateRowsMatchMaps(t *testing.T) {
+	const narrow = `module p(input clk, input rst_n, input [3:0] x, input [3:0] z, output reg [3:0] q);
+  always @(posedge clk) if (!rst_n) q <= 0; else q <= q + x + z;
+endmodule`
+	const wide = `module p(input clk, input rst_n, input [3:0] x, input [3:0] y, output reg [3:0] q, output reg [3:0] r);
+  always @(posedge clk) if (!rst_n) begin q <= 0; r <= 0; end else begin q <= q + x; r <= r ^ y; end
+endmodule`
+	type pair struct {
+		name, a, b, top, clock string
+	}
+	pairs := []pair{
+		{"acc", accAdd, accSub, "acc", "clk"},
+		{"narrow-wide", narrow, wide, "p", "clk"},
+		{"wide-narrow", wide, narrow, "p", "clk"},
+	}
+	for _, m := range dataset.All() {
+		pairs = append(pairs, pair{m.Name, m.Source, m.Source, m.Top, m.Clock})
+	}
+	for _, pr := range pairs {
+		u, err := newMiter(NewAIG(), mustCompile(t, pr.a, pr.top), mustCompile(t, pr.b, pr.top), Options{Clock: pr.clock}, true)
+		if err != nil {
+			t.Fatalf("%s: %v", pr.name, err)
+		}
+		cs := u.candidates()
+		want := simulateMaps(u, slices.Clone(cs))
+		if got := u.simulate(slices.Clone(cs)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: rows kept %v, maps kept %v", pr.name, got, want)
+		}
+	}
+}
+
+// simulateMaps is miter.simulate as it drove both harnesses through
+// Harness.Cycle, one input map per cycle: the reference the row-driven
+// run must match.
+func simulateMaps(u *miter, cs []corrWord) []corrWord {
+	ia, err := u.ma.prog.NewInstance()
+	if err != nil {
+		return cs
+	}
+	ib, err := u.mb.prog.NewInstance()
+	if err != nil {
+		return cs
+	}
+	ha, hb := sim.NewHarness(ia, u.ma.clock), sim.NewHarness(ib, u.mb.clock)
+	if ha.ApplyReset(ResetCycles) != nil || hb.ApplyReset(ResetCycles) != nil {
+		return cs
+	}
+	freeB := map[string]bool{}
+	for _, p := range u.mb.free {
+		freeB[p.Name] = true
+	}
+	frozenA, frozenB := u.ma.FrozenInputs(), u.mb.FrozenInputs()
+	rng := rand.New(rand.NewSource(1))
+	for cyc := 0; cyc < corrSimCycles && len(cs) > 0; cyc++ {
+		inA, inB := map[string]uint64{}, map[string]uint64{}
+		for _, p := range u.ma.free {
+			v := rng.Uint64()
+			if w := vecW(p.Width); w < 64 {
+				v &= 1<<w - 1
+			}
+			inA[p.Name] = v
+			if freeB[p.Name] {
+				inB[p.Name] = v
+			}
+		}
+		for n, v := range frozenA {
+			inA[n] = v
+		}
+		for n, v := range frozenB {
+			inB[n] = v
+		}
+		if _, err := ha.Cycle(inA); err != nil {
+			break
+		}
+		if _, err := hb.Cycle(inB); err != nil {
+			break
+		}
+		for j := range cs {
+			c := &cs[j]
+			name := u.ma.sigs[c.sa].Name
+			if c.word < 0 {
+				c.mask &^= ia.Get(name) ^ ib.Get(name)
+			} else {
+				c.mask &^= ia.GetMem(name, c.word) ^ ib.GetMem(name, c.word)
+			}
+		}
+		cs = keepNonzero(cs)
+	}
+	return cs
 }

@@ -18,7 +18,10 @@ import "sort"
 // assumption set, and failed or exhausted probes freeze the bit at its
 // current model value. The caller therefore decodes the final model
 // directly — no closing solve is needed, and an exhausted probe degrades
-// to "bit stays as-is" instead of an error.
+// to "bit stays as-is" instead of an error. The pass is greedy, not
+// monotone: a successful probe re-captures a whole model, which can set
+// bits of cycles not visited yet, so the result can weigh more than the
+// raw model; check keeps whichever of the two is lighter.
 func minimizeModel(s *Solver, ti *IncTseitin, badLit int, inputs []map[string]Vec) {
 	fixed := []int{badLit}
 	for t := len(inputs) - 1; t >= 0; t-- {

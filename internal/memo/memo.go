@@ -1,10 +1,19 @@
 // Package memo provides the one bounded, single-flight, counter-bearing
 // memo table behind every content-addressed cache in the pipeline: the
-// compile cache (sim.Cache), the golden-trace memo (uvm.TraceMemo), the
-// data-flow-graph memo (locate.DFGFor), the fault generator's cells
-// (faultgen.Generate) and the expert verdicts of one exp.Run. Keeping the
-// eviction, single-flight and statistics semantics in one place means a
-// fix to any of them applies to all of them.
+// compile cache (sim.Cache), the golden-trace memo (uvm.TraceMemo) and
+// the random stimulus it keeps next to its traces
+// (uvm.TraceMemo.Materialize), the data-flow-graph memo (locate.DFGFor),
+// the fault generator's cells (faultgen.Generate) and the expert verdicts
+// of one exp.Run. Keeping the eviction, single-flight and statistics
+// semantics in one place means a fix to any of them applies to all of
+// them.
+//
+// An M's value is complete once Do returns it. The one table whose value
+// grows after that is not an M: faultgen's bit-parallel classifier keeps
+// the most recent key's random lane columns in a one-entry table and
+// draws them lazily, chunk by chunk, as calls run longer. Each chunk is
+// published whole and never written again, so the prefix a reader sees
+// is immutable while the value grows behind it.
 package memo
 
 import (

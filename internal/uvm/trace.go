@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,7 +20,9 @@ import (
 // layout (an input missing, the clock key, an internal-signal key): such
 // a vector keeps its map, and a run applies it through Harness.Cycle.
 // Being plain data, a Stimulus is also what the golden-trace memo
-// content-addresses.
+// content-addresses, by a digest it computes once. It is read-only once
+// materialized, and TraceMemo.Materialize hands one value to every
+// caller of the same random sequence.
 type Stimulus struct {
 	// Ports is the row layout. Names must be distinct.
 	Ports []sim.PortInfo
@@ -27,6 +30,9 @@ type Stimulus struct {
 	rows []uint64            // Len() rows of len(Ports) values, row-major; zero for map vectors
 	maps []map[string]uint64 // nil until a vector misses the layout; then per vector, nil = row
 	n    int
+
+	sumOnce sync.Once
+	sum     [sha256.Size]byte // the content digest, once sumOnce has run
 }
 
 // rngPool recycles Materialize's generators: a math/rand source is about
@@ -39,7 +45,9 @@ var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 // re-seeded. A DirectedSequence never draws, so it gets no RNG. A
 // RandomSequence whose keys are exactly the layout's names fills the
 // rows straight from its RNG draws — the same draws in the same order as
-// Next, with no map per vector.
+// Next, with no map per vector. The sequence reads as exhausted
+// afterwards. TraceMemo.Materialize is the memoized form for a fresh
+// RandomSequence.
 func Materialize(seq Sequence, seed int64, ports []sim.PortInfo) *Stimulus {
 	var rng *rand.Rand
 	if _, directed := seq.(*DirectedSequence); !directed {
@@ -129,12 +137,18 @@ func (s *Stimulus) vectorInto(i int, scratch map[string]uint64) map[string]uint6
 	return scratch
 }
 
-// key hashes the full identity of a golden trace: model name, reset
-// phase and the stimulus. The layout's names are hashed once, sorted, and
-// each row's values follow in that order, so the key does not depend on
-// port declaration order. A map vector hashes its sorted (name, value)
-// pairs under its own marker.
-func (s *Stimulus) key(refName string, reset bool) [sha256.Size]byte {
+// digest returns the stimulus's content hash, computing it on first use:
+// sha256 over the layout's names, hashed once and sorted, then each row's
+// values in that order, so it does not depend on port declaration order.
+// A map vector hashes its sorted (name, value) pairs under its own
+// marker.
+func (s *Stimulus) digest() [sha256.Size]byte {
+	s.sumOnce.Do(func() { s.sum = s.hash() })
+	return s.sum
+}
+
+// hash computes the digest.
+func (s *Stimulus) hash() [sha256.Size]byte {
 	h := sha256.New()
 	perm := make([]int, len(s.Ports))
 	for j := range perm {
@@ -142,13 +156,6 @@ func (s *Stimulus) key(refName string, reset bool) [sha256.Size]byte {
 	}
 	sort.Slice(perm, func(a, b int) bool { return s.Ports[perm[a]].Name < s.Ports[perm[b]].Name })
 	buf := make([]byte, 0, 4096)
-	buf = append(buf, refName...)
-	buf = append(buf, 0)
-	if reset {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(perm)))
 	for _, j := range perm {
 		buf = append(append(buf, s.Ports[j].Name...), 0)
@@ -261,23 +268,74 @@ func computeTrace(model refmodel.Model, reset bool, stim *Stimulus) (*Trace, err
 // iteration of a job, every baseline's re-check, every ExpertPass of the
 // ~12 benchmark instances that share a module — and the reference answer
 // depends only on (model, reset phase, stimulus), so it is computed once
-// and shared. Keys are content-addressed (sha256 over the model name, the
-// reset flag and the full vector stream), making a hit impossible unless
-// the stimulus is bit-identical. Each trace is stored once, in row form.
+// and shared. Keys are (model name, reset flag, the stimulus's sha256
+// content digest), making a hit impossible unless the stimulus is
+// bit-identical; a Stimulus hashes itself once, however many lookups it
+// serves. Each trace is stored once, in row form.
+//
+// Next to the traces it keeps the random stimulus that feeds them (see
+// Materialize): a seeded stream depends only on the sequence, the seed
+// and the row layout, so the replays above draw and hash it once too.
 //
 // The memo is safe for concurrent use; computation is single-flight and
-// the stored traces are treated as immutable by all readers.
+// the stored traces and stimuli are treated as immutable by all readers.
 type TraceMemo struct {
-	m *memo.M[[sha256.Size]byte, *Trace]
+	m     *memo.M[traceKey, *Trace]
+	stims *memo.M[stimKey, *Stimulus]
 }
 
-// traceMemoLimit bounds the traces one memo holds.
-const traceMemoLimit = 4096
+// traceKey is a golden trace's identity.
+type traceKey struct {
+	refName string
+	reset   bool
+	stim    [sha256.Size]byte
+}
+
+// stimKey is a fresh RandomSequence's materialized identity: the seed,
+// every field the sequence draws by, and the row layout. shape holds the
+// sequence's ports, then the layout's, each list length-prefixed and
+// each port a length-prefixed name and its width.
+type stimKey struct {
+	seed          int64
+	n, resetEvery int
+	resetName     string
+	shape         string
+}
+
+const (
+	// traceMemoLimit bounds the traces one memo holds.
+	traceMemoLimit = 4096
+	// stimMemoLimit bounds the random stimuli one memo holds. A module's
+	// replays (a job's repair iterations, a screen's faults) run
+	// together, so a few modules' worth suffices.
+	stimMemoLimit = 64
+)
 
 // NewTraceMemo returns an empty memo holding at most traceMemoLimit
-// traces.
+// traces and stimMemoLimit random stimuli.
 func NewTraceMemo() *TraceMemo {
-	return &TraceMemo{m: memo.New[[sha256.Size]byte, *Trace](traceMemoLimit)}
+	return &TraceMemo{
+		m:     memo.New[traceKey, *Trace](traceMemoLimit),
+		stims: memo.New[stimKey, *Stimulus](stimMemoLimit),
+	}
+}
+
+// Materialize is the package-level Materialize, memoized for a fresh
+// *RandomSequence (one that has emitted nothing): every call with the
+// same seed, sequence fields and row layout returns the one read-only
+// Stimulus the first call drew, and leaves seq reading as exhausted, as
+// Materialize does. Any other sequence, or a nil memo, materializes
+// directly.
+func (tm *TraceMemo) Materialize(seq Sequence, seed int64, ports []sim.PortInfo) *Stimulus {
+	rs, ok := seq.(*RandomSequence)
+	if tm == nil || !ok || rs.emitted != 0 {
+		return Materialize(seq, seed, ports)
+	}
+	st, _ := tm.stims.Do(rs.key(seed, ports), func() (*Stimulus, error) {
+		return Materialize(rs, seed, slices.Clone(ports)), nil
+	})
+	rs.emitted = max(rs.N, 0) // a hit leaves it as the miss's Materialize does
+	return st
 }
 
 var sharedMemo = NewTraceMemo()
@@ -309,7 +367,7 @@ func (tm *TraceMemo) Expected(refName string, reset bool, stim *Stimulus) (*Trac
 // scores one comparison per cycle against it and MUST treat it as
 // frozen; the exported Expected wraps it in a defensive copy.
 func (tm *TraceMemo) shared(refName string, reset bool, stim *Stimulus) (*Trace, error) {
-	return tm.m.Do(stim.key(refName, reset), func() (*Trace, error) {
+	return tm.m.Do(traceKey{refName, reset, stim.digest()}, func() (*Trace, error) {
 		model, err := refmodel.New(refName)
 		if err != nil {
 			return nil, err

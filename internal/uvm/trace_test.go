@@ -3,6 +3,7 @@ package uvm
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -189,7 +190,8 @@ func TestTraceMemoMutationCannotPoison(t *testing.T) {
 // TestRunWithMemoIsByteIdentical runs the same environment configuration
 // with and without the golden-trace memo (and with a shared compile
 // cache) and requires identical pass rates, scoreboards and logs — the
-// memo is an amortization, never a semantic change.
+// memo, the stimulus it memoizes included, is an amortization, never a
+// semantic change.
 func TestRunWithMemoIsByteIdentical(t *testing.T) {
 	cache := sim.NewCache()
 	for _, name := range []string{"counter_12bit", "alu", "fifo_sync"} {
@@ -228,8 +230,129 @@ func TestRunWithMemoIsByteIdentical(t *testing.T) {
 		if st := memo.Stats(); st.Hits == 0 {
 			t.Errorf("%s: second run did not hit the memo (%+v)", name, st)
 		}
+		if st := memo.stims.Stats(); st.Hits != 1 || st.Misses != 1 {
+			t.Errorf("%s: stimulus memo %+v, want the second run's one hit", name, st)
+		}
 	}
 	if st := cache.Stats(); st.Misses != 3 || st.Hits != 6 {
 		t.Errorf("each DUT should compile once and serve its other two runs from the cache: %+v", st)
+	}
+}
+
+// TestStimulusMemoKeys: TraceMemo.Materialize returns one *Stimulus per
+// (seed, N, ResetName, ResetEvery, sequence ports, row layout), holding
+// Materialize's stream, and a different one when any of them differs.
+// The sequence reads as exhausted afterwards, hit or miss; a sequence
+// that has already emitted, and a nil memo, materialize directly.
+func TestStimulusMemoKeys(t *testing.T) {
+	ports := aluPorts(t)
+	narrow := append([]sim.PortInfo(nil), ports...)
+	narrow[0].Width--
+	reversed := append([]sim.PortInfo(nil), ports...)
+	slices.Reverse(reversed)
+	seq := func() *RandomSequence { return &RandomSequence{Ports: ports, N: 30} }
+	tm := NewTraceMemo()
+	get := func(s *RandomSequence, seed int64, layout []sim.PortInfo) *Stimulus {
+		t.Helper()
+		st := tm.Materialize(s, seed, layout)
+		if s.emitted != s.N {
+			t.Fatalf("sequence emitted %d of %d after the memo's Materialize", s.emitted, s.N)
+		}
+		want := Materialize(&RandomSequence{Ports: s.Ports, N: s.N, ResetName: s.ResetName, ResetEvery: s.ResetEvery}, seed, layout)
+		if st.Len() != want.Len() || !slices.Equal(st.rows, want.rows) || !reflect.DeepEqual(st.maps, want.maps) || !slices.Equal(st.Ports, want.Ports) {
+			t.Fatalf("memoized stimulus differs from Materialize's")
+		}
+		return st
+	}
+	base := get(seq(), 1, ports)
+	if again := get(seq(), 1, ports); again != base {
+		t.Fatal("the same key materialized twice")
+	}
+	for name, st := range map[string]*Stimulus{
+		"seed":          get(seq(), 2, ports),
+		"N":             get(&RandomSequence{Ports: ports, N: 31}, 1, ports),
+		"ResetName":     get(&RandomSequence{Ports: ports, N: 30, ResetName: "op"}, 1, ports),
+		"ResetEvery":    get(&RandomSequence{Ports: ports, N: 30, ResetEvery: 7}, 1, ports),
+		"sequence port": get(&RandomSequence{Ports: narrow, N: 30}, 1, ports),
+		"row layout":    get(seq(), 1, reversed),
+	} {
+		if st == base {
+			t.Errorf("a different %s shared the stimulus", name)
+		}
+	}
+	if st := tm.stims.Stats(); st.Hits != 1 || st.Misses != 7 {
+		t.Errorf("stimulus memo %+v, want 1 hit and 7 misses", st)
+	}
+
+	used := seq()
+	used.emitted = 1
+	if st := tm.Materialize(used, 1, ports); st == base || st.Len() != 29 {
+		t.Errorf("a sequence past its first vector hit the memo or lost its remaining vectors (%d)", st.Len())
+	}
+	var none *TraceMemo
+	if st := none.Materialize(seq(), 1, ports); st == base || !slices.Equal(st.rows, base.rows) {
+		t.Error("a nil memo did not materialize directly")
+	}
+}
+
+// TestTraceMemoBounded: however many distinct stimuli and traces a memo
+// sees, it holds at most stimMemoLimit stimuli and traceMemoLimit traces.
+func TestTraceMemoBounded(t *testing.T) {
+	m := dataset.ByName("alu")
+	ports := aluPorts(t)
+	tm := NewTraceMemo()
+	for seed := int64(0); seed < 3*stimMemoLimit; seed++ {
+		st := tm.Materialize(&RandomSequence{Ports: ports, N: 4}, seed, ports)
+		if _, err := tm.Expected(m.Name, false, st); err != nil {
+			t.Fatal(err)
+		}
+		if n := tm.stims.Stats().Entries; n > stimMemoLimit {
+			t.Fatalf("after %d stimuli the memo holds %d, limit %d", seed+1, n, stimMemoLimit)
+		}
+		if n := tm.Stats().Entries; n > traceMemoLimit {
+			t.Fatalf("after %d traces the memo holds %d, limit %d", seed+1, n, traceMemoLimit)
+		}
+	}
+	if st := tm.stims.Stats(); st.Evictions == 0 || st.Misses != 3*stimMemoLimit {
+		t.Errorf("stimulus memo %+v: want %d misses and some evictions", st, 3*stimMemoLimit)
+	}
+}
+
+// TestStimulusMemoConcurrent: callers racing on the same keys share one
+// stimulus per key, and its digest, computed once, finds one trace.
+func TestStimulusMemoConcurrent(t *testing.T) {
+	m := dataset.ByName("alu")
+	ports := aluPorts(t)
+	tm := NewTraceMemo()
+	const seeds = 8
+	var stims [4][seeds]*Stimulus
+	var traces [4][seeds]*Trace
+	var wg sync.WaitGroup
+	for w := range stims {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < seeds; n++ {
+				s := (w + n) % seeds
+				stims[w][s] = tm.Materialize(&RandomSequence{Ports: ports, N: 40}, int64(s), ports)
+				tr, err := tm.shared(m.Name, false, stims[w][s])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				traces[w][s] = tr
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range stims {
+		for s := 0; s < seeds; s++ {
+			if stims[w][s] != stims[0][s] || traces[w][s] != traces[0][s] {
+				t.Fatalf("seed %d: caller %d got its own stimulus or trace", s, w)
+			}
+		}
+	}
+	if st := tm.Stats(); st.Misses != seeds {
+		t.Errorf("trace memo %+v, want %d misses", st, seeds)
 	}
 }

@@ -7,6 +7,7 @@
 package uvm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -83,6 +84,26 @@ func (s *RandomSequence) Next(rng *rand.Rand) (map[string]uint64, bool) {
 
 // Len implements Sequence.
 func (s *RandomSequence) Len() int { return s.N }
+
+// key is the stimulus-memo key of s, fresh, materialized from seed over
+// the row layout ports.
+func (s *RandomSequence) key(seed int64, ports []sim.PortInfo) stimKey {
+	shape := appendPorts(make([]byte, 0, 8*(len(s.Ports)+len(ports))), s.Ports)
+	shape = appendPorts(shape, ports)
+	return stimKey{seed: seed, n: s.N, resetEvery: s.ResetEvery, resetName: s.ResetName, shape: string(shape)}
+}
+
+// appendPorts appends ports' length, then each port's name length, name
+// and width.
+func appendPorts(b []byte, ports []sim.PortInfo) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ports)))
+	for _, p := range ports {
+		b = binary.AppendUvarint(b, uint64(len(p.Name)))
+		b = append(b, p.Name...)
+		b = binary.AppendVarint(b, int64(p.Width))
+	}
+	return b
+}
 
 // fillRows materializes the remaining vectors straight into st's rows
 // when every vector's keys (Ports plus ResetName) are exactly the layout
@@ -307,7 +328,9 @@ func NewEnv(cfg Config) (*Env, error) {
 //
 // The stimulus is materialized up front as rows over the harness layout
 // (identical vectors to the lazy walk: the sequence sees the same seeded
-// RNG stream), and the expected outputs for the whole stream are one
+// RNG stream), through the memo's Materialize when the environment
+// carries one, so a fresh random sequence is drawn once per (seed,
+// sequence, layout). The expected outputs for the whole stream are one
 // golden trace: from the memo when the environment carries one —
 // computed once per distinct (model, stimulus) anywhere in the process —
 // else from stepping the environment's reference model. Each cycle then
@@ -315,7 +338,7 @@ func NewEnv(cfg Config) (*Env, error) {
 // a vector that does not fit the row layout takes Harness.Cycle for that
 // cycle.
 func (e *Env) Run(seq Sequence) float64 {
-	stim := Materialize(seq, e.seed, e.DUT.Ports())
+	stim := e.memo.Materialize(seq, e.seed, e.DUT.Ports())
 	resetName, _ := sim.FindReset(e.DUT.Sim.Design())
 	cycles := stim.Len()
 	if resetName != "" {
