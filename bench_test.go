@@ -320,7 +320,7 @@ func benchBatchPrograms(b *testing.B) []struct {
 }
 
 // BenchmarkBatchLanes drives the per-cycle hot loop as one 8-lane
-// sim.Batch per module — 8 harnesses under row stimulus
+// sim.Batch per module — 8 waveform-free harnesses under row stimulus
 // (Harness.CycleRow), the row-driven side of the pair. One iteration = 8
 // lanes x 500 cycles over the module mix, including batch construction.
 func BenchmarkBatchLanes(b *testing.B) {
@@ -421,11 +421,8 @@ const bitSimLanes = 64
 // pair through the bit-parallel engine: 64 lanes x 500 cycles per module
 // of the mix as word-level AIG sweeps, including engine construction
 // (blasting the cycle circuit and compiling the op list) and the
-// per-cycle packing of row stimulus into bit-sliced form. Recording is
-// off — this is the configuration the throughput-critical consumers run
-// (the directed-stimulus candidate scorer and the bit-parallel fault
-// classifier screen lanes without waveforms; the differential oracle,
-// which does record, is correctness-gated rather than benchmark-gated).
+// per-cycle packing of row stimulus into bit-sliced form. The engine
+// records no waveform, like every lane engine.
 func BenchmarkBitSimLanes(b *testing.B) {
 	progs := benchBatchPrograms(b)
 	for _, pm := range progs {
@@ -441,7 +438,6 @@ func BenchmarkBitSimLanes(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng.SetRecord(false)
 			if err := eng.ApplyReset(2); err != nil {
 				b.Fatal(err)
 			}
@@ -474,9 +470,9 @@ func BenchmarkBitSimLanes(b *testing.B) {
 }
 
 // BenchmarkBitSimTranspose measures the 64x64 bit-matrix transpose that
-// converts between the engine's lane-sliced and bit-sliced layouts — the
-// fixed per-cycle overhead every stimulus row and recorded waveform row
-// pays.
+// converts the engine's lane-sliced stimulus to bit-sliced form — the
+// fixed per-cycle overhead of every stimulus port wider than 16 bits
+// (psim.BitSlice).
 func BenchmarkBitSimTranspose(b *testing.B) {
 	var m [64]uint64
 	for i := range m {

@@ -8,7 +8,12 @@
 //	experiments -table2     # segmented stage contributions + MEIC speedup
 //	experiments -table3     # pair-vs-complete ablation
 //	experiments -ablation   # extension ablations (rollback, localization)
+//	experiments -passk      # pass@k multi-seed study
+//	experiments -cover      # random-vs-directed structural coverage study
 //	experiments -formal     # bounded-equivalence study (formal engine)
+//
+// The lane engines' per-lane costs are benchmarks, not a study here:
+// BenchmarkBatchLanes and BenchmarkBitSimLanes, guarded by benchguard.
 //
 // All numbers are deterministic (seeded) and independent of -workers; see
 // EXPERIMENTS.md for the recorded paper-vs-measured comparison. With -v
@@ -38,7 +43,6 @@ func main() {
 		passk    = flag.Bool("passk", false, "print the pass@k multi-seed study")
 		cov      = flag.Bool("cover", false, "print the random-vs-directed structural coverage study")
 		form     = flag.Bool("formal", false, "print the bounded-equivalence study (formal engine over the 27 modules)")
-		bitlanes = flag.Bool("bitlanes", false, "print the 64-lane bit-parallel amortization study (psim vs batch vs sequential)")
 		all      = flag.Bool("all", false, "print everything")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON of the study sections to this file (load at chrome://tracing)")
 	)
@@ -51,7 +55,7 @@ func main() {
 	}
 	sess := exp.SharedSession(opts.SimBackend())
 	sess.Workers = knobs.Workers
-	if !*fig5 && !*fig6 && !*fig7 && !*table2 && !*table3 && !*ablation && !*passk && !*cov && !*form && !*bitlanes {
+	if !*fig5 && !*fig6 && !*fig7 && !*table2 && !*table3 && !*ablation && !*passk && !*cov && !*form {
 		*all = true
 	}
 
@@ -70,7 +74,6 @@ func main() {
 		section(root, "full_report", func() { fmt.Print(sess.FullReport()) })
 		section(root, "ablations", func() { printAblations(sess) })
 		section(root, "coverage", func() { printCoverage(sess) })
-		section(root, "bitlanes", func() { printBitLanes(sess) })
 		section(root, "formal", func() { printFormal(sess, *verbose) })
 		printStats(sess, *verbose)
 		finishTrace(*traceOut, tracer, root)
@@ -104,9 +107,6 @@ func main() {
 	}
 	if *cov {
 		section(root, "coverage", func() { printCoverage(sess) })
-	}
-	if *bitlanes {
-		section(root, "bitlanes", func() { printBitLanes(sess) })
 	}
 	if *form {
 		section(root, "formal", func() { printFormal(sess, *verbose) })
@@ -145,16 +145,6 @@ func finishTrace(path string, tracer *obs.Tracer, root *obs.Span) {
 		os.Exit(1)
 	}
 	fmt.Printf("trace: %d spans written to %s\n", len(tracer.Spans()), path)
-}
-
-func printBitLanes(sess *exp.Session) {
-	fmt.Println()
-	rows, err := sess.BitSimAmortizationStudy(0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: bitlanes study:", err)
-		os.Exit(1)
-	}
-	fmt.Print(exp.FormatBitSimAmortization(rows))
 }
 
 func printFormal(sess *exp.Session, verbose bool) {

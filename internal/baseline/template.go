@@ -60,7 +60,7 @@ func templateSearch(f *faultgen.Fault, budget, benchN int, cost metrics.CostMode
 	out := Outcome{Final: f.Source}
 
 	// Template tools cannot start from code that does not compile.
-	if rep := lint.Lint(f.Source); hasSyntaxErr(rep) {
+	if rep := lint.Lint(f.Source); rep.HasSyntaxError() {
 		return out
 	}
 	pass, log, n := RandomOwnBench(f.Source, m, benchN, 5, svc)
@@ -90,7 +90,7 @@ func templateSearch(f *faultgen.Fault, budget, benchN int, cost metrics.CostMode
 			break
 		}
 		tried++
-		if rep := lint.Lint(cand); hasSyntaxErr(rep) {
+		if rep := lint.Lint(cand); rep.HasSyntaxError() {
 			continue
 		}
 		ok, _, n := RandomOwnBench(cand, m, benchN, 5, svc)
@@ -102,15 +102,6 @@ func templateSearch(f *faultgen.Fault, budget, benchN int, cost metrics.CostMode
 		}
 	}
 	return out
-}
-
-func hasSyntaxErr(rep *lint.Report) bool {
-	for _, d := range rep.Errors() {
-		if d.Code == lint.CodeSyntax {
-			return true
-		}
-	}
-	return false
 }
 
 var (

@@ -61,17 +61,6 @@ func All() []*Module {
 // ByName returns the module with the given name, or nil.
 func ByName(name string) *Module { return byName[name] }
 
-// ByCategory returns the modules of one category, in order.
-func ByCategory(c Category) []*Module {
-	var out []*Module
-	for _, m := range registry {
-		if m.Category == c {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Names returns all module names, sorted.
 func Names() []string {
 	var out []string

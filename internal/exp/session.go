@@ -231,15 +231,8 @@ func (s *Session) StatsReport() string {
 	var b strings.Builder
 	b.WriteString("Amortization stats\n")
 	fmt.Fprintf(&b, "  compile cache:    %d hits / %d misses (%.1f%% hit rate), %d programs resident, %d evicted\n",
-		cs.Hits, cs.Misses, hitRate(cs.Hits, cs.Misses), cs.Entries, cs.Evictions)
+		cs.Hits, cs.Misses, cs.HitRatePct(), cs.Entries, cs.Evictions)
 	fmt.Fprintf(&b, "  golden-trace memo: %d hits / %d misses (%.1f%% hit rate), %d traces resident, %d evicted\n",
-		ms.Hits, ms.Misses, hitRate(ms.Hits, ms.Misses), ms.Entries, ms.Evictions)
+		ms.Hits, ms.Misses, ms.HitRatePct(), ms.Entries, ms.Evictions)
 	return b.String()
-}
-
-func hitRate(hits, misses int64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return 100 * float64(hits) / float64(hits+misses)
 }

@@ -15,6 +15,7 @@ package faultgen
 import (
 	"fmt"
 
+	"uvllm/internal/dataset"
 	"uvllm/internal/psim"
 	"uvllm/internal/sim"
 	"uvllm/internal/uvm"
@@ -22,17 +23,19 @@ import (
 
 // ObserveLanes runs the faulty source under the golden UVM stimulus for
 // every seed at once, one lane per seed, and returns the per-seed pass
-// rates. The lanes run on psim.Engine, recording off, whenever
-// psim.NewEngine accepts the design and the seed count (at most 64);
-// otherwise they run on sim.Batch. Both engines are byte-identical on
-// psim's subset. Each lane replays the exact protocol of the sequential
-// observe path: a 2-cycle reset phase when the design has a reset, then
-// n random vectors (ResetEvery 50) materialized from that lane's seed,
-// scored cycle by cycle against the reference model's memoized golden
-// trace. The stimuli come from the shared memo's Materialize, so the
-// faults of one module draw and hash each seed's stream once. A lane
-// whose simulation dies keeps the pass rate accumulated up to the
-// failing cycle, like Env.Run.
+// rates. The lanes run on psim.Engine whenever psim.NewEngine accepts
+// the design and the seed count (at most 64); otherwise they run on
+// sim.Batch. Both engines are byte-identical on psim's subset. Each
+// lane replays the exact protocol of the sequential observe path: a
+// 2-cycle reset phase when the design has a reset, then n random
+// vectors (ResetEvery 50) materialized from that lane's seed, scored
+// cycle by cycle against the reference model's memoized golden trace.
+// The stimuli come from the shared memo's Materialize, so the faults of
+// one module draw and hash each seed's stream once, and a stream that
+// does not fit the lane row layout is Materialize's error. The golden
+// traces are the memo's own, read in place. A lane whose simulation
+// dies keeps the pass rate accumulated up to the failing cycle, like
+// Env.Run.
 func ObserveLanes(f *Fault, seeds []int64, n int) ([]float64, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("faultgen: ObserveLanes needs at least one seed")
@@ -42,25 +45,29 @@ func ObserveLanes(f *Fault, seeds []int64, n int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return observeLanes(prog, m, uvm.NewRandomSequence(prog.Design(), m.Clock, n), seeds)
+}
+
+// observeLanes is ObserveLanes on the compiled mutant prog of module m:
+// lane k draws a fresh copy of random from seeds[k].
+func observeLanes(prog *sim.Program, m *dataset.Module, random *uvm.RandomSequence, seeds []int64) ([]float64, error) {
 	var eng sim.LaneEngine
+	var err error
 	if e, perr := psim.NewEngine(prog, len(seeds), m.Clock); perr == nil {
-		e.SetRecord(false)
 		eng = e
 	} else if eng, err = sim.NewBatch(prog, len(seeds), m.Clock); err != nil {
 		return nil, err
 	}
 	ports := eng.Ports()
-	random := uvm.NewRandomSequence(prog.Design(), m.Clock, n)
-	rstName := random.ResetName
+	n, rstName := random.N, random.ResetName
 	memo := uvm.SharedTraceMemo()
 	stims := make([]*uvm.Stimulus, len(seeds))
 	golden := make([]*uvm.Trace, len(seeds))
 	cols := make([][]int, len(seeds))
 	for k, seed := range seeds {
 		seq := *random // a sequence counts what it has emitted: one fresh copy per seed
-		stims[k] = memo.Materialize(&seq, seed, ports)
-		if n > 0 && stims[k].Row(0) == nil {
-			return nil, fmt.Errorf("faultgen: %s stimulus does not fit the lane row layout", m.Name)
+		if stims[k], err = memo.Materialize(&seq, seed, ports); err != nil {
+			return nil, err
 		}
 		if golden[k], err = memo.Expected(m.Name, rstName != "", stims[k]); err != nil {
 			return nil, err

@@ -9,6 +9,7 @@ import (
 	"uvllm/internal/dataset"
 	"uvllm/internal/psim"
 	"uvllm/internal/sim"
+	"uvllm/internal/uvm"
 )
 
 // functionalFault returns a functional mutant with sequential-observable
@@ -142,5 +143,58 @@ func TestObserveLanesPinned(t *testing.T) {
 	}
 	if len(wide) != 65 || !slices.Equal(wide[:8], eight) {
 		t.Fatalf("%s: 65-seed rates %v do not start with the 8-seed rates %v", f.ID, wide[:min(8, len(wide))], eight)
+	}
+}
+
+// TestObserveLanesOffLayout: a random stream whose vectors miss the lane
+// row layout — an input missing, the clock key, an internal signal —
+// makes the lane observer return Materialize's error on either lane
+// engine, the same error Env.Run logs as its one fatal for that stream.
+func TestObserveLanesOffLayout(t *testing.T) {
+	m := dataset.ByName("counter_12bit")
+	prog, err := sim.SharedCache().Compile(m.Source, m.Top, sim.BackendCompiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := uvm.NewRandomSequence(prog.Design(), m.Clock, 20)
+	var noEn []sim.PortInfo
+	for _, p := range fit.Ports {
+		if p.Name != "en" {
+			noEn = append(noEn, p)
+		}
+	}
+	cases := map[string]struct {
+		ports []sim.PortInfo
+		want  string
+	}{
+		"missing input":   {noEn, `uvm: vector 0 has no value for input "en"`},
+		"clock key":       {append(slices.Clone(fit.Ports), sim.PortInfo{Name: "clk", Width: 1}), `uvm: vector 0 sets "clk", which is not a row-layout input`},
+		"internal signal": {append(slices.Clone(fit.Ports), sim.PortInfo{Name: "count", Width: 12}), `uvm: vector 0 sets "count", which is not a row-layout input`},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			random := *fit
+			random.Ports = c.ports
+			// Two seeds run on psim.Engine, 65 (more than a word) on sim.Batch.
+			for _, lanes := range []int{2, 65} {
+				seeds := make([]int64, lanes)
+				for k := range seeds {
+					seeds[k] = int64(k + 1)
+				}
+				seq := random
+				if _, err := observeLanes(prog, m, &seq, seeds); err == nil || err.Error() != c.want {
+					t.Errorf("%d lanes: error %v, want %s", lanes, err, c.want)
+				}
+			}
+			env, err := uvm.NewEnv(uvm.Config{Source: m.Source, Top: m.Top, Clock: m.Clock, RefName: m.Name, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := random
+			env.Run(&seq)
+			if err := env.Fatal(); err == nil || err.Error() != c.want {
+				t.Errorf("Env.Run fatal %v, want %s", err, c.want)
+			}
+		})
 	}
 }

@@ -99,7 +99,7 @@ func Effective(f *Fault) bool {
 	if f.Class.IsSyntax() {
 		return len(rep.Errors()) > 0
 	}
-	if hasSyntax(rep) {
+	if rep.HasSyntaxError() {
 		return false // functional fault must not break the syntax
 	}
 	if len(rep.Errors()) > 0 || len(rep.FocusedWarnings()) > 0 {
@@ -122,15 +122,6 @@ func observe(f *Fault) (float64, error) {
 		return 0, err
 	}
 	return env.Run(uvm.NewRandomSequence(env.DUT.Sim.Design(), env.DUT.Clock, 300)), nil
-}
-
-func hasSyntax(rep *lint.Report) bool {
-	for _, d := range rep.Errors() {
-		if d.Code == lint.CodeSyntax {
-			return true
-		}
-	}
-	return false
 }
 
 var (
@@ -209,15 +200,6 @@ func Benchmark() []*Fault {
 		}
 	})
 	return benchAll
-}
-
-// BenchmarkByClass groups the benchmark by fault class.
-func BenchmarkByClass() map[Class][]*Fault {
-	out := map[Class][]*Fault{}
-	for _, f := range Benchmark() {
-		out[f.Class] = append(out[f.Class], f)
-	}
-	return out
 }
 
 // BenchmarkByModule groups the benchmark by module name.

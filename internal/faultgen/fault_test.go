@@ -2,6 +2,7 @@ package faultgen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestGenerateFunctionalFaultsParse(t *testing.T) {
 		for _, c := range FunctionalClasses() {
 			for _, f := range Generate(m, c) {
 				rep := lint.Lint(f.Source)
-				if hasSyntax(rep) {
+				if rep.HasSyntaxError() {
 					t.Errorf("%s (%s): functional fault broke the syntax:\n%s",
 						f.ID, f.Descr, rep.Format())
 				}
@@ -98,9 +99,8 @@ func TestBenchmarkSizeAndComposition(t *testing.T) {
 			t.Errorf("module %s contributes no instances", m.Name)
 		}
 	}
-	perClass := BenchmarkByClass()
 	for _, c := range Classes() {
-		if len(perClass[c]) == 0 {
+		if !slices.ContainsFunc(b, func(f *Fault) bool { return f.Class == c }) {
 			t.Errorf("class %s contributes no instances", c)
 		}
 	}

@@ -84,6 +84,17 @@ func (r *Report) Errors() []Diag {
 	return out
 }
 
+// HasSyntaxError reports whether the source failed to parse: a CodeSyntax
+// error is among the diagnostics.
+func (r *Report) HasSyntaxError() bool {
+	for _, d := range r.Diags {
+		if d.Severity == SevError && d.Code == CodeSyntax {
+			return true
+		}
+	}
+	return false
+}
+
 // Clean reports whether there are no errors and no focused warnings.
 func (r *Report) Clean() bool {
 	return len(r.Errors()) == 0 && len(r.FocusedWarnings()) == 0

@@ -51,13 +51,13 @@ type RepairContext struct {
 }
 
 // The error-information header of a repair prompt is stageMarkerHead,
-// the stage, then stageMarkerTail; DetectStage looks for it.
+// the stage, then stageMarkerTail; detectStage looks for it.
 const (
 	stageMarkerHead = "=== Error Information ("
 	stageMarkerTail = ") ==="
 )
 
-// stageMarkers are the error-information headers in DetectStage's order.
+// stageMarkers are the error-information headers in detectStage's order.
 var stageMarkers = [...]struct {
 	stage  Stage
 	marker string
@@ -249,32 +249,8 @@ func FormatReply(r *RepairReply) string {
 	return string(blob)
 }
 
-// BuildRefModelRequest is the prompt that asks for a reference model from
-// the specification (Sec. III-B, "Reference Model Generation"). In this
-// repository reference models are provided by internal/refmodel; the
-// request exists so the pipeline's call structure matches the paper and so
-// clients can be swapped in a deployment with a live API.
-func BuildRefModelRequest(moduleName, spec string) Request {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Write a cycle-accurate C++ reference model for module %s.\n\n", moduleName)
-	b.WriteString("=== Specification ===\n")
-	b.WriteString(strings.TrimSpace(spec))
-	b.WriteString("\n\nRespond with the complete C++ source only.")
-	return Request{
-		Model:       "gpt-4-turbo",
-		Temperature: 0.0,
-		Messages: []Message{
-			{Role: "system", Content: systemPrompt},
-			{Role: "user", Content: b.String()},
-		},
-	}
-}
-
-// DetectStage recovers the stage marker from a rendered request, which the
-// Oracle uses to decide how much the error information helps.
-func DetectStage(req Request) Stage { return detectStage(req.Text()) }
-
-// detectStage is DetectStage over the request's rendered text.
+// detectStage recovers the stage marker from a request's rendered text,
+// which the Oracle uses to decide how much the error information helps.
 func detectStage(text string) Stage {
 	for _, sm := range stageMarkers {
 		if strings.Contains(text, sm.marker) {

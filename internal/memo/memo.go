@@ -134,6 +134,15 @@ type Stats struct {
 	Entries   int
 }
 
+// HitRatePct is the share of lookups that hit, in percent; 0 before
+// any lookup.
+func (s Stats) HitRatePct() float64 {
+	if s.Hits+s.Misses == 0 {
+		return 0
+	}
+	return 100 * float64(s.Hits) / float64(s.Hits+s.Misses)
+}
+
 // Stats returns the memo counters.
 func (m *M[K, V]) Stats() Stats {
 	m.mu.Lock()

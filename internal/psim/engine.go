@@ -12,16 +12,17 @@ import (
 // bit-sliced — word b of a signal holds bit b of all 64 lanes — and one
 // Machine sweep of the design's single-cycle circuit advances every lane
 // by one full harness cycle. Stimulus rows arrive lane-sliced and are
-// bit-sliced on the way in (BitSlice); recorded waveform rows are turned
-// back on the way out, once per port per cycle.
+// bit-sliced on the way in (BitSlice); a lane's outputs and state are
+// gathered back out on demand (OutputRow, Get, GetMem). The engine
+// records no waveform.
 //
 // The protocol is exactly the harness cycle contract (sim.LaneEngine's):
-// apply inputs, settle, pulse the clock, record a waveform row with the
-// clock low. Lanes are independent simulations; a nil stimulus row masks
-// a lane out of a cycle (it neither advances nor records), which is also
-// how callers retire short lanes mid-run. On the supported subset
-// (formal.NewCircuit succeeds) lanes cannot error: every construct the
-// circuit models evaluates totally.
+// apply inputs, settle, pulse the clock, sample with the clock low.
+// Lanes are independent simulations; a nil stimulus row masks a lane out
+// of a cycle (it does not advance), which is also how callers retire
+// short lanes mid-run. On the supported subset (formal.NewCircuit
+// succeeds) lanes cannot error: every construct the circuit models
+// evaluates totally.
 type Engine struct {
 	c     *formal.Circuit
 	m     *Machine
@@ -31,17 +32,13 @@ type Engine struct {
 	state [][]uint64   // per signal: vecW(width) bit-sliced words
 	mems  [][][]uint64 // per memory signal: depth x width bit-sliced words
 
-	record bool
-	waves  []*sim.Waveform
-	recIdx []int // arena index per recorded name, Waveform Names() order
 	outIdx []int // arena index per output, output declaration order
 
 	act01 [][]uint64 // nil when activity tracking is off
 	act10 [][]uint64
 
-	stim     [][]uint64 // scratch: per free input, width stimulus words
-	applyM   []uint64   // scratch: per free input, lanes applying this cycle
-	laneRows [][]uint64 // scratch: per lane, one row in waveform name order
+	stim   [][]uint64 // scratch: per free input, width stimulus words
+	applyM []uint64   // scratch: per free input, lanes applying this cycle
 }
 
 var _ sim.LaneEngine = (*Engine)(nil)
@@ -59,10 +56,7 @@ func NewEngine(p *sim.Program, lanes int, clock string) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		c: c, m: NewMachine(c.G), d: p.Design(),
-		lanes: lanes, record: true,
-	}
+	e := &Engine{c: c, m: NewMachine(c.G), d: p.Design(), lanes: lanes}
 	for i := range c.Free {
 		e.stim = append(e.stim, make([]uint64, len(c.In[i])))
 	}
@@ -85,32 +79,10 @@ func NewEngine(p *sim.Program, lanes int, clock string) (*Engine, error) {
 	}
 	e.Broadcast(inst)
 
-	var names []string
-	for _, pt := range e.d.Inputs() {
-		names = append(names, pt.Name)
-	}
 	for _, pt := range e.d.Outputs() {
-		names = append(names, pt.Name)
 		if idx, ok := e.d.SignalIndex(pt.Name); ok {
 			e.outIdx = append(e.outIdx, idx)
 		}
-	}
-	for k := 0; k < lanes; k++ {
-		w := sim.NewWaveform(names)
-		e.waves = append(e.waves, w)
-		if e.recIdx == nil {
-			for _, rn := range w.Names() {
-				idx := -1
-				if i, ok := e.d.SignalIndex(rn); ok {
-					idx = i
-				}
-				e.recIdx = append(e.recIdx, idx)
-			}
-		}
-	}
-	e.laneRows = make([][]uint64, lanes)
-	for k := range e.laneRows {
-		e.laneRows[k] = make([]uint64, len(e.recIdx))
 	}
 	return e, nil
 }
@@ -122,22 +94,13 @@ func (e *Engine) Lanes() int { return e.lanes }
 // declaration order, identical to sim.Batch.Ports.
 func (e *Engine) Ports() []sim.PortInfo { return append([]sim.PortInfo(nil), e.c.Free...) }
 
-// Wave returns lane k's recorded waveform (same names and layout as a
-// standalone Harness waveform).
-func (e *Engine) Wave(k int) *sim.Waveform { return e.waves[k] }
-
 // Err is always nil: on the supported subset a lane cannot error.
 func (e *Engine) Err(k int) error { return nil }
 
-// SetRecord switches waveform recording on or off (on by default).
-// Scoring-only consumers (the directed-stimulus BitLanes rounds) switch
-// it off so speculative cycles do not grow 64 waveforms.
-func (e *Engine) SetRecord(on bool) { e.record = on }
-
 // Broadcast re-initializes every lane's state from one concrete instance
 // arena: all 64 lanes become exact copies of inst (signals and memories).
-// Waveforms are not touched. A freshly constructed engine is broadcast
-// from a fresh Instance, matching sim.NewBatch.
+// A freshly constructed engine is broadcast from a fresh Instance,
+// matching sim.NewBatch.
 func (e *Engine) Broadcast(inst *sim.Instance) {
 	for i, sv := range e.c.Sigs {
 		Spread(e.state[i], inst.Get(sv.Name))
@@ -151,8 +114,7 @@ func (e *Engine) Broadcast(inst *sim.Instance) {
 
 // Cycle drives one cycle on every unmasked lane: rows[k] holds lane k's
 // stimulus aligned with Ports(). A nil rows[k] masks lane k out of this
-// cycle entirely — it neither advances nor records — mirroring
-// sim.Batch.Cycle.
+// cycle entirely — it does not advance — mirroring sim.Batch.Cycle.
 func (e *Engine) Cycle(rows [][]uint64) error {
 	if len(rows) != e.lanes {
 		return fmt.Errorf("psim: cycle: %d rows for %d lanes", len(rows), e.lanes)
@@ -183,8 +145,8 @@ func (e *Engine) Cycle(rows [][]uint64) error {
 }
 
 // ApplyReset drives the conventional reset sequence on every lane —
-// assert for cycles clock edges (recorded, other inputs holding), then
-// deassert and settle without a waveform row — mirroring
+// assert for cycles clock edges (other inputs holding), then deassert
+// and settle without a clock pulse — mirroring
 // Harness.ApplyReset, which sim.Batch.ApplyReset runs per lane. Designs
 // without a recognized reset input are untouched.
 func (e *Engine) ApplyReset(cycles int) error {
@@ -212,7 +174,7 @@ func (e *Engine) ApplyReset(cycles int) error {
 		e.cycleWords(all, false)
 	}
 	// Deassert + settle: inputs applied, combinational logic settled, no
-	// clock pulse, no waveform row — the harness's Set+Settle instant.
+	// clock pulse — the harness's Set+Settle instant.
 	drive(deassert)
 	e.cycleWords(all, true)
 	return nil
@@ -228,10 +190,9 @@ func allLanes(n int) uint64 {
 
 // cycleWords is the bit-parallel hot path: load the previous state and
 // the (stimulus-or-hold) input words into the machine's variables, sweep
-// the circuit once, commit the root words back into the lane-sliced state
-// under the active mask, and append waveform rows. settleOnly commits the
-// circuit's settle roots (input apply + clock-low settle) and never
-// records — the reset-deassert instant.
+// the circuit once, and commit the root words back into the bit-sliced
+// state under the active mask. settleOnly commits the circuit's settle
+// roots (input apply + clock-low settle) — the reset-deassert instant.
 func (e *Engine) cycleWords(active uint64, settleOnly bool) {
 	c, m := e.c, e.m
 	for i := range c.Sigs {
@@ -289,41 +250,12 @@ func (e *Engine) cycleWords(active uint64, settleOnly bool) {
 			}
 		}
 	}
-	if settleOnly || !e.record {
-		return
-	}
-	for ri, idx := range e.recIdx {
-		if idx < 0 {
-			for k := 0; k < e.lanes; k++ {
-				e.laneRows[k][ri] = 0
-			}
-			continue
-		}
-		st := e.state[idx]
-		if len(st) >= 16 {
-			var col [64]uint64
-			copy(col[:], st)
-			Transpose64(&col)
-			for k := 0; k < e.lanes; k++ {
-				e.laneRows[k][ri] = col[k]
-			}
-			continue
-		}
-		// Narrow signals: gather the few live bit rows per lane instead of
-		// paying the transpose's fixed 64-row cost.
-		for k := 0; k < e.lanes; k++ {
-			e.laneRows[k][ri] = lane(st, k)
-		}
-	}
-	for k := 0; k < e.lanes; k++ {
-		if active>>uint(k)&1 == 1 {
-			e.waves[k].RecordRow(e.laneRows[k])
-		}
-	}
 }
 
-// lane extracts lane k's value from a bit-sliced word vector.
-func lane(words []uint64, k int) uint64 {
+// Lane gathers lane k's value out of a bit-sliced word vector: bit b of
+// the result is word b's lane-k bit. It reads state words and Activity
+// words alike.
+func Lane(words []uint64, k int) uint64 {
 	var v uint64
 	for b, w := range words {
 		v |= (w >> uint(k) & 1) << uint(b)
@@ -336,7 +268,7 @@ func lane(words []uint64, k int) uint64 {
 func (e *Engine) OutputRow(k int, buf []uint64) []uint64 {
 	buf = buf[:0]
 	for _, idx := range e.outIdx {
-		buf = append(buf, lane(e.state[idx], k))
+		buf = append(buf, Lane(e.state[idx], k))
 	}
 	return buf
 }
@@ -348,7 +280,7 @@ func (e *Engine) Get(k int, name string) uint64 {
 	if !ok {
 		return 0
 	}
-	return lane(e.state[idx], k)
+	return Lane(e.state[idx], k)
 }
 
 // GetMem reads lane k's current value of one memory word (0 when unknown
@@ -358,7 +290,7 @@ func (e *Engine) GetMem(k int, name string, word int) uint64 {
 	if !ok || e.mems[idx] == nil || word < 0 || word >= len(e.mems[idx]) {
 		return 0
 	}
-	return lane(e.mems[idx][word], k)
+	return Lane(e.mems[idx][word], k)
 }
 
 // StartActivity clears and enables the per-signal toggle accumulators:

@@ -8,18 +8,18 @@
 // architectural state bit-sliced, so one sweep advances 64 lanes by one
 // full cycle. Lane stimulus crosses from the lane-sliced to the
 // bit-sliced layout through BitSlice, once per port per cycle: 8x8 bit
-// blocks up to 16 bits, the 64x64 Transpose64 above. Recorded waveform
-// rows cross back per signal: Transpose64 from 16 bits, a per-lane bit
-// gather below.
+// blocks up to 16 bits, the 64x64 Transpose64 above. A lane's outputs
+// and state cross back on demand through the per-lane bit gather Lane;
+// the engine records no waveform.
 //
 // The subset discipline mirrors internal/formal: designs the bit-blaster
 // cannot model (event-scheduler fallback, oversized memories, edge
 // triggers on signals other than the clock and the conventional reset)
 // are reported via formal.ErrUnsupported, and the lane consumers run
 // them on sim.Batch, the other sim.LaneEngine, whose lanes are standalone
-// Harnesses. On the supported subset the traces are byte-identical to
-// the standalone Harness, and so to sim.Batch (enforced by rtlgen's
-// DiffLanes differential gate and fuzz target).
+// Harnesses. On the supported subset every lane's outputs and state are
+// identical to the standalone Harness's, and so to sim.Batch's (enforced
+// by rtlgen's DiffLanes differential gate and fuzz target).
 package psim
 
 import (

@@ -122,8 +122,8 @@ func TestMachineAgreesWithEval(t *testing.T) {
 
 // TestEngineMatchesHarness drives every supported dataset module with 16
 // lanes of random full-row stimulus, bit-parallel and standalone, and
-// requires byte-identical outputs, waveforms and final state (signals and
-// memories). This is the in-package identity check; the adversarial
+// requires identical outputs every cycle and identical final state
+// (signals and memories). This is the in-package identity check; the adversarial
 // differential gate over generated designs lives in rtlgen (DiffLanes).
 func TestEngineMatchesHarness(t *testing.T) {
 	supported := 0
@@ -188,18 +188,6 @@ func TestEngineMatchesHarness(t *testing.T) {
 			}
 		}
 		for k, h := range refs {
-			ew, hw := e.Wave(k), h.Wave
-			if ew.Cycles() != hw.Cycles() {
-				t.Fatalf("%s lane %d: wave cycles psim=%d harness=%d", mod.Name, k, ew.Cycles(), hw.Cycles())
-			}
-			for _, n := range hw.Names() {
-				for cyc := 0; cyc < hw.Cycles(); cyc++ {
-					if ew.At(n, cyc) != hw.At(n, cyc) {
-						t.Fatalf("%s lane %d wave %s@%d: psim=0x%x harness=0x%x",
-							mod.Name, k, n, cyc, ew.At(n, cyc), hw.At(n, cyc))
-					}
-				}
-			}
 			d := p.Design()
 			for i := 0; i < d.NumSignals(); i++ {
 				sv := d.Signal(i)

@@ -6,9 +6,8 @@ package psim
 // half-size swaps instead of 64*64 single-bit moves. It converts wide
 // values between the engine's two layouts, lane-sliced (word i = lane i's
 // value) and bit-sliced (word j = bit j across all 64 lanes): stimulus
-// wider than 16 bits, through BitSlice, and recorded signals of 16 bits
-// or more. The matrix transpose is its own inverse, so the same routine
-// serves both directions.
+// wider than 16 bits, through BitSlice. The matrix transpose is its own
+// inverse, so the same routine serves both directions.
 func Transpose64(a *[64]uint64) {
 	m := uint64(0x00000000FFFFFFFF)
 	for j := uint(32); j != 0; {

@@ -9,7 +9,6 @@ import (
 	"uvllm/internal/faultgen"
 	"uvllm/internal/formal"
 	"uvllm/internal/sim"
-	"uvllm/internal/uvm"
 	"uvllm/internal/verilog"
 )
 
@@ -39,7 +38,7 @@ func newSim(src, top string, backend sim.Backend) (*sim.Instance, error) {
 // DiffBackends simulates src on the event-driven and compiled backends
 // under an identical seeded stimulus stream and compares every observable:
 // per-cycle output ports, the full recorded waveform, its VCD rendering,
-// coverage counts and the final internal signal state. A non-nil error is a
+// the structural coverage encoding and the final internal signal state. A non-nil error is a
 // genuine divergence (the bug case); designs that fail identically on both
 // backends — elaboration errors, oscillation — agree by definition.
 func DiffBackends(src, top, clock string, cycles int, seed int64) (DiffReport, error) {
@@ -61,8 +60,6 @@ func DiffBackends(src, top, clock string, cycles int, seed int64) (DiffReport, e
 
 	hE := sim.NewHarness(sE, clock)
 	hC := sim.NewHarness(sC, clock)
-	covE := uvm.NewCoverage(sE.Design())
-	covC := uvm.NewCoverage(sC.Design())
 	// Structural coverage joins the observable set: the encoded maps must
 	// be byte-identical across backends, which additionally cross-checks
 	// the compiled condition probes against the interpreter's evaluator.
@@ -105,8 +102,6 @@ func DiffBackends(src, top, clock string, cycles int, seed int64) (DiffReport, e
 				return rep, fmt.Errorf("cycle %d signal %s: event=0x%x compiled=0x%x", cyc, sigName, v, outC[sigName])
 			}
 		}
-		covE.Sample(in, outE)
-		covC.Sample(in, outC)
 		rep.Cycles++
 	}
 
@@ -130,9 +125,6 @@ func DiffBackends(src, top, clock string, cycles int, seed int64) (DiffReport, e
 	}
 	if !bytes.Equal(vcdE.Bytes(), vcdC.Bytes()) {
 		return rep, errors.New("VCD output differs")
-	}
-	if covE.Percent() != covC.Percent() || covE.Report() != covC.Report() {
-		return rep, fmt.Errorf("coverage diverged: event=%.4f compiled=%.4f", covE.Percent(), covC.Percent())
 	}
 	encE, encC := hE.Coverage().Encode(), hC.Coverage().Encode()
 	if !bytes.Equal(encE, encC) {

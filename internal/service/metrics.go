@@ -81,10 +81,3 @@ type MetricsSnapshot struct {
 	// Caches is the compile-cache and trace-memo counter section.
 	Caches CacheMetrics `json:"caches"`
 }
-
-func hitRatePct(hits, misses int64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return 100 * float64(hits) / float64(hits+misses)
-}

@@ -323,9 +323,9 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		Stages:       stages,
 		Caches: CacheMetrics{
 			Compile:          cs,
-			CompileHitRate:   hitRatePct(cs.Hits, cs.Misses),
+			CompileHitRate:   cs.HitRatePct(),
 			TraceMemo:        ms,
-			TraceMemoHitRate: hitRatePct(ms.Hits, ms.Misses),
+			TraceMemoHitRate: ms.HitRatePct(),
 		},
 	})
 }

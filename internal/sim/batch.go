@@ -4,10 +4,11 @@ package sim
 // lane, over fresh Instances of one Program, driven in lockstep by row
 // stimulus: Cycle runs Harness.CycleRow on every live lane and
 // ApplyReset runs Harness.ApplyReset. Lane k of a Batch is therefore
-// byte-identical to a standalone harness driving the same rows by
-// construction — same trace, VCD rendering, coverage map and error, at
-// the same cycle, with the same message — and the rtlgen lane
-// differential gate (DiffLanes) checks it over generated designs.
+// identical to a standalone harness driving the same rows by
+// construction — same outputs, state, coverage map and error, at the
+// same cycle, with the same message — and the rtlgen lane differential
+// gate (DiffLanes) checks it over generated designs. Lane harnesses
+// record no waveform: no lane consumer reads one.
 
 import (
 	"fmt"
@@ -19,15 +20,15 @@ import (
 // the bit-parallel psim.Engine: K independent simulations of one design
 // driven in lockstep through the harness cycle protocol, with stimulus
 // rows aligned with Ports() (a nil row masks a lane out of a cycle) and
-// every lane observable on its own. Lane k of any LaneEngine must be
-// byte-identical to a standalone Harness driving the same rows.
+// every lane observable on its own through its outputs and state. Lane
+// k of any LaneEngine must match a standalone Harness driving the same
+// rows, cycle by cycle.
 type LaneEngine interface {
 	Lanes() int
 	Ports() []PortInfo
 	ApplyReset(cycles int) error
 	Cycle(rows [][]uint64) error
 	Err(k int) error
-	Wave(k int) *Waveform
 	OutputRow(k int, buf []uint64) []uint64
 	Get(k int, name string) uint64
 	GetMem(k int, name string, word int) uint64
@@ -49,8 +50,8 @@ type Batch struct {
 }
 
 // NewBatch allocates a batch of `lanes` fresh Instances of p, each from
-// Program.NewInstance and wrapped in its own Harness with the given clock
-// input ("" for combinational designs).
+// Program.NewInstance and wrapped in its own waveform-free Harness with
+// the given clock input ("" for combinational designs).
 func NewBatch(p *Program, lanes int, clock string) (*Batch, error) {
 	if lanes < 1 {
 		return nil, fmt.Errorf("sim: batch needs at least 1 lane, got %d", lanes)
@@ -61,7 +62,7 @@ func NewBatch(p *Program, lanes int, clock string) (*Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.lanes[k] = NewHarness(inst, clock)
+		b.lanes[k] = newHarness(inst, clock, false)
 	}
 	return b, nil
 }
@@ -72,9 +73,6 @@ func (b *Batch) Lanes() int { return len(b.lanes) }
 // Lane returns lane k's Instance — a real Instance of the shared Program,
 // so Snapshot, Restore, Get, GetMem and EnableCover all work per lane.
 func (b *Batch) Lane(k int) *Instance { return b.lanes[k].Sim }
-
-// Wave returns lane k's recorded waveform (its harness's waveform).
-func (b *Batch) Wave(k int) *Waveform { return b.lanes[k].Wave }
 
 // Err returns the error that made lane k inert, or nil while it is live.
 func (b *Batch) Err(k int) error { return b.errs[k] }
@@ -121,8 +119,8 @@ func (b *Batch) GetMem(k int, name string, word int) uint64 {
 
 // Cycle drives one cycle on every live lane: rows[k] holds lane k's
 // stimulus aligned with Ports(), applied through Harness.CycleRow. A nil
-// rows[k] masks lane k out of this cycle entirely — it neither advances
-// nor records. Every row's shape is checked before any lane moves, so a
+// rows[k] masks lane k out of this cycle entirely — it does not
+// advance. Every row's shape is checked before any lane moves, so a
 // malformed call advances no lane. Per-lane simulation errors do not
 // fail the call; they park in Err(k).
 func (b *Batch) Cycle(rows [][]uint64) error {

@@ -1,7 +1,7 @@
 package sim
 
-// Batch tests: per-lane byte-identity against the standalone Harness
-// (traces, VCD bytes, encoded coverage, final state, errors), per-lane
+// Batch tests: per-lane identity against the standalone Harness
+// (per-cycle outputs, encoded coverage, final state, errors), per-lane
 // snapshot/restore, lane masking, error isolation, and — under -race —
 // concurrent Batches of one shared Program.
 
@@ -11,6 +11,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"uvllm/internal/dataset"
 )
 
 // batchStim builds deterministic per-lane stimulus for memDUT.
@@ -24,7 +26,7 @@ func batchStim(lane, cycle int) map[string]uint64 {
 }
 
 // harnessRef runs one standalone harness lane of memDUT under map
-// stimulus and returns the harness (for wave/coverage/final-state
+// stimulus and returns the harness (for coverage and final-state
 // inspection) and per-cycle output rows.
 func harnessRef(t *testing.T, p *Program, lane, cycles int, withCover bool) (*Harness, [][]uint64) {
 	t.Helper()
@@ -51,76 +53,73 @@ func harnessRef(t *testing.T, p *Program, lane, cycles int, withCover bool) (*Ha
 	return h, outs
 }
 
-// wavesEqual compares two waveforms cell by cell.
-func wavesEqual(a, b *Waveform) error {
-	if a.Cycles() != b.Cycles() {
-		return fmt.Errorf("cycles %d vs %d", a.Cycles(), b.Cycles())
+// sameOutputs fails unless two per-cycle output row lists are equal.
+func sameOutputs(t *testing.T, what string, want, got [][]uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d output rows, want %d", what, len(got), len(want))
 	}
-	for _, n := range a.Names() {
-		for c := 0; c < a.Cycles(); c++ {
-			if a.At(n, c) != b.At(n, c) {
-				return fmt.Errorf("%s@%d: 0x%x vs 0x%x", n, c, a.At(n, c), b.At(n, c))
+	for c, row := range want {
+		for i, v := range row {
+			if got[c][i] != v {
+				t.Fatalf("%s cycle %d output %d: 0x%x, want 0x%x", what, c, i, got[c][i], v)
 			}
 		}
 	}
-	return nil
+}
+
+// sameFinalState fails unless lane k of b ends in inst's state: every
+// signal and every memory word.
+func sameFinalState(t *testing.T, what string, b *Batch, k int, inst *Instance) {
+	t.Helper()
+	d := inst.Design()
+	for i := 0; i < d.NumSignals(); i++ {
+		sv := d.Signal(i)
+		if inst.Get(sv.Name) != b.Get(k, sv.Name) {
+			t.Fatalf("%s final %s: batch=0x%x want 0x%x", what, sv.Name, b.Get(k, sv.Name), inst.Get(sv.Name))
+		}
+		for w := 0; w < sv.Depth; w++ {
+			if inst.GetMem(sv.Name, w) != b.GetMem(k, sv.Name, w) {
+				t.Fatalf("%s final %s[%d]: batch=0x%x want 0x%x", what, sv.Name, w, b.GetMem(k, sv.Name, w), inst.GetMem(sv.Name, w))
+			}
+		}
+	}
 }
 
 // checkLaneIdentity asserts lane k of the batch matches its standalone
-// harness reference on every observable.
-func checkLaneIdentity(t *testing.T, b *Batch, k int, h *Harness, refOuts, gotOuts [][]uint64, top string) {
+// harness reference on every observable: per-cycle outputs, coverage,
+// final signals and memory words.
+func checkLaneIdentity(t *testing.T, b *Batch, k int, h *Harness, refOuts, gotOuts [][]uint64) {
 	t.Helper()
 	if err := b.Err(k); err != nil {
 		t.Fatalf("lane %d errored: %v", k, err)
 	}
-	for c, want := range refOuts {
-		for i, v := range want {
-			if gotOuts[c][i] != v {
-				t.Fatalf("lane %d cycle %d output %d: batch=0x%x harness=0x%x", k, c, i, gotOuts[c][i], v)
-			}
-		}
-	}
-	if err := wavesEqual(h.Wave, b.Wave(k)); err != nil {
-		t.Fatalf("lane %d waveform: %v", k, err)
-	}
-	var vb, vh bytes.Buffer
-	if err := WriteVCD(&vb, b.Wave(k), b.Lane(k).Design(), top); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteVCD(&vh, h.Wave, h.Sim.Design(), top); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(vb.Bytes(), vh.Bytes()) {
-		t.Fatalf("lane %d VCD bytes differ", k)
-	}
+	sameOutputs(t, fmt.Sprintf("lane %d", k), refOuts, gotOuts)
 	if hc, bc := h.Coverage(), b.Coverage(k); (hc == nil) != (bc == nil) {
 		t.Fatalf("lane %d coverage enabled mismatch", k)
 	} else if hc != nil && !bytes.Equal(hc.Encode(), bc.Encode()) {
 		t.Fatalf("lane %d coverage maps differ:\n--- batch ---\n%s--- harness ---\n%s", k, bc.Encode(), hc.Encode())
 	}
-	for _, n := range h.Sim.Design().SignalNames() {
-		if h.Sim.Get(n) != b.Get(k, n) {
-			t.Fatalf("lane %d final %s: batch=0x%x harness=0x%x", k, n, b.Get(k, n), h.Sim.Get(n))
-		}
-	}
-	d := h.Sim.Design()
-	for i := 0; i < d.NumSignals(); i++ {
-		sv := d.Signal(i)
-		for w := 0; w < sv.Depth; w++ {
-			if h.Sim.GetMem(sv.Name, w) != b.GetMem(k, sv.Name, w) {
-				t.Fatalf("lane %d final %s[%d]: batch=0x%x harness=0x%x", k, sv.Name, w, b.GetMem(k, sv.Name, w), h.Sim.GetMem(sv.Name, w))
-			}
-		}
-	}
+	sameFinalState(t, fmt.Sprintf("lane %d", k), b, k, h.Sim)
 }
 
 // runBatch drives a batch over the shared stimulus via the row API and
 // returns per-lane per-cycle output rows.
 func runBatch(t *testing.T, b *Batch, cycles int) [][][]uint64 {
 	t.Helper()
+	outs, err := driveBatch(b, cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outs
+}
+
+// driveBatch is runBatch for goroutines other than the test's: it
+// returns the error instead of failing the test.
+func driveBatch(b *Batch, cycles int) ([][][]uint64, error) {
 	ports := b.Ports()
 	if err := b.ApplyReset(2); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	outs := make([][][]uint64, b.Lanes())
 	rows := make([][]uint64, b.Lanes())
@@ -135,13 +134,13 @@ func runBatch(t *testing.T, b *Batch, cycles int) [][][]uint64 {
 			}
 		}
 		if err := b.Cycle(rows); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		for k := range rows {
 			outs[k] = append(outs[k], b.OutputRow(k, nil))
 		}
 	}
-	return outs
+	return outs, nil
 }
 
 // TestBatchMatchesHarness is the core byte-identity gate: 8 lanes of a
@@ -165,14 +164,14 @@ func TestBatchMatchesHarness(t *testing.T) {
 			outs := runBatch(t, b, cycles)
 			for k := 0; k < lanes; k++ {
 				h, refOuts := harnessRef(t, p, k, cycles, true)
-				checkLaneIdentity(t, b, k, h, refOuts, outs[k], "memdut")
+				checkLaneIdentity(t, b, k, h, refOuts, outs[k])
 			}
 		})
 	}
 }
 
 // TestBatchLaneMasking checks a nil row freezes a lane — no state
-// advance, no waveform row — while the other lanes proceed.
+// advance, no cycle counted — while the other lanes proceed.
 func TestBatchLaneMasking(t *testing.T) {
 	p, err := CompileSource(memDUT, "memdut", BackendCompiled)
 	if err != nil {
@@ -195,11 +194,11 @@ func TestBatchLaneMasking(t *testing.T) {
 	if err := b.Cycle([][]uint64{row, nil}); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Wave(1).Cycles(); got != 2 {
-		t.Fatalf("masked lane recorded %d cycles, want 2 (reset only)", got)
+	if got := b.lanes[1].CycleCount(); got != 2 {
+		t.Fatalf("masked lane ran %d cycles, want 2 (reset only)", got)
 	}
-	if b.Wave(0).Cycles() != 3 {
-		t.Fatal("live lane did not record")
+	if b.lanes[0].CycleCount() != 3 {
+		t.Fatal("live lane did not cycle")
 	}
 	if b.Lane(1).Get("acc") != before {
 		t.Fatal("masked lane advanced")
@@ -215,7 +214,7 @@ endmodule`
 
 // TestBatchLaneErrorIsolation drives one lane into combinational
 // oscillation: it must die with exactly the standalone harness's error
-// while the other lanes keep cycling and recording.
+// while the other lanes keep cycling.
 func TestBatchLaneErrorIsolation(t *testing.T) {
 	for _, be := range backends() {
 		t.Run(be.String(), func(t *testing.T) {
@@ -253,11 +252,11 @@ func TestBatchLaneErrorIsolation(t *testing.T) {
 			if b.Err(badLane) == nil {
 				t.Fatal("oscillating lane did not error")
 			}
-			if got := b.Wave(badLane).Cycles(); got != badCycle {
-				t.Fatalf("dead lane recorded %d cycles, want %d", got, badCycle)
+			if got := b.lanes[badLane].CycleCount(); got != badCycle {
+				t.Fatalf("dead lane ran %d cycles, want %d", got, badCycle)
 			}
-			if got := b.Wave(0).Cycles(); got != cycles {
-				t.Fatalf("live lane recorded %d cycles, want %d", got, cycles)
+			if got := b.lanes[0].CycleCount(); got != cycles {
+				t.Fatalf("live lane ran %d cycles, want %d", got, cycles)
 			}
 			if got := b.Lane(0).Get("cnt"); got != cycles {
 				t.Fatalf("live lane cnt=%d, want %d", got, cycles)
@@ -347,40 +346,48 @@ func TestBatchPerLaneSnapshotRestore(t *testing.T) {
 // TestBatchWorkersByteIdentical is the -race gate for lane engines run
 // side by side: three Batches of one shared Program, driven concurrently,
 // must each reproduce a sequentially run reference bit for bit
-// (waveforms and coverage).
+// (per-cycle outputs, coverage and final state).
 func TestBatchWorkersByteIdentical(t *testing.T) {
 	const lanes, cycles = 8, 30
 	p, err := CompileSource(memDUT, "memdut", BackendCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *Batch {
+	run := func() (*Batch, [][][]uint64, error) {
 		b, err := NewBatch(p, lanes, "clk")
+		if err == nil {
+			err = b.EnableCover(CoverAll())
+		}
 		if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
-		if err := b.EnableCover(CoverAll()); err != nil {
-			t.Fatal(err)
-		}
-		runBatch(t, b, cycles)
-		return b
+		outs, err := driveBatch(b, cycles)
+		return b, outs, err
 	}
-	ref := run()
+	ref, refOuts, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	got := make([]*Batch, 3)
+	gotOuts := make([][][][]uint64, 3)
+	errs := make([]error, 3)
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = run()
+			got[i], gotOuts[i], errs[i] = run()
 		}(i)
 	}
 	wg.Wait()
 	for i, b := range got {
+		if errs[i] != nil {
+			t.Fatalf("concurrent batch %d: %v", i, errs[i])
+		}
 		for k := 0; k < lanes; k++ {
-			if err := wavesEqual(ref.Wave(k), b.Wave(k)); err != nil {
-				t.Fatalf("concurrent batch %d lane %d waveform: %v", i, k, err)
-			}
+			what := fmt.Sprintf("concurrent batch %d lane %d", i, k)
+			sameOutputs(t, what, refOuts[k], gotOuts[i][k])
+			sameFinalState(t, what, b, k, ref.Lane(k))
 			if !bytes.Equal(ref.Coverage(k).Encode(), b.Coverage(k).Encode()) {
 				t.Fatalf("concurrent batch %d lane %d coverage differs", i, k)
 			}
@@ -429,15 +436,15 @@ func TestBatchRejectsBadShapes(t *testing.T) {
 	var cycles []int
 	var states []string
 	for k := 0; k < lanes; k++ {
-		cycles = append(cycles, b.Wave(k).Cycles())
+		cycles = append(cycles, b.lanes[k].CycleCount())
 		states = append(states, stateFingerprint(b.Lane(k)))
 	}
 	if err := b.Cycle(rows); err == nil {
 		t.Fatal("short last row accepted")
 	}
 	for k := 0; k < lanes; k++ {
-		if got := b.Wave(k).Cycles(); got != cycles[k] {
-			t.Fatalf("lane %d recorded %d cycles after a rejected call, want %d", k, got, cycles[k])
+		if got := b.lanes[k].CycleCount(); got != cycles[k] {
+			t.Fatalf("lane %d ran %d cycles after a rejected call, want %d", k, got, cycles[k])
 		}
 		if stateFingerprint(b.Lane(k)) != states[k] {
 			t.Fatalf("lane %d advanced on a rejected call", k)
@@ -450,8 +457,8 @@ func TestBatchRejectsBadShapes(t *testing.T) {
 
 // TestUnknownClockFailsFirstCycle drives a harness and a 2-lane batch
 // whose clock names no signal: each fails its first cycle with the
-// unknown-signal error, the batch lanes go inert there, and nothing
-// records a cycle.
+// unknown-signal error, the batch lanes go inert there, and no cycle
+// completes.
 func TestUnknownClockFailsFirstCycle(t *testing.T) {
 	const want = `sim: unknown signal "nope"`
 	for _, be := range backends() {
@@ -486,8 +493,8 @@ func TestUnknownClockFailsFirstCycle(t *testing.T) {
 				if err := b.Err(k); err == nil || err.Error() != want {
 					t.Fatalf("lane %d: err %v, want %s", k, err, want)
 				}
-				if got := b.Wave(k).Cycles(); got != 0 {
-					t.Fatalf("lane %d recorded %d cycles, want 0", k, got)
+				if got := b.lanes[k].CycleCount(); got != 0 {
+					t.Fatalf("lane %d ran %d cycles, want 0", k, got)
 				}
 			}
 		})
@@ -496,7 +503,8 @@ func TestUnknownClockFailsFirstCycle(t *testing.T) {
 
 // TestBatchRandomizedAgainstHarness fuzzes the identity over random
 // per-lane streams on both backends (short, deterministic): batch rows
-// against the same stimulus as harness maps.
+// against the same stimulus as harness maps, compared on per-cycle
+// outputs, coverage and final state.
 func TestBatchRandomizedAgainstHarness(t *testing.T) {
 	for _, be := range backends() {
 		t.Run(be.String(), func(t *testing.T) {
@@ -529,6 +537,7 @@ func TestBatchRandomizedAgainstHarness(t *testing.T) {
 			}
 			ports := b.Ports()
 			rows := make([][]uint64, lanes)
+			outs := make([][][]uint64, lanes)
 			for c := 0; c < cycles; c++ {
 				for k := range rows {
 					rows[k] = make([]uint64, len(ports))
@@ -538,6 +547,9 @@ func TestBatchRandomizedAgainstHarness(t *testing.T) {
 				}
 				if err := b.Cycle(rows); err != nil {
 					t.Fatal(err)
+				}
+				for k := range rows {
+					outs[k] = append(outs[k], b.OutputRow(k, nil))
 				}
 			}
 			for k := 0; k < lanes; k++ {
@@ -552,18 +564,65 @@ func TestBatchRandomizedAgainstHarness(t *testing.T) {
 				if err := h.ApplyReset(2); err != nil {
 					t.Fatal(err)
 				}
+				var refOuts [][]uint64
 				for c := 0; c < cycles; c++ {
 					if _, err := h.Cycle(all[k][c]); err != nil {
 						t.Fatal(err)
 					}
+					refOuts = append(refOuts, h.OutputRow(nil))
 				}
-				if err := wavesEqual(h.Wave, b.Wave(k)); err != nil {
-					t.Fatalf("lane %d: %v", k, err)
-				}
-				if !bytes.Equal(h.Coverage().Encode(), b.Coverage(k).Encode()) {
-					t.Fatalf("lane %d coverage differs", k)
-				}
+				checkLaneIdentity(t, b, k, h, refOuts, outs[k])
 			}
 		})
+	}
+}
+
+// TestBatchCycleAllocs holds an already-built 8-lane Batch over
+// fifo_sync to a fixed allocation ceiling for 500 cycles of row
+// stimulus: a lane harness keeps no waveform, so driving lanes costs no
+// per-cycle growth. It reads 0; lanes that each grew a waveform read
+// 128.
+func TestBatchCycleAllocs(t *testing.T) {
+	const lanes, cycles, maxAllocs = 8, 500, 8
+	m := dataset.ByName("fifo_sync")
+	p, err := CompileSource(m.Source, m.Top, BackendCompiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBatch(p, lanes, m.Clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.ApplyReset(2); err != nil {
+		t.Fatal(err)
+	}
+	ports := b.Ports()
+	rows := make([][]uint64, lanes)
+	for k := range rows {
+		rows[k] = make([]uint64, len(ports))
+	}
+	var out []uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		for c := 0; c < cycles; c++ {
+			for k, row := range rows {
+				for i, pt := range ports {
+					row[i] = uint64(c*31+k*7+i) & (1<<uint(pt.Width) - 1)
+				}
+			}
+			if err := b.Cycle(rows); err != nil {
+				t.Fatal(err)
+			}
+			for k := range rows {
+				out = b.OutputRow(k, out)
+			}
+		}
+	})
+	for k := 0; k < lanes; k++ {
+		if err := b.Err(k); err != nil {
+			t.Fatalf("lane %d: %v", k, err)
+		}
+	}
+	if allocs > maxAllocs {
+		t.Errorf("%d cycles of %d lanes allocated %.0f times, want at most %d", cycles, lanes, allocs, maxAllocs)
 	}
 }

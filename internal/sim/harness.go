@@ -67,11 +67,6 @@ func (w *Waveform) recordRow(row []uint64) {
 	w.cycles++
 }
 
-// RecordRow appends one cycle of values aligned with Names() order — the
-// allocation-free alternative to Record for callers that maintain the
-// sorted layout themselves (the bit-parallel lane engine's per-lane rows).
-func (w *Waveform) RecordRow(row []uint64) { w.recordRow(row) }
-
 // At returns the value of name at cycle, or 0 when out of range.
 func (w *Waveform) At(name string, cycle int) uint64 {
 	i, ok := w.index[name]
@@ -105,8 +100,8 @@ type portRef struct {
 // one cycle protocol after application.
 type Harness struct {
 	Sim   *Instance
-	Clock string // clock input name, fixed by NewHarness; empty for purely combinational DUTs
-	Wave  *Waveform
+	Clock string    // clock input name, fixed by NewHarness; empty for purely combinational DUTs
+	Wave  *Waveform // every top-level port, one row per cycle; nil in a Batch lane
 	cycle int
 
 	clockIdx int             // arena index of Clock, -1 when it names no signal
@@ -142,15 +137,12 @@ func sortedExtraKeys(inputs map[string]uint64, inputSet map[string]bool, clock s
 
 // NewHarness wraps sim with the given clock input (may be ""). All
 // top-level ports are recorded in the waveform.
-func NewHarness(s *Instance, clock string) *Harness {
-	var names []string
-	for _, p := range s.Design().Inputs() {
-		names = append(names, p.Name)
-	}
-	for _, p := range s.Design().Outputs() {
-		names = append(names, p.Name)
-	}
-	h := &Harness{Sim: s, Clock: clock, Wave: NewWaveform(names), inputSet: map[string]bool{}, clockIdx: -1}
+func NewHarness(s *Instance, clock string) *Harness { return newHarness(s, clock, true) }
+
+// newHarness is NewHarness; without record the harness keeps no
+// waveform (Wave stays nil), as a Batch lane does.
+func newHarness(s *Instance, clock string, record bool) *Harness {
+	h := &Harness{Sim: s, Clock: clock, inputSet: map[string]bool{}, clockIdx: -1}
 	if idx, ok := s.d.byName[clock]; ok {
 		h.clockIdx = idx
 	}
@@ -165,6 +157,17 @@ func NewHarness(s *Instance, clock string) *Harness {
 			h.outPorts = append(h.outPorts, portRef{name: p.Name, idx: idx})
 		}
 	}
+	if !record {
+		return h
+	}
+	var names []string
+	for _, p := range s.Design().Inputs() {
+		names = append(names, p.Name)
+	}
+	for _, p := range s.Design().Outputs() {
+		names = append(names, p.Name)
+	}
+	h.Wave = NewWaveform(names)
 	for _, n := range h.Wave.Names() {
 		idx := -1
 		if i, ok := s.d.byName[n]; ok {
@@ -285,14 +288,16 @@ func (h *Harness) step() error {
 		// and FSM occupancy coverage samples here.
 		h.Sim.coverSampleState()
 	}
-	for i, idx := range h.recIdx {
-		if idx >= 0 {
-			h.recRow[i] = h.Sim.vals[idx]
-		} else {
-			h.recRow[i] = 0
+	if h.Wave != nil {
+		for i, idx := range h.recIdx {
+			if idx >= 0 {
+				h.recRow[i] = h.Sim.vals[idx]
+			} else {
+				h.recRow[i] = 0
+			}
 		}
+		h.Wave.recordRow(h.recRow)
 	}
-	h.Wave.recordRow(h.recRow)
 	h.cycle++
 	h.cycles.Inc()
 	return nil

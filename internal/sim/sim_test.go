@@ -476,14 +476,14 @@ endmodule`
 func TestWaveformReserve(t *testing.T) {
 	const n = 500
 	w := NewWaveform([]string{"b", "a", "c"})
-	w.RecordRow([]uint64{7, 8, 9})
+	w.recordRow([]uint64{7, 8, 9})
 	w.Reserve(n)
 	row := []uint64{1, 2, 3}
 	// AllocsPerRun calls the function once to warm up, then once measured.
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < n/2; i++ {
 			row[0] = uint64(i)
-			w.RecordRow(row)
+			w.recordRow(row)
 		}
 	})
 	if allocs != 0 {

@@ -39,7 +39,6 @@ func (cfg StimConfig) bitLanes() int {
 // also the committed state the next round speculates from.
 func directedBits(p *sim.Program, eng *psim.Engine, cfg StimConfig) (*cover.Map, *Corpus, error) {
 	lanes := eng.Lanes()
-	eng.SetRecord(false) // speculative lanes: no waveforms
 	h, err := coverHarness(p, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -58,7 +57,7 @@ func directedBits(p *sim.Program, eng *psim.Engine, cfg StimConfig) (*cover.Map,
 	rows := make([][]uint64, lanes)
 	remaining := cfg.Cycles
 	for remaining > 0 {
-		k := min(cfg.snippetLen(), remaining)
+		k := min(snippetLen, remaining)
 		candidates := make([][][]uint64, lanes)
 		for l := range candidates {
 			candidates[l] = g.next(corpus, k)
@@ -78,8 +77,8 @@ func directedBits(p *sim.Program, eng *psim.Engine, cfg StimConfig) (*cover.Map,
 			score := 0
 			for i := 0; i < d.NumSignals(); i++ {
 				t01, t10 := eng.Activity(i)
-				score += bits.OnesCount64(laneBits(t01, l) &^ seen01[i])
-				score += bits.OnesCount64(laneBits(t10, l) &^ seen10[i])
+				score += bits.OnesCount64(psim.Lane(t01, l) &^ seen01[i])
+				score += bits.OnesCount64(psim.Lane(t10, l) &^ seen10[i])
 			}
 			if score > bestScore {
 				best, bestScore = l, score
@@ -100,19 +99,9 @@ func directedBits(p *sim.Program, eng *psim.Engine, cfg StimConfig) (*cover.Map,
 		}
 		for i := 0; i < d.NumSignals(); i++ {
 			t01, t10 := eng.Activity(i)
-			seen01[i] |= laneBits(t01, best)
-			seen10[i] |= laneBits(t10, best)
+			seen01[i] |= psim.Lane(t01, best)
+			seen10[i] |= psim.Lane(t10, best)
 		}
 	}
 	return m, corpus, nil
-}
-
-// laneBits extracts lane l's toggle mask from a bit-sliced activity
-// vector: bit b of the result is word b's lane-l bit.
-func laneBits(words []uint64, l int) uint64 {
-	var v uint64
-	for b, w := range words {
-		v |= (w >> uint(l) & 1) << uint(b)
-	}
-	return v
 }

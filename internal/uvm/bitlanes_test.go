@@ -64,7 +64,7 @@ func TestCoverageDirectedBitLanesDeterministic(t *testing.T) {
 // identical to the random baseline, speculative lanes notwithstanding.
 func TestCoverageDirectedBitLanesBudget(t *testing.T) {
 	p := compileNeedle(t)
-	cfg := StimConfig{Clock: "clk", Cycles: 37, Seed: 1, SnippetLen: 5, BitLanes: true}
+	cfg := StimConfig{Clock: "clk", Cycles: 37, Seed: 1, BitLanes: true}
 	mr, err := CoverageRandom(p, StimConfig{Clock: "clk", Cycles: 37, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -39,23 +39,6 @@ func newCoverage(inputs, outputs []sim.PortInfo) *Coverage {
 	}
 }
 
-// Sample records one transaction's input and output values.
-func (c *Coverage) Sample(in, out map[string]uint64) {
-	c.sampleInputs(in)
-	for k, p := range c.outputs {
-		c.toggle(k, out[p.Name])
-	}
-}
-
-// sampleInputs bins every input present in in.
-func (c *Coverage) sampleInputs(in map[string]uint64) {
-	for k, p := range c.inputs {
-		if v, ok := in[p.Name]; ok {
-			c.bin(k, v)
-		}
-	}
-}
-
 // inputColumns maps a row layout onto the collector: entry j is the
 // input index of ports[j], or -1 when the design has no such input.
 func (c *Coverage) inputColumns(ports []sim.PortInfo) []int {

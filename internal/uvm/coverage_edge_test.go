@@ -32,8 +32,8 @@ func TestCoveragePercentNoSamples(t *testing.T) {
 func TestCoverageZeroWidthPort(t *testing.T) {
 	c := newCoverage([]sim.PortInfo{{Name: "in", Width: 8}},
 		[]sim.PortInfo{{Name: "z", Width: 0}, {Name: "y", Width: 1}})
-	c.Sample(map[string]uint64{"in": 0}, map[string]uint64{"z": 1, "y": 1})
-	c.Sample(map[string]uint64{"in": 255}, map[string]uint64{"z": 0, "y": 0})
+	sample(c, map[string]uint64{"in": 0}, map[string]uint64{"z": 1, "y": 1})
+	sample(c, map[string]uint64{"in": 255}, map[string]uint64{"z": 0, "y": 0})
 	// in: all four bins hit (0, max, low, high) = 4/4; y: both polarities
 	// = 2/2; z contributes 0 to both numerator and denominator.
 	if got := c.Percent(); got != 100 {
@@ -46,18 +46,18 @@ func TestCoverageZeroWidthPort(t *testing.T) {
 // points, and the wrap-around mask (1<<64) must not zero it out.
 func TestCoverage64BitMask(t *testing.T) {
 	c := newCoverage(nil, []sim.PortInfo{{Name: "wide", Width: 64}})
-	c.Sample(nil, map[string]uint64{"wide": 0})
+	sample(c, nil, map[string]uint64{"wide": 0})
 	if got := c.Percent(); got != 50 {
 		t.Fatalf("all-zeros 64-bit sample = %v%%, want 50 (64 of 128 points)", got)
 	}
-	c.Sample(nil, map[string]uint64{"wide": ^uint64(0)})
+	sample(c, nil, map[string]uint64{"wide": ^uint64(0)})
 	if got := c.Percent(); got != 100 {
 		t.Fatalf("both polarities on 64 bits = %v%%, want 100", got)
 	}
 
 	// 64-bit input bins: max detection must use the full-width mask.
 	c2 := newCoverage([]sim.PortInfo{{Name: "din", Width: 64}}, nil)
-	c2.Sample(map[string]uint64{"din": ^uint64(0)}, nil)
+	sample(c2, map[string]uint64{"din": ^uint64(0)}, nil)
 	b := c2.bins[0]
 	if !b[1] {
 		t.Fatal("all-ones 64-bit input did not hit the max bin")

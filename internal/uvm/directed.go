@@ -21,7 +21,8 @@ import (
 )
 
 // StimConfig configures one coverage measurement run (random or
-// directed) over a compiled program.
+// directed) over a compiled program. Every run collects all structural
+// coverage models (sim.CoverAll).
 type StimConfig struct {
 	// Clock is the clock input name ("" for combinational DUTs).
 	Clock string
@@ -31,12 +32,6 @@ type StimConfig struct {
 	Cycles int
 	// Seed feeds the deterministic stimulus RNG.
 	Seed int64
-	// Cover selects the coverage models; the zero value means CoverAll.
-	Cover sim.CoverOptions
-	// SnippetLen is the length in cycles of one directed stimulus
-	// snippet (default 5). Shorter snippets give finer gain attribution;
-	// longer ones reach deeper sequential behavior.
-	SnippetLen int
 	// Lanes is the batched candidate scorer's width: CoverageDirected
 	// evaluates that many candidate snippets per round in one sim.Batch
 	// (one harness per candidate, each restored to the committed state)
@@ -54,19 +49,10 @@ type StimConfig struct {
 	BitLanes bool
 }
 
-func (c StimConfig) cover() sim.CoverOptions {
-	if c.Cover.Any() {
-		return c.Cover
-	}
-	return sim.CoverAll()
-}
-
-func (c StimConfig) snippetLen() int {
-	if c.SnippetLen > 0 {
-		return c.SnippetLen
-	}
-	return 5
-}
+// snippetLen is the length in cycles of one directed stimulus snippet.
+// Shorter snippets give finer gain attribution; longer ones reach deeper
+// sequential behavior.
+const snippetLen = 5
 
 // CorpusEntry is one saved stimulus snippet and the new-coverage gain it
 // produced when first executed. Vectors holds one row per cycle, aligned
@@ -167,7 +153,7 @@ func directedBatch(p *sim.Program, cfg StimConfig, lanes int) (*cover.Map, *Corp
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := b.EnableCover(cfg.cover()); err != nil {
+	if err := b.EnableCover(sim.CoverAll()); err != nil {
 		return nil, nil, err
 	}
 	if err = b.ApplyReset(2); err == nil {
@@ -184,7 +170,7 @@ func directedBatch(p *sim.Program, cfg StimConfig, lanes int) (*cover.Map, *Corp
 	rows := make([][]uint64, lanes)
 	remaining := cfg.Cycles
 	for remaining > 0 {
-		k := min(cfg.snippetLen(), remaining)
+		k := min(snippetLen, remaining)
 		live := min(max(remaining/k, 1), lanes) // candidates this round within budget
 		candidates := make([][][]uint64, live)
 		for l := range candidates {
@@ -194,7 +180,7 @@ func directedBatch(p *sim.Program, cfg StimConfig, lanes int) (*cover.Map, *Corp
 			// Fresh per-round map first, then restore: the rewind lands the
 			// FSM sampler history in the new collector, so each lane's map
 			// holds exactly this snippet's coverage.
-			if err := b.EnableCoverLane(l, cfg.cover()); err != nil {
+			if err := b.EnableCoverLane(l, sim.CoverAll()); err != nil {
 				return m, corpus, err
 			}
 			if err := b.Lane(l).Restore(cur); err != nil {
@@ -247,7 +233,7 @@ func coverHarness(p *sim.Program, cfg StimConfig) (*sim.Harness, error) {
 		return nil, err
 	}
 	h := sim.NewHarness(inst, cfg.Clock)
-	if err := h.EnableCover(cfg.cover()); err != nil {
+	if err := h.EnableCover(sim.CoverAll()); err != nil {
 		return nil, err
 	}
 	if err := h.ApplyReset(2); err != nil {

@@ -107,7 +107,7 @@ func TestCoverageBudgetIsRespected(t *testing.T) {
 	// 2-cycle reset phase, same as the random baseline: statement points
 	// are sampled once per cycle, so the top-level statement count equals
 	// reset+budget on both.
-	cfg := StimConfig{Clock: "clk", Cycles: 37, Seed: 1, SnippetLen: 5}
+	cfg := StimConfig{Clock: "clk", Cycles: 37, Seed: 1}
 	mr, err := CoverageRandom(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestCoverageDirectedBatchBudget(t *testing.T) {
 	// Same statement-sample accounting as the one-lane loop: the merged
 	// map must carry exactly reset + Cycles samples of the always block's
 	// outer statement — L lanes of k-cycle snippets consume L·k budget.
-	cfg := StimConfig{Clock: "clk", Cycles: 37, Seed: 1, SnippetLen: 5, Lanes: 4}
+	cfg := StimConfig{Clock: "clk", Cycles: 37, Seed: 1, Lanes: 4}
 	mr, err := CoverageRandom(p, StimConfig{Clock: "clk", Cycles: 37, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -14,21 +14,17 @@ import (
 	"uvllm/internal/sim"
 )
 
-// Stimulus is a materialized vector stream in row form. Vector i is a
+// Stimulus is a materialized vector stream in row form: vector i is a
 // row of values aligned with Ports — the sim.Harness and sim.Batch row
-// layout — unless the sequence produced a vector that does not fit that
-// layout (an input missing, the clock key, an internal-signal key): such
-// a vector keeps its map, and a run applies it through Harness.Cycle.
-// Being plain data, a Stimulus is also what the golden-trace memo
-// content-addresses, by a digest it computes once. It is read-only once
-// materialized, and TraceMemo.Materialize hands one value to every
+// layout. Being plain data, a Stimulus is also what the golden-trace
+// memo content-addresses, by a digest it computes once. It is read-only
+// once materialized, and TraceMemo.Materialize hands one value to every
 // caller of the same random sequence.
 type Stimulus struct {
 	// Ports is the row layout. Names must be distinct.
 	Ports []sim.PortInfo
 
-	rows []uint64            // Len() rows of len(Ports) values, row-major; zero for map vectors
-	maps []map[string]uint64 // nil until a vector misses the layout; then per vector, nil = row
+	rows []uint64 // Len() rows of len(Ports) values, row-major
 	n    int
 
 	sumOnce sync.Once
@@ -45,10 +41,13 @@ var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 // re-seeded. A DirectedSequence never draws, so it gets no RNG. A
 // RandomSequence whose keys are exactly the layout's names fills the
 // rows straight from its RNG draws — the same draws in the same order as
-// Next, with no map per vector. The sequence reads as exhausted
-// afterwards. TraceMemo.Materialize is the memoized form for a fresh
-// RandomSequence.
-func Materialize(seq Sequence, seed int64, ports []sim.PortInfo) *Stimulus {
+// Next, with no map per vector. Every vector's keys must be exactly the
+// layout's names: the first vector that misses an input or sets any
+// other key (the clock, an internal signal) is an error naming the
+// vector and the key. The sequence reads as exhausted afterwards, or
+// stops at the failing vector. TraceMemo.Materialize is the memoized
+// form for a fresh RandomSequence.
+func Materialize(seq Sequence, seed int64, ports []sim.PortInfo) (*Stimulus, error) {
 	var rng *rand.Rand
 	if _, directed := seq.(*DirectedSequence); !directed {
 		rng = rngPool.Get().(*rand.Rand)
@@ -56,80 +55,58 @@ func Materialize(seq Sequence, seed int64, ports []sim.PortInfo) *Stimulus {
 		defer rngPool.Put(rng)
 	}
 	st := &Stimulus{Ports: ports, rows: make([]uint64, 0, seq.Len()*len(ports))}
-	col := make(map[string]int, len(ports))
-	for j, p := range ports {
-		col[p.Name] = j
-	}
-	if rs, ok := seq.(*RandomSequence); ok && rs.fillRows(rng, st, col) {
-		return st
+	if rs, ok := seq.(*RandomSequence); ok && rs.fillRows(rng, st) {
+		return st, nil
 	}
 	for {
 		in, ok := seq.Next(rng)
 		if !ok {
-			return st
+			return st, nil
 		}
-		st.add(in, col)
+		if err := st.add(in); err != nil {
+			return nil, err
+		}
 	}
 }
 
-// add appends one map vector: as a row when its keys are exactly the
-// layout's names, else as a map.
-func (s *Stimulus) add(in map[string]uint64, col map[string]int) {
-	start := len(s.rows)
-	s.rows = append(s.rows, make([]uint64, len(s.Ports))...)
-	fits := len(in) == len(col)
-	if fits {
-		for name, v := range in {
-			j, ok := col[name]
-			if !ok {
-				fits = false
-				break
-			}
-			s.rows[start+j] = v
+// add appends one map vector as a row, or reports the first key by
+// which it misses the layout: a layout input it lacks, in layout order,
+// else the least key outside the layout.
+func (s *Stimulus) add(in map[string]uint64) error {
+	for _, p := range s.Ports {
+		v, ok := in[p.Name]
+		if !ok {
+			return fmt.Errorf("uvm: vector %d has no value for input %q", s.n, p.Name)
 		}
+		s.rows = append(s.rows, v)
 	}
-	switch {
-	case !fits:
-		clear(s.rows[start:])
-		if s.maps == nil {
-			s.maps = make([]map[string]uint64, s.n)
+	if len(in) != len(s.Ports) {
+		var extra []string
+		for name := range in {
+			if !slices.ContainsFunc(s.Ports, func(p sim.PortInfo) bool { return p.Name == name }) {
+				extra = append(extra, name)
+			}
 		}
-		s.maps = append(s.maps, in)
-	case s.maps != nil:
-		s.maps = append(s.maps, nil)
+		return fmt.Errorf("uvm: vector %d sets %q, which is not a row-layout input", s.n, slices.Min(extra))
 	}
 	s.n++
+	return nil
 }
 
 // Len returns the number of vectors.
 func (s *Stimulus) Len() int { return s.n }
 
-// Row returns vector i as a row aligned with Ports, or nil when the
-// vector does not fit the layout and must be applied as a map. The row
-// aliases the stimulus: treat it as read-only.
+// Row returns vector i as a row aligned with Ports. The row aliases the
+// stimulus: treat it as read-only.
 func (s *Stimulus) Row(i int) []uint64 {
-	if s.mapAt(i) != nil {
-		return nil
-	}
 	w := len(s.Ports)
 	return s.rows[i*w : (i+1)*w : (i+1)*w]
 }
 
-// mapAt returns vector i's map when it does not fit the layout, else nil.
-func (s *Stimulus) mapAt(i int) map[string]uint64 {
-	if s.maps == nil {
-		return nil
-	}
-	return s.maps[i]
-}
-
-// vectorInto returns vector i as a map: the sequence's own map for a
-// vector off the layout, else scratch filled from the row. Scratch only
-// ever holds layout names, so filling overwrites every key it has.
+// vectorInto returns vector i as a map, scratch filled from the row.
+// Scratch only ever holds layout names, so filling overwrites every key
+// it has.
 func (s *Stimulus) vectorInto(i int, scratch map[string]uint64) map[string]uint64 {
-	if m := s.mapAt(i); m != nil {
-		return m
-	}
 	row := s.Row(i)
 	for j, p := range s.Ports {
 		scratch[p.Name] = row[j]
@@ -140,8 +117,6 @@ func (s *Stimulus) vectorInto(i int, scratch map[string]uint64) map[string]uint6
 // digest returns the stimulus's content hash, computing it on first use:
 // sha256 over the layout's names, hashed once and sorted, then each row's
 // values in that order, so it does not depend on port declaration order.
-// A map vector hashes its sorted (name, value) pairs under its own
-// marker.
 func (s *Stimulus) digest() [sha256.Size]byte {
 	s.sumOnce.Do(func() { s.sum = s.hash() })
 	return s.sum
@@ -160,24 +135,11 @@ func (s *Stimulus) hash() [sha256.Size]byte {
 	for _, j := range perm {
 		buf = append(append(buf, s.Ports[j].Name...), 0)
 	}
-	var names []string
 	for i := 0; i < s.n; i++ {
-		if row := s.Row(i); row != nil {
-			buf = append(buf, 0xfe)
-			for _, j := range perm {
-				buf = binary.LittleEndian.AppendUint64(buf, row[j])
-			}
-		} else {
-			in := s.maps[i]
-			names = names[:0]
-			for n := range in {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			buf = binary.LittleEndian.AppendUint32(append(buf, 0xff), uint32(len(names)))
-			for _, n := range names {
-				buf = binary.LittleEndian.AppendUint64(append(append(buf, n...), 0), in[n])
-			}
+		row := s.Row(i)
+		buf = append(buf, 0xfe)
+		for _, j := range perm {
+			buf = binary.LittleEndian.AppendUint64(buf, row[j])
 		}
 		if len(buf) >= 4096 {
 			h.Write(buf)
@@ -194,20 +156,22 @@ func (s *Stimulus) hash() [sha256.Size]byte {
 // reference model's outputs for stimulus vector i, one value per name of
 // Names, which is sorted. The scoreboard compares in that order, so a
 // cycle's mismatches are always recorded and logged in sorted name order.
+// A Trace hands out no writable view of its data, so the memo can give
+// every caller the one memoized value.
 type Trace struct {
 	names []string
 	rows  []uint64
 	n     int
 }
 
-// Names returns the reference model's output names, sorted.
-func (t *Trace) Names() []string { return t.names }
+// Names returns a copy of the reference model's output names, sorted.
+func (t *Trace) Names() []string { return slices.Clone(t.names) }
 
 // Len returns the number of rows.
 func (t *Trace) Len() int { return t.n }
 
-// Row returns row i, aligned with Names.
-func (t *Trace) Row(i int) []uint64 {
+// row returns row i, aligned with names. It aliases the trace.
+func (t *Trace) row(i int) []uint64 {
 	w := len(t.names)
 	return t.rows[i*w : (i+1)*w : (i+1)*w]
 }
@@ -323,19 +287,18 @@ func NewTraceMemo() *TraceMemo {
 // Materialize is the package-level Materialize, memoized for a fresh
 // *RandomSequence (one that has emitted nothing): every call with the
 // same seed, sequence fields and row layout returns the one read-only
-// Stimulus the first call drew, and leaves seq reading as exhausted, as
-// Materialize does. Any other sequence, or a nil memo, materializes
-// directly.
-func (tm *TraceMemo) Materialize(seq Sequence, seed int64, ports []sim.PortInfo) *Stimulus {
+// Stimulus the first call drew, or its error, and leaves seq reading as
+// exhausted. Any other sequence, or a nil memo, materializes directly.
+func (tm *TraceMemo) Materialize(seq Sequence, seed int64, ports []sim.PortInfo) (*Stimulus, error) {
 	rs, ok := seq.(*RandomSequence)
 	if tm == nil || !ok || rs.emitted != 0 {
 		return Materialize(seq, seed, ports)
 	}
-	st, _ := tm.stims.Do(rs.key(seed, ports), func() (*Stimulus, error) {
-		return Materialize(rs, seed, slices.Clone(ports)), nil
+	st, err := tm.stims.Do(rs.key(seed, ports), func() (*Stimulus, error) {
+		return Materialize(rs, seed, slices.Clone(ports))
 	})
 	rs.emitted = max(rs.N, 0) // a hit leaves it as the miss's Materialize does
-	return st
+	return st, err
 }
 
 var sharedMemo = NewTraceMemo()
@@ -347,26 +310,9 @@ func SharedTraceMemo() *TraceMemo { return sharedMemo }
 // Expected returns the reference model's output trace for stim,
 // computing and memoizing it on first use. reset mirrors the UVM
 // environment's reset phase (the model is Reset before stepping when the
-// DUT has a reset). The returned Trace is a fresh copy owned by the
-// caller: writing through its rows cannot poison the memoized trace for
-// later hits, and concurrent batch lanes can each take and edit their own
-// view of one golden trace.
+// DUT has a reset). Every caller gets the one memoized Trace: it hands
+// out no writable view, so no caller can poison a later hit.
 func (tm *TraceMemo) Expected(refName string, reset bool, stim *Stimulus) (*Trace, error) {
-	t, err := tm.shared(refName, reset, stim)
-	if err != nil {
-		return nil, err
-	}
-	return &Trace{
-		names: append([]string(nil), t.names...),
-		rows:  append([]uint64(nil), t.rows...),
-		n:     t.n,
-	}, nil
-}
-
-// shared returns the canonical memoized trace without copying. Env.Run
-// scores one comparison per cycle against it and MUST treat it as
-// frozen; the exported Expected wraps it in a defensive copy.
-func (tm *TraceMemo) shared(refName string, reset bool, stim *Stimulus) (*Trace, error) {
 	return tm.m.Do(traceKey{refName, reset, stim.digest()}, func() (*Trace, error) {
 		model, err := refmodel.New(refName)
 		if err != nil {

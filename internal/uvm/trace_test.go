@@ -22,17 +22,27 @@ func aluPorts(t *testing.T) []sim.PortInfo {
 	return p.Design().Inputs()
 }
 
+// materialize is Materialize for streams that fit the layout.
+func materialize(t testing.TB, seq Sequence, seed int64, ports []sim.PortInfo) *Stimulus {
+	t.Helper()
+	st, err := Materialize(seq, seed, ports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestMaterializeDeterministic pins that materializing a sequence yields
 // the identical stream a live run would draw: the row fill takes the
 // same RNG draws, in the same order, as Next.
 func TestMaterializeDeterministic(t *testing.T) {
 	ports := aluPorts(t)
-	a := Materialize(&RandomSequence{Ports: ports, N: 50}, 11, ports)
-	b := Materialize(&RandomSequence{Ports: ports, N: 50}, 11, ports)
+	a := materialize(t, &RandomSequence{Ports: ports, N: 50}, 11, ports)
+	b := materialize(t, &RandomSequence{Ports: ports, N: 50}, 11, ports)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different streams")
 	}
-	c := Materialize(&RandomSequence{Ports: ports, N: 50}, 12, ports)
+	c := materialize(t, &RandomSequence{Ports: ports, N: 50}, 12, ports)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced the same stream")
 	}
@@ -40,7 +50,7 @@ func TestMaterializeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < a.Len(); i++ {
 		want, _ := seq.Next(rng)
-		if got := a.vectorInto(i, map[string]uint64{}); a.Row(i) == nil || !reflect.DeepEqual(got, want) {
+		if got := a.vectorInto(i, map[string]uint64{}); !reflect.DeepEqual(got, want) {
 			t.Fatalf("vector %d: rows %v, Next %v", i, got, want)
 		}
 	}
@@ -69,10 +79,18 @@ func TestMaterializePooledRNG(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 8; rep++ {
 				for s := (w + rep) % seeds; s < seeds; s += 3 {
-					for _, st := range []*Stimulus{
-						Materialize(&RandomSequence{Ports: ports, N: n}, int64(s), ports),
-						Materialize(&DirectedSequence{Vectors: want[s]}, int64(s+1), ports),
+					for _, c := range []struct {
+						seq  Sequence
+						seed int64
+					}{
+						{&RandomSequence{Ports: ports, N: n}, int64(s)},
+						{&DirectedSequence{Vectors: want[s]}, int64(s + 1)},
 					} {
+						st, err := Materialize(c.seq, c.seed, ports)
+						if err != nil {
+							t.Error(err)
+							return
+						}
 						for i := 0; i < n; i++ {
 							if got := st.vectorInto(i, map[string]uint64{}); !reflect.DeepEqual(got, want[s][i]) {
 								t.Errorf("seed %d vector %d = %v, want %v", s, i, got, want[s][i])
@@ -88,9 +106,9 @@ func TestMaterializePooledRNG(t *testing.T) {
 }
 
 // counterStim lays counter_12bit vectors out over its non-clock inputs.
-func counterStim(vectors []map[string]uint64) *Stimulus {
+func counterStim(t *testing.T, vectors []map[string]uint64) *Stimulus {
 	ports := []sim.PortInfo{{Name: "rst_n", Width: 1}, {Name: "en", Width: 1}}
-	return Materialize(&DirectedSequence{Vectors: vectors}, 0, ports)
+	return materialize(t, &DirectedSequence{Vectors: vectors}, 0, ports)
 }
 
 // TestTraceMemoMatchesModel checks a memoized trace is exactly what a
@@ -100,7 +118,7 @@ func TestTraceMemoMatchesModel(t *testing.T) {
 	vectors := []map[string]uint64{
 		{"rst_n": 1, "en": 1}, {"rst_n": 1, "en": 0}, {"rst_n": 1, "en": 1}, {"rst_n": 0, "en": 1}, {"rst_n": 1, "en": 1},
 	}
-	stim := counterStim(vectors)
+	stim := counterStim(t, vectors)
 	tm := NewTraceMemo()
 	got, err := tm.Expected(m.Name, true, stim)
 	if err != nil {
@@ -115,7 +133,7 @@ func TestTraceMemoMatchesModel(t *testing.T) {
 		want := model.Step(in)
 		row := map[string]uint64{}
 		for j, name := range got.Names() {
-			row[name] = got.Row(i)[j]
+			row[name] = got.row(i)[j]
 		}
 		if !reflect.DeepEqual(row, want) {
 			t.Fatalf("cycle %d: memo %v != model %v", i, row, want)
@@ -138,34 +156,49 @@ func TestTraceMemoMatchesModel(t *testing.T) {
 }
 
 // TestTraceMemoMutationCannotPoison is the memo-poisoning regression
-// gate: a caller scribbling over the trace Expected returned must not
-// corrupt what a later identical lookup sees. Batch lanes
-// share golden traces, so a leaked reference here would be a silent
-// cross-lane corruption vector.
+// gate. Expected hands every caller the one memoized trace, so a caller
+// that calls every exported method of it and overwrites every element
+// of every slice they return must not change what a later identical
+// lookup sees. Lane observations share golden traces, so a method that
+// leaked a view of the rows would be a silent cross-lane corruption
+// vector.
 func TestTraceMemoMutationCannotPoison(t *testing.T) {
 	m := dataset.ByName("counter_12bit")
 	vectors := []map[string]uint64{
 		{"rst_n": 1, "en": 1}, {"rst_n": 1, "en": 1}, {"rst_n": 1, "en": 0},
 	}
-	stim := counterStim(vectors)
+	stim := counterStim(t, vectors)
 	tm := NewTraceMemo()
 	first, err := tm.Expected(m.Name, true, stim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine := &Trace{
-		names: append([]string(nil), first.names...),
-		rows:  append([]uint64(nil), first.rows...),
-		n:     first.n,
-	}
-	// Hostile caller: rewrite every cell and rename an output.
-	for i := 0; i < first.Len(); i++ {
-		row := first.Row(i)
-		for j := range row {
-			row[j] = ^uint64(0)
+	pristine := &Trace{names: slices.Clone(first.names), rows: slices.Clone(first.rows), n: first.n}
+	// Hostile caller: every exported method, zero arguments, every
+	// returned slice element overwritten.
+	tt := reflect.TypeOf(first)
+	for i := 0; i < tt.NumMethod(); i++ {
+		meth := tt.Method(i)
+		args := []reflect.Value{reflect.ValueOf(first)}
+		for a := 1; a < meth.Type.NumIn(); a++ {
+			args = append(args, reflect.Zero(meth.Type.In(a)))
+		}
+		for _, out := range meth.Func.Call(args) {
+			if out.Kind() != reflect.Slice {
+				continue
+			}
+			for e := 0; e < out.Len(); e++ {
+				switch el := out.Index(e); el.Kind() {
+				case reflect.String:
+					el.SetString("injected")
+				case reflect.Int, reflect.Int64:
+					el.SetInt(-7)
+				case reflect.Uint64:
+					el.SetUint(^uint64(0))
+				}
+			}
 		}
 	}
-	first.Names()[0] = "injected"
 	second, err := tm.Expected(m.Name, true, stim)
 	if err != nil {
 		t.Fatal(err)
@@ -175,15 +208,6 @@ func TestTraceMemoMutationCannotPoison(t *testing.T) {
 	}
 	if st := tm.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("second fetch was not a memo hit: %+v", st)
-	}
-	// And the two fetches must not alias each other.
-	second.Row(1)[0] = 99
-	third, err := tm.Expected(m.Name, true, stim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(third, pristine) {
-		t.Fatal("fetches alias one another")
 	}
 }
 
@@ -254,12 +278,15 @@ func TestStimulusMemoKeys(t *testing.T) {
 	tm := NewTraceMemo()
 	get := func(s *RandomSequence, seed int64, layout []sim.PortInfo) *Stimulus {
 		t.Helper()
-		st := tm.Materialize(s, seed, layout)
+		st, err := tm.Materialize(s, seed, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if s.emitted != s.N {
 			t.Fatalf("sequence emitted %d of %d after the memo's Materialize", s.emitted, s.N)
 		}
-		want := Materialize(&RandomSequence{Ports: s.Ports, N: s.N, ResetName: s.ResetName, ResetEvery: s.ResetEvery}, seed, layout)
-		if st.Len() != want.Len() || !slices.Equal(st.rows, want.rows) || !reflect.DeepEqual(st.maps, want.maps) || !slices.Equal(st.Ports, want.Ports) {
+		want := materialize(t, &RandomSequence{Ports: s.Ports, N: s.N, ResetName: s.ResetName, ResetEvery: s.ResetEvery}, seed, layout)
+		if st.Len() != want.Len() || !slices.Equal(st.rows, want.rows) || !slices.Equal(st.Ports, want.Ports) {
 			t.Fatalf("memoized stimulus differs from Materialize's")
 		}
 		return st
@@ -286,11 +313,11 @@ func TestStimulusMemoKeys(t *testing.T) {
 
 	used := seq()
 	used.emitted = 1
-	if st := tm.Materialize(used, 1, ports); st == base || st.Len() != 29 {
+	if st, _ := tm.Materialize(used, 1, ports); st == base || st.Len() != 29 {
 		t.Errorf("a sequence past its first vector hit the memo or lost its remaining vectors (%d)", st.Len())
 	}
 	var none *TraceMemo
-	if st := none.Materialize(seq(), 1, ports); st == base || !slices.Equal(st.rows, base.rows) {
+	if st, _ := none.Materialize(seq(), 1, ports); st == base || !slices.Equal(st.rows, base.rows) {
 		t.Error("a nil memo did not materialize directly")
 	}
 }
@@ -302,7 +329,10 @@ func TestTraceMemoBounded(t *testing.T) {
 	ports := aluPorts(t)
 	tm := NewTraceMemo()
 	for seed := int64(0); seed < 3*stimMemoLimit; seed++ {
-		st := tm.Materialize(&RandomSequence{Ports: ports, N: 4}, seed, ports)
+		st, err := tm.Materialize(&RandomSequence{Ports: ports, N: 4}, seed, ports)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := tm.Expected(m.Name, false, st); err != nil {
 			t.Fatal(err)
 		}
@@ -334,8 +364,13 @@ func TestStimulusMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < seeds; n++ {
 				s := (w + n) % seeds
-				stims[w][s] = tm.Materialize(&RandomSequence{Ports: ports, N: 40}, int64(s), ports)
-				tr, err := tm.shared(m.Name, false, stims[w][s])
+				st, err := tm.Materialize(&RandomSequence{Ports: ports, N: 40}, int64(s), ports)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				stims[w][s] = st
+				tr, err := tm.Expected(m.Name, false, st)
 				if err != nil {
 					t.Error(err)
 					return

@@ -19,12 +19,6 @@ import (
 	"uvllm/internal/verilog"
 )
 
-// Transaction is one cycle of stimulus at the DUT boundary.
-type Transaction struct {
-	Cycle  int
-	Inputs map[string]uint64
-}
-
 // Sequence produces transactions, simulating real-world operation patterns
 // (paper Fig. 3's "Case (Sequence)").
 type Sequence interface {
@@ -106,10 +100,14 @@ func appendPorts(b []byte, ports []sim.PortInfo) []byte {
 }
 
 // fillRows materializes the remaining vectors straight into st's rows
-// when every vector's keys (Ports plus ResetName) are exactly the layout
-// col describes, drawing from rng exactly as Next does. It reports false,
+// when every vector's keys (Ports plus ResetName) are exactly st's
+// layout, drawing from rng exactly as Next does. It reports false,
 // drawing nothing, when the vectors do not fit.
-func (s *RandomSequence) fillRows(rng *rand.Rand, st *Stimulus, col map[string]int) bool {
+func (s *RandomSequence) fillRows(rng *rand.Rand, st *Stimulus) bool {
+	col := make(map[string]int, len(st.Ports))
+	for j, p := range st.Ports {
+		col[p.Name] = j
+	}
 	pos := make([]int, len(s.Ports))
 	masks := make([]uint64, len(s.Ports))
 	keys := make(map[string]bool, len(col))
@@ -203,7 +201,7 @@ type Scoreboard struct {
 func (sb *Scoreboard) CompareRow(cycle int, golden *Trace, i int, cols []int, actual []uint64) bool {
 	sb.Total++
 	pass := true
-	for j, ev := range golden.Row(i) {
+	for j, ev := range golden.row(i) {
 		var av uint64
 		if c := cols[j]; c >= 0 {
 			av = actual[c]
@@ -330,15 +328,19 @@ func NewEnv(cfg Config) (*Env, error) {
 // (identical vectors to the lazy walk: the sequence sees the same seeded
 // RNG stream), through the memo's Materialize when the environment
 // carries one, so a fresh random sequence is drawn once per (seed,
-// sequence, layout). The expected outputs for the whole stream are one
-// golden trace: from the memo when the environment carries one —
-// computed once per distinct (model, stimulus) anywhere in the process —
-// else from stepping the environment's reference model. Each cycle then
-// drives a row, reads the output row and scores and covers by position;
-// a vector that does not fit the row layout takes Harness.Cycle for that
-// cycle.
+// sequence, layout). A sequence whose vectors do not fit the row layout
+// ends the run before reset with a fatal naming the vector and the key.
+// The expected outputs for the whole stream are one golden trace: from
+// the memo when the environment carries one — computed once per distinct
+// (model, stimulus) anywhere in the process — else from stepping the
+// environment's reference model. Each cycle then drives a row, reads the
+// output row and scores and covers by position.
 func (e *Env) Run(seq Sequence) float64 {
-	stim := e.memo.Materialize(seq, e.seed, e.DUT.Ports())
+	stim, err := e.memo.Materialize(seq, e.seed, e.DUT.Ports())
+	if err != nil {
+		e.fatalf("%v", err)
+		return 0
+	}
 	resetName, _ := sim.FindReset(e.DUT.Sim.Design())
 	cycles := stim.Len()
 	if resetName != "" {
@@ -366,21 +368,12 @@ func (e *Env) Run(seq Sequence) float64 {
 	for i := 0; i < stim.Len(); i++ {
 		cycle := e.DUT.CycleCount()
 		row := stim.Row(i)
-		if row != nil {
-			err = e.DUT.CycleRow(row)
-		} else {
-			_, err = e.DUT.Cycle(stim.mapAt(i))
-		}
-		if err != nil {
+		if err := e.DUT.CycleRow(row); err != nil {
 			e.fatalf("cycle %d: %v", cycle, err)
 			return e.Score.PassRate()
 		}
 		out = e.DUT.OutputRow(out)
-		if row != nil {
-			e.Cov.sampleRow(inCols, row)
-		} else {
-			e.Cov.sampleInputs(stim.mapAt(i))
-		}
+		e.Cov.sampleRow(inCols, row)
 		e.Cov.sampleOutputs(out)
 		if !e.Score.CompareRow(cycle, golden, i, cols, out) {
 			for _, mm := range e.mismatchesAt(cycle) {
@@ -398,13 +391,12 @@ func (e *Env) Run(seq Sequence) float64 {
 	return e.Score.PassRate()
 }
 
-// golden returns the expected-output trace for stim: the memo's shared
-// trace when the environment has a memo — Run only reads it, so the
-// canonical memoized rows stay untouched — else a trace stepped from the
+// golden returns the expected-output trace for stim: the memo's trace
+// when the environment has a memo, else a trace stepped from the
 // environment's own reference model.
 func (e *Env) golden(stim *Stimulus, reset bool) (*Trace, error) {
 	if e.memo != nil {
-		return e.memo.shared(e.refName, reset, stim)
+		return e.memo.Expected(e.refName, reset, stim)
 	}
 	return computeTrace(e.Ref, reset, stim)
 }

@@ -2,13 +2,10 @@ package uvm
 
 import (
 	"fmt"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
 	"uvllm/internal/dataset"
-	"uvllm/internal/sim"
 )
 
 func newEnvFor(t *testing.T, name, source string) *Env {
@@ -119,79 +116,49 @@ func TestMismatchLineMatchesFmt(t *testing.T) {
 	}
 }
 
-// mapPathRun replays vectors the way a map-only environment does: each
-// cycle goes through Harness.Cycle with its map, the reference model
-// steps on the same map and coverage samples the maps; outputs are
-// compared in sorted name order. It is the reference Env.Run's per-cycle
-// map fallback must match.
-func mapPathRun(t *testing.T, env *Env, vectors []map[string]uint64) {
-	t.Helper()
-	if name, _ := sim.FindReset(env.DUT.Sim.Design()); name != "" {
-		if err := env.DUT.ApplyReset(2); err != nil {
-			t.Fatal(err)
-		}
-		env.Ref.Reset()
-	}
-	for _, in := range vectors {
-		cycle := env.DUT.CycleCount()
-		got, err := env.DUT.Cycle(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := env.Ref.Step(in)
-		env.Cov.Sample(in, got)
-		var names []string
-		for n := range want {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		env.Score.Total++
-		pass := true
-		for _, n := range names {
-			if got[n] != want[n] {
-				pass = false
-				env.Score.Mismatches = append(env.Score.Mismatches, Mismatch{Time: cycle, Signal: n, Expected: want[n], Actual: got[n]})
-			}
-		}
-		if pass {
-			env.Score.Passed++
-		}
-	}
-}
-
-// TestRunOffLayoutVectorsMatchMapPath drives streams whose vectors do not
-// fit the row layout — an input missing (it keeps its value), the clock
-// key (binned by port coverage), an internal signal (forced into the
-// DUT) — mixed with vectors that do, and requires Env.Run to reproduce
-// the map path's pass rate, mismatch log, coverage and waveform.
-func TestRunOffLayoutVectorsMatchMapPath(t *testing.T) {
+// TestRunOffLayoutVectorsFatal drives streams that fit the row layout
+// until one vector does not — an input missing, the clock key, an
+// internal signal — and requires Env.Run to stop before its reset phase
+// with one fatal: Materialize's error, naming that vector and the key.
+func TestRunOffLayoutVectorsFatal(t *testing.T) {
 	full := func(en uint64) map[string]uint64 { return map[string]uint64{"rst_n": 1, "en": en} }
-	cases := map[string][]map[string]uint64{
-		"missing input":   {full(1), full(1), {"rst_n": 1}, {"rst_n": 1}, full(0), {"rst_n": 1}, full(1)},
-		"clock key":       {full(1), {"rst_n": 1, "en": 1, "clk": 1}, full(0), {"rst_n": 1, "en": 0, "clk": 0}, full(1)},
-		"internal signal": {full(1), full(1), {"rst_n": 1, "en": 1, "count": 4094}, full(1), full(1), full(0)},
+	cases := map[string]struct {
+		vectors []map[string]uint64
+		want    string
+	}{
+		"missing input": {
+			[]map[string]uint64{full(1), full(1), {"rst_n": 1}, full(0)},
+			`uvm: vector 2 has no value for input "en"`,
+		},
+		"clock key": {
+			[]map[string]uint64{full(1), {"rst_n": 1, "en": 1, "clk": 1}, full(0)},
+			`uvm: vector 1 sets "clk", which is not a row-layout input`,
+		},
+		"internal signal": {
+			[]map[string]uint64{full(1), full(1), full(1), {"rst_n": 1, "en": 1, "count": 4094}, full(1)},
+			`uvm: vector 3 sets "count", which is not a row-layout input`,
+		},
 	}
-	for name, vectors := range cases {
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
 			env := newEnvFor(t, "counter_12bit", "")
-			rate := env.Run(&DirectedSequence{Vectors: vectors})
-			ref := newEnvFor(t, "counter_12bit", "")
-			mapPathRun(t, ref, vectors)
-			if rate != ref.Score.PassRate() || !reflect.DeepEqual(env.Score, ref.Score) {
-				t.Fatalf("scoreboard %+v, map path %+v", env.Score, ref.Score)
+			if rate := env.Run(&DirectedSequence{Vectors: c.vectors}); rate != 0 {
+				t.Errorf("pass rate %v, want 0", rate)
 			}
-			if env.Cov.Report() != ref.Cov.Report() || env.Cov.Percent() != ref.Cov.Percent() {
-				t.Fatalf("coverage:\n%s\nmap path:\n%s", env.Cov.Report(), ref.Cov.Report())
+			if err := env.Fatal(); err == nil || err.Error() != c.want {
+				t.Fatalf("fatal %v, want %s", err, c.want)
 			}
-			if !reflect.DeepEqual(env.Waveform(), ref.Waveform()) {
-				t.Fatal("waveform differs from the map path")
+			if n := strings.Count(env.Log(), "UVM_FATAL"); n != 1 {
+				t.Errorf("log has %d fatals, want 1:\n%s", n, env.Log())
 			}
-			for _, mm := range ref.Score.Mismatches {
-				line := fmt.Sprintf("UVM_ERROR @ %d: uvm_test_top.env.scoreboard [SCBD] mismatch signal=%s expected=0x%x actual=0x%x",
-					mm.Time, mm.Signal, mm.Expected, mm.Actual)
-				if !strings.Contains(env.Log(), line) {
-					t.Errorf("log lacks %q", line)
-				}
+			if line := "UVM_FATAL @ 0: uvm_test_top.env [SIM] " + c.want + "\n"; !strings.Contains(env.Log(), line) {
+				t.Errorf("log lacks %q:\n%s", line, env.Log())
+			}
+			if env.DUT.CycleCount() != 0 || env.Score.Total != 0 {
+				t.Errorf("ran %d cycles and scored %d before the fatal", env.DUT.CycleCount(), env.Score.Total)
+			}
+			if _, err := Materialize(&DirectedSequence{Vectors: c.vectors}, 0, env.DUT.Ports()); err == nil || err.Error() != c.want {
+				t.Errorf("Materialize error %v, want %s", err, c.want)
 			}
 		})
 	}

@@ -73,17 +73,6 @@ func (m *Module) InputPorts() []*Port {
 	return out
 }
 
-// OutputPorts returns the output ports in declaration order.
-func (m *Module) OutputPorts() []*Port {
-	var out []*Port
-	for _, p := range m.Ports {
-		if p.Dir == DirOutput {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Port is a module port (ANSI style).
 type Port struct {
 	Dir    PortDir
