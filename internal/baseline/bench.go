@@ -38,8 +38,10 @@ type Outcome struct {
 // SimServices bundles the shared simulation machinery of one evaluation
 // job: the engine selection, the content-addressed compile cache and the
 // golden-trace memo. The zero value is valid (compiled backend, no
-// sharing); the evaluation harness hands every baseline the same bundle
-// so MEIC, raw GPT, Strider and RTL-Repair reuse each other's compiles.
+// sharing); the evaluation harness hands every baseline the same bundle,
+// with the instance's job scope (sim.Cache.Scope) as its cache, so MEIC,
+// raw GPT, Strider and RTL-Repair reuse each other's compiles and the
+// template tools' syntax gates reuse the parses.
 type SimServices struct {
 	Backend sim.Backend
 	Cache   *sim.Cache

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"uvllm/internal/faultgen"
-	"uvllm/internal/lint"
 	"uvllm/internal/locate"
 	"uvllm/internal/metrics"
 )
@@ -59,8 +58,10 @@ func templateSearch(f *faultgen.Fault, budget, benchN int, cost metrics.CostMode
 	m := f.Meta()
 	out := Outcome{Final: f.Source}
 
-	// Template tools cannot start from code that does not compile.
-	if rep := lint.Lint(f.Source); rep.HasSyntaxError() {
+	// Template tools cannot start from code that does not compile. The
+	// syntax gates read the job's parses (svc.Cache), which the own-bench
+	// compiles then reuse; they run no semantic lint.
+	if _, errs := svc.Cache.Parse(f.Source); len(errs) > 0 {
 		return out
 	}
 	pass, log, n := RandomOwnBench(f.Source, m, benchN, 5, svc)
@@ -90,7 +91,7 @@ func templateSearch(f *faultgen.Fault, budget, benchN int, cost metrics.CostMode
 			break
 		}
 		tried++
-		if rep := lint.Lint(cand); rep.HasSyntaxError() {
+		if _, errs := svc.Cache.Parse(cand); len(errs) > 0 {
 			continue
 		}
 		ok, _, n := RandomOwnBench(cand, m, benchN, 5, svc)

@@ -7,11 +7,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
-	"uvllm/internal/lint"
 	"uvllm/internal/llm"
 	"uvllm/internal/locate"
 	"uvllm/internal/metrics"
@@ -52,9 +51,11 @@ type Options struct {
 
 	// Cache is the compile cache every simulation of the job goes
 	// through: the candidate of each repair iteration (and the final
-	// re-evaluation, which replays a cached source) compiles once. nil
-	// gets a fresh per-job cache; the evaluation harness passes its
-	// process-wide one so golden modules are shared across jobs.
+	// re-evaluation, which replays a cached source) compiles once. The
+	// job's lint gates and synthesis gate read their parses through it
+	// too, so a job scope (sim.Cache.Scope, which the evaluation harness
+	// and uvllmd open per job) parses each source once; Verify opens no
+	// scope itself. nil gets a fresh per-job root cache.
 	Cache *sim.Cache
 	// Memo serves the scoreboard's golden traces; nil gets a fresh
 	// per-job memo (the 5-iteration loop replays the same stimulus).
@@ -155,7 +156,7 @@ func Verify(ctx context.Context, in Input) Result {
 	// Step 1: pre-processing (Alg. 1).
 	preSp := job.Child("preprocess")
 	preUsage := llm.Usage{}
-	pres := preproc.Run(in.Source, in.Spec, in.ModuleName, in.Client, preproc.Options{Mode: opts.Mode}, &preUsage)
+	pres := preproc.Run(in.Source, in.Spec, in.ModuleName, in.Client, preproc.Options{Mode: opts.Mode, Cache: opts.Cache}, &preUsage)
 	preSp.End()
 	res.Usage.Calls += preUsage.Calls
 	res.Usage.InputTokens += preUsage.InputTokens
@@ -283,9 +284,9 @@ func Verify(ctx context.Context, in Input) Result {
 		// Result 4: "new syntax issues ... addressed by the
 		// pre-processor"), and a patch that breaks synthesizability
 		// (combinational cycles, latches) is discarded outright.
-		if rep := lint.Lint(cand); len(rep.Errors()) > 0 {
+		if rep := opts.Cache.Lint(cand); len(rep.Errors()) > 0 {
 			fixUsage := llm.Usage{}
-			p2 := preproc.Run(cand, in.Spec, in.ModuleName, in.Client, preproc.Options{Mode: opts.Mode}, &fixUsage)
+			p2 := preproc.Run(cand, in.Spec, in.ModuleName, in.Client, preproc.Options{Mode: opts.Mode, Cache: opts.Cache}, &fixUsage)
 			res.Usage.Calls += fixUsage.Calls
 			res.Usage.InputTokens += fixUsage.InputTokens
 			res.Usage.OutputTokens += fixUsage.OutputTokens
@@ -296,7 +297,7 @@ func Verify(ctx context.Context, in Input) Result {
 			}
 			cand = p2.Source
 		}
-		if err := synthGate(cand, in.Top); err != nil {
+		if err := synthGate(opts.Cache, cand, in.Top); err != nil {
 			res.Log = append(res.Log, fmt.Sprintf("iter %d: synthesis rejected candidate: %v", iter, err))
 			continue
 		}
@@ -351,19 +352,20 @@ func bestSource(reg repair.ScoreRegister, cur string, opts Options) string {
 	return best
 }
 
-// synthGate runs the synthesis step on a candidate. Constructs outside
-// the synthesizer's scope (hierarchy, memories) pass the gate — those
-// designs are validated by simulation alone, as the unsupported-construct
-// errors are properties of the synthesizer, not of the candidate.
-func synthGate(src, top string) error {
-	_, err := synth.SynthesizeSource(src, top)
-	if err == nil {
-		return nil
+// synthGate runs the synthesis step on a candidate, reading its parse
+// through the job's cache. Constructs outside the synthesizer's scope
+// (hierarchy, memories) pass the gate — those designs are validated by
+// simulation alone, as synth.ErrUnsupported errors are properties of the
+// synthesizer, not of the candidate.
+func synthGate(cache *sim.Cache, src, top string) error {
+	f, errs := cache.Parse(src)
+	if len(errs) > 0 {
+		return fmt.Errorf("synth: %s", errs[0].Error())
 	}
-	if strings.Contains(err.Error(), "unsupported") {
-		return nil
+	if _, err := synth.Synthesize(f, top); err != nil && !errors.Is(err, synth.ErrUnsupported) {
+		return err
 	}
-	return err
+	return nil
 }
 
 // evaluate runs one UVM evaluation of src, tracing the compile and run

@@ -8,6 +8,7 @@ import (
 	"uvllm/internal/dataset"
 	"uvllm/internal/faultgen"
 	"uvllm/internal/llm"
+	"uvllm/internal/sim"
 	"uvllm/internal/uvm"
 )
 
@@ -228,5 +229,30 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.Cost.LLMBaseSeconds == 0 {
 		t.Error("cost model not defaulted")
+	}
+}
+
+// TestSynthGateDecidesByErrorKind: the synthesis gate passes only
+// constructs outside the synthesizer's subset (synth.ErrUnsupported),
+// whatever the candidate's signals are called. A latch and an
+// unresolvable range are defects of the candidate and are rejected, also
+// on a signal whose name contains "unsupported"; a module instance
+// passes.
+func TestSynthGateDecidesByErrorKind(t *testing.T) {
+	latch := func(q string) string {
+		return "module m(input en, input d, output reg " + q + ");\nalways @(*) begin\n  if (en) " + q + " = d;\nend\nendmodule"
+	}
+	badRange := func(a string) string {
+		return "module m(input [W-1:0] " + a + ", output y);\nassign y = " + a + "[0];\nendmodule"
+	}
+	c := sim.NewCache().Scope()
+	for _, src := range []string{latch("q"), latch("unsupported_q"), badRange("a"), badRange("unsupported_a")} {
+		if err := synthGate(c, src, "m"); err == nil {
+			t.Errorf("the synthesis gate passed\n%s", src)
+		}
+	}
+	inst := "module leaf(input a, output y);\nassign y = a;\nendmodule\nmodule m(input a, output y);\nleaf u(.a(a), .y(y));\nendmodule"
+	if err := synthGate(c, inst, "m"); err != nil {
+		t.Errorf("a module instance failed the synthesis gate: %v", err)
 	}
 }

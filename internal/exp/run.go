@@ -54,7 +54,9 @@ type Config struct {
 	// Cache is the compile cache shared by every simulation of the run —
 	// UVLLM jobs, all four baselines and the expert validation — so the
 	// 331 instances compile each of the 27 golden modules exactly once.
-	// nil uses the process-wide sim.SharedCache.
+	// Each instance runs on its own scope of it (sim.Cache.Scope), which
+	// parses each source the instance touches once and is dropped with
+	// the instance. nil uses the process-wide sim.SharedCache.
 	Cache *sim.Cache
 	// Memo is the golden-trace memo shared the same way; nil uses the
 	// process-wide uvm.SharedTraceMemo.
@@ -102,7 +104,7 @@ func Run(cfg Config) []*Record {
 	// cold, like the fresh caches a caller may pass in. Its bound covers
 	// the five validations an instance can make, so it never evicts.
 	verdicts := memo.New[verdictKey, bool](5*len(instances) + 1)
-	expert := func(src string, m *dataset.Module) bool {
+	expert := func(src string, m *dataset.Module, svc baseline.SimServices) bool {
 		ok, _ := verdicts.Do(verdictKey{m.Name, src}, func() (bool, error) {
 			return ExpertPass(src, m, svc), nil
 		})
@@ -131,9 +133,13 @@ func Run(cfg Config) []*Record {
 // verdictKey identifies one ExpertPass verdict within a Run.
 type verdictKey struct{ module, source string }
 
-func runOne(f *faultgen.Fault, cfg Config, prof llm.Profile, svc baseline.SimServices, expert func(string, *dataset.Module) bool) *Record {
+// runOne evaluates one instance on a job scope of the run's cache: every
+// method and validation of the instance shares its parses, and they go
+// when the instance is done.
+func runOne(f *faultgen.Fault, cfg Config, prof llm.Profile, svc baseline.SimServices, expert func(string, *dataset.Module, baseline.SimServices) bool) *Record {
 	m := f.Meta()
 	rec := &Record{Fault: f}
+	svc.Cache = svc.Cache.Scope()
 
 	// UVLLM.
 	rec.UVLLM = core.Verify(context.Background(), core.Input{
@@ -149,7 +155,7 @@ func runOne(f *faultgen.Fault, cfg Config, prof llm.Profile, svc baseline.SimSer
 			Memo:            svc.Memo,
 		},
 	})
-	rec.UVLLMFix = rec.UVLLM.Success && expert(rec.UVLLM.Final, m)
+	rec.UVLLMFix = rec.UVLLM.Success && expert(rec.UVLLM.Final, m, svc)
 
 	if cfg.SkipBaselines {
 		return rec
@@ -158,24 +164,24 @@ func runOne(f *faultgen.Fault, cfg Config, prof llm.Profile, svc baseline.SimSer
 	meic := baseline.NewMEIC(oracleFor(f, prof, cfg.Seed))
 	meic.Sim = svc
 	rec.MEIC = meic.Repair(f)
-	rec.MEICFix = rec.MEIC.Hit && expert(rec.MEIC.Final, m)
+	rec.MEICFix = rec.MEIC.Hit && expert(rec.MEIC.Final, m, svc)
 
 	raw := baseline.NewRawLLM(oracleFor(f, prof, cfg.Seed))
 	raw.Sim = svc
 	rec.Raw = raw.Repair(f)
-	rec.RawFix = rec.Raw.Hit && expert(rec.Raw.Final, m)
+	rec.RawFix = rec.Raw.Hit && expert(rec.Raw.Final, m, svc)
 
 	if !f.Class.IsSyntax() {
 		strider := baseline.NewStrider()
 		strider.Sim = svc
 		so := strider.Repair(f)
 		rec.Strider = &so
-		rec.StriderFix = so.Hit && expert(so.Final, m)
+		rec.StriderFix = so.Hit && expert(so.Final, m, svc)
 		rtlr := baseline.NewRTLRepair()
 		rtlr.Sim = svc
 		ro := rtlr.Repair(f)
 		rec.RTLRepair = &ro
-		rec.RTLRepairFix = ro.Hit && expert(ro.Final, m)
+		rec.RTLRepairFix = ro.Hit && expert(ro.Final, m, svc)
 	}
 	return rec
 }

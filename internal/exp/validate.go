@@ -3,7 +3,6 @@ package exp
 import (
 	"uvllm/internal/baseline"
 	"uvllm/internal/dataset"
-	"uvllm/internal/lint"
 )
 
 // ExpertPass is the independent validation behind the Fix Rate (paper
@@ -21,14 +20,14 @@ import (
 // The golden module compiles through the bundle's cache (once per
 // process, not once per validation) and the 800-vector golden trace
 // comes from the memo — the ~12 instances sharing a module replay the
-// identical reference stream. Run calls it once per distinct (module,
-// candidate) in the run; this function itself keeps no state.
+// identical reference stream. On a job scope the lint and the
+// candidate's compile share one parse. Run calls it once per distinct
+// (module, candidate) in the run; this function itself keeps no state.
 func ExpertPass(source string, m *dataset.Module, svc baseline.SimServices) bool {
 	if source == "" {
 		return false
 	}
-	rep := lint.Lint(source)
-	if len(rep.Errors()) > 0 {
+	if len(svc.Cache.Lint(source).Errors()) > 0 {
 		return false
 	}
 	ok, _, _ := baseline.RandomOwnBench(source, m, 800, 987654, svc)

@@ -128,10 +128,15 @@ func (r *Report) Format() string {
 }
 
 // Lint parses and checks src, returning all diagnostics.
-func Lint(src string) *Report {
-	f, perrs := verilog.Parse(src)
+func Lint(src string) *Report { return LintFile(verilog.Parse(src)) }
+
+// LintFile checks a parsed file: f and errs are what verilog.Parse
+// returned for one source. Each syntax error becomes a SYNTAX
+// diagnostic. LintFile only reads f, so one parse can serve the linter,
+// the synthesizer and the compiler.
+func LintFile(f *verilog.SourceFile, errs []verilog.SyntaxError) *Report {
 	r := &Report{}
-	for _, e := range perrs {
+	for _, e := range errs {
 		r.Diags = append(r.Diags, Diag{
 			Severity: SevError, Code: CodeSyntax,
 			Line: e.Line, Col: e.Col, Msg: e.Msg,
@@ -140,20 +145,10 @@ func Lint(src string) *Report {
 	// Semantic checks only make sense on a syntactically valid file: a
 	// recovered AST after errors produces noisy follow-on findings that a
 	// real linter would suppress too.
-	if len(perrs) == 0 {
+	if len(errs) == 0 {
 		for _, m := range f.Modules {
 			lintModule(r, f, m)
 		}
-	}
-	sortDiags(r.Diags)
-	return r
-}
-
-// LintFile checks an already-parsed file (no syntax errors assumed).
-func LintFile(f *verilog.SourceFile) *Report {
-	r := &Report{}
-	for _, m := range f.Modules {
-		lintModule(r, f, m)
 	}
 	sortDiags(r.Diags)
 	return r

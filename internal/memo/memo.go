@@ -1,7 +1,9 @@
 // Package memo provides the one bounded, single-flight, counter-bearing
 // memo table behind every content-addressed cache in the pipeline: the
-// compile cache (sim.Cache), the golden-trace memo (uvm.TraceMemo) and
-// the random stimulus it keeps next to its traces
+// compile cache (sim.Cache), the per-job parse table of a compile-cache
+// scope (sim.Cache.Scope: each source's AST, syntax errors and lint
+// report, dropped with the job), the golden-trace memo (uvm.TraceMemo)
+// and the random stimulus it keeps next to its traces
 // (uvm.TraceMemo.Materialize), the data-flow-graph memo (locate.DFGFor),
 // the fault generator's cells (faultgen.Generate) and the expert verdicts
 // of one exp.Run. Keeping the eviction, single-flight and statistics

@@ -14,6 +14,7 @@ import (
 	"uvllm/internal/lint"
 	"uvllm/internal/llm"
 	"uvllm/internal/repair"
+	"uvllm/internal/sim"
 )
 
 // Result is the outcome of pre-processing one DUT.
@@ -30,23 +31,25 @@ type Result struct {
 
 // Options configures the loop.
 type Options struct {
-	MaxIterations int // defaults to 5
-	Mode          llm.GenMode
+	Mode llm.GenMode
+	// Cache is the job's compile cache; the linter reads each source's
+	// parse through it, so a job scope (sim.Cache.Scope) shares them with
+	// the rest of the job. nil lints every source afresh.
+	Cache *sim.Cache
 }
+
+// maxIterations is the linter loop's budget.
+const maxIterations = 3
 
 // Run executes Algorithm 1 on src. The client repairs syntax errors; the
 // templates handle focused warnings. It never returns an error: an
 // unrepairable DUT comes back with Clean=false for the caller to count as
 // a failure.
 func Run(src, spec, moduleName string, client llm.Client, opts Options, usage *llm.Usage) Result {
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = 3
-	}
 	res := Result{Source: src}
-	for iter := 1; iter <= maxIter; iter++ {
+	for iter := 1; iter <= maxIterations; iter++ {
 		res.Iterations = iter
-		rep := lint.Lint(res.Source)
+		rep := opts.Cache.Lint(res.Source)
 		res.LintRuns++
 		errs := rep.Errors()
 		warns := rep.FocusedWarnings()
@@ -104,7 +107,7 @@ func Run(src, spec, moduleName string, client llm.Client, opts Options, usage *l
 		res.TemplateFixes = append(res.TemplateFixes, fixes...)
 		res.Log = append(res.Log, fmt.Sprintf("iter %d: templates fixed %d warning(s)", iter, len(fixes)))
 	}
-	rep := lint.Lint(res.Source)
+	rep := opts.Cache.Lint(res.Source)
 	res.LintRuns++
 	res.Clean = len(rep.Errors()) == 0 && len(rep.FocusedWarnings()) == 0
 	return res

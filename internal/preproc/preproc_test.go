@@ -133,7 +133,7 @@ endmodule`
 	bad := llm.FormatReply(&llm.RepairReply{ModuleName: "m", Analysis: "hmm",
 		Correct: []llm.PatchPair{{Original: "not in source", Patched: "x"}}})
 	client := &llm.Scripted{Responses: []string{bad, bad, bad, bad, bad}}
-	res := Run(src, "spec", "m", client, Options{MaxIterations: 3}, nil)
+	res := Run(src, "spec", "m", client, Options{}, nil)
 	if res.Clean {
 		t.Error("cannot be clean with useless patches")
 	}

@@ -149,7 +149,10 @@ func (s JobSpec) Resolve() (Input, error) {
 // zero value is not usable; resolve with DefaultServices or supply
 // test-local instances.
 type Services struct {
-	// Cache is the content-addressed compile cache.
+	// Cache is the content-addressed compile cache. ExecuteCtx runs each
+	// job on its own scope of it (sim.Cache.Scope): the job shares the
+	// cache's Programs, parses each source once, and keeps no parse past
+	// its end.
 	Cache *sim.Cache
 	// Memo is the golden-trace memo.
 	Memo *uvm.TraceMemo
@@ -269,6 +272,7 @@ func ExecuteCtx(ctx context.Context, spec JobSpec, svc Services, emit func(Event
 	}, llm.DefaultProfile(), seed)
 	setupSp.End()
 
+	svc.Cache = svc.Cache.Scope()
 	opts := spec.Options.Core(core.Options{
 		Seed: seed, Mode: genMode,
 		UVMVectors:    spec.Vectors,

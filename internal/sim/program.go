@@ -48,6 +48,12 @@ func Compile(f *verilog.SourceFile, top string, backend Backend) (*Program, erro
 // gate exactly like CompileAndNew, without creating simulation state.
 func CompileSource(src, top string, backend Backend) (*Program, error) {
 	f, errs := verilog.Parse(src)
+	return compileParsed(f, errs, top, backend)
+}
+
+// compileParsed compiles top from one parse's result; the first syntax
+// error, if any, is the error.
+func compileParsed(f *verilog.SourceFile, errs []verilog.SyntaxError, top string, backend Backend) (*Program, error) {
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("sim: %s", errs[0].Error())
 	}

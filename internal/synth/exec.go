@@ -92,7 +92,7 @@ func (b *builder) synthCombItem(it verilog.Item) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("synth: unsupported combinational item %T", it)
+	return unsupported("synth: unsupported combinational item %T", it)
 }
 
 // synthSeqBlock synthesizes an edge-triggered always block: its
@@ -156,7 +156,7 @@ func (b *builder) exec(s verilog.Stmt, env *symEnv, _ interface{}) error {
 	case *verilog.For:
 		return b.execFor(v, env)
 	}
-	return fmt.Errorf("synth: unsupported statement %T", s)
+	return unsupported("synth: unsupported statement %T", s)
 }
 
 func (b *builder) execAssign(a *verilog.Assign, env *symEnv) error {
@@ -373,9 +373,9 @@ func (b *builder) writeGlobal(lhs verilog.Expr, env *symEnv, node int) error {
 			b.env[name] = part
 		})
 	case *verilog.PartSelect, *verilog.Index:
-		return fmt.Errorf("synth: partial continuous assignment unsupported")
+		return unsupported("synth: partial continuous assignment unsupported")
 	}
-	return fmt.Errorf("synth: unsupported assign target %T", lhs)
+	return unsupported("synth: unsupported assign target %T", lhs)
 }
 
 // writeLocal stores a procedural assignment into the symbolic environment.
@@ -399,7 +399,7 @@ func (b *builder) writeLocal(lhs verilog.Expr, env *symEnv, node int, blocking b
 	case *verilog.PartSelect:
 		return b.readModifyWrite(l.X, env, node, l.MSB, l.LSB, blocking, store)
 	}
-	return fmt.Errorf("synth: unsupported assignment target %T", lhs)
+	return unsupported("synth: unsupported assignment target %T", lhs)
 }
 
 // readModifyWrite implements bit/part-select writes: the target keeps its
@@ -409,7 +409,7 @@ func (b *builder) readModifyWrite(base verilog.Expr, env *symEnv, val int,
 
 	id, ok := base.(*verilog.Ident)
 	if !ok {
-		return fmt.Errorf("synth: nested select targets unsupported")
+		return unsupported("synth: nested select targets unsupported")
 	}
 	msb, err1 := verilog.EvalConst(msbE, env.constEnv())
 	lsb, err2 := verilog.EvalConst(lsbE, env.constEnv())

@@ -119,12 +119,12 @@ func (b *builder) synthExpr(e verilog.Expr, env *symEnv, ctxW int) (int, error) 
 			}
 			return id, nil
 		}
-		return 0, fmt.Errorf("synth: unsupported unary %q", v.Op)
+		return 0, unsupported("synth: unsupported unary %q", v.Op)
 
 	case *verilog.Binary:
 		kind, ok := binOpKinds[v.Op]
 		if !ok {
-			return 0, fmt.Errorf("synth: unsupported operator %q", v.Op)
+			return 0, unsupported("synth: unsupported operator %q", v.Op)
 		}
 		switch v.Op {
 		case "+", "-", "*", "/", "%", "&", "|", "^", "~^", "^~":
@@ -198,7 +198,7 @@ func (b *builder) synthExpr(e verilog.Expr, env *symEnv, ctxW int) (int, error) 
 	case *verilog.Index:
 		id, ok := v.X.(*verilog.Ident)
 		if !ok {
-			return 0, fmt.Errorf("synth: unsupported select base (line %d)", v.Line)
+			return 0, unsupported("synth: unsupported select base (line %d)", v.Line)
 		}
 		base, err := env.read(id.Name, id.Line)
 		if err != nil {
@@ -222,7 +222,7 @@ func (b *builder) synthExpr(e verilog.Expr, env *symEnv, ctxW int) (int, error) 
 	case *verilog.PartSelect:
 		id, ok := v.X.(*verilog.Ident)
 		if !ok {
-			return 0, fmt.Errorf("synth: unsupported select base (line %d)", v.Line)
+			return 0, unsupported("synth: unsupported select base (line %d)", v.Line)
 		}
 		base, err := env.read(id.Name, id.Line)
 		if err != nil {
@@ -272,7 +272,7 @@ func (b *builder) synthExpr(e verilog.Expr, env *symEnv, ctxW int) (int, error) 
 		}
 		return nl.add(&Node{Kind: OpConcat, Width: int(n) * w, Args: args}), nil
 	}
-	return 0, fmt.Errorf("synth: unsupported expression %T", e)
+	return 0, unsupported("synth: unsupported expression %T", e)
 }
 
 func max(a, b int) int {

@@ -11,17 +11,39 @@
 // subexpression elimination, dead code elimination) and reported (cell
 // statistics).
 //
-// Unsupported constructs — module instances and memories — return errors;
-// the pipeline only needs synthesis as a structural sanity gate, and the
-// hierarchical/memory modules keep using the simulator path.
+// Unsupported constructs — module instances, memories and the statements,
+// targets and expressions the builder does not lower — return errors that
+// wrap ErrUnsupported; the pipeline only needs synthesis as a structural
+// sanity gate, and the hierarchical/memory modules keep using the
+// simulator path.
 package synth
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"uvllm/internal/verilog"
 )
+
+// ErrUnsupported is wrapped by every error about a construct outside the
+// synthesizer's subset: module instances, memories, and the items,
+// statements, assignment targets, operators, select bases and
+// expressions it does not lower. Such an error is a property of the
+// synthesizer, not of the design; test for it with errors.Is.
+var ErrUnsupported = errors.New("synth: unsupported construct")
+
+// unsupportedError is an error about an unsupported construct: its text
+// is the formatted message alone, and it unwraps to ErrUnsupported.
+type unsupportedError string
+
+func (e unsupportedError) Error() string { return string(e) }
+func (e unsupportedError) Unwrap() error { return ErrUnsupported }
+
+// unsupported formats an unsupportedError.
+func unsupported(format string, args ...any) error {
+	return unsupportedError(fmt.Sprintf(format, args...))
+}
 
 // OpKind is a netlist cell type.
 type OpKind int
@@ -215,7 +237,7 @@ func (b *builder) run() error {
 	for _, it := range b.mod.Items {
 		switch v := it.(type) {
 		case *verilog.Instance:
-			return fmt.Errorf("synth: module instances unsupported (%s)", v.InstName)
+			return unsupported("synth: module instances unsupported (%s)", v.InstName)
 		case *verilog.NetDecl:
 			rng := v.Range
 			if v.Kind == verilog.KindInteger {
@@ -223,7 +245,7 @@ func (b *builder) run() error {
 			}
 			for _, n := range v.Names {
 				if n.ArrayRange != nil {
-					return fmt.Errorf("synth: memory %q unsupported", n.Name)
+					return unsupported("synth: memory %q unsupported", n.Name)
 				}
 				if err := declare(n.Name, rng); err != nil {
 					return err

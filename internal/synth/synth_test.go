@@ -3,6 +3,7 @@ package synth
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -99,25 +100,35 @@ endmodule`, "c")
 	}
 }
 
+// TestSynthesizeRejectsUnsupported: memories and instances are outside
+// the subset, and their errors wrap ErrUnsupported; a syntax error and a
+// latch are defects of the design, and theirs do not.
 func TestSynthesizeRejectsUnsupported(t *testing.T) {
-	if _, err := SynthesizeSource(`module m(input clk);
+	for _, c := range []struct {
+		what, src, top string
+		unsupported    bool
+	}{
+		{"memory", `module m(input clk);
 reg [7:0] mem [0:3];
 always @(posedge clk) begin
     mem[0] <= 8'd1;
 end
-endmodule`, "m"); err == nil {
-		t.Error("memory accepted")
-	}
-	if _, err := SynthesizeSource(`module s(input a, output b);
+endmodule`, "m", true},
+		{"instance", `module s(input a, output b);
 assign b = a;
 endmodule
 module t(input a, output b);
 s u (.a(a), .b(b));
-endmodule`, "t"); err == nil {
-		t.Error("instance accepted")
-	}
-	if _, err := SynthesizeSource("module m(input a, output w); assign w = a\nendmodule", "m"); err == nil {
-		t.Error("syntax error accepted")
+endmodule`, "t", true},
+		{"syntax error", "module m(input a, output w); assign w = a\nendmodule", "m", false},
+		{"latch", "module m(input en, input d, output reg q);\nalways @(*) if (en) q = d;\nendmodule", "m", false},
+	} {
+		_, err := SynthesizeSource(c.src, c.top)
+		if err == nil {
+			t.Errorf("%s accepted", c.what)
+		} else if errors.Is(err, ErrUnsupported) != c.unsupported {
+			t.Errorf("%s: errors.Is(%q, ErrUnsupported) = %v", c.what, err, !c.unsupported)
+		}
 	}
 }
 

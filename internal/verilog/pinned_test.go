@@ -12,23 +12,30 @@ import (
 	"uvllm/internal/faultgen"
 	"uvllm/internal/lint"
 	"uvllm/internal/rtlgen"
+	"uvllm/internal/sim"
+	"uvllm/internal/synth"
 	"uvllm/internal/verilog"
 )
 
-// pinnedSources returns the front end's pinned corpus: the 27 golden
-// modules, the 331 benchmark sources (160 of them fail to parse, which
-// drive every recovery path) and rtlgen seeds 1-200.
-func pinnedSources() (names, srcs []string) {
+// pinnedSources returns the front end's pinned corpus with each source's
+// top module: the 27 golden modules, the 331 benchmark sources (160 of
+// them fail to parse, which drive every recovery path) and rtlgen seeds
+// 1-200.
+func pinnedSources() (names, tops, srcs []string) {
+	add := func(name, top, src string) {
+		names, tops, srcs = append(names, name), append(tops, top), append(srcs, src)
+	}
 	for _, m := range dataset.All() {
-		names, srcs = append(names, m.Name), append(srcs, m.Source)
+		add(m.Name, m.Top, m.Source)
 	}
 	for _, f := range faultgen.Benchmark() {
-		names, srcs = append(names, f.ID), append(srcs, f.Source)
+		add(f.ID, f.Meta().Top, f.Source)
 	}
 	for seed := int64(1); seed <= 200; seed++ {
-		names, srcs = append(names, fmt.Sprintf("rtlgen/%d", seed)), append(srcs, rtlgen.Generate(seed).Source)
+		d := rtlgen.Generate(seed)
+		add(fmt.Sprintf("rtlgen/%d", seed), d.Top, d.Source)
 	}
-	return names, srcs
+	return names, tops, srcs
 }
 
 // TestParsePinned pins what the parser and linter make of every pinned
@@ -36,30 +43,59 @@ func pinnedSources() (names, srcs []string) {
 // The digest was recorded before the parser read its tokens through a
 // fixed window instead of a slice of the whole file; a change to the
 // lexer, the parser's recovery or the linter must not move it.
+//
+// The second pass reads every source through one job scope
+// (sim.Cache.Scope), which shares one parse among the linter, the
+// compiler and the synthesizer: it lints, compiles and synthesizes each
+// source there before hashing the scope's AST, errors and report. The
+// same digest pins that none of them writes to the AST it shares.
 func TestParsePinned(t *testing.T) {
 	const (
 		wantSources = 558
 		wantBroken  = 160
 		wantDigest  = "8debd902fad631640a3c469b68f1649e4a1f06c9834b5e34e920825d7fb376b9"
 	)
-	names, srcs := pinnedSources()
-	h := sha256.New()
-	broken := 0
-	for i, src := range srcs {
-		f, errs := verilog.Parse(src)
-		if len(errs) > 0 {
-			broken++
-		}
-		fmt.Fprintf(h, "== %s\n%s", names[i], verilog.Print(f))
-		for _, e := range errs {
-			fmt.Fprintf(h, "%v\n", e)
-		}
-		fmt.Fprintf(h, "-- lint\n%s", lint.Lint(src).Format())
+	names, tops, srcs := pinnedSources()
+	scope := sim.NewCache().Scope()
+	passes := []struct {
+		name  string
+		front func(i int) (*verilog.SourceFile, []verilog.SyntaxError, *lint.Report)
+	}{
+		{"parse", func(i int) (*verilog.SourceFile, []verilog.SyntaxError, *lint.Report) {
+			f, errs := verilog.Parse(srcs[i])
+			return f, errs, lint.Lint(srcs[i])
+		}},
+		{"scope", func(i int) (*verilog.SourceFile, []verilog.SyntaxError, *lint.Report) {
+			rep := scope.Lint(srcs[i])
+			// Compile and synthesis errors are not pinned here: only
+			// what the two leave behind in the shared AST is.
+			_, _ = scope.Compile(srcs[i], tops[i], sim.BackendCompiled)
+			f, errs := scope.Parse(srcs[i])
+			if len(errs) == 0 {
+				_, _ = synth.Synthesize(f, tops[i])
+			}
+			return f, errs, rep
+		}},
 	}
-	got := hex.EncodeToString(h.Sum(nil))
-	if len(srcs) != wantSources || broken != wantBroken || got != wantDigest {
-		t.Fatalf("%d sources, %d with syntax errors, digest %s; want %d, %d, %s",
-			len(srcs), broken, got, wantSources, wantBroken, wantDigest)
+	for _, pass := range passes {
+		h := sha256.New()
+		broken := 0
+		for i := range srcs {
+			f, errs, rep := pass.front(i)
+			if len(errs) > 0 {
+				broken++
+			}
+			fmt.Fprintf(h, "== %s\n%s", names[i], verilog.Print(f))
+			for _, e := range errs {
+				fmt.Fprintf(h, "%v\n", e)
+			}
+			fmt.Fprintf(h, "-- lint\n%s", rep.Format())
+		}
+		got := hex.EncodeToString(h.Sum(nil))
+		if len(srcs) != wantSources || broken != wantBroken || got != wantDigest {
+			t.Errorf("%s pass: %d sources, %d with syntax errors, digest %s; want %d, %d, %s",
+				pass.name, len(srcs), broken, got, wantSources, wantBroken, wantDigest)
+		}
 	}
 }
 
@@ -77,7 +113,7 @@ func TestPrintRecoveredAST(t *testing.T) {
 	if got := verilog.Print(f); !strings.Contains(got, "module m") {
 		t.Fatalf("Print(%q) = %q", repro, got)
 	}
-	names, srcs := pinnedSources()
+	names, _, srcs := pinnedSources()
 	names, srcs = append(names, "repro"), append(srcs, repro)
 	for i, src := range srcs {
 		f, _ := verilog.Parse(src)
@@ -113,7 +149,7 @@ func TestParseAllocs(t *testing.T) {
 // corpus: no source comes near the cap, so the cap rejects none of
 // them, and the deepest one stays a small fraction of it.
 func TestNestingHeadroom(t *testing.T) {
-	names, srcs := pinnedSources()
+	names, _, srcs := pinnedSources()
 	deepest, at := 0, ""
 	for i, src := range srcs {
 		f, _ := verilog.Parse(src)
