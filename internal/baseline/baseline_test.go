@@ -160,10 +160,9 @@ func TestRTLRepairFixesBitwidthDecl(t *testing.T) {
 
 func TestTemplateSearchBudgetBounded(t *testing.T) {
 	f := firstFault(t, "vending_machine", faultgen.FuncLogic)
-	x := &Strider{Cost: defaultCost, Budget: 5, BenchN: 16}
-	out := x.Repair(f)
-	// 5 candidates * 16 vectors + initial run 16 => at most 96 vectors.
-	if out.Seconds > defaultCost.Sim(16*6)+1e-9 {
+	out := NewStrider().Repair(f)
+	// 16 candidates * 8 vectors + initial run 8 => at most 136 vectors.
+	if out.Seconds > defaultCost.Sim(templateBenchN*(16+1))+1e-9 {
 		t.Errorf("budget exceeded: %.3f s modeled", out.Seconds)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"uvllm/internal/faultgen"
 	"uvllm/internal/llm"
-	"uvllm/internal/metrics"
 )
 
 // MEIC reimplements the MEIC framework's structure (Xu et al. 2024, the
@@ -16,15 +15,16 @@ import (
 // finite directed testbench. No pre-processing stage, no localization
 // engine, no score-register rollback.
 type MEIC struct {
-	Client  llm.Client
-	Cost    metrics.CostModel
-	MaxIter int         // paper-era MEIC iterates up to 10
-	Sim     SimServices // engine + shared compile cache + trace memo
+	Client llm.Client
+	Sim    SimServices // engine + shared compile cache + trace memo
 }
 
-// NewMEIC builds the baseline with defaults.
+// meicMaxIter is MEIC's iteration cap: paper-era MEIC iterates up to 10.
+const meicMaxIter = 10
+
+// NewMEIC builds the baseline.
 func NewMEIC(client llm.Client) *MEIC {
-	return &MEIC{Client: client, Cost: defaultCost, MaxIter: 10}
+	return &MEIC{Client: client}
 }
 
 // Repair runs MEIC on one benchmark instance.
@@ -38,9 +38,9 @@ func (x *MEIC) Repair(f *faultgen.Fault) Outcome {
 	vectors := WeakBench(m, design)
 	cur := f.Source
 	var history []string // MEIC carries its whole conversation forward
-	for iter := 1; iter <= x.MaxIter; iter++ {
+	for iter := 1; iter <= meicMaxIter; iter++ {
 		pass, log, n := RunOwnBench(cur, m, vectors, x.Sim)
-		out.Seconds += x.Cost.Sim(n)
+		out.Seconds += defaultCost.Sim(n)
 		if pass {
 			// The finite testbench is satisfied — MEIC accepts, whether
 			// or not the code is actually correct (the overfitting the
@@ -49,7 +49,7 @@ func (x *MEIC) Repair(f *faultgen.Fault) Outcome {
 			out.Final = cur
 			return out
 		}
-		if iter == x.MaxIter {
+		if iter == meicMaxIter {
 			break
 		}
 		// Fix agent: raw log as error information, plus the growing
@@ -69,7 +69,7 @@ func (x *MEIC) Repair(f *faultgen.Fault) Outcome {
 			break
 		}
 		out.Usage.Add(resp)
-		out.Seconds += x.Cost.LLMCall(resp.InputTokens, resp.OutputTokens)
+		out.Seconds += defaultCost.LLMCall(resp.InputTokens, resp.OutputTokens)
 
 		// Review agent: MEIC's second LLM consults on repair quality; it
 		// costs a call but has no quantitative acceptance metric (the gap
@@ -84,7 +84,7 @@ func (x *MEIC) Repair(f *faultgen.Fault) Outcome {
 		rresp, rerr := x.Client.Complete(review)
 		if rerr == nil {
 			out.Usage.Add(rresp)
-			out.Seconds += x.Cost.LLMCall(rresp.InputTokens, rresp.OutputTokens)
+			out.Seconds += defaultCost.LLMCall(rresp.InputTokens, rresp.OutputTokens)
 		}
 		history = append(history, truncate(resp.Content, 1200))
 
@@ -100,7 +100,7 @@ func (x *MEIC) Repair(f *faultgen.Fault) Outcome {
 	}
 	// Final check.
 	pass, _, n := RunOwnBench(cur, m, vectors, x.Sim)
-	out.Seconds += x.Cost.Sim(n)
+	out.Seconds += defaultCost.Sim(n)
 	out.Hit = pass
 	out.Final = cur
 	return out
@@ -195,13 +195,12 @@ func applyLoose(src string, reply *llm.RepairReply) (string, error) {
 // bench.
 type RawLLM struct {
 	Client llm.Client
-	Cost   metrics.CostModel
 	Sim    SimServices
 }
 
-// NewRawLLM builds the baseline with defaults.
+// NewRawLLM builds the baseline.
 func NewRawLLM(client llm.Client) *RawLLM {
-	return &RawLLM{Client: client, Cost: defaultCost}
+	return &RawLLM{Client: client}
 }
 
 // Repair runs the one-shot baseline on one benchmark instance.
@@ -225,7 +224,7 @@ func (x *RawLLM) Repair(f *faultgen.Fault) Outcome {
 	resp, err := x.Client.Complete(req)
 	if err == nil {
 		out.Usage.Add(resp)
-		out.Seconds += x.Cost.LLMCall(resp.InputTokens, resp.OutputTokens)
+		out.Seconds += defaultCost.LLMCall(resp.InputTokens, resp.OutputTokens)
 		if reply, perr := llm.ParseRepairReply(resp.Content); perr == nil {
 			if cand, aerr := applyLoose(f.Source, reply); aerr == nil {
 				out.Final = cand
@@ -233,7 +232,7 @@ func (x *RawLLM) Repair(f *faultgen.Fault) Outcome {
 		}
 	}
 	pass, _, n := RunOwnBench(out.Final, m, vectors, x.Sim)
-	out.Seconds += x.Cost.Sim(n)
+	out.Seconds += defaultCost.Sim(n)
 	out.Hit = pass
 	return out
 }

@@ -7,7 +7,6 @@ import (
 
 	"uvllm/internal/faultgen"
 	"uvllm/internal/locate"
-	"uvllm/internal/metrics"
 )
 
 // Strider reimplements the mechanism of Strider (Yang et al., TCAD 2024):
@@ -17,20 +16,16 @@ import (
 // the first candidate that passes its own random testbench. It handles
 // functional defects only — syntax-broken input cannot be simulated.
 type Strider struct {
-	Cost   metrics.CostModel
-	Budget int // candidate mutations to try
-	BenchN int // vectors in its acceptance bench
-	Sim    SimServices
+	Sim SimServices
 }
 
-// NewStrider builds the baseline with defaults.
-func NewStrider() *Strider {
-	return &Strider{Cost: defaultCost, Budget: 16, BenchN: 8}
-}
+// NewStrider builds the baseline.
+func NewStrider() *Strider { return &Strider{} }
 
-// Repair runs the search on one benchmark instance.
+// Repair runs the search on one benchmark instance, trying 16 candidate
+// mutations.
 func (x *Strider) Repair(f *faultgen.Fault) Outcome {
-	return templateSearch(f, x.Budget, x.BenchN, x.Cost, false, x.Sim)
+	return templateSearch(f, 16, false, x.Sim)
 }
 
 // RTLRepair reimplements the mechanism of RTL-Repair (Laeufer et al.,
@@ -38,23 +33,25 @@ func (x *Strider) Repair(f *faultgen.Fault) Outcome {
 // Its template set additionally covers declaration widths and part-select
 // bounds, which is why the paper finds it strongest on bitwidth defects.
 type RTLRepair struct {
-	Cost   metrics.CostModel
-	Budget int
-	BenchN int
-	Sim    SimServices
+	Sim SimServices
 }
 
-// NewRTLRepair builds the baseline with defaults.
-func NewRTLRepair() *RTLRepair {
-	return &RTLRepair{Cost: defaultCost, Budget: 28, BenchN: 8}
-}
+// NewRTLRepair builds the baseline.
+func NewRTLRepair() *RTLRepair { return &RTLRepair{} }
 
-// Repair runs the search on one benchmark instance.
+// Repair runs the search on one benchmark instance, trying 28 candidate
+// mutations.
 func (x *RTLRepair) Repair(f *faultgen.Fault) Outcome {
-	return templateSearch(f, x.Budget, x.BenchN, x.Cost, true, x.Sim)
+	return templateSearch(f, 28, true, x.Sim)
 }
 
-func templateSearch(f *faultgen.Fault, budget, benchN int, cost metrics.CostModel, declTemplates bool, svc SimServices) Outcome {
+// templateBenchN is the vector count of a template tool's acceptance
+// bench.
+const templateBenchN = 8
+
+// templateSearch tries up to budget template mutations of f's suspicious
+// lines, accepting the first that passes a templateBenchN-vector bench.
+func templateSearch(f *faultgen.Fault, budget int, declTemplates bool, svc SimServices) Outcome {
 	m := f.Meta()
 	out := Outcome{Final: f.Source}
 
@@ -64,8 +61,8 @@ func templateSearch(f *faultgen.Fault, budget, benchN int, cost metrics.CostMode
 	if _, errs := svc.Cache.Parse(f.Source); len(errs) > 0 {
 		return out
 	}
-	pass, log, n := RandomOwnBench(f.Source, m, benchN, 5, svc)
-	out.Seconds += cost.Sim(n)
+	pass, log, n := RandomOwnBench(f.Source, m, templateBenchN, 5, svc)
+	out.Seconds += defaultCost.Sim(n)
 	if pass {
 		out.Hit = true // escaped detection: counts as a hit, not a fix
 		return out
@@ -94,8 +91,8 @@ func templateSearch(f *faultgen.Fault, budget, benchN int, cost metrics.CostMode
 		if _, errs := svc.Cache.Parse(cand); len(errs) > 0 {
 			continue
 		}
-		ok, _, n := RandomOwnBench(cand, m, benchN, 5, svc)
-		out.Seconds += cost.Sim(n)
+		ok, _, n := RandomOwnBench(cand, m, templateBenchN, 5, svc)
+		out.Seconds += defaultCost.Sim(n)
 		if ok {
 			out.Hit = true
 			out.Final = cand

@@ -43,11 +43,10 @@ type Options struct {
 	Seed            int64
 	DisableRollback bool        // ablation: accept every candidate
 	Backend         sim.Backend // simulation engine (zero value: compiled)
-	Cost            metrics.CostModel
 	// Cover enables structural coverage collection (statements, branches,
-	// toggles, FSM occupancy) during every UVM evaluation of the job. The
-	// zero value keeps it off; it costs nothing then.
-	Cover sim.CoverOptions
+	// toggles, FSM occupancy) during every UVM evaluation of the job. Off,
+	// it costs nothing.
+	Cover bool
 
 	// Cache is the compile cache every simulation of the job goes
 	// through: the candidate of each repair iteration (and the final
@@ -71,9 +70,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.UVMVectors == 0 {
 		o.UVMVectors = 500
-	}
-	if o.Cost == (metrics.CostModel{}) {
-		o.Cost = metrics.DefaultCostModel()
 	}
 	if o.Cache == nil {
 		o.Cache = sim.NewCache()
@@ -161,7 +157,7 @@ func Verify(ctx context.Context, in Input) Result {
 	res.Usage.Calls += preUsage.Calls
 	res.Usage.InputTokens += preUsage.InputTokens
 	res.Usage.OutputTokens += preUsage.OutputTokens
-	res.Times.Pre += opts.Cost.Lint(pres.LintRuns) + llmTime(opts.Cost, preUsage)
+	res.Times.Pre += defaultCost.Lint(pres.LintRuns) + llmTime(preUsage)
 	res.Log = append(res.Log, pres.Log...)
 	cur := pres.Source
 	lastStage := StageNone
@@ -189,7 +185,7 @@ func Verify(ctx context.Context, in Input) Result {
 
 		// Step 2: UVM processing.
 		ev := evaluate(iterSp, cur, in, opts)
-		res.Times.MS += opts.Cost.Sim(opts.UVMVectors) // testing time accrues to the repair loop
+		res.Times.MS += defaultCost.Sim(opts.UVMVectors) // testing time accrues to the repair loop
 		if ev.cov > res.Coverage {
 			res.Coverage = ev.cov
 		}
@@ -257,7 +253,7 @@ func Verify(ctx context.Context, in Input) Result {
 			continue
 		}
 		res.Usage.Add(resp)
-		callTime := opts.Cost.LLMCall(resp.InputTokens, resp.OutputTokens)
+		callTime := defaultCost.LLMCall(resp.InputTokens, resp.OutputTokens)
 		if stage == StageSL {
 			res.Times.SL += callTime
 		} else {
@@ -290,7 +286,7 @@ func Verify(ctx context.Context, in Input) Result {
 			res.Usage.Calls += fixUsage.Calls
 			res.Usage.InputTokens += fixUsage.InputTokens
 			res.Usage.OutputTokens += fixUsage.OutputTokens
-			res.Times.Pre += opts.Cost.Lint(p2.LintRuns) + llmTime(opts.Cost, fixUsage)
+			res.Times.Pre += defaultCost.Lint(p2.LintRuns) + llmTime(fixUsage)
 			if !p2.Clean {
 				res.Log = append(res.Log, fmt.Sprintf("iter %d: candidate unsalvageable, discarded", iter))
 				continue
@@ -396,7 +392,12 @@ func evaluate(sp *obs.Span, src string, in Input, opts Options) evalResult {
 	return ev
 }
 
-func llmTime(c metrics.CostModel, u llm.Usage) float64 {
+// defaultCost models the wall-clock time of every pipeline step.
+var defaultCost = metrics.DefaultCostModel()
+
+// llmTime is the modeled time of the LLM calls counted in u.
+func llmTime(u llm.Usage) float64 {
+	c := defaultCost
 	return float64(u.Calls)*c.LLMBaseSeconds +
 		c.LLMPerKInputTok*float64(u.InputTokens)/1000 +
 		c.LLMPerKOutputTok*float64(u.OutputTokens)/1000

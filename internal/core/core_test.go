@@ -227,9 +227,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.MaxIterations != 5 || o.SLThreshold != 4 || o.UVMVectors != 500 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
-	if o.Cost.LLMBaseSeconds == 0 {
-		t.Error("cost model not defaulted")
-	}
 }
 
 // TestSynthGateDecidesByErrorKind: the synthesis gate passes only

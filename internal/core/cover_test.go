@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"uvllm/internal/faultgen"
-	"uvllm/internal/sim"
 )
 
 // TestVerifyThreadsStructuralCoverage checks the Options.Cover knob end
@@ -14,7 +13,7 @@ import (
 func TestVerifyThreadsStructuralCoverage(t *testing.T) {
 	f := pickFault(t, "counter_12bit", faultgen.FuncLogic)
 
-	on := verifyFault(t, f, 1, Options{Cover: sim.CoverAll()})
+	on := verifyFault(t, f, 1, Options{Cover: true})
 	if on.StructCoverage <= 0 || on.StructCoverage > 100 {
 		t.Fatalf("StructCoverage = %v with coverage enabled", on.StructCoverage)
 	}

@@ -6,88 +6,74 @@ import (
 	"testing"
 )
 
+// addPoint adds n hits to point p of m's universe.
+func addPoint(t *testing.T, m *Map, p Point, n int) {
+	t.Helper()
+	s, ok := m.u.Slot(p)
+	if !ok {
+		t.Fatalf("%s is not in the map's universe", p)
+	}
+	for i := 0; i < n; i++ {
+		m.IncSlot(s)
+	}
+}
+
 func TestPercentAndHit(t *testing.T) {
-	m := New()
-	if got := m.Percent(); got != 0 {
-		t.Fatalf("empty map Percent = %v, want 0", got)
+	if got := NewUniverse(nil).NewMap().Percent(); got != 0 {
+		t.Fatalf("empty universe Percent = %v, want 0", got)
 	}
 	a := Point{KindStmt, "p0.s0"}
 	b := Point{KindBranch, "p0.s1.then"}
 	c := Point{KindToggle1, "x[0]"}
-	m.Register(a)
-	m.Register(b)
-	m.Register(c)
+	m := NewUniverse([]Point{a, b, c}).NewMap()
 	if got := m.Percent(); got != 0 {
 		t.Fatalf("unhit Percent = %v, want 0", got)
 	}
-	m.Add(a, 2)
-	m.Add(c, 1)
+	addPoint(t, m, a, 2)
+	addPoint(t, m, c, 1)
 	if m.Hit() != 2 || m.Len() != 3 {
 		t.Fatalf("Hit/Len = %d/%d, want 2/3", m.Hit(), m.Len())
 	}
 	if got := m.Percent(); got < 66.6 || got > 66.7 {
 		t.Fatalf("Percent = %v, want ~66.67", got)
 	}
-	if pct, ok := m.KindPercent(KindStmt); !ok || pct != 100 {
-		t.Fatalf("KindPercent(stmt) = %v,%v want 100,true", pct, ok)
-	}
-	if _, ok := m.KindPercent(KindState); ok {
-		t.Fatal("KindPercent(state) reported a universe with no state points")
+	if m.Count(a) != 2 || m.Count(b) != 0 || m.Count(Point{KindState, "s=0"}) != 0 {
+		t.Fatalf("Count = %d/%d/%d, want 2/0/0", m.Count(a), m.Count(b), m.Count(Point{KindState, "s=0"}))
 	}
 }
 
-func TestRegisterPreservesCount(t *testing.T) {
-	m := New()
-	p := Point{KindStmt, "p"}
-	m.Add(p, 3)
-	m.Register(p)
-	if m.Count(p) != 3 {
-		t.Fatalf("Register reset count to %d", m.Count(p))
-	}
-}
+func TestMergeGain(t *testing.T) {
+	a, b, c, d := Point{KindStmt, "a"}, Point{KindStmt, "b"}, Point{KindStmt, "c"}, Point{KindBranch, "d"}
+	u := NewUniverse([]Point{a, b, c, d})
+	base := u.NewMap()
+	addPoint(t, base, b, 1)
 
-func TestMergeGainDiff(t *testing.T) {
-	base := New()
-	base.Register(Point{KindStmt, "a"})
-	base.Add(Point{KindStmt, "b"}, 1)
-
-	run := New()
-	run.Add(Point{KindStmt, "a"}, 2)   // newly hit
-	run.Add(Point{KindStmt, "b"}, 5)   // already hit in base
-	run.Register(Point{KindStmt, "c"}) // registered but unhit
-	run.Add(Point{KindBranch, "d"}, 1) // new point entirely
+	run := u.NewMap()
+	addPoint(t, run, a, 2) // newly hit
+	addPoint(t, run, b, 5) // already hit in base
+	addPoint(t, run, d, 1) // newly hit; c stays unhit
 
 	if g := base.Gain(run); g != 2 {
 		t.Fatalf("Gain = %d, want 2 (a and d)", g)
 	}
-	diff := base.Diff(run)
-	if len(diff) != 2 || diff[0].Name != "a" || diff[1].Name != "d" {
-		t.Fatalf("Diff = %v", diff)
+	if got := base.Merge(run); got != base {
+		t.Fatal("Merge did not return its receiver")
 	}
-
-	base.Merge(run)
-	if base.Count(Point{KindStmt, "a"}) != 2 || base.Count(Point{KindStmt, "b"}) != 6 {
-		t.Fatalf("Merge counts wrong: a=%d b=%d", base.Count(Point{KindStmt, "a"}), base.Count(Point{KindStmt, "b"}))
+	if base.Count(a) != 2 || base.Count(b) != 6 || base.Count(c) != 0 {
+		t.Fatalf("Merge counts wrong: a=%d b=%d c=%d", base.Count(a), base.Count(b), base.Count(c))
 	}
-	if base.Len() != 4 {
-		t.Fatalf("merged Len = %d, want 4", base.Len())
+	if base.Len() != 4 || base.Hit() != 3 {
+		t.Fatalf("merged Len/Hit = %d/%d, want 4/3", base.Len(), base.Hit())
 	}
 	if g := base.Gain(run); g != 0 {
 		t.Fatalf("Gain after merge = %d, want 0", g)
 	}
-	if base.Gain(nil) != 0 || len(base.Diff(nil)) != 0 {
+	if base.Gain(nil) != 0 || base.Merge(nil) != base || base.Hit() != 3 {
 		t.Fatal("nil other must be a no-op")
 	}
 }
 
 func TestEncodeDeterministic(t *testing.T) {
-	build := func(order []Point) *Map {
-		m := New()
-		for i, p := range order {
-			m.Add(p, uint64(i+1))
-		}
-		return m
-	}
 	pts := []Point{
 		{KindTrans, "fsm:1->2"},
 		{KindStmt, "p0.s0"},
@@ -95,15 +81,15 @@ func TestEncodeDeterministic(t *testing.T) {
 		{KindBranch, "p0.s1.else"},
 	}
 	rev := []Point{pts[3], pts[2], pts[1], pts[0]}
-	m1 := build(pts)
-	m2 := New()
-	for i := range rev {
-		// Same counts as m1, inserted in reverse order.
-		m2.Add(rev[i], uint64(len(pts)-i))
+	// Same counts (trans=1 stmt=2 tog0=3 branch=4) over universes built
+	// from the points in opposite orders.
+	m1, m2 := NewUniverse(pts).NewMap(), NewUniverse(rev).NewMap()
+	for i, p := range pts {
+		addPoint(t, m1, p, i+1)
+		addPoint(t, m2, p, i+1)
 	}
-	// m1 counts: trans=1 stmt=2 tog0=3 branch=4; m2: branch=4 tog0=3 stmt=2 trans=1.
 	if !bytes.Equal(m1.Encode(), m2.Encode()) {
-		t.Fatalf("Encode not insertion-order independent:\n%s\nvs\n%s", m1.Encode(), m2.Encode())
+		t.Fatalf("Encode depends on the universe's input order:\n%s\nvs\n%s", m1.Encode(), m2.Encode())
 	}
 	enc := string(m1.Encode())
 	if !strings.Contains(enc, "stmt:p0.s0=2") || !strings.Contains(enc, "trans:fsm:1->2=1") {
@@ -116,20 +102,22 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	m := New()
-	m.Add(Point{KindStmt, "a"}, 1)
+	a := Point{KindStmt, "a"}
+	m := NewUniverse([]Point{a}).NewMap()
+	addPoint(t, m, a, 1)
 	c := m.Clone()
-	c.Add(Point{KindStmt, "a"}, 1)
-	if m.Count(Point{KindStmt, "a"}) != 1 {
-		t.Fatal("Clone shares storage")
+	addPoint(t, c, a, 1)
+	if m.Count(a) != 1 || m.Hit() != 1 || c.Count(a) != 2 {
+		t.Fatalf("Clone shares storage: original %d, clone %d", m.Count(a), c.Count(a))
+	}
+	if c.u != m.u {
+		t.Fatal("Clone must share its universe")
 	}
 }
 
 func TestReport(t *testing.T) {
-	m := New()
-	m.Add(Point{KindStmt, "a"}, 1)
-	m.Register(Point{KindStmt, "b"})
-	m.Register(Point{KindBranch, "c"})
+	m := NewUniverse([]Point{{KindStmt, "a"}, {KindStmt, "b"}, {KindBranch, "c"}}).NewMap()
+	addPoint(t, m, Point{KindStmt, "a"}, 1)
 	r := m.Report(10)
 	if !strings.Contains(r, "33.3%") {
 		t.Fatalf("Report percent wrong:\n%s", r)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -20,15 +21,15 @@ func (r refMap) merge(o refMap) {
 	}
 }
 
-func (r refMap) newHits(o refMap) []Point {
-	var out []Point
+// gain counts the points hit in o that r has not hit.
+func (r refMap) gain(o refMap) int {
+	n := 0
 	for p, c := range o {
 		if c > 0 && r[p] == 0 {
-			out = append(out, p)
+			n++
 		}
 	}
-	sortPoints(out)
-	return out
+	return n
 }
 
 func (r refMap) points() []Point {
@@ -36,7 +37,7 @@ func (r refMap) points() []Point {
 	for p := range r {
 		out = append(out, p)
 	}
-	sortPoints(out)
+	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
 	return out
 }
 
@@ -55,22 +56,6 @@ func (r refMap) percent() float64 {
 		return 0
 	}
 	return 100 * float64(r.hit()) / float64(len(r))
-}
-
-func (r refMap) kindPercent(k Kind) (float64, bool) {
-	total, hit := 0, 0
-	for p, c := range r {
-		if p.Kind == k {
-			total++
-			if c > 0 {
-				hit++
-			}
-		}
-	}
-	if total == 0 {
-		return 0, false
-	}
-	return 100 * float64(hit) / float64(total), true
 }
 
 func (r refMap) encode() []byte {
@@ -115,7 +100,7 @@ func (r refMap) report(maxMiss int) string {
 }
 
 // modelEntry is one map under test, its reference, and the universe it
-// was created over (nil for maps from New), whose slots IncSlot may use.
+// was created over, whose slots IncSlot uses.
 type modelEntry struct {
 	m    *Map
 	ref  refMap
@@ -140,13 +125,6 @@ func checkModel(t *testing.T, step int, op string, e *modelEntry, probes []Point
 	if m.Percent() != r.percent() {
 		fail("Percent", m.Percent(), r.percent())
 	}
-	for k := KindStmt; k <= KindTrans; k++ {
-		gp, gok := m.KindPercent(k)
-		wp, wok := r.kindPercent(k)
-		if gp != wp || gok != wok {
-			fail(fmt.Sprintf("KindPercent(%s)", k), fmt.Sprint(gp, gok), fmt.Sprint(wp, wok))
-		}
-	}
 	for _, p := range probes {
 		if m.Count(p) != r[p] {
 			fail("Count("+p.String()+")", m.Count(p), r[p])
@@ -164,11 +142,11 @@ func checkModel(t *testing.T, step int, op string, e *modelEntry, probes []Point
 }
 
 // TestMapMatchesReferenceModel runs seeded random operation sequences
-// over maps from New and maps over two universes that share points, and
-// after every step compares every map's observables with a plain
-// map[Point]uint64 model. It pins the copy-on-write universe growth, the
-// same-universe Merge/Gain slot loops, zero-count registration and a
-// read-only Clone.
+// over maps of two universes that share points, and after every step
+// compares every map's observables with a plain map[Point]uint64 model.
+// It pins IncSlot, the Merge and Gain slot loops between maps of one
+// universe (maps of different universes are never combined), Encode and
+// a read-only Clone.
 func TestMapMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runModel(t, seed, 400) })
@@ -177,15 +155,13 @@ func TestMapMatchesReferenceModel(t *testing.T) {
 
 func runModel(t *testing.T, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
-	// A small name space so the universes overlap and random points
-	// often land on registered ones.
+	// A small name space so the universes overlap.
 	var all []Point
 	for k := KindStmt; k <= KindTrans; k++ {
 		for _, n := range []string{"a", "b", "c", "d.x", "e[0]"} {
 			all = append(all, Point{k, n})
 		}
 	}
-	pick := func() Point { return all[rng.Intn(len(all))] }
 	var src1, src2 []Point
 	for _, p := range all {
 		switch rng.Intn(4) {
@@ -206,68 +182,49 @@ func runModel(t *testing.T, seed int64, steps int) {
 		}
 		return &modelEntry{m: u.NewMap(), ref: r, over: u, pts: src}
 	}
-	pool := []*modelEntry{
-		{m: New(), ref: refMap{}}, {m: New(), ref: refMap{}},
-		over(u1, src1), over(u1, src1), over(u2, src2), over(u2, src2),
+	pool := []*modelEntry{over(u1, src1), over(u1, src1), over(u2, src2), over(u2, src2)}
+	// inc adds one hit to a random point of e's universe.
+	inc := func(e *modelEntry) string {
+		p := e.pts[rng.Intn(len(e.pts))]
+		s, ok := e.over.Slot(p)
+		if !ok {
+			t.Fatalf("%s missing from its own universe", p)
+		}
+		e.m.IncSlot(s)
+		e.ref[p]++
+		return p.String()
 	}
-	// pair picks two entries, preferring one universe half the time.
+	// pair picks two entries over one universe.
 	pair := func() (*modelEntry, *modelEntry) {
 		a := pool[rng.Intn(len(pool))]
-		if rng.Intn(2) == 0 {
-			for _, b := range pool {
-				if b != a && b.m.u == a.m.u {
-					return a, b
-				}
+		for {
+			if b := pool[rng.Intn(len(pool))]; b.over == a.over {
+				return a, b
 			}
 		}
-		return a, pool[rng.Intn(len(pool))]
 	}
 	for step := 0; step < steps; step++ {
 		var op string
-		switch rng.Intn(9) {
-		case 0:
-			e, p := pool[rng.Intn(len(pool))], pick()
-			op = "Register " + p.String()
-			e.m.Register(p)
-			e.ref[p] += 0
-		case 1:
-			e, p, n := pool[rng.Intn(len(pool))], pick(), uint64(rng.Intn(3))
-			op = fmt.Sprintf("Add %s %d", p, n)
-			e.m.Add(p, n)
-			e.ref[p] += n
+		switch rng.Intn(7) {
+		case 0, 1:
+			op = "IncSlot " + inc(pool[rng.Intn(len(pool))])
 		case 2:
-			e := pool[rng.Intn(len(pool))]
-			if e.over == nil || len(e.pts) == 0 {
-				continue
-			}
-			p := e.pts[rng.Intn(len(e.pts))]
-			s, ok := e.over.Slot(p)
-			if !ok {
-				t.Fatalf("step %d: %s missing from its own universe", step, p)
-			}
-			op = "IncSlot " + p.String()
-			e.m.IncSlot(s)
-			e.ref[p]++
-		case 3:
 			a, b := pair()
 			op = "Merge"
 			if got := a.m.Merge(b.m); got != a.m {
 				t.Fatalf("step %d: Merge did not return its receiver", step)
 			}
 			a.ref.merge(b.ref)
-		case 4:
+		case 3:
 			a, b := pair()
-			op = "Gain/Diff"
-			if got, want := a.m.Gain(b.m), len(a.ref.newHits(b.ref)); got != want {
+			op = "Gain"
+			if got, want := a.m.Gain(b.m), a.ref.gain(b.ref); got != want {
 				t.Fatalf("step %d: Gain = %d, want %d", step, got, want)
 			}
-			if got, want := a.m.Diff(b.m), a.ref.newHits(b.ref); !slices.Equal(got, want) {
-				t.Fatalf("step %d: Diff = %v, want %v", step, got, want)
-			}
-		case 5:
+		case 4:
 			e := pool[rng.Intn(len(pool))]
-			op = "Merge/Gain/Diff nil"
-			if e.m.Merge(nil) != e.m || e.m.Gain(nil) != 0 || e.m.Diff(nil) != nil {
+			op = "Merge/Gain nil"
+			if e.m.Merge(nil) != e.m || e.m.Gain(nil) != 0 {
 				t.Fatalf("step %d: nil other is not a no-op", step)
 			}
 		default:
@@ -275,20 +232,17 @@ func runModel(t *testing.T, seed int64, steps int) {
 			op = "Clone"
 			before := *e.m
 			c := e.m.Clone()
-			if e.m.u != before.u || e.m.own != before.own || e.m.hit != before.hit ||
-				len(e.m.counts) != len(before.counts) || len(e.m.u.points) != len(before.u.points) {
+			if e.m.u != before.u || e.m.hit != before.hit || len(e.m.counts) != len(before.counts) {
 				t.Fatalf("step %d: Clone wrote to its receiver", step)
+			}
+			if c.u != e.m.u {
+				t.Fatalf("step %d: Clone left its universe", step)
 			}
 			ref := refMap{}
 			ref.merge(e.ref)
 			ce := &modelEntry{m: c, ref: ref, over: e.over, pts: e.pts}
 			// Mutate both copies: neither may see the other's writes.
-			p := pick()
-			e.m.Add(p, 1)
-			e.ref[p]++
-			q := pick()
-			c.Add(q, 2)
-			ce.ref[q] += 2
+			op += ", IncSlot " + inc(e) + ", clone IncSlot " + inc(ce)
 			if len(pool) < 10 {
 				pool = append(pool, ce)
 			} else {
@@ -302,31 +256,30 @@ func runModel(t *testing.T, seed int64, steps int) {
 }
 
 // TestCloneConcurrentReaders: Clone and the read-only methods may run
-// concurrently on one map (the race detector checks it), and clones of
-// a shared-universe map keep sharing it.
+// concurrently on one map (the race detector checks it), and clones keep
+// sharing the map's universe.
 func TestCloneConcurrentReaders(t *testing.T) {
 	u := NewUniverse([]Point{{KindStmt, "a"}, {KindStmt, "b"}})
-	for _, m := range []*Map{u.NewMap(), New()} {
-		m.Add(Point{KindStmt, "a"}, 1)
-		var wg sync.WaitGroup
-		clones := make([]*Map, 4)
-		for i := range clones {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				clones[i] = m.Clone()
-				_ = m.Encode()
-				_ = m.Gain(clones[i])
-			}(i)
+	m := u.NewMap()
+	addPoint(t, m, Point{KindStmt, "a"}, 1)
+	var wg sync.WaitGroup
+	clones := make([]*Map, 4)
+	for i := range clones {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			clones[i] = m.Clone()
+			_ = m.Encode()
+			_ = m.Gain(clones[i])
+		}(i)
+	}
+	wg.Wait()
+	for _, c := range clones {
+		if c.u != u {
+			t.Fatal("clone left the shared universe")
 		}
-		wg.Wait()
-		for _, c := range clones {
-			if (c.u == m.u) != !m.own {
-				t.Fatalf("clone shares universe = %v, want %v", c.u == m.u, !m.own)
-			}
-			if !bytes.Equal(c.Encode(), m.Encode()) {
-				t.Fatalf("clone encodes %q, want %q", c.Encode(), m.Encode())
-			}
+		if !bytes.Equal(c.Encode(), m.Encode()) {
+			t.Fatalf("clone encodes %q, want %q", c.Encode(), m.Encode())
 		}
 	}
 }

@@ -43,7 +43,6 @@ type Record struct {
 type Config struct {
 	Seed            int64
 	Mode            llm.GenMode
-	Profile         *llm.Profile // nil = DefaultProfile
 	SkipBaselines   bool
 	DisableRollback bool
 	SLThreshold     int               // 0 = default
@@ -90,9 +89,6 @@ func Run(cfg Config) []*Record {
 		instances = faultgen.Benchmark()
 	}
 	prof := llm.DefaultProfile()
-	if cfg.Profile != nil {
-		prof = *cfg.Profile
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()

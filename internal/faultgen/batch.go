@@ -76,14 +76,14 @@ func observeLanes(prog *sim.Program, m *dataset.Module, random *uvm.RandomSequen
 	}
 	resetLen := 0 // the harness clock reads resetLen+i at vector i
 	if rstName != "" {
-		if err := eng.ApplyReset(2); err != nil {
+		if err := eng.ApplyReset(sim.ResetCycles); err != nil {
 			return nil, err
 		}
-		resetLen = 2
+		resetLen = sim.ResetCycles
 	}
 	scores := make([]*uvm.Scoreboard, len(seeds))
 	for k := range scores {
-		scores[k] = &uvm.Scoreboard{MaxMismatches: 64}
+		scores[k] = &uvm.Scoreboard{}
 	}
 	rows := make([][]uint64, len(seeds))
 	var out []uint64

@@ -56,7 +56,7 @@ func ClassifyBitParallel(f *Fault, lanes, cycles int, seed int64) (BitVerdict, e
 }
 
 // ClassifyBitParallelSource is ClassifyBitParallel over raw sources. Both
-// designs see the same stimulus: formal.ResetCycles cycles with the
+// designs see the same stimulus: sim.ResetCycles cycles with the
 // conventional reset asserted and every other input zero, then `cycles`
 // cycles of per-lane random vectors (lane k draws from seed+k) with the
 // reset held deasserted. The random words are a memoized value: calls
@@ -126,7 +126,7 @@ func ClassifyBitParallelSource(golden, mutant, top, clock string, lanes, cycles 
 	}
 	resetCycles := 0
 	if rstName != "" {
-		resetCycles = formal.ResetCycles
+		resetCycles = sim.ResetCycles
 	}
 	var widths []int
 	for i, pt := range cg.Free {

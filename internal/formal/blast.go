@@ -26,10 +26,6 @@ func unsupportedf(format string, args ...interface{}) error {
 // return ErrUnsupported.
 const DefaultMaxMemBits = 4096
 
-// ResetCycles is the reset preamble length of the formal stimulus
-// protocol, matching the differential harness (ApplyReset(2)).
-const ResetCycles = 2
-
 // Options bound what the bit-blaster will attempt.
 type Options struct {
 	// Clock overrides the conventional clock-name guess (sim.FindClock);
@@ -308,7 +304,7 @@ func (m *Model) FrozenInputs() map[string]uint64 {
 func (m *Model) Outputs() []sim.PortInfo { return m.outs }
 
 // InitState runs a concrete instance through the differential reset
-// protocol (ApplyReset(ResetCycles), inputs at zero) and captures the
+// protocol (ApplyReset(sim.ResetCycles), inputs at zero) and captures the
 // settled arena as constant vectors — the shared, concrete starting point
 // of every bounded unrolling and of its replay on a simulator.
 func (m *Model) InitState() (*State, error) {
@@ -317,7 +313,7 @@ func (m *Model) InitState() (*State, error) {
 		return nil, fmt.Errorf("formal: init state: %w", err)
 	}
 	h := sim.NewHarness(inst, m.clock)
-	if err := h.ApplyReset(ResetCycles); err != nil {
+	if err := h.ApplyReset(sim.ResetCycles); err != nil {
 		return nil, fmt.Errorf("formal: init state: %w", err)
 	}
 	st := &State{vals: make([]Vec, len(m.sigs)), mems: make([][]Vec, len(m.sigs))}
@@ -439,24 +435,7 @@ func (m *Model) Step(st *State, in map[string]Vec) (*State, error) {
 	// Phase 1: clock low, combinational settle.
 	e.setClock(0)
 	e.sweep()
-	// Phase 2: clock high — comb readers of the clock first, then the
-	// posedge batch (no comb updates inside the batch, matching the event
-	// queue), then the NBA commit, then resettle.
-	e.setClock(1)
-	e.sweep()
-	for _, pi := range m.posedge {
-		e.runProc(m.procs[pi])
-	}
-	e.commitNBA()
-	e.sweep()
-	// Phase 3: clock low again — negedge batch under the new state.
-	e.setClock(0)
-	e.sweep()
-	for _, pi := range m.negedge {
-		e.runProc(m.procs[pi])
-	}
-	e.commitNBA()
-	e.sweep()
+	e.clockEdges()
 	return e.st, e.err
 }
 
@@ -494,6 +473,29 @@ func (e *sexec) fail(err error) {
 	if e.err == nil {
 		e.err = err
 	}
+}
+
+// clockEdges replays the clocked half of a harness cycle from the settled
+// clock-low state. Clock high: the comb readers of the clock first, then
+// the posedge batch (no comb updates inside the batch, matching the event
+// queue), then the NBA commit, then a resettle. Clock low again: the
+// negedge batch under the new state, its commit and a resettle.
+func (e *sexec) clockEdges() {
+	m := e.m
+	e.setClock(1)
+	e.sweep()
+	for _, pi := range m.posedge {
+		e.runProc(m.procs[pi])
+	}
+	e.commitNBA()
+	e.sweep()
+	e.setClock(0)
+	e.sweep()
+	for _, pi := range m.negedge {
+		e.runProc(m.procs[pi])
+	}
+	e.commitNBA()
+	e.sweep()
 }
 
 func (e *sexec) g() *AIG { return e.m.g }

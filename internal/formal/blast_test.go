@@ -56,7 +56,7 @@ func crossValidate(t *testing.T, src, top, clock string, cycles int, seed int64)
 		t.Fatal(err)
 	}
 	h := sim.NewHarness(inst, clock)
-	if err := h.ApplyReset(ResetCycles); err != nil {
+	if err := h.ApplyReset(sim.ResetCycles); err != nil {
 		t.Fatal(err)
 	}
 

@@ -236,7 +236,7 @@ func (u *miter) simulate(cs []corrWord) []corrWord {
 		return cs
 	}
 	ha, hb := sim.NewHarness(ia, u.ma.clock), sim.NewHarness(ib, u.mb.clock)
-	if ha.ApplyReset(ResetCycles) != nil || hb.ApplyReset(ResetCycles) != nil {
+	if ha.ApplyReset(sim.ResetCycles) != nil || hb.ApplyReset(sim.ResetCycles) != nil {
 		return cs
 	}
 	// Each harness takes a row in its Ports() order. a's free and frozen

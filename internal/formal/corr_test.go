@@ -222,7 +222,7 @@ func simulateMaps(u *miter, cs []corrWord) []corrWord {
 		return cs
 	}
 	ha, hb := sim.NewHarness(ia, u.ma.clock), sim.NewHarness(ib, u.mb.clock)
-	if ha.ApplyReset(ResetCycles) != nil || hb.ApplyReset(ResetCycles) != nil {
+	if ha.ApplyReset(sim.ResetCycles) != nil || hb.ApplyReset(sim.ResetCycles) != nil {
 		return cs
 	}
 	freeB := map[string]bool{}

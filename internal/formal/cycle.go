@@ -156,20 +156,7 @@ func NewCircuitShared(g *AIG, in map[string]Vec, prog *sim.Program, clock string
 		e.sweep()
 	}
 	mid := e.st.clone()
-	e.setClock(1)
-	e.sweep()
-	for _, pi := range m.posedge {
-		e.runProc(m.procs[pi])
-	}
-	e.commitNBA()
-	e.sweep()
-	e.setClock(0)
-	e.sweep()
-	for _, pi := range m.negedge {
-		e.runProc(m.procs[pi])
-	}
-	e.commitNBA()
-	e.sweep()
+	e.clockEdges()
 	if e.err != nil {
 		return nil, e.err
 	}

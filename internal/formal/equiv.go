@@ -312,10 +312,10 @@ func ReplayCex(srcA, srcB, top, clock string, cex *Counterexample, backend sim.B
 		return true, 0, nil // b does not even elaborate: divergent by definition
 	}
 	hA, hB := sim.NewHarness(sA, clock), sim.NewHarness(sB, clock)
-	if err := hA.ApplyReset(ResetCycles); err != nil {
+	if err := hA.ApplyReset(sim.ResetCycles); err != nil {
 		return false, 0, err
 	}
-	if err := hB.ApplyReset(ResetCycles); err != nil {
+	if err := hB.ApplyReset(sim.ResetCycles); err != nil {
 		return true, 0, nil
 	}
 	for cyc, in := range cex.Inputs {

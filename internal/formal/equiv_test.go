@@ -175,10 +175,10 @@ endmodule
 			t.Fatal(err)
 		}
 		hG, hB := sim.NewHarness(sG, "clk"), sim.NewHarness(sB, "clk")
-		if err := hG.ApplyReset(ResetCycles); err != nil {
+		if err := hG.ApplyReset(sim.ResetCycles); err != nil {
 			t.Fatal(err)
 		}
-		if err := hB.ApplyReset(ResetCycles); err != nil {
+		if err := hB.ApplyReset(sim.ResetCycles); err != nil {
 			t.Fatal(err)
 		}
 		divergedAt := -1

@@ -20,7 +20,7 @@ const enumBitBudget = 10
 // ground truth instead of against each other. Every dataset (golden,
 // golden) and (golden, functional mutant) pair small enough to enumerate
 // has every input sequence of its depth driven through sim.Batch under
-// the formal protocol — ApplyReset(ResetCycles), the reset held
+// the formal protocol — ApplyReset(sim.ResetCycles), the reset held
 // deasserted, outputs compared on the golden's ports with ports the
 // mutant lacks reading zero. BMCEquivOpts must then report Equivalent
 // at Depth = k exactly when no sequence diverges, and otherwise refute
@@ -199,10 +199,10 @@ func earliestDivergence(a, b *sim.Program, clock string, free []sim.PortInfo, bi
 	if err != nil {
 		return 0, err
 	}
-	if err := ba.ApplyReset(formal.ResetCycles); err != nil {
+	if err := ba.ApplyReset(sim.ResetCycles); err != nil {
 		return 0, err
 	}
-	if err := bb.ApplyReset(formal.ResetCycles); err != nil {
+	if err := bb.ApplyReset(sim.ResetCycles); err != nil {
 		return 0, err
 	}
 	// Ports the mutant lacks read zero on its side.

@@ -24,29 +24,44 @@ type CoverRun struct {
 	RandomPct   float64     // structural coverage of uniform random stimulus
 	DirectedPct float64     // structural coverage of directed stimulus, same budget
 	Corpus      *uvm.Corpus // coverage-raising snippets the directed run saved
-	NewPoints   int         // shape points this design added to the cumulative map
+	NewPoints   int         // shape points this design added to the cumulative set
 	Kept        bool        // NewPoints > 0: the design joins the corpus
+}
+
+// Shapes is the cumulative set of generator-shape points that the kept
+// designs' directed runs hit. The generator's deterministic naming makes
+// structurally analogous points — "p3.s1.then", "w2[5]" — comparable
+// across designs, whose coverage maps each count over their own universe.
+type Shapes map[cover.Point]bool
+
+// fresh returns the points m hits that s does not hold yet.
+func (s Shapes) fresh(m *cover.Map) []cover.Point {
+	var out []cover.Point
+	for _, p := range m.Points() {
+		if !s[p] && m.Count(p) != 0 {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // CoverSweep generates designs for seeds seed..seed+n-1 and evaluates
 // each with both stimulus generators at an equal cycle budget, the
 // directed one scoring `lanes` candidates per round on the batch scorer
-// (one when lanes <= 1). Designs are scored against a cumulative map of
-// generator-shape points (the generator's deterministic naming makes
-// structurally analogous points — "p3.s1.then", "w2[5]" — comparable
-// across designs): a design is kept when its directed run hits shapes no
-// kept design has hit before, so the retained set grows only while the
-// design space still yields new structure. The cumulative map is
-// returned alongside the runs.
-func CoverSweep(seed int64, n, cycles, lanes int) ([]CoverRun, *cover.Map, error) {
-	cum := cover.New()
+// (one when lanes <= 1). Designs are scored against the cumulative
+// Shapes: a design is kept when its directed run hits shapes no kept
+// design has hit before, so the retained set grows only while the design
+// space still yields new structure. The cumulative set is returned
+// alongside the runs.
+func CoverSweep(seed int64, n, cycles, lanes int) ([]CoverRun, Shapes, error) {
+	cum := Shapes{}
 	runs, err := coverSweepInto(cum, seed, n, cycles, lanes)
 	return runs, cum, err
 }
 
-// coverSweepInto runs the sweep against an existing cumulative map, so
-// repeated shapes stop being kept once the map has absorbed them.
-func coverSweepInto(cum *cover.Map, seed int64, n, cycles, lanes int) ([]CoverRun, error) {
+// coverSweepInto runs the sweep against an existing cumulative set, so
+// repeated shapes stop being kept once the set holds them.
+func coverSweepInto(cum Shapes, seed int64, n, cycles, lanes int) ([]CoverRun, error) {
 	runs := make([]CoverRun, 0, n)
 	for i := 0; i < n; i++ {
 		d := Generate(seed + int64(i))
@@ -54,11 +69,11 @@ func coverSweepInto(cum *cover.Map, seed int64, n, cycles, lanes int) ([]CoverRu
 		if err != nil {
 			return runs, fmt.Errorf("seed %d: %w", d.Seed, err)
 		}
-		dirMap := run.dirMap
-		run.CoverRun.NewPoints = cum.Gain(dirMap)
-		run.CoverRun.Kept = run.CoverRun.NewPoints > 0
-		if run.CoverRun.Kept {
-			cum.Merge(dirMap)
+		fresh := cum.fresh(run.dirMap)
+		run.CoverRun.NewPoints = len(fresh)
+		run.CoverRun.Kept = len(fresh) > 0
+		for _, p := range fresh {
+			cum[p] = true
 		}
 		runs = append(runs, run.CoverRun)
 	}
@@ -95,7 +110,7 @@ func coverOne(d *Design, cycles, lanes int) (coverOneResult, error) {
 
 // FormatCoverSweep renders a sweep as a table plus the cumulative
 // summary line the CLI prints.
-func FormatCoverSweep(runs []CoverRun, cum *cover.Map) string {
+func FormatCoverSweep(runs []CoverRun, cum Shapes) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %-20s %9s %9s %6s %5s\n", "seed", "flavor", "random%", "direct%", "new", "kept")
 	kept := 0
@@ -108,6 +123,6 @@ func FormatCoverSweep(runs []CoverRun, cum *cover.Map) string {
 		fmt.Fprintf(&b, "%-14d %-20s %9.1f %9.1f %6d %5s\n",
 			r.Design.Seed, r.Design.Flavor, r.RandomPct, r.DirectedPct, r.NewPoints, k)
 	}
-	fmt.Fprintf(&b, "kept %d/%d designs; cumulative shape coverage %d points hit\n", kept, len(runs), cum.Hit())
+	fmt.Fprintf(&b, "kept %d/%d designs; cumulative shape coverage %d points hit\n", kept, len(runs), len(cum))
 	return b.String()
 }

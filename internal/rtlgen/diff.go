@@ -63,15 +63,15 @@ func DiffBackends(src, top, clock string, cycles int, seed int64) (DiffReport, e
 	// Structural coverage joins the observable set: the encoded maps must
 	// be byte-identical across backends, which additionally cross-checks
 	// the compiled condition probes against the interpreter's evaluator.
-	if err := hE.EnableCover(sim.CoverAll()); err != nil {
+	if err := hE.EnableCover(); err != nil {
 		return rep, fmt.Errorf("cover (event): %v", err)
 	}
-	if err := hC.EnableCover(sim.CoverAll()); err != nil {
+	if err := hC.EnableCover(); err != nil {
 		return rep, fmt.Errorf("cover (compiled): %v", err)
 	}
 
-	rstE := hE.ApplyReset(2)
-	rstC := hC.ApplyReset(2)
+	rstE := hE.ApplyReset(sim.ResetCycles)
+	rstC := hC.ApplyReset(sim.ResetCycles)
 	if !errEqual(rstE, rstC) {
 		return rep, fmt.Errorf("reset diverged: event=%v compiled=%v", rstE, rstC)
 	}
@@ -225,7 +225,7 @@ func tracesDivergeOn(golden, mutant, top, clock string, cycles int, seed int64, 
 	}
 	hG := sim.NewHarness(sG, clock)
 	hM := sim.NewHarness(sM, clock)
-	if errEqual(hG.ApplyReset(2), hM.ApplyReset(2)) == false {
+	if errEqual(hG.ApplyReset(sim.ResetCycles), hM.ApplyReset(sim.ResetCycles)) == false {
 		return true, 0, nil
 	}
 	rng := rand.New(rand.NewSource(seed))

@@ -44,7 +44,7 @@ func DiffLanes(src, top, clock string, lanes, cycles int, seed int64) (bool, err
 		// the batch failing to construct the same instances is a divergence.
 		return false, fmt.Errorf("batch construction: %v", err)
 	}
-	if err := b.EnableCover(sim.CoverAll()); err != nil {
+	if err := b.EnableCover(); err != nil {
 		return false, fmt.Errorf("batch cover: %v", err)
 	}
 	engines := []sim.LaneEngine{b}
@@ -62,18 +62,18 @@ func DiffLanes(src, top, clock string, lanes, cycles int, seed int64) (bool, err
 			return false, fmt.Errorf("lane %d standalone instance: %v", k, err)
 		}
 		refs[k] = sim.NewHarness(inst, clock)
-		if err := refs[k].EnableCover(sim.CoverAll()); err != nil {
+		if err := refs[k].EnableCover(); err != nil {
 			return false, fmt.Errorf("lane %d cover: %v", k, err)
 		}
 	}
 
 	for _, eng := range engines {
-		if err := eng.ApplyReset(2); err != nil {
+		if err := eng.ApplyReset(sim.ResetCycles); err != nil {
 			return false, fmt.Errorf("%T reset: %v", eng, err)
 		}
 	}
 	for k, h := range refs {
-		refErrs[k] = h.ApplyReset(2)
+		refErrs[k] = h.ApplyReset(sim.ResetCycles)
 		if err := sameLaneErr(engines, k, refErrs[k]); err != nil {
 			return false, fmt.Errorf("lane %d reset diverged: %v", k, err)
 		}

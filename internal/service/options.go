@@ -94,15 +94,6 @@ func (o Options) SimBackend() sim.Backend {
 	return b
 }
 
-// CoverOptions returns the sim coverage selection the Cover knob stands
-// for: everything on, or the zero (free) value.
-func (o Options) CoverOptions() sim.CoverOptions {
-	if o.Cover {
-		return sim.CoverAll()
-	}
-	return sim.CoverOptions{}
-}
-
 // BMCDepth returns the effective formal unrolling depth.
 func (o Options) BMCDepth() int {
 	if o.FormalDepth > 0 {
@@ -115,7 +106,7 @@ func (o Options) BMCDepth() int {
 // job-specific field of base untouched.
 func (o Options) Core(base core.Options) core.Options {
 	base.Backend = o.SimBackend()
-	base.Cover = o.CoverOptions()
+	base.Cover = o.Cover
 	return base
 }
 

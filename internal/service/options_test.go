@@ -94,7 +94,7 @@ func TestOptionsAdapters(t *testing.T) {
 	o := Options{Backend: "event", Cover: true}
 
 	co := o.Core(core.Options{Seed: 7, MaxIterations: 5})
-	if co.Backend != sim.BackendEventDriven || !co.Cover.Any() {
+	if co.Backend != sim.BackendEventDriven || !co.Cover {
 		t.Fatalf("Core adapter dropped shared knobs: %+v", co)
 	}
 	if co.Seed != 7 || co.MaxIterations != 5 {

@@ -71,7 +71,7 @@ func NewBatch(p *Program, lanes int, clock string) (*Batch, error) {
 func (b *Batch) Lanes() int { return len(b.lanes) }
 
 // Lane returns lane k's Instance — a real Instance of the shared Program,
-// so Snapshot, Restore, Get, GetMem and EnableCover all work per lane.
+// so Snapshot, Restore, Get, GetMem and Coverage all work per lane.
 func (b *Batch) Lane(k int) *Instance { return b.lanes[k].Sim }
 
 // Err returns the error that made lane k inert, or nil while it is live.
@@ -81,24 +81,23 @@ func (b *Batch) Err(k int) error { return b.errs[k] }
 // declaration order. Cycle rows must align with this slice.
 func (b *Batch) Ports() []PortInfo { return b.lanes[0].Ports() }
 
-// EnableCover enables structural coverage on every lane, excluding the
-// batch clock from the toggle universe exactly like Harness.EnableCover.
-func (b *Batch) EnableCover(opts CoverOptions) error {
+// EnableCover enables structural coverage on every lane through
+// Harness.EnableCover, so the batch clock's points are left out exactly
+// as on a standalone harness.
+func (b *Batch) EnableCover() error {
 	for k := range b.lanes {
-		if err := b.EnableCoverLane(k, opts); err != nil {
+		if err := b.EnableCoverLane(k); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// EnableCoverLane enables (or, with a zero CoverOptions, disables)
-// structural coverage on one lane through Harness.EnableCover. The
+// EnableCoverLane enables structural coverage on one lane through
+// Harness.EnableCover, replacing the lane's map with an empty one. The
 // directed-stimulus scorer uses this to give each speculative lane a
 // fresh per-round map.
-func (b *Batch) EnableCoverLane(k int, opts CoverOptions) error {
-	return b.lanes[k].EnableCover(opts)
-}
+func (b *Batch) EnableCoverLane(k int) error { return b.lanes[k].EnableCover() }
 
 // Coverage returns lane k's accumulated coverage map, or nil when
 // coverage is off.

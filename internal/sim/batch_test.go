@@ -36,7 +36,7 @@ func harnessRef(t *testing.T, p *Program, lane, cycles int, withCover bool) (*Ha
 	}
 	h := NewHarness(inst, "clk")
 	if withCover {
-		if err := h.EnableCover(CoverAll()); err != nil {
+		if err := h.EnableCover(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestBatchMatchesHarness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.EnableCover(CoverAll()); err != nil {
+			if err := b.EnableCover(); err != nil {
 				t.Fatal(err)
 			}
 			outs := runBatch(t, b, cycles)
@@ -356,7 +356,7 @@ func TestBatchWorkersByteIdentical(t *testing.T) {
 	run := func() (*Batch, [][][]uint64, error) {
 		b, err := NewBatch(p, lanes, "clk")
 		if err == nil {
-			err = b.EnableCover(CoverAll())
+			err = b.EnableCover()
 		}
 		if err != nil {
 			return nil, nil, err
@@ -517,7 +517,7 @@ func TestBatchRandomizedAgainstHarness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.EnableCover(CoverAll()); err != nil {
+			if err := b.EnableCover(); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.ApplyReset(2); err != nil {
@@ -558,7 +558,7 @@ func TestBatchRandomizedAgainstHarness(t *testing.T) {
 					t.Fatal(err)
 				}
 				h := NewHarness(inst, "clk")
-				if err := h.EnableCover(CoverAll()); err != nil {
+				if err := h.EnableCover(); err != nil {
 					t.Fatal(err)
 				}
 				if err := h.ApplyReset(2); err != nil {

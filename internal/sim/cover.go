@@ -13,62 +13,28 @@ package sim
 // the encoded coverage maps (which additionally cross-checks the
 // compiled condition probes against the interpreter's evaluator).
 //
-// The instrumentation is zero-overhead when off: the only cost on a
-// non-covering instance is one nil check per harness cycle, and nothing
-// is added to the signal-store or settle hot paths. The coverage plan —
-// point enumeration and compiled condition probes — is built lazily,
-// once per Program, and shared by every covering instance. The plan
-// gives every point a slot; each option set gets one cover.Universe of
-// the points it collects, built once under the plan's lock, so every
-// covering instance of a program counts over the same universe and
-// sampling is one slice increment.
+// Coverage is one configuration: every model (statements, branches,
+// toggles, FSM occupancy), with the harness clock's toggle and FSM points
+// left out — the clock is low at both sample instants, so its high phase
+// is unobservable by construction. The instrumentation is zero-overhead
+// when off: the only cost on a non-covering instance is one nil check per
+// harness cycle, and nothing is added to the signal-store or settle hot
+// paths. The coverage plan — point universe and compiled condition
+// probes — is built lazily, once per (Program, harness clock), and shared
+// by every covering instance of that pair. Its points are numbered by
+// their slots in the plan's cover.Universe, so every covering instance
+// counts over the same universe and sampling is one slice increment.
 
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 
 	"uvllm/internal/cover"
 	"uvllm/internal/verilog"
 )
 
-// CoverOptions selects the structural coverage models an Instance
-// collects. The zero value disables coverage entirely.
-type CoverOptions struct {
-	// Statements counts executable statements of always-block bodies
-	// reached by the settled pre-edge state.
-	Statements bool
-	// Branches counts if/case arms (including implicit empty elses and
-	// case defaults) selected by the settled pre-edge state.
-	Branches bool
-	// Toggles records every non-memory signal bit observed at 0 and at 1
-	// in the post-cycle state.
-	Toggles bool
-	// FSM records state and transition occupancy of inferred FSM
-	// registers (sequentially written signals dispatched on by a case
-	// statement with constant arms).
-	FSM bool
-
-	// ExcludeSignals names signals left out of the toggle and FSM
-	// universes. The harness adds its clock automatically: the clock is
-	// low at both sample instants, so its high phase is unobservable by
-	// construction.
-	ExcludeSignals []string
-}
-
-// CoverAll enables every coverage model.
-func CoverAll() CoverOptions {
-	return CoverOptions{Statements: true, Branches: true, Toggles: true, FSM: true}
-}
-
-// Any reports whether at least one coverage model is enabled.
-func (o CoverOptions) Any() bool {
-	return o.Statements || o.Branches || o.Toggles || o.FSM
-}
-
 // ---------------------------------------------------------------------------
-// Coverage plan: per-Program point enumeration and condition probes.
+// Coverage plan: per-(Program, clock) point universe and condition probes.
 
 // coverProbe evaluates one branch condition or case-arm expression at its
 // self-determined width against an instance's current state. ok is false
@@ -114,13 +80,8 @@ type coverArm struct {
 	sub  []*coverNode
 }
 
-type coverProcPlan struct {
-	nodes []*coverNode
-}
-
 type coverTogglePlan struct {
 	sig   int
-	name  string
 	width int
 	pts0  []int32
 	pts1  []int32
@@ -128,43 +89,53 @@ type coverTogglePlan struct {
 
 type coverFSMPlan struct {
 	sig      int
-	name     string
 	statePts map[uint64]int32
 	transPts map[[2]uint64]int32
 }
 
-// coverPlan is the per-Program coverage structure. Everything but the
-// view cache is immutable once built.
+// coverPlan is the coverage structure of one Program under one harness
+// clock: the point universe, the statement and branch nodes with their
+// condition probes, and the toggle and FSM samplers, every point numbered
+// by its slot in the universe. A plan is immutable once built and shared
+// by every covering instance of the program under that clock.
 type coverPlan struct {
-	points  []cover.Point // by plan slot
-	procs   []coverProcPlan
+	u       *cover.Universe
+	procs   [][]*coverNode // one node list per always block
 	toggles []coverTogglePlan
 	fsms    []coverFSMPlan
-
-	mu    sync.Mutex
-	views map[string]*coverView // by coverKey
 }
 
-// slot gives p the next plan slot.
-func (plan *coverPlan) slot(p cover.Point) int32 {
-	plan.points = append(plan.points, p)
-	return int32(len(plan.points) - 1)
+// coverPlan returns the program's coverage plan for a harness clocked by
+// clock ("" for none), building it on first use under the program's lock.
+func (p *Program) coverPlan(clock string) *coverPlan {
+	p.coverMu.Lock()
+	defer p.coverMu.Unlock()
+	plan := p.coverPlans[clock]
+	if plan == nil {
+		if p.coverPlans == nil {
+			p.coverPlans = map[string]*coverPlan{}
+		}
+		plan = buildCoverPlan(p, clock)
+		p.coverPlans[clock] = plan
+	}
+	return plan
 }
 
-// coverPlan returns the program's coverage plan, building it on first
-// use. The plan is immutable and shared by all instances.
-func (p *Program) coverPlan() *coverPlan {
-	p.coverOnce.Do(func() {
-		p.coverP = buildCoverPlan(p)
-	})
-	return p.coverP
+// coverPoints numbers the points of a plan under construction: build
+// slot s is the s-th point handed to slot.
+type coverPoints []cover.Point
+
+// slot gives p the next build slot.
+func (ps *coverPoints) slot(p cover.Point) int32 {
+	*ps = append(*ps, p)
+	return int32(len(*ps) - 1)
 }
 
 // maxFSMStates bounds the inferred-FSM state universe so the transition
 // cross product (states²) stays small.
 const maxFSMStates = 16
 
-func buildCoverPlan(p *Program) *coverPlan {
+func buildCoverPlan(p *Program, clock string) *coverPlan {
 	d := p.d
 	// The scratch compiler serves two roles: constant evaluation of case
 	// arms for FSM inference (both backends), and — on the compiled
@@ -174,6 +145,7 @@ func buildCoverPlan(p *Program) *coverPlan {
 	compiled := p.backend == BackendCompiled
 
 	plan := &coverPlan{}
+	var pts coverPoints
 
 	// Statement/branch plan: always-block bodies only. Continuous
 	// assignments and port connections are structureless (one expression,
@@ -183,23 +155,23 @@ func buildCoverPlan(p *Program) *coverPlan {
 		if pr.body == nil || pr.kind == procInit {
 			continue
 		}
-		b := &coverNodeBuilder{plan: plan, comp: comp, compiled: compiled, prefix: fmt.Sprintf("p%d", pr.idx)}
-		nodes := b.build(pr, pr.body)
-		if len(nodes) > 0 {
-			plan.procs = append(plan.procs, coverProcPlan{nodes: nodes})
+		b := &coverNodeBuilder{pts: &pts, comp: comp, compiled: compiled, prefix: fmt.Sprintf("p%d", pr.idx)}
+		if nodes := b.build(pr, pr.body); len(nodes) > 0 {
+			plan.procs = append(plan.procs, nodes)
 		}
 	}
 
-	// Toggle plan: every scalar (non-memory) signal bit, both directions.
+	// Toggle plan: every scalar (non-memory) signal bit but the clock's,
+	// both directions.
 	for i, si := range d.sigs {
-		if si.isMem || si.width <= 0 {
+		if si.isMem || si.width <= 0 || si.name == clock {
 			continue
 		}
-		tg := coverTogglePlan{sig: i, name: si.name, width: si.width}
+		tg := coverTogglePlan{sig: i, width: si.width}
 		for b := 0; b < si.width; b++ {
 			bit := fmt.Sprintf("%s[%d]", si.name, b)
-			tg.pts0 = append(tg.pts0, plan.slot(cover.Point{Kind: cover.KindToggle0, Name: bit}))
-			tg.pts1 = append(tg.pts1, plan.slot(cover.Point{Kind: cover.KindToggle1, Name: bit}))
+			tg.pts0 = append(tg.pts0, pts.slot(cover.Point{Kind: cover.KindToggle0, Name: bit}))
+			tg.pts1 = append(tg.pts1, pts.slot(cover.Point{Kind: cover.KindToggle1, Name: bit}))
 		}
 		plan.toggles = append(plan.toggles, tg)
 	}
@@ -207,13 +179,64 @@ func buildCoverPlan(p *Program) *coverPlan {
 	// FSM plan: a sequentially written register that some case statement
 	// dispatches on with all-constant arms is inferred to be a state
 	// register; its declared states are the arm constants.
-	plan.fsms = inferFSMs(d, comp, plan)
+	plan.fsms = inferFSMs(d, comp, &pts, clock)
+
+	plan.u = cover.NewUniverse(pts)
+	plan.renumber(pts)
 	return plan
+}
+
+// renumber moves every point of the plan from its build slot in pts to
+// its slot in plan.u, so sampling counts straight into a map over the
+// universe.
+func (plan *coverPlan) renumber(pts coverPoints) {
+	slot := make([]int32, len(pts))
+	for i, p := range pts {
+		s, _ := plan.u.Slot(p)
+		slot[i] = int32(s)
+	}
+	var walk func([]*coverNode)
+	walk = func(nodes []*coverNode) {
+		for _, n := range nodes {
+			n.stmt = slot[n.stmt]
+			switch n.kind {
+			case coverIf:
+				n.thenPt, n.elsePt = slot[n.thenPt], slot[n.elsePt]
+				walk(n.thenSub)
+				walk(n.elseSub)
+			case coverCase:
+				for i := range n.arms {
+					n.arms[i].pt = slot[n.arms[i].pt]
+					walk(n.arms[i].sub)
+				}
+				n.defPt = slot[n.defPt]
+				walk(n.defSub)
+			case coverFor:
+				walk(n.body)
+			}
+		}
+	}
+	for _, nodes := range plan.procs {
+		walk(nodes)
+	}
+	for _, tg := range plan.toggles {
+		for b := range tg.pts0 {
+			tg.pts0[b], tg.pts1[b] = slot[tg.pts0[b]], slot[tg.pts1[b]]
+		}
+	}
+	for _, f := range plan.fsms {
+		for v, s := range f.statePts {
+			f.statePts[v] = slot[s]
+		}
+		for t, s := range f.transPts {
+			f.transPts[t] = slot[s]
+		}
+	}
 }
 
 // coverNodeBuilder numbers statements within one process.
 type coverNodeBuilder struct {
-	plan     *coverPlan
+	pts      *coverPoints
 	comp     *compiler
 	compiled bool
 	prefix   string
@@ -247,11 +270,11 @@ func (b *coverNodeBuilder) build(pr *process, st verilog.Stmt) []*coverNode {
 		b.n++
 		id := fmt.Sprintf("%s.s%d", b.prefix, b.n)
 		n := &coverNode{
-			stmt:    b.plan.slot(cover.Point{Kind: cover.KindStmt, Name: id}),
+			stmt:    b.pts.slot(cover.Point{Kind: cover.KindStmt, Name: id}),
 			kind:    coverIf,
 			cond:    b.probe(v.Cond, pr.sc),
-			thenPt:  b.plan.slot(cover.Point{Kind: cover.KindBranch, Name: id + ".then"}),
-			elsePt:  b.plan.slot(cover.Point{Kind: cover.KindBranch, Name: id + ".else"}),
+			thenPt:  b.pts.slot(cover.Point{Kind: cover.KindBranch, Name: id + ".then"}),
+			elsePt:  b.pts.slot(cover.Point{Kind: cover.KindBranch, Name: id + ".else"}),
 			thenSub: b.build(pr, v.Then),
 		}
 		if v.Else != nil {
@@ -262,10 +285,10 @@ func (b *coverNodeBuilder) build(pr *process, st verilog.Stmt) []*coverNode {
 		b.n++
 		id := fmt.Sprintf("%s.s%d", b.prefix, b.n)
 		n := &coverNode{
-			stmt:  b.plan.slot(cover.Point{Kind: cover.KindStmt, Name: id}),
+			stmt:  b.pts.slot(cover.Point{Kind: cover.KindStmt, Name: id}),
 			kind:  coverCase,
 			sel:   b.probe(v.Expr, pr.sc),
-			defPt: b.plan.slot(cover.Point{Kind: cover.KindBranch, Name: id + ".default"}),
+			defPt: b.pts.slot(cover.Point{Kind: cover.KindBranch, Name: id + ".default"}),
 		}
 		armIdx := 0
 		for i := range v.Items {
@@ -275,7 +298,7 @@ func (b *coverNodeBuilder) build(pr *process, st verilog.Stmt) []*coverNode {
 				continue
 			}
 			arm := coverArm{
-				pt:  b.plan.slot(cover.Point{Kind: cover.KindBranch, Name: fmt.Sprintf("%s.a%d", id, armIdx)}),
+				pt:  b.pts.slot(cover.Point{Kind: cover.KindBranch, Name: fmt.Sprintf("%s.a%d", id, armIdx)}),
 				sub: b.build(pr, it.Body),
 			}
 			for _, ex := range it.Exprs {
@@ -293,25 +316,25 @@ func (b *coverNodeBuilder) build(pr *process, st verilog.Stmt) []*coverNode {
 		// state), so per-iteration branch decisions inside loops are
 		// approximated by the settled post-loop state.
 		return []*coverNode{{
-			stmt: b.plan.slot(cover.Point{Kind: cover.KindStmt, Name: id}),
+			stmt: b.pts.slot(cover.Point{Kind: cover.KindStmt, Name: id}),
 			kind: coverFor,
 			body: b.build(pr, v.Body),
 		}}
 	default:
 		b.n++
 		return []*coverNode{{
-			stmt: b.plan.slot(cover.Point{Kind: cover.KindStmt, Name: fmt.Sprintf("%s.s%d", b.prefix, b.n)}),
+			stmt: b.pts.slot(cover.Point{Kind: cover.KindStmt, Name: fmt.Sprintf("%s.s%d", b.prefix, b.n)}),
 			kind: coverPlain,
 		}}
 	}
 }
 
-// inferFSMs finds state registers: signals written by a sequential
-// process and dispatched on by a bare-identifier case statement whose
-// arms are all constant. The declared state set is the union of arm
-// constants over every such case (capped at maxFSMStates); the
-// transition universe is the full states×states cross product.
-func inferFSMs(d *Design, comp *compiler, plan *coverPlan) []coverFSMPlan {
+// inferFSMs finds state registers: signals other than the clock written
+// by a sequential process and dispatched on by a bare-identifier case
+// statement whose arms are all constant. The declared state set is the
+// union of arm constants over every such case (capped at maxFSMStates);
+// the transition universe is the full states×states cross product.
+func inferFSMs(d *Design, comp *compiler, pts *coverPoints, clock string) []coverFSMPlan {
 	seqWritten := map[int]bool{}
 	for _, pr := range d.procs {
 		if pr.kind == procSeq {
@@ -366,13 +389,12 @@ func inferFSMs(d *Design, comp *compiler, plan *coverPlan) []coverFSMPlan {
 	var plans []coverFSMPlan
 	// Deterministic order: signal index order.
 	for idx := 0; idx < len(d.sigs); idx++ {
-		if !ok[idx] || len(states[idx]) > maxFSMStates {
+		name := d.sigs[idx].name
+		if !ok[idx] || len(states[idx]) > maxFSMStates || name == clock {
 			continue
 		}
-		name := d.sigs[idx].name
 		f := coverFSMPlan{
 			sig:      idx,
-			name:     name,
 			statePts: map[uint64]int32{},
 			transPts: map[[2]uint64]int32{},
 		}
@@ -382,11 +404,11 @@ func inferFSMs(d *Design, comp *compiler, plan *coverPlan) []coverFSMPlan {
 		}
 		slices.Sort(vals)
 		for _, v := range vals {
-			f.statePts[v] = plan.slot(cover.Point{Kind: cover.KindState, Name: fmt.Sprintf("%s=%d", name, v)})
+			f.statePts[v] = pts.slot(cover.Point{Kind: cover.KindState, Name: fmt.Sprintf("%s=%d", name, v)})
 		}
 		for _, a := range vals {
 			for _, b := range vals {
-				f.transPts[[2]uint64{a, b}] = plan.slot(cover.Point{Kind: cover.KindTrans, Name: fmt.Sprintf("%s:%d->%d", name, a, b)})
+				f.transPts[[2]uint64{a, b}] = pts.slot(cover.Point{Kind: cover.KindTrans, Name: fmt.Sprintf("%s:%d->%d", name, a, b)})
 			}
 		}
 		plans = append(plans, f)
@@ -399,47 +421,36 @@ func inferFSMs(d *Design, comp *compiler, plan *coverPlan) []coverFSMPlan {
 
 // instCover is the mutable coverage state of one covering instance.
 type instCover struct {
-	opts    CoverOptions
 	plan    *coverPlan
-	view    *coverView
 	m       *cover.Map
 	fsmPrev []uint64
 	fsmSeen []bool
 }
 
-// EnableCover switches structural coverage collection on (or off, with a
-// zero CoverOptions), replacing any coverage collected so far. The full
-// point universe of the enabled models is registered immediately, so
-// Coverage().Percent() has its denominator before the first sample.
-// Every instance of one Program enabled with an equal option set counts
-// over one shared universe, so Merge and Gain between their maps are
-// slot loops.
+// enableCover switches structural coverage collection on under the
+// plan for clock, replacing any coverage collected so far. The plan's
+// whole universe is in the map from the start, so Coverage().Percent()
+// has its denominator before the first sample, and every instance of one
+// Program covered under one clock counts over the same universe, so Merge
+// and Gain between their maps are slot loops.
 // The accumulated coverage map is not part of Snapshot/Restore — it is
 // observational, and rewinding an instance does not un-observe its
 // history — but the FSM sampler's transition history is captured and
 // restored so a rewound instance never records a phantom transition out
 // of the pre-restore state (see Snapshot).
-func (s *Instance) EnableCover(opts CoverOptions) error {
-	if !opts.Any() {
-		s.cov = nil
-		return nil
-	}
+func (s *Instance) enableCover(clock string) error {
 	if s.program == nil {
 		return fmt.Errorf("sim: cover: instance has no program")
 	}
-	plan := s.program.coverPlan()
-	v := plan.view(opts)
-	ic := &instCover{opts: opts, plan: plan, view: v, m: v.u.NewMap()}
-	if opts.FSM {
-		ic.fsmPrev = make([]uint64, len(v.fsms))
-		ic.fsmSeen = make([]bool, len(v.fsms))
+	plan := s.program.coverPlan(clock)
+	s.cov = &instCover{
+		plan:    plan,
+		m:       plan.u.NewMap(),
+		fsmPrev: make([]uint64, len(plan.fsms)),
+		fsmSeen: make([]bool, len(plan.fsms)),
 	}
-	s.cov = ic
 	return nil
 }
-
-// CoverEnabled reports whether the instance is collecting coverage.
-func (s *Instance) CoverEnabled() bool { return s.cov != nil }
 
 // Coverage returns the accumulated structural coverage map, or nil when
 // coverage is not enabled. The returned map is live: it keeps
@@ -451,23 +462,18 @@ func (s *Instance) Coverage() *cover.Map {
 	return s.cov.m
 }
 
-// hit records one sample of the point at plan slot ps, if the instance's
-// option set collects it.
-func (ic *instCover) hit(ps int32) {
-	if s := ic.view.slots[ps]; s >= 0 {
-		ic.m.IncSlot(int(s))
-	}
-}
+// hit records one sample of the point at universe slot s.
+func (ic *instCover) hit(s int32) { ic.m.IncSlot(int(s)) }
 
 // coverSampleExec records statement and branch coverage against the
 // current (settled) state. The harness calls it at the pre-edge instant.
 func (s *Instance) coverSampleExec() {
 	ic := s.cov
-	if ic == nil || (!ic.opts.Statements && !ic.opts.Branches) {
+	if ic == nil {
 		return
 	}
-	for _, pp := range ic.plan.procs {
-		ic.walk(s, pp.nodes)
+	for _, nodes := range ic.plan.procs {
+		ic.walk(s, nodes)
 	}
 }
 
@@ -524,7 +530,7 @@ func (s *Instance) coverSampleState() {
 	if ic == nil {
 		return
 	}
-	for _, tg := range ic.view.toggles {
+	for _, tg := range ic.plan.toggles {
 		v := s.vals[tg.sig]
 		for b := 0; b < tg.width; b++ {
 			if v&(1<<uint(b)) != 0 {
@@ -534,8 +540,8 @@ func (s *Instance) coverSampleState() {
 			}
 		}
 	}
-	for i := range ic.view.fsms {
-		f := &ic.view.fsms[i]
+	for i := range ic.plan.fsms {
+		f := &ic.plan.fsms[i]
 		cur := s.vals[f.sig]
 		if ps, ok := f.statePts[cur]; ok {
 			ic.hit(ps)
@@ -548,133 +554,4 @@ func (s *Instance) coverSampleState() {
 		ic.fsmPrev[i] = cur
 		ic.fsmSeen[i] = true
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Per-option-set views: the universe an option set collects.
-
-// coverView is the coverage plan restricted to one option set: the
-// universe of the points it collects, where each plan slot counts in
-// that universe, and the toggle and FSM plans left after exclusions.
-// Views are immutable and shared by every instance enabled with an
-// equal option set.
-type coverView struct {
-	u       *cover.Universe
-	slots   []int32 // plan slot -> universe slot; -1 when not collected
-	toggles []coverTogglePlan
-	fsms    []coverFSMPlan
-}
-
-// coverKey identifies an option set: the enabled models and the set of
-// excluded signals.
-func coverKey(o CoverOptions) string {
-	ex := slices.Clone(o.ExcludeSignals)
-	sort.Strings(ex)
-	return fmt.Sprintf("%t %t %t %t %q", o.Statements, o.Branches, o.Toggles, o.FSM, slices.Compact(ex))
-}
-
-// view returns the plan's view for opts, building it on first use.
-func (plan *coverPlan) view(opts CoverOptions) *coverView {
-	key := coverKey(opts)
-	plan.mu.Lock()
-	defer plan.mu.Unlock()
-	if v := plan.views[key]; v != nil {
-		return v
-	}
-	if plan.views == nil {
-		plan.views = map[string]*coverView{}
-	}
-	v := plan.buildView(opts)
-	plan.views[key] = v
-	return v
-}
-
-func (plan *coverPlan) buildView(opts CoverOptions) *coverView {
-	excluded := map[string]bool{}
-	for _, n := range opts.ExcludeSignals {
-		excluded[n] = true
-	}
-	v := &coverView{}
-	var on []int32 // plan slots collected under opts
-	if opts.Statements || opts.Branches {
-		for _, pp := range plan.procs {
-			on = collectNodes(on, opts, pp.nodes)
-		}
-	}
-	if opts.Toggles {
-		for _, tg := range plan.toggles {
-			if excluded[tg.name] {
-				continue
-			}
-			v.toggles = append(v.toggles, tg)
-			on = append(append(on, tg.pts0...), tg.pts1...)
-		}
-	}
-	if opts.FSM {
-		for _, f := range plan.fsms {
-			if excluded[f.name] {
-				continue
-			}
-			v.fsms = append(v.fsms, f)
-			for _, ps := range f.statePts {
-				on = append(on, ps)
-			}
-			for _, ps := range f.transPts {
-				on = append(on, ps)
-			}
-		}
-	}
-	pts := make([]cover.Point, len(on))
-	for i, ps := range on {
-		pts[i] = plan.points[ps]
-	}
-	v.u = cover.NewUniverse(pts)
-	v.slots = make([]int32, len(plan.points))
-	for i := range v.slots {
-		v.slots[i] = -1
-	}
-	for _, ps := range on {
-		s, _ := v.u.Slot(plan.points[ps])
-		v.slots[ps] = int32(s)
-	}
-	return v
-}
-
-// collectNodes appends the plan slots of the statement and branch points
-// opts collects in nodes.
-func collectNodes(on []int32, opts CoverOptions, nodes []*coverNode) []int32 {
-	for _, n := range nodes {
-		if opts.Statements {
-			on = append(on, n.stmt)
-		}
-		switch n.kind {
-		case coverIf:
-			if opts.Branches {
-				on = append(on, n.thenPt, n.elsePt)
-			}
-			on = collectNodes(on, opts, n.thenSub)
-			on = collectNodes(on, opts, n.elseSub)
-		case coverCase:
-			if opts.Branches {
-				for i := range n.arms {
-					on = append(on, n.arms[i].pt)
-				}
-				on = append(on, n.defPt)
-			}
-			for i := range n.arms {
-				on = collectNodes(on, opts, n.arms[i].sub)
-			}
-			on = collectNodes(on, opts, n.defSub)
-		case coverFor:
-			on = collectNodes(on, opts, n.body)
-		}
-	}
-	return on
-}
-
-// coverOnceState is embedded in Program (declared here to keep all
-// coverage structure in one file).
-type coverOnceState struct {
-	coverOnce sync.Once
-	coverP    *coverPlan
 }

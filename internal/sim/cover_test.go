@@ -48,7 +48,7 @@ func coverRun(t *testing.T, backend Backend, cycles int, seed int64) *cover.Map 
 		t.Fatalf("compile: %v", err)
 	}
 	h := NewHarness(s, "clk")
-	if err := h.EnableCover(CoverAll()); err != nil {
+	if err := h.EnableCover(); err != nil {
 		t.Fatalf("EnableCover: %v", err)
 	}
 	if err := h.ApplyReset(2); err != nil {
@@ -69,7 +69,7 @@ func TestCoverageDisabledByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := NewHarness(s, "clk")
-	if h.Coverage() != nil || s.CoverEnabled() {
+	if h.Coverage() != nil {
 		t.Fatal("coverage must be off by default")
 	}
 	if _, err := h.Cycle(map[string]uint64{"rst_n": 1, "in": 1}); err != nil {
@@ -136,33 +136,6 @@ func TestCoverageCrossBackendByteIdentical(t *testing.T) {
 	}
 }
 
-func TestCoverageOptionsSubset(t *testing.T) {
-	s, err := CompileAndNew(coverFSMSrc, "cfsm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := NewHarness(s, "clk")
-	if err := h.EnableCover(CoverOptions{Toggles: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Cycle(map[string]uint64{"rst_n": 1, "in": 1}); err != nil {
-		t.Fatal(err)
-	}
-	m := h.Coverage()
-	for _, p := range m.Points() {
-		if p.Kind != cover.KindToggle0 && p.Kind != cover.KindToggle1 {
-			t.Fatalf("toggle-only universe contains %s", p)
-		}
-	}
-	// Disabling drops the map.
-	if err := h.EnableCover(CoverOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if h.Coverage() != nil {
-		t.Fatal("zero CoverOptions must disable coverage")
-	}
-}
-
 func TestCoverageSharedProgramIndependentInstances(t *testing.T) {
 	p, err := CompileSource(coverFSMSrc, "cfsm", BackendCompiled)
 	if err != nil {
@@ -174,7 +147,7 @@ func TestCoverageSharedProgramIndependentInstances(t *testing.T) {
 			t.Fatal(err)
 		}
 		h := NewHarness(inst, "clk")
-		if err := h.EnableCover(CoverAll()); err != nil {
+		if err := h.EnableCover(); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < cycles; i++ {
@@ -199,25 +172,22 @@ func TestCoverageSharedProgramIndependentInstances(t *testing.T) {
 	}
 }
 
-// TestCoverageConcurrentEnable: goroutines that enable coverage under
-// two option sets on instances of one Program, and drive the same
-// stimulus, build the plan and one universe per option set between them
-// and encode exactly what a sequential run does. Run it with -race.
+// TestCoverageConcurrentEnable: goroutines that enable coverage on
+// instances of one Program under two harness clocks, and drive the same
+// stimulus, build one plan per clock between them and encode exactly
+// what a sequential run does. Run it with -race.
 func TestCoverageConcurrentEnable(t *testing.T) {
-	optSets := []CoverOptions{
-		CoverAll(),
-		{Statements: true, Toggles: true, FSM: true, ExcludeSignals: []string{"in"}},
-	}
-	run := func(p *Program, opts CoverOptions) ([]byte, error) {
+	clocks := []string{"clk", ""}
+	run := func(p *Program, clock string) ([]byte, error) {
 		inst, err := p.NewInstance()
 		if err != nil {
 			return nil, err
 		}
-		h := NewHarness(inst, "clk")
-		if err := h.EnableCover(opts); err != nil {
+		h := NewHarness(inst, clock)
+		if err := h.EnableCover(); err != nil {
 			return nil, err
 		}
-		if err := h.ApplyReset(2); err != nil {
+		if err := h.ApplyReset(ResetCycles); err != nil {
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(5))
@@ -232,14 +202,14 @@ func TestCoverageConcurrentEnable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([][]byte, len(optSets))
-	for i, o := range optSets {
-		if want[i], err = run(seq, o); err != nil {
+	want := make([][]byte, len(clocks))
+	for i, c := range clocks {
+		if want[i], err = run(seq, c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if bytes.Equal(want[0], want[1]) {
-		t.Fatal("the two option sets collect the same universe")
+		t.Fatal("the two clocks collect the same universe")
 	}
 	p, err := CompileSource(coverFSMSrc, "cfsm", BackendCompiled)
 	if err != nil {
@@ -250,7 +220,7 @@ func TestCoverageConcurrentEnable(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got, err := run(p, optSets[g%2])
+			got, err := run(p, clocks[g%2])
 			if err != nil {
 				t.Error(err)
 				return
@@ -261,7 +231,7 @@ func TestCoverageConcurrentEnable(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := len(p.coverPlan().views); n != len(optSets) {
-		t.Fatalf("%d cached universes for %d option sets", n, len(optSets))
+	if n := len(p.coverPlans); n != len(clocks) {
+		t.Fatalf("%d cached plans for %d clocks", n, len(clocks))
 	}
 }

@@ -116,7 +116,7 @@ func diffBackends(t *testing.T, name, src, top, clock string, cycles int, seed i
 func coveredHarness(t *testing.T, name string, s *sim.Instance, clock string) *sim.Harness {
 	t.Helper()
 	h := sim.NewHarness(s, clock)
-	if err := h.EnableCover(sim.CoverAll()); err != nil {
+	if err := h.EnableCover(); err != nil {
 		t.Fatalf("%s: cover: %v", name, err)
 	}
 	return h

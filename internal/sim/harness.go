@@ -307,16 +307,12 @@ func (h *Harness) step() error {
 func (h *Harness) CycleCount() int { return h.cycle }
 
 // EnableCover switches structural coverage collection on for the
-// harnessed instance, automatically excluding the harness clock from the
-// toggle universe (the clock is low at both sample instants, so its high
-// phase is unobservable by construction). A zero CoverOptions disables
-// collection.
-func (h *Harness) EnableCover(opts CoverOptions) error {
-	if opts.Any() && h.Clock != "" {
-		opts.ExcludeSignals = append(append([]string(nil), opts.ExcludeSignals...), h.Clock)
-	}
-	return h.Sim.EnableCover(opts)
-}
+// harnessed instance, replacing any coverage collected so far: every
+// model (statements, branches, toggles, FSM occupancy), with the harness
+// clock's toggle and FSM points left out (the clock is low at both sample
+// instants, so its high phase is unobservable by construction). Every
+// harness over one Program and clock counts over one shared universe.
+func (h *Harness) EnableCover() error { return h.Sim.enableCover(h.Clock) }
 
 // Coverage returns the accumulated structural coverage map, or nil when
 // coverage is not enabled.
@@ -386,6 +382,12 @@ func FindReset(d *Design) (string, bool) {
 	}
 	return "", false
 }
+
+// ResetCycles is the length of the reset phase that every verification
+// protocol drives before its stimulus: the UVM run, the directed and
+// lane scorers, the bit-parallel classifier, the differential oracles
+// and formal's initial state.
+const ResetCycles = 2
 
 // ApplyReset drives the reset sequence: assert reset for cycles clock
 // edges with the other inputs holding, then deassert and settle. The

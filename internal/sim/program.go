@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"uvllm/internal/verilog"
 )
@@ -20,7 +21,10 @@ type Program struct {
 	code      *program // compiled closures; nil on the event-driven backend
 	levelized bool
 
-	coverOnceState // lazily built structural-coverage plan (cover.go)
+	// Structural-coverage plans by harness clock, each built on first use
+	// (cover.go).
+	coverMu    sync.Mutex
+	coverPlans map[string]*coverPlan
 }
 
 // Compile elaborates top in f and, on the compiled backend, lowers the
@@ -139,7 +143,6 @@ type Snapshot struct {
 
 	covPrev []uint64 // FSM sampler history; nil when coverage was off
 	covSeen []bool
-	covOn   bool // coverage (with FSM model) was enabled at capture time
 }
 
 // Snapshot captures the instance's state. Call it between Settle
@@ -163,8 +166,7 @@ func (s *Instance) Snapshot() *Snapshot {
 			sn.mems[i] = append([]uint64(nil), mem...)
 		}
 	}
-	if ic := s.cov; ic != nil && ic.fsmSeen != nil {
-		sn.covOn = true
+	if ic := s.cov; ic != nil {
 		sn.covPrev = append([]uint64(nil), ic.fsmPrev...)
 		sn.covSeen = append([]bool(nil), ic.fsmSeen...)
 	}
@@ -196,12 +198,12 @@ func (s *Instance) Restore(sn *Snapshot) error {
 	s.inSweep = false
 	s.running = -1
 	if ic := s.cov; ic != nil && len(ic.fsmSeen) > 0 {
-		if sn.covOn && len(sn.covSeen) == len(ic.fsmSeen) {
+		if len(sn.covSeen) == len(ic.fsmSeen) {
 			copy(ic.fsmPrev, sn.covPrev)
 			copy(ic.fsmSeen, sn.covSeen)
 		} else {
-			// The snapshot predates coverage (or was taken under a different
-			// FSM universe): the transition history along the restored
+			// The snapshot predates coverage (or was taken under another
+			// clock's FSM universe): the transition history along the restored
 			// trajectory is unknowable, so restart it rather than fabricate
 			// a transition out of the pre-restore state.
 			for i := range ic.fsmSeen {

@@ -35,7 +35,7 @@ func TestSnapshotRestoreCoverageNoPhantomTransition(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := NewHarness(inst, "clk")
-			if err := h.EnableCover(CoverAll()); err != nil {
+			if err := h.EnableCover(); err != nil {
 				t.Fatal(err)
 			}
 			if err := h.ApplyReset(2); err != nil {
@@ -90,7 +90,7 @@ func TestSnapshotWithoutCoverageRestoresCleanly(t *testing.T) {
 	}
 	h := NewHarness(inst, "clk")
 	sn0 := inst.Snapshot() // coverage not yet enabled
-	if err := h.EnableCover(CoverAll()); err != nil {
+	if err := h.EnableCover(); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.ApplyReset(2); err != nil {

@@ -21,8 +21,9 @@ import (
 )
 
 // StimConfig configures one coverage measurement run (random or
-// directed) over a compiled program. Every run collects all structural
-// coverage models (sim.CoverAll).
+// directed) over a compiled program. Every run collects structural
+// coverage as sim.Harness.EnableCover configures it: every model, the
+// clock's points left out.
 type StimConfig struct {
 	// Clock is the clock input name ("" for combinational DUTs).
 	Clock string
@@ -153,10 +154,10 @@ func directedBatch(p *sim.Program, cfg StimConfig, lanes int) (*cover.Map, *Corp
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := b.EnableCover(sim.CoverAll()); err != nil {
+	if err := b.EnableCover(); err != nil {
 		return nil, nil, err
 	}
-	if err = b.ApplyReset(2); err == nil {
+	if err = b.ApplyReset(sim.ResetCycles); err == nil {
 		err = b.Err(0)
 	}
 	if err != nil {
@@ -180,7 +181,7 @@ func directedBatch(p *sim.Program, cfg StimConfig, lanes int) (*cover.Map, *Corp
 			// Fresh per-round map first, then restore: the rewind lands the
 			// FSM sampler history in the new collector, so each lane's map
 			// holds exactly this snippet's coverage.
-			if err := b.EnableCoverLane(l, sim.CoverAll()); err != nil {
+			if err := b.EnableCoverLane(l); err != nil {
 				return m, corpus, err
 			}
 			if err := b.Lane(l).Restore(cur); err != nil {
@@ -233,10 +234,10 @@ func coverHarness(p *sim.Program, cfg StimConfig) (*sim.Harness, error) {
 		return nil, err
 	}
 	h := sim.NewHarness(inst, cfg.Clock)
-	if err := h.EnableCover(sim.CoverAll()); err != nil {
+	if err := h.EnableCover(); err != nil {
 		return nil, err
 	}
-	if err := h.ApplyReset(2); err != nil {
+	if err := h.ApplyReset(sim.ResetCycles); err != nil {
 		return nil, fmt.Errorf("uvm: cover reset: %w", err)
 	}
 	return h, nil

@@ -170,9 +170,6 @@ func (s *DirectedSequence) Next(_ *rand.Rand) (map[string]uint64, bool) {
 // Len implements Sequence.
 func (s *DirectedSequence) Len() int { return len(s.Vectors) }
 
-// resetCycles is the length of Run's reset phase.
-const resetCycles = 2
-
 // Mismatch is one scoreboard discrepancy: the UVM_ERROR record that the
 // localization engine consumes (mismatch timestamp MT, signal MS).
 type Mismatch struct {
@@ -182,15 +179,16 @@ type Mismatch struct {
 	Actual   uint64
 }
 
-// Scoreboard accumulates per-transaction comparisons.
+// maxMismatches caps a scoreboard's recorded mismatch list (the log
+// would otherwise explode for badly broken DUTs). Counting continues.
+const maxMismatches = 64
+
+// Scoreboard accumulates per-transaction comparisons, recording at most
+// maxMismatches mismatches.
 type Scoreboard struct {
 	Total      int
 	Passed     int
 	Mismatches []Mismatch
-
-	// MaxMismatches caps the recorded mismatch list (the log would
-	// otherwise explode for badly broken DUTs). Counting continues.
-	MaxMismatches int
 }
 
 // CompareRow records one transaction — golden row i against the DUT's
@@ -208,7 +206,7 @@ func (sb *Scoreboard) CompareRow(cycle int, golden *Trace, i int, cols []int, ac
 		}
 		if av != ev {
 			pass = false
-			if sb.MaxMismatches == 0 || len(sb.Mismatches) < sb.MaxMismatches {
+			if len(sb.Mismatches) < maxMismatches {
 				sb.Mismatches = append(sb.Mismatches, Mismatch{
 					Time: cycle, Signal: golden.names[j], Expected: ev, Actual: av,
 				})
@@ -257,19 +255,18 @@ type Env struct {
 
 // Config selects how an Env is built.
 type Config struct {
-	Source    string // DUT Verilog source
-	Top       string // top module name
-	Clock     string // clock input, "" for combinational
-	RefName   string // reference model name (dataset module name)
-	Seed      int64
-	MaxErrors int // mismatch record cap (default 64)
+	Source  string // DUT Verilog source
+	Top     string // top module name
+	Clock   string // clock input, "" for combinational
+	RefName string // reference model name (dataset module name)
+	Seed    int64
 	// Backend selects the simulation engine (zero value: compiled).
 	Backend sim.Backend
-	// Cover enables structural coverage collection on the DUT instance
+	// Cover enables structural coverage collection on the DUT harness
 	// (statements, branches, toggles, FSM occupancy — see
-	// sim.CoverOptions). The zero value keeps coverage off, which costs
-	// nothing on the simulation hot path.
-	Cover sim.CoverOptions
+	// sim.Harness.EnableCover). Off, it costs nothing on the simulation
+	// hot path.
+	Cover bool
 
 	// Cache, when set, routes compilation through the content-addressed
 	// compile cache.
@@ -297,14 +294,10 @@ func NewEnv(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxErr := cfg.MaxErrors
-	if maxErr == 0 {
-		maxErr = 64
-	}
 	env := &Env{
 		DUT:      sim.NewHarness(s, cfg.Clock),
 		Ref:      ref,
-		Score:    &Scoreboard{MaxMismatches: maxErr},
+		Score:    &Scoreboard{},
 		InAgent:  &Agent{Name: "in_agt"},
 		OutAgent: &Agent{Name: "out_agt"},
 		seed:     cfg.Seed,
@@ -312,8 +305,8 @@ func NewEnv(cfg Config) (*Env, error) {
 		memo:     cfg.Memo,
 	}
 	env.Cov = NewCoverage(s.Design())
-	if cfg.Cover.Any() {
-		if err := env.DUT.EnableCover(cfg.Cover); err != nil {
+	if cfg.Cover {
+		if err := env.DUT.EnableCover(); err != nil {
 			return nil, err
 		}
 	}
@@ -344,13 +337,13 @@ func (e *Env) Run(seq Sequence) float64 {
 	resetName, _ := sim.FindReset(e.DUT.Sim.Design())
 	cycles := stim.Len()
 	if resetName != "" {
-		cycles += resetCycles
+		cycles += sim.ResetCycles
 	}
 	e.DUT.Wave.Reserve(cycles)
 
 	// Reset phase.
 	if resetName != "" {
-		if err := e.DUT.ApplyReset(resetCycles); err != nil {
+		if err := e.DUT.ApplyReset(sim.ResetCycles); err != nil {
 			e.fatalf("reset phase: %v", err)
 			return 0
 		}

@@ -169,14 +169,14 @@ func TestMismatchCapRespected(t *testing.T) {
 		"count + 12'd1", "count + 12'd2", 1)
 	m := dataset.ByName("counter_12bit")
 	env, err := NewEnv(Config{
-		Source: buggy, Top: m.Top, Clock: m.Clock, RefName: m.Name, Seed: 1, MaxErrors: 5,
+		Source: buggy, Top: m.Top, Clock: m.Clock, RefName: m.Name, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	env.Run(randomSeqFor(env, 200))
-	if len(env.Score.Mismatches) > 5 {
-		t.Errorf("mismatch cap exceeded: %d", len(env.Score.Mismatches))
+	if got := len(env.Score.Mismatches); got != 64 {
+		t.Errorf("recorded %d mismatches, want the cap of 64", got)
 	}
 	if env.Score.Total != 200 {
 		t.Errorf("comparisons stopped early: %d", env.Score.Total)
